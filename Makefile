@@ -11,7 +11,7 @@ test: bench-smoke
 bench:
 	pytest benchmarks/ --benchmark-only
 
-bench-smoke:           ## engine-vs-naive A/B + micro benches; fails on mismatch
+bench-smoke:           ## engine-vs-oracle A/B + micro benches; fails on mismatch
 	pytest benchmarks/test_bench_simengine.py benchmarks/test_bench_micro.py \
 		-q --timeout=300
 

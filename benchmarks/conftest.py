@@ -11,10 +11,8 @@ the paper's numbers, so ``pytest benchmarks/ --benchmark-only -s``
 reproduces the paper's evaluation section end to end.
 """
 
-import numpy as np
 import pytest
 
-from repro.vsm.batch import form_page_similarity_matrix
 from repro.experiments.context import get_context
 
 
@@ -38,7 +36,7 @@ def context():
 
 @pytest.fixture(scope="session")
 def sim_matrix(context):
-    return form_page_similarity_matrix(context.pages)
+    return context.similarity_matrix()
 
 
 # The paper averages CAFC-C over 20 runs; benches use a smaller trial

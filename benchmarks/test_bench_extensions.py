@@ -18,7 +18,7 @@ from repro.core.cafc_c import cafc_c
 from repro.core.config import CAFCConfig
 from repro.core.hubs import build_hub_clusters
 from repro.core.seeds import select_hub_clusters
-from repro.core.similarity import NaiveBackend
+from repro.core.similarity import EngineBackend
 from repro.core.vectorizer import FormPageVectorizer
 from repro.eval.entropy import total_entropy
 from repro.eval.fmeasure import overall_f_measure
@@ -71,7 +71,8 @@ def test_bench_quality_aware_seeds(benchmark, context):
             if len(hub_clusters) < 8:
                 continue
             plain_seeds = select_hub_clusters(
-                hub_clusters, 8, backend=NaiveBackend(similarity)
+                hub_clusters, 8,
+                backend=EngineBackend.from_config(context.config),
             )
             quality_seeds = select_hub_clusters_quality_aware(
                 hub_clusters, 8, pages, similarity, drop_fraction=0.25

@@ -10,9 +10,8 @@ Run:  python examples/compare_clustering_strategies.py   (takes ~1 min)
 
 import statistics
 
-from repro.clustering.hac import Linkage, hac, similarity_matrix
-from repro.core import CAFCConfig, cafc_c, cafc_ch
-from repro.core.cafc_c import similarity_for
+from repro.clustering.hac import Linkage, hac
+from repro.core import CAFCConfig, SimilarityEngine, cafc_c, cafc_ch
 from repro.core.vectorizer import FormPageVectorizer
 from repro.eval import (
     adjusted_rand_index,
@@ -57,7 +56,7 @@ def main() -> None:
     ch = cafc_ch(pages, config)
 
     print("running HAC (average linkage, cut at k=8) ...")
-    matrix = similarity_matrix(pages, similarity_for(config))
+    matrix = SimilarityEngine.from_config(pages, config).pairwise()
     hac_result = hac(matrix, 8, Linkage.AVERAGE)
 
     print()

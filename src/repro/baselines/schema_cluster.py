@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.baselines.label_extraction import extract_attribute_labels
-from repro.clustering.kmeans import KMeansResult, kmeans
-from repro.core.config import CAFCConfig, ContentMode
+from repro.clustering.kmeans import KMeansResult
+from repro.core.config import ContentMode
 from repro.core.form_page import RawFormPage, VectorPair
-from repro.core.similarity import BackendSpec, EngineBackend, resolve_backend
+from repro.core.simengine import SimilarityEngine
 from repro.text.analyzer import TextAnalyzer
 from repro.vsm.corpus import CorpusStats
-from repro.vsm.vector import SparseVector, cosine_similarity, mean_vector
+from repro.vsm.vector import SparseVector
 
 
 @dataclass
@@ -40,17 +40,6 @@ class SchemaVector:
     @property
     def has_schema_evidence(self) -> bool:
         return bool(self.vector)
-
-
-def _schema_similarity(a, b) -> float:
-    # Points are SchemaVector; centroids are plain SparseVector.
-    vector_a = a.vector if isinstance(a, SchemaVector) else a
-    vector_b = b.vector if isinstance(b, SchemaVector) else b
-    return cosine_similarity(vector_a, vector_b)
-
-
-def _schema_centroid(points: Sequence[SchemaVector]) -> SparseVector:
-    return mean_vector(point.vector for point in points)
 
 
 class _SchemaPoint:
@@ -81,7 +70,6 @@ class SchemaClusterer:
         analyzer: Optional[TextAnalyzer] = None,
         stop_fraction: float = 0.1,
         max_iterations: int = 50,
-        backend: BackendSpec = None,
     ) -> None:
         if k < 1:
             raise ValueError("k must be positive")
@@ -90,7 +78,6 @@ class SchemaClusterer:
         self.analyzer = analyzer or TextAnalyzer()
         self.stop_fraction = stop_fraction
         self.max_iterations = max_iterations
-        self.backend = backend
 
     # ----------------------------------------------------------------
     # Schema construction.
@@ -143,10 +130,9 @@ class SchemaClusterer:
     def cluster(self, schemas: Sequence[SchemaVector]) -> KMeansResult:
         """k-means over the schema vectors (random page seeds).
 
-        Centroids in the result are plain :class:`SparseVector`, as
-        before.  The loop runs on the batched similarity engine (PC-mode
-        compilation of the schema vectors) unless ``backend="naive"``
-        asked for the per-pair reference path.
+        Centroids in the result are plain :class:`SparseVector`.  The
+        loop runs on the batched similarity engine, with the schema
+        vectors compiled as a PC-only collection (plain cosine).
         """
         rng = random.Random(self.seed)
         if self.k > len(schemas):
@@ -156,30 +142,19 @@ class SchemaClusterer:
         seed_indices = rng.sample(range(len(schemas)), self.k)
         seeds = [schemas[i].vector for i in seed_indices]
 
-        resolved = resolve_backend(
-            self.backend, CAFCConfig(k=self.k, content_mode=ContentMode.PC)
+        engine = SimilarityEngine(
+            [_SchemaPoint(s) for s in schemas], content_mode=ContentMode.PC
         )
-        if isinstance(resolved, EngineBackend) and schemas:
-            engine = resolved.engine_for([_SchemaPoint(s) for s in schemas])
-            result = engine.kmeans(
-                [VectorPair(pc=seed, fc=SparseVector()) for seed in seeds],
-                stop_fraction=self.stop_fraction,
-                max_iterations=self.max_iterations,
-            )
-            resolved.collect(engine)
-            return KMeansResult(
-                clustering=result.clustering,
-                centroids=[pair.pc for pair in result.centroids],
-                iterations=result.iterations,
-                converged=result.converged,
-            )
-        return kmeans(
-            points=list(schemas),
-            initial_centroids=seeds,
-            similarity=_schema_similarity,
-            make_centroid=_schema_centroid,
+        result = engine.kmeans(
+            [VectorPair(pc=seed, fc=SparseVector()) for seed in seeds],
             stop_fraction=self.stop_fraction,
             max_iterations=self.max_iterations,
+        )
+        return KMeansResult(
+            clustering=result.clustering,
+            centroids=[pair.pc for pair in result.centroids],
+            iterations=result.iterations,
+            converged=result.converged,
         )
 
     def cluster_pages(self, raw_pages: Sequence[RawFormPage]) -> KMeansResult:

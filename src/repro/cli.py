@@ -165,7 +165,7 @@ def _cmd_organize(args: argparse.Namespace) -> int:
         raw_pages = generate_benchmark(seed=args.seed).raw_pages()
 
     pipeline = CAFCPipeline(CAFCConfig(
-        k=args.k, backend=args.backend, scheme=args.scheme,
+        k=args.k, scheme=args.scheme,
         parallel=_parallel_config(args)
     ))
     result = pipeline.organize(raw_pages, algorithm=args.algorithm)
@@ -256,7 +256,7 @@ def _cmd_snapshot_build(args: argparse.Namespace) -> int:
 
     raw_pages = _load_or_generate(args)
     pipeline = CAFCPipeline(CAFCConfig(
-        k=args.k, backend=args.backend, scheme=args.scheme,
+        k=args.k, scheme=args.scheme,
         parallel=_parallel_config(args)
     ))
     result = pipeline.organize(raw_pages, algorithm=args.algorithm)
@@ -285,7 +285,6 @@ def _build_serve_directory(args: argparse.Namespace):
 
     window = args.batch_window_ms if args.batch_window_ms >= 0 else None
     knobs = dict(
-        backend=args.backend,
         batch_window_ms=window,
         cache_size=args.cache_size,
         auto_recluster=not args.no_auto_recluster,
@@ -329,14 +328,13 @@ def _build_serve_directory(args: argparse.Namespace):
         )
         raw_pages = generate_benchmark(config=config).raw_pages()
         pipeline = CAFCPipeline(CAFCConfig(
-            k=args.k, min_hub_cardinality=3, backend=args.backend,
+            k=args.k, min_hub_cardinality=3,
             scheme=getattr(args, "scheme", "auto"),
         ))
     else:
         raw_pages = _load_or_generate(args)
         pipeline = CAFCPipeline(CAFCConfig(
-            k=args.k, backend=args.backend,
-            scheme=getattr(args, "scheme", "auto"),
+            k=args.k, scheme=getattr(args, "scheme", "auto"),
         ))
     result = pipeline.organize(raw_pages)
     snapshot = build_snapshot(result, pipeline.vectorizer, pipeline.config)
@@ -903,10 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--save-result", help="write the organized directory to this JSON path"
     )
     p_org.add_argument(
-        "--backend", choices=["auto", "engine", "naive"], default="auto",
-        help="similarity backend (default: auto)",
-    )
-    p_org.add_argument(
         "--scheme", choices=["auto", "off", "eq1", "bm25", "tf"],
         default="auto",
         help="term-weighting scheme (default: auto = Equation 1; "
@@ -959,9 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", choices=["cafc-ch", "cafc-c", "hac"], default="cafc-ch"
     )
     p_snap_build.add_argument(
-        "--backend", choices=["auto", "engine", "naive"], default="auto"
-    )
-    p_snap_build.add_argument(
         "--scheme", choices=["auto", "off", "eq1", "bm25", "tf"],
         default="auto",
         help="term-weighting scheme baked into the snapshot "
@@ -992,10 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--k", type=int, default=8)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080)
-    p_serve.add_argument(
-        "--backend", choices=["auto", "engine", "naive"], default="auto",
-        help="similarity backend for serving",
-    )
     p_serve.add_argument(
         "--scheme", choices=["auto", "off", "eq1", "bm25", "tf"],
         default="auto",

@@ -10,9 +10,7 @@ Public API
   ``FP(Backlink, PC, FC)`` of Sections 2.1 and 3.2.
 * :class:`repro.core.vectorizer.FormPageVectorizer` — Equation 1 vectors.
 * :class:`repro.core.similarity.FormPageSimilarity` — Equation 3 (scalar);
-  :class:`repro.core.similarity.SimilarityBackend` with
-  :class:`~repro.core.similarity.NaiveBackend` /
-  :class:`~repro.core.similarity.EngineBackend` — the batched backends.
+  :class:`repro.core.similarity.EngineBackend` — the batched backend.
 * :class:`repro.core.simengine.SimilarityEngine` — the compiled sparse
   engine behind ``EngineBackend`` (with :class:`~repro.core.simengine.EngineStats`
   instrumentation).
@@ -31,14 +29,11 @@ from repro.core.hubs import HubCluster, build_hub_clusters
 from repro.core.incremental import IncrementalOrganizer
 from repro.core.pipeline import CAFCPipeline, CAFCResult
 from repro.core.seeds import select_hub_clusters
-from repro.core.simengine import HAVE_NUMPY, EngineStats, SimilarityEngine
+from repro.core.simengine import EngineStats, SimilarityEngine
 from repro.core.similarity import (
     EngineBackend,
     FormPageSimilarity,
-    NaiveBackend,
-    SimilarityBackend,
     form_page_similarity,
-    resolve_backend,
 )
 from repro.core.vectorizer import FormPageVectorizer
 
@@ -57,12 +52,8 @@ __all__ = [
     "select_hub_clusters",
     "FormPageSimilarity",
     "form_page_similarity",
-    "SimilarityBackend",
-    "NaiveBackend",
     "EngineBackend",
-    "resolve_backend",
     "SimilarityEngine",
     "EngineStats",
-    "HAVE_NUMPY",
     "FormPageVectorizer",
 ]

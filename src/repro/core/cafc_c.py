@@ -10,25 +10,20 @@
 * update: Equation-4 per-space mean;
 * stop: fewer than ``stop_fraction`` of pages moved (paper: 10%).
 
-The similarity arithmetic is served by a pluggable backend (see
-:mod:`repro.core.similarity`): the default ``"auto"`` routes the
-assignment loop through the compiled
-:class:`~repro.core.simengine.SimilarityEngine`; ``backend="naive"``
-keeps the historical per-pair path.  Both produce the same clustering.
+The assignment loop runs on the compiled
+:class:`~repro.core.simengine.SimilarityEngine`
+(:meth:`~repro.core.simengine.SimilarityEngine.kmeans`), which yields
+the same clustering as the generic :func:`repro.clustering.kmeans.kmeans`
+driven by :class:`~repro.core.similarity.FormPageSimilarity`.
 """
 
 import random
 from typing import List, Optional, Sequence
 
-from repro.clustering.kmeans import KMeansResult, kmeans
+from repro.clustering.kmeans import KMeansResult
 from repro.core.config import CAFCConfig
-from repro.core.form_page import FormPage, VectorPair, centroid_of
-from repro.core.similarity import (
-    BackendSpec,
-    EngineBackend,
-    FormPageSimilarity,
-    resolve_backend,
-)
+from repro.core.form_page import FormPage, VectorPair
+from repro.core.similarity import EngineBackend, FormPageSimilarity
 
 
 def similarity_for(config: CAFCConfig) -> FormPageSimilarity:
@@ -57,7 +52,7 @@ def cafc_c(
     pages: Sequence[FormPage],
     config: Optional[CAFCConfig] = None,
     seed_centroids: Optional[Sequence[VectorPair]] = None,
-    backend: BackendSpec = None,
+    backend: Optional[EngineBackend] = None,
 ) -> KMeansResult:
     """Run CAFC-C (Algorithm 1).
 
@@ -72,16 +67,16 @@ def cafc_c(
         HAC groups for the Section 4.3 experiment).  When omitted, ``k``
         random pages seed the run, drawn from ``config.seed``'s RNG.
     backend:
-        Similarity backend: ``None`` (use ``config.backend``), a name
-        (``"auto"`` / ``"engine"`` / ``"naive"``), or a
-        :class:`~repro.core.similarity.SimilarityBackend` instance.
+        The :class:`~repro.core.similarity.EngineBackend` whose stats
+        the run's comparisons land in; built from ``config`` when
+        omitted.
 
     Returns
     -------
     KMeansResult whose clustering indexes into ``pages``.
     """
     config = config or CAFCConfig()
-    resolved = resolve_backend(backend, config)
+    backend = backend or EngineBackend.from_config(config)
     if seed_centroids is None:
         rng = random.Random(config.seed)
         seed_centroids = random_seed_centroids(pages, config.k, rng)
@@ -90,21 +85,11 @@ def cafc_c(
             f"got {len(seed_centroids)} seed centroids for k={config.k}"
         )
 
-    if isinstance(resolved, EngineBackend) and pages:
-        engine = resolved.engine_for(list(pages))
-        result = engine.kmeans(
-            list(seed_centroids),
-            stop_fraction=config.stop_fraction,
-            max_iterations=config.max_iterations,
-        )
-        resolved.collect(engine)
-        return result
-
-    return kmeans(
-        points=list(pages),
-        initial_centroids=list(seed_centroids),
-        similarity=resolved.pair,
-        make_centroid=centroid_of,
+    engine = backend.engine_for(list(pages))
+    result = engine.kmeans(
+        list(seed_centroids),
         stop_fraction=config.stop_fraction,
         max_iterations=config.max_iterations,
     )
+    backend.collect(engine)
+    return result

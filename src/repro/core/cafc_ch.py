@@ -31,7 +31,7 @@ from repro.core.config import CAFCConfig
 from repro.core.form_page import FormPage
 from repro.core.hubs import HubCluster, backlink_coverage, build_hub_clusters
 from repro.core.seeds import select_hub_clusters
-from repro.core.similarity import BackendSpec, resolve_backend
+from repro.core.similarity import EngineBackend
 from repro.resilience.stats import STATS
 
 logger = logging.getLogger("repro.resilience")
@@ -61,7 +61,7 @@ def cafc_ch(
     pages: Sequence[FormPage],
     config: Optional[CAFCConfig] = None,
     hub_clusters: Optional[List[HubCluster]] = None,
-    backend: BackendSpec = None,
+    backend: Optional[EngineBackend] = None,
     fallback: bool = False,
 ) -> CAFCCHResult:
     """Run CAFC-CH (Algorithm 2).
@@ -78,9 +78,9 @@ def cafc_ch(
         omitted.  Passing them in lets experiments reuse one hub harvest
         across many configurations.
     backend:
-        Similarity backend for both phases (the Algorithm-3 distance
-        matrix and the k-means loop): ``None`` (use ``config.backend``),
-        a backend name, or a backend instance.
+        The :class:`~repro.core.similarity.EngineBackend` serving both
+        phases (the Algorithm-3 distance matrix and the k-means loop);
+        built from ``config`` when omitted.
     fallback:
         When True and fewer than ``k`` hub clusters survive pruning
         (backlink coverage collapsed, aggressive pruning, tiny corpus),
@@ -102,9 +102,9 @@ def cafc_ch(
         hub_clusters = build_hub_clusters(
             pages, min_cardinality=config.min_hub_cardinality
         )
-    resolved = resolve_backend(backend, config)
+    backend = backend or EngineBackend.from_config(config)
     try:
-        selected = select_hub_clusters(hub_clusters, config.k, backend=resolved)
+        selected = select_hub_clusters(hub_clusters, config.k, backend=backend)
     except ValueError as exc:
         if not fallback:
             raise
@@ -124,7 +124,7 @@ def cafc_ch(
             },
         )
         STATS.inc("degraded_fallbacks")
-        result = cafc_c(pages, config, backend=resolved)
+        result = cafc_c(pages, config, backend=backend)
         return CAFCCHResult(
             kmeans=result,
             hub_clusters=hub_clusters,
@@ -133,5 +133,5 @@ def cafc_ch(
             degraded_reason=f"{exc}",
         )
     seed_centroids = [cluster.centroid for cluster in selected]
-    result = cafc_c(pages, config, seed_centroids=seed_centroids, backend=resolved)
+    result = cafc_c(pages, config, seed_centroids=seed_centroids, backend=backend)
     return CAFCCHResult(kmeans=result, hub_clusters=hub_clusters, selected_seeds=selected)

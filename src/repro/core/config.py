@@ -9,12 +9,7 @@ backlinks per page.
 import enum
 from dataclasses import dataclass, field
 
-from repro.options import (
-    BACKEND_CHOICES,
-    INDEX_CHOICES,
-    SCHEME_CHOICES,
-    validate_option,
-)
+from repro.options import INDEX_CHOICES, SCHEME_CHOICES, validate_option
 from repro.parallel.config import ParallelConfig
 from repro.resilience.config import ResilienceConfig
 from repro.stream.config import StreamConfig
@@ -69,12 +64,6 @@ class CAFCConfig:
     seed:
         RNG seed for random-seed selection; runs are reproducible given
         the same seed.
-    backend:
-        Which similarity backend batch operations use: ``"auto"``
-        (default; currently the compiled engine), ``"engine"`` (force
-        the batched :class:`~repro.core.simengine.SimilarityEngine`),
-        or ``"naive"`` (per-pair Equation-3 calls — the reference
-        path).  All backends agree to 1e-9; see docs/PERFORMANCE.md.
     index:
         Inverted-index retrieval for the read path (classify candidate
         generation and directory search): ``"auto"`` (default; on once
@@ -90,7 +79,7 @@ class CAFCConfig:
         :class:`~repro.vsm.schemes.WeightingScheme` instance directly
         to the vectorizer for tuned parameters.  See docs/RANKING.md.
 
-        ``backend`` / ``index`` / ``scheme`` share one convention —
+        ``index`` / ``scheme`` share one convention —
         ``"auto" | "off" | <name>`` — and one validator
         (:mod:`repro.options`); the error names the offending field.
     parallel:
@@ -123,7 +112,6 @@ class CAFCConfig:
     stop_fraction: float = 0.1
     max_iterations: int = 50
     seed: int = 0
-    backend: str = "auto"
     index: str = "auto"
     scheme: str = "auto"
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
@@ -144,7 +132,6 @@ class CAFCConfig:
             "stop_fraction": self.stop_fraction,
             "max_iterations": self.max_iterations,
             "seed": self.seed,
-            "backend": self.backend,
             "index": self.index,
             "scheme": self.scheme,
             "parallel": self.parallel.to_dict(),
@@ -154,7 +141,11 @@ class CAFCConfig:
 
     @classmethod
     def from_dict(cls, state: dict) -> "CAFCConfig":
-        """Rebuild a config exported by :meth:`to_dict` (validates)."""
+        """Rebuild a config exported by :meth:`to_dict` (validates).
+
+        Keys this version no longer has (a ``"backend"`` written by
+        older snapshots) are ignored.
+        """
         defaults = cls()
         return cls(
             k=int(state.get("k", defaults.k)),
@@ -182,7 +173,6 @@ class CAFCConfig:
                 state.get("max_iterations", defaults.max_iterations)
             ),
             seed=int(state.get("seed", defaults.seed)),
-            backend=str(state.get("backend", defaults.backend)),
             index=str(state.get("index", defaults.index)),
             scheme=str(state.get("scheme", defaults.scheme)),
             parallel=ParallelConfig.from_dict(dict(state.get("parallel", {}))),
@@ -193,7 +183,6 @@ class CAFCConfig:
         )
 
     def __post_init__(self) -> None:
-        validate_option("backend", self.backend, BACKEND_CHOICES)
         validate_option("index", self.index, INDEX_CHOICES)
         validate_option("scheme", self.scheme, SCHEME_CHOICES)
         if self.k < 1:

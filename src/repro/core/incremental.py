@@ -32,12 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CAFCConfig
 from repro.core.form_page import FormPage, RawFormPage, VectorPair, centroid_of
-from repro.core.similarity import (
-    BackendSpec,
-    FormPageSimilarity,
-    SimilarityBackend,
-    resolve_backend,
-)
+from repro.core.similarity import EngineBackend
 from repro.core.vectorizer import FormPageVectorizer
 from repro.index.centroids import CentroidIndex
 from repro.index.directory_index import (
@@ -72,10 +67,8 @@ class IncrementalOrganizer:
     per cluster) plus the fitted vectorizer, then feed it additions and
     removals.  Watch :attr:`needs_reclustering`.
 
-    ``backend`` selects the similarity backend (``None`` uses
-    ``config.backend``); ``backend.stats.comparisons`` counts every
-    similarity evaluation, which is how the regression tests pin the
-    O(1)-per-add property.
+    ``backend.stats.comparisons`` counts every similarity evaluation,
+    which is how the regression tests pin the O(1)-per-add property.
     """
 
     def __init__(
@@ -84,7 +77,6 @@ class IncrementalOrganizer:
         vectorizer: FormPageVectorizer,
         config: Optional[CAFCConfig] = None,
         drift_threshold: float = 0.7,
-        backend: BackendSpec = None,
         index: Optional[str] = None,
     ) -> None:
         if not initial_clusters:
@@ -93,14 +85,7 @@ class IncrementalOrganizer:
             raise ValueError("drift_threshold must be in (0, 1]")
         self.config = config or CAFCConfig()
         self.vectorizer = vectorizer
-        self.backend: SimilarityBackend = resolve_backend(backend, self.config)
-        # Kept for backward compatibility with code that reached for the
-        # scalar callable; the organizer itself goes through the backend.
-        self.similarity: FormPageSimilarity = FormPageSimilarity(
-            content_mode=self.config.content_mode,
-            page_weight=self.config.page_weight,
-            form_weight=self.config.form_weight,
-        )
+        self.backend = EngineBackend.from_config(self.config)
         self.drift_threshold = drift_threshold
         self.clusters: List[IncrementalCluster] = []
         self._by_url: Dict[str, int] = {}

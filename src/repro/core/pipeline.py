@@ -19,7 +19,7 @@ from repro.core.cafc_c import cafc_c
 from repro.core.cafc_ch import cafc_ch
 from repro.core.config import CAFCConfig
 from repro.core.form_page import FormPage, RawFormPage, VectorPair, centroid_of
-from repro.core.similarity import BackendSpec, SimilarityBackend, resolve_backend
+from repro.core.similarity import EngineBackend
 from repro.core.simengine import EngineStats
 from repro.core.vectorizer import FormPageVectorizer
 
@@ -56,8 +56,8 @@ class CAFCResult:
     # True when a CAFC-CH run gracefully degraded to CAFC-C random
     # seeding (too few hub clusters — backlink coverage collapsed).
     degraded: bool = False
-    # Similarity-backend instrumentation for the run (``--profile``);
-    # None for results loaded from disk or built without a backend.
+    # Similarity-engine instrumentation for the run (``--profile``);
+    # None for results loaded from disk.
     engine_stats: Optional[EngineStats] = None
 
     @property
@@ -96,11 +96,7 @@ class CAFCPipeline:
         domain = pipeline.classify(new_raw_page, result)
     """
 
-    def __init__(
-        self,
-        config: Optional[CAFCConfig] = None,
-        backend: BackendSpec = None,
-    ) -> None:
+    def __init__(self, config: Optional[CAFCConfig] = None) -> None:
         self.config = config or CAFCConfig()
         self.vectorizer = FormPageVectorizer(
             location_weights=self.config.location_weights,
@@ -108,7 +104,7 @@ class CAFCPipeline:
             parallel=self.config.parallel,
             scheme=self.config.scheme,
         )
-        self.backend: SimilarityBackend = resolve_backend(backend, self.config)
+        self.backend = EngineBackend.from_config(self.config)
 
     # ----------------------------------------------------------------
     # Organizing.
@@ -168,15 +164,8 @@ class CAFCPipeline:
             iterations = km_result.iterations
         elif algorithm == "hac":
             from repro.clustering.hac import Linkage, hac
-            from repro.vsm.batch import form_page_similarity_matrix
 
-            matrix = form_page_similarity_matrix(
-                pages,
-                page_weight=self.config.page_weight,
-                form_weight=self.config.form_weight,
-                use_pc=self.config.content_mode.uses_pc,
-                use_fc=self.config.content_mode.uses_fc,
-            )
+            matrix = self.backend.pairwise(pages)
             hac_result = hac(
                 matrix, n_clusters=min(self.config.k, len(pages)),
                 linkage=Linkage.AVERAGE,

@@ -13,38 +13,31 @@ The paper argues the selection is robust to outliers because it operates
 on clusters (multi-document centroids), not individual pages — provided
 small clusters were pruned first (Section 3.3).
 
-The distance matrix is served by a similarity backend (one batched
-:meth:`~repro.core.similarity.SimilarityBackend.pairwise` call).  The
-old positional ``similarity=`` callable seam is gone: pass ``backend=``
-(a name, a backend instance, or ``None`` for the default) —
-``resolve_backend`` rejects bare callables with a migration hint.
+The distance matrix is one batched
+:meth:`~repro.core.similarity.EngineBackend.pairwise` call.
 """
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.hubs import HubCluster
-from repro.core.similarity import BackendSpec, resolve_backend
+from repro.core.similarity import EngineBackend
 
 
 def hub_distance_matrix(
     clusters: Sequence[HubCluster],
     *,
-    backend: BackendSpec = None,
+    backend: Optional[EngineBackend] = None,
 ) -> np.ndarray:
     """Pairwise centroid distances (1 - similarity), symmetric, zero diag.
 
-    ``backend`` is a backend name, a
-    :class:`~repro.core.similarity.SimilarityBackend`, or ``None`` for
-    the default.
+    ``backend`` defaults to the paper's Equation 3 (FC+PC, C1 = C2 = 1);
+    pass one to use other weights or to share its stats.
     """
-    resolved = resolve_backend(backend)
-    n = len(clusters)
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.float64)
+    backend = backend or EngineBackend()
     centroids = [cluster.centroid for cluster in clusters]
-    matrix = 1.0 - np.asarray(resolved.pairwise(centroids), dtype=np.float64)
+    matrix = 1.0 - backend.pairwise(centroids)
     np.fill_diagonal(matrix, 0.0)
     return matrix
 
@@ -53,7 +46,7 @@ def select_hub_clusters(
     clusters: Sequence[HubCluster],
     k: int,
     *,
-    backend: BackendSpec = None,
+    backend: Optional[EngineBackend] = None,
 ) -> List[HubCluster]:
     """Pick the ``k`` most mutually distant hub clusters (Algorithm 3).
 
@@ -64,9 +57,8 @@ def select_hub_clusters(
     Determinism: ties in the greedy objective are broken by the clusters'
     order in ``clusters`` (which `build_hub_clusters` makes deterministic).
 
-    The similarity arithmetic comes from ``backend`` (a backend name, a
-    :class:`~repro.core.similarity.SimilarityBackend`, or ``None`` for
-    the default).
+    The similarity arithmetic comes from ``backend`` (see
+    :func:`hub_distance_matrix`).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -75,11 +67,10 @@ def select_hub_clusters(
             f"need at least {k} hub clusters, have {len(clusters)}; "
             "lower min_hub_cardinality or use random seeding"
         )
-    resolved = resolve_backend(backend)
     if k == 1:
         return [clusters[0]]
 
-    distances = hub_distance_matrix(clusters, backend=resolved)
+    distances = hub_distance_matrix(clusters, backend=backend)
     n = len(clusters)
 
     # Step 1: the two most distant clusters.  np.argmax on the upper

@@ -8,7 +8,7 @@ size; this module compiles a collection once into CSR-style parallel
 arrays and serves every batched shape from that one representation:
 
 * :meth:`SimilarityEngine.pairwise` — the full n x n similarity matrix
-  via inverted-index accumulation (upper triangle only);
+  as one sparse matmul per feature space;
 * :meth:`SimilarityEngine.page_centroid_matrix` — pages x centroids,
   the k-means assignment shape;
 * :meth:`SimilarityEngine.to_centroids` — Equation-4 means straight
@@ -18,11 +18,11 @@ arrays and serves every batched shape from that one representation:
   tie-breaking and stopping semantics identical to
   :func:`repro.clustering.kmeans.kmeans`.
 
-Everything is pure Python over :mod:`array` buffers; when NumPy and
-SciPy are importable (detected once at import time) the two matrix
-shapes switch to one sparse matmul.  Both paths agree with the scalar
-:class:`~repro.core.similarity.FormPageSimilarity` to well below 1e-9:
-per-space cosines are accumulated from pre-normalized rows and combined
+Rows are compiled into :mod:`array` buffers; the all-pairs matrix is a
+SciPy CSR matmul over the normalized rows, and the page x centroid
+shapes accumulate over an inverted index.  Every shape agrees with the
+scalar :class:`~repro.core.similarity.FormPageSimilarity` to well below
+1e-12: per-space cosines come from pre-normalized rows and are combined
 with the literal Equation-3 expression, never algebraically rearranged.
 
 The engine never changes Eq. 1-6 semantics — it only changes how the
@@ -34,21 +34,12 @@ from array import array
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+from scipy import sparse
+
 from repro.core.config import ContentMode
 from repro.core.form_page import VectorPair
 from repro.vsm.vector import SparseVector
-
-try:  # optional fast path, detected once at import
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is normally present
-    _np = None
-try:
-    from scipy import sparse as _sp
-except ImportError:  # pragma: no cover
-    _sp = None
-
-#: True when the NumPy/SciPy matmul fast path is available.
-HAVE_NUMPY = _np is not None and _sp is not None
 
 
 @dataclass
@@ -58,9 +49,8 @@ class EngineStats:
     ``comparisons`` counts pair-similarity equivalents: a pairwise call
     over n items adds n*(n-1)/2, an assignment pass adds pages x
     centroids, a top-k query adds one per scored item.  ``cache_hits``
-    counts reuses of already-computed work (memoized single pairs,
-    compiled-engine reuse).  ``build_seconds`` is time spent compiling
-    collections into the packed representation.
+    counts compiled-engine reuses.  ``build_seconds`` is time spent
+    compiling collections into the packed representation.
     """
 
     n_pages: int = 0
@@ -68,7 +58,9 @@ class EngineStats:
     build_seconds: float = 0.0
     comparisons: int = 0
     cache_hits: int = 0
-    backend: str = "python"
+    #: Constant tag naming the one batched Equation-3 path; kept so the
+    #: ``/stats`` engine block and ``--profile`` output keep their keys.
+    backend: str = "engine"
 
     def snapshot(self) -> "EngineStats":
         """An immutable copy (for surfacing through results)."""
@@ -78,16 +70,13 @@ class EngineStats:
         """Fold another instance's counters into this one (rollup).
 
         Counters add; sizes take the max (they describe the largest
-        collection either side compiled); the backend tag is kept unless
-        this instance has none yet.
+        collection either side compiled).
         """
         self.n_pages = max(self.n_pages, other.n_pages)
         self.n_terms = max(self.n_terms, other.n_terms)
         self.build_seconds += other.build_seconds
         self.comparisons += other.comparisons
         self.cache_hits += other.cache_hits
-        if not self.backend:
-            self.backend = other.backend
 
     def as_dict(self) -> Dict[str, object]:
         """Counters as plain data — the /metrics rollup shape."""
@@ -172,7 +161,7 @@ class _Space:
         return self._postings
 
     def csr(self):
-        """Normalized rows as a scipy CSR matrix (fast path only)."""
+        """Normalized rows as a scipy CSR matrix."""
         if self._csr is None:
             indptr = [0]
             indices: List[int] = []
@@ -181,17 +170,14 @@ class _Space:
                 indices.extend(ids)
                 data.extend(weights)
                 indptr.append(len(indices))
-            self._csr = _sp.csr_matrix(
+            self._csr = sparse.csr_matrix(
                 (data, indices, indptr),
                 shape=(len(self.ids), max(len(self.vocab), 1)),
-                dtype=_np.float64,
+                dtype=np.float64,
             )
         return self._csr
 
     # -- per-row helpers ----------------------------------------------
-
-    def row_map(self, row: int) -> Dict[int, float]:
-        return dict(zip(self.ids[row], self.nrm[row]))
 
     def self_cosine(self, row: int) -> float:
         """cos(row, row): 1.0-ish for non-empty rows, 0.0 for empty."""
@@ -231,33 +217,11 @@ class _Space:
                 scores[row] += query_weight * weight
         return scores
 
-    def pairwise_upper(self) -> List[List[float]]:
-        """All-pairs cosine dot products, upper triangle only.
-
-        Returned rows are full length but only ``row[i][j]`` with
-        ``j > i`` is meaningful; the engine's combine step fills the
-        diagonal and mirrors the lower triangle in one pass.  The inner
-        loop iterates a slice of (row, weight) tuples, so each step is
-        one unpack plus one indexed add — the cheapest scatter CPython
-        offers for this shape.
-        """
-        n = len(self.ids)
-        sims: List[List[float]] = [[0.0] * n for _ in range(n)]
-        for pool in self.postings().values():
-            m = len(pool)
-            if m < 2:
-                continue
-            for a in range(m - 1):
-                row_a, weight_a = pool[a]
-                target = sims[row_a]
-                for row_b, weight_b in pool[a + 1:]:
-                    target[row_b] += weight_a * weight_b
-        return sims
-
-    def pairwise_numpy(self):
+    def pairwise(self) -> np.ndarray:
+        """All-pairs cosines of the normalized rows (dense, symmetric)."""
         matrix = self.csr()
-        dense = _np.asarray((matrix @ matrix.T).todense())
-        _np.fill_diagonal(
+        dense = np.asarray((matrix @ matrix.T).todense())
+        np.fill_diagonal(
             dense, [self.self_cosine(i) for i in range(len(self.ids))]
         )
         return dense
@@ -333,11 +297,6 @@ class SimilarityEngine:
     content_mode / page_weight / form_weight:
         The Equation-3 configuration, exactly as
         :class:`~repro.core.similarity.FormPageSimilarity` takes it.
-    use_numpy:
-        ``None`` (default) auto-detects the NumPy/SciPy fast path;
-        ``False`` forces the pure-Python path (the benchmarks use this
-        to prove the pure path's speedup); ``True`` requires the fast
-        path and raises if it is unavailable.
     """
 
     def __init__(
@@ -346,18 +305,15 @@ class SimilarityEngine:
         content_mode: ContentMode = ContentMode.FC_PC,
         page_weight: float = 1.0,
         form_weight: float = 1.0,
-        use_numpy: Optional[bool] = None,
     ) -> None:
-        if use_numpy is None:
-            use_numpy = HAVE_NUMPY
-        elif use_numpy and not HAVE_NUMPY:
-            raise RuntimeError("NumPy/SciPy fast path requested but unavailable")
+        if content_mode is ContentMode.FC_PC:
+            if page_weight <= 0 and form_weight <= 0:
+                raise ValueError("combined mode needs a positive weight")
         self.items = list(items)
         self.content_mode = content_mode
         self.page_weight = page_weight
         self.form_weight = form_weight
-        self.use_numpy = use_numpy
-        self.stats = EngineStats(backend="numpy" if use_numpy else "python")
+        self.stats = EngineStats()
 
         started = time.perf_counter()
         self._spaces: Dict[str, _Space] = {}
@@ -374,7 +330,6 @@ class SimilarityEngine:
         for item in self.items:
             for name, space in self._spaces.items():
                 space.add_row(getattr(item, name))
-        self._pair_cache: Dict[Tuple[int, int], float] = {}
         self.stats.build_seconds = time.perf_counter() - started
         self.stats.n_pages = len(self.items)
         self.stats.n_terms = sum(
@@ -386,15 +341,13 @@ class SimilarityEngine:
     # ----------------------------------------------------------------
 
     @classmethod
-    def from_config(cls, items: Sequence, config,
-                    use_numpy: Optional[bool] = None) -> "SimilarityEngine":
+    def from_config(cls, items: Sequence, config) -> "SimilarityEngine":
         """Build an engine matching a :class:`~repro.core.config.CAFCConfig`."""
         return cls(
             items,
             content_mode=config.content_mode,
             page_weight=config.page_weight,
             form_weight=config.form_weight,
-            use_numpy=use_numpy,
         )
 
     @property
@@ -426,115 +379,29 @@ class SimilarityEngine:
             self.page_weight + self.form_weight
         )
 
-    def _space_value(self, per_space: Dict[str, float]) -> float:
-        return self._combine(per_space.get("pc", 0.0), per_space.get("fc", 0.0))
-
-    # ----------------------------------------------------------------
-    # Single pairs (memoized).
-    # ----------------------------------------------------------------
-
-    def similarity(self, i: int, j: int) -> float:
-        """Equation-3 similarity between compiled items ``i`` and ``j``."""
-        key = (i, j) if i <= j else (j, i)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        per_space: Dict[str, float] = {}
-        for name, space in self._spaces.items():
-            if i == j:
-                per_space[name] = space.self_cosine(i)
-                continue
-            ids_i, nrm_i = space.ids[i], space.nrm[i]
-            row_j = space.row_map(j)
-            total = 0.0
-            get = row_j.get
-            for term_id, weight in zip(ids_i, nrm_i):
-                other = get(term_id)
-                if other is not None:
-                    total += weight * other
-            per_space[name] = total
-        value = self._space_value(per_space)
-        self._pair_cache[key] = value
-        self.stats.comparisons += 1
-        return value
-
     # ----------------------------------------------------------------
     # Batched shapes.
     # ----------------------------------------------------------------
 
-    def pairwise(self, indices: Optional[Sequence[int]] = None):
+    def pairwise(self) -> np.ndarray:
         """The full symmetric similarity matrix over the compiled items.
 
-        Returns a list of row lists on the pure-Python path, an ndarray
-        on the fast path.  ``indices`` restricts to a sub-collection
-        (rows/columns follow the given order).
+        One CSR matmul per compiled space, combined with the Equation-3
+        weights.  The diagonal holds each item's Equation-3 similarity
+        with itself, where an empty space contributes 0.0.
         """
         n = len(self.items)
         self.stats.comparisons += n * (n - 1) // 2
-        if not self._spaces:
-            zeros = [[0.0] * n for _ in range(n)]
-            return _np.asarray(zeros) if self.use_numpy else zeros
-        if self.use_numpy:
-            total = None
-            for name, space in self._spaces.items():
-                matrix = space.pairwise_numpy()
-                if self.content_mode is ContentMode.FC_PC:
-                    weight = (
-                        self.page_weight if name == "pc" else self.form_weight
-                    )
-                    matrix = matrix * weight
-                total = matrix if total is None else total + matrix
+        total = np.zeros((n, n))
+        for name, space in self._spaces.items():
+            matrix = space.pairwise()
             if self.content_mode is ContentMode.FC_PC:
-                total = total / (self.page_weight + self.form_weight)
-            if indices is not None:
-                index_array = _np.asarray(list(indices))
-                total = total[_np.ix_(index_array, index_array)]
-            return total
-
-        per_space = {
-            name: space.pairwise_upper()
-            for name, space in self._spaces.items()
-        }
-        if len(per_space) == 1 and self.content_mode is not ContentMode.FC_PC:
-            combined = next(iter(per_space.values()))
-        else:
-            # The literal Equation-3 expression, hoisted out of _combine
-            # so the whole matrix combines in C-speed comprehensions.
-            # Only the upper triangle is combined (the lower is mirrored
-            # afterwards), in place over the PC matrix.
-            pc_matrix = per_space.get("pc")
-            fc_matrix = per_space.get("fc")
-            zero_row = [0.0] * n
-            pw = self.page_weight
-            fw = self.form_weight
-            scale = pw + fw
-            combined = (
-                pc_matrix if pc_matrix is not None
-                else [[0.0] * n for _ in range(n)]
-            )
-            for i in range(n):
-                row = combined[i]
-                other = fc_matrix[i] if fc_matrix is not None else zero_row
-                row[i + 1:] = [
-                    (pw * p + fw * f) / scale
-                    for p, f in zip(row[i + 1:], other[i + 1:])
-                ]
-        # One pass fills the diagonal and mirrors the upper triangle.
-        pc_space = self._spaces.get("pc")
-        fc_space = self._spaces.get("fc")
-        for i in range(n):
-            row = combined[i]
-            row[i] = self._combine(
-                pc_space.self_cosine(i) if pc_space is not None else 0.0,
-                fc_space.self_cosine(i) if fc_space is not None else 0.0,
-            )
-            for j in range(i + 1, n):
-                combined[j][i] = row[j]
-        if indices is not None:
-            chosen = list(indices)
-            combined = [[combined[i][j] for j in chosen] for i in chosen]
-        return combined
+                weight = self.page_weight if name == "pc" else self.form_weight
+                matrix = matrix * weight
+            total = total + matrix
+        if self.content_mode is ContentMode.FC_PC:
+            total = total / (self.page_weight + self.form_weight)
+        return total
 
     def to_centroids(
         self, assignments: Sequence[int], k: Optional[int] = None
@@ -746,7 +613,6 @@ class SimilarityEngine:
 
 
 __all__ = [
-    "HAVE_NUMPY",
     "EngineStats",
     "CompiledCentroids",
     "SimilarityEngine",

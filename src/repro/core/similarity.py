@@ -1,4 +1,4 @@
-"""Form-page similarity — Equation 3 — and the similarity backends.
+"""Form-page similarity — Equation 3 — and its batched engine backend.
 
 ``sim(FP1, FP2) = (C1 * cos(PC1, PC2) + C2 * cos(FC1, FC2)) / (C1 + C2)``
 
@@ -10,31 +10,18 @@ drives k-means assignment, HAC matrices and hub-cluster distances.
 The *content mode* restricts which spaces contribute — the FC / PC / FC+PC
 configurations of Figure 2.
 
-Backends
---------
-
-Batch consumers no longer thread bare similarity callables around;
-they take a :class:`SimilarityBackend`:
-
-* :class:`NaiveBackend` — per-pair :class:`FormPageSimilarity` calls
-  (the reference path, with comparison counting);
-* :class:`EngineBackend` — the compiled
-  :class:`~repro.core.simengine.SimilarityEngine`, which serves the
-  same values (within 1e-9; in practice ~1e-15) from CSR-style arrays
-  at a fraction of the cost.
-
-``resolve_backend`` maps the ``CAFCConfig.backend`` string (``"auto"``,
-``"engine"``, ``"naive"``) or an existing backend instance to a backend
-object.  The pre-backend seam — passing a bare similarity callable where
-a backend is expected — was deprecated when the backend API landed and
-is now a hard :class:`TypeError`; wrap the callable in
-:class:`NaiveBackend` instead.
+Batch consumers (Algorithm 1's assignment loop, Algorithm 3's distance
+matrix, incremental classification) go through :class:`EngineBackend`,
+which serves batched shapes from the compiled
+:class:`~repro.core.simengine.SimilarityEngine` and single pairs from
+:class:`FormPageSimilarity`, counting both in one :class:`EngineStats`.
 """
 
-from typing import Callable, List, Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import List, Protocol, Sequence
+
+import numpy as np
 
 from repro.core.config import CAFCConfig, ContentMode
-from repro.options import BACKEND_CHOICES, validate_option
 from repro.core.simengine import EngineStats, SimilarityEngine
 from repro.vsm.vector import SparseVector, cosine_similarity
 
@@ -102,94 +89,13 @@ def form_page_similarity(
     Equivalent to ``FormPageSimilarity(content_mode, page_weight,
     form_weight)(a, b)`` and guaranteed (by test) to agree with the
     batched :class:`~repro.core.simengine.SimilarityEngine` to 1e-9.
-    Prefer a :class:`SimilarityBackend` for anything called in a loop.
+    Prefer an :class:`EngineBackend` for anything called in a loop.
     """
     return FormPageSimilarity(content_mode, page_weight, form_weight)(a, b)
 
 
-# --------------------------------------------------------------------
-# Backends.
-# --------------------------------------------------------------------
-
-
-@runtime_checkable
-class SimilarityBackend(Protocol):
-    """The batched similarity interface every consumer codes against.
-
-    Implementations must agree with Equation 3 (the scalar
-    :class:`FormPageSimilarity`) to 1e-9 on every operation.
-    """
-
-    stats: EngineStats
-
-    def pair(self, a: HasVectorPair, b: HasVectorPair) -> float:
-        """Similarity of one (page or centroid) pair."""
-        ...
-
-    def pairwise(self, items: Sequence[HasVectorPair]) -> List[List[float]]:
-        """Full symmetric similarity matrix over ``items``."""
-        ...
-
-    def page_centroid_matrix(
-        self,
-        pages: Sequence[HasVectorPair],
-        centroids: Sequence[HasVectorPair],
-    ) -> List[List[float]]:
-        """Rows = pages, columns = centroids."""
-        ...
-
-
-class NaiveBackend:
-    """Per-pair Equation-3 calls — the reference backend.
-
-    Wraps a :class:`FormPageSimilarity` and counts comparisons so the
-    instrumentation surface matches :class:`EngineBackend`.
-    """
-
-    name = "naive"
-
-    def __init__(self, similarity: FormPageSimilarity) -> None:
-        self.similarity = similarity
-        self.stats = EngineStats(backend="naive")
-
-    @classmethod
-    def from_config(cls, config: CAFCConfig) -> "NaiveBackend":
-        return cls(
-            FormPageSimilarity(
-                content_mode=config.content_mode,
-                page_weight=config.page_weight,
-                form_weight=config.form_weight,
-            )
-        )
-
-    def pair(self, a: HasVectorPair, b: HasVectorPair) -> float:
-        self.stats.comparisons += 1
-        return self.similarity(a, b)
-
-    def pairwise(self, items: Sequence[HasVectorPair]) -> List[List[float]]:
-        n = len(items)
-        matrix = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            matrix[i][i] = self.pair(items[i], items[i])
-            for j in range(i + 1, n):
-                value = self.pair(items[i], items[j])
-                matrix[i][j] = value
-                matrix[j][i] = value
-        return matrix
-
-    def page_centroid_matrix(
-        self,
-        pages: Sequence[HasVectorPair],
-        centroids: Sequence[HasVectorPair],
-    ) -> List[List[float]]:
-        return [
-            [self.pair(page, centroid) for centroid in centroids]
-            for page in pages
-        ]
-
-
 class EngineBackend:
-    """The compiled-engine backend.
+    """The batched Equation-3 backend over the compiled engine.
 
     Engines are compiled per collection and cached (keyed by the
     identity of the collection's items), so repeated batch calls over
@@ -198,7 +104,6 @@ class EngineBackend:
     backend built.
     """
 
-    name = "engine"
     _CACHE_SIZE = 4
 
     def __init__(
@@ -206,28 +111,20 @@ class EngineBackend:
         content_mode: ContentMode = ContentMode.FC_PC,
         page_weight: float = 1.0,
         form_weight: float = 1.0,
-        use_numpy: Optional[bool] = None,
     ) -> None:
         self.content_mode = content_mode
         self.page_weight = page_weight
         self.form_weight = form_weight
-        self.use_numpy = use_numpy
-        self.stats = EngineStats(
-            backend="engine" if use_numpy is None else
-            ("engine/numpy" if use_numpy else "engine/python")
-        )
+        self.stats = EngineStats()
         self._scalar = FormPageSimilarity(content_mode, page_weight, form_weight)
         self._engines: "dict[tuple, SimilarityEngine]" = {}
 
     @classmethod
-    def from_config(
-        cls, config: CAFCConfig, use_numpy: Optional[bool] = None
-    ) -> "EngineBackend":
+    def from_config(cls, config: CAFCConfig) -> "EngineBackend":
         return cls(
             content_mode=config.content_mode,
             page_weight=config.page_weight,
             form_weight=config.form_weight,
-            use_numpy=use_numpy,
         )
 
     def engine_for(self, items: Sequence[HasVectorPair]) -> SimilarityEngine:
@@ -242,7 +139,6 @@ class EngineBackend:
             content_mode=self.content_mode,
             page_weight=self.page_weight,
             form_weight=self.form_weight,
-            use_numpy=self.use_numpy,
         )
         # The engine holds the items alive, so ids stay valid while cached.
         if len(self._engines) >= self._CACHE_SIZE:
@@ -269,12 +165,11 @@ class EngineBackend:
         self.stats.comparisons += 1
         return self._scalar(a, b)
 
-    def pairwise(self, items: Sequence[HasVectorPair]) -> List[List[float]]:
+    def pairwise(self, items: Sequence[HasVectorPair]) -> np.ndarray:
+        """Full symmetric similarity matrix over ``items``."""
         engine = self.engine_for(items)
         matrix = engine.pairwise()
         self.collect(engine)
-        if not isinstance(matrix, list):  # ndarray from the fast path
-            matrix = matrix.tolist()
         return matrix
 
     def page_centroid_matrix(
@@ -282,49 +177,8 @@ class EngineBackend:
         pages: Sequence[HasVectorPair],
         centroids: Sequence[HasVectorPair],
     ) -> List[List[float]]:
+        """Rows = pages, columns = centroids."""
         engine = self.engine_for(pages)
         matrix = engine.page_centroid_matrix(centroids)
         self.collect(engine)
         return matrix
-
-
-#: What users may put in ``CAFCConfig.backend`` / pass as ``backend=``.
-BackendSpec = Union[None, str, SimilarityBackend, Callable[..., float]]
-
-
-def resolve_backend(
-    spec: BackendSpec, config: Optional[CAFCConfig] = None
-) -> SimilarityBackend:
-    """Turn a backend spec into a backend instance.
-
-    ``spec`` may be ``None`` (use ``config.backend``), one of the
-    strings ``"auto"`` / ``"engine"`` / ``"naive"``, or an existing
-    :class:`SimilarityBackend`.  ``"auto"`` currently selects the
-    engine (it is never slower on batch shapes and agrees to 1e-9);
-    the name is reserved so future heuristics can pick per-workload.
-
-    Bare similarity callables (including :class:`FormPageSimilarity`
-    instances) were deprecated when the backend API landed and now
-    raise :class:`TypeError`: wrap them — ``NaiveBackend(similarity)``
-    — or pass a backend name.
-    """
-    config = config or CAFCConfig()
-    if spec is None:
-        spec = config.backend
-    if isinstance(spec, str):
-        validate_option("backend", spec, BACKEND_CHOICES)
-        if spec == "naive":
-            return NaiveBackend.from_config(config)
-        return EngineBackend.from_config(config)
-    if isinstance(spec, (NaiveBackend, EngineBackend)):
-        return spec
-    if isinstance(spec, SimilarityBackend):
-        return spec
-    if isinstance(spec, FormPageSimilarity) or callable(spec):
-        raise TypeError(
-            "bare similarity callables are no longer accepted as backends "
-            "(removed after a deprecation cycle); wrap the callable in "
-            "NaiveBackend(...) or pass a backend name such as "
-            '"engine" or "naive"'
-        )
-    raise TypeError(f"cannot resolve similarity backend from {spec!r}")

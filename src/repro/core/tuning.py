@@ -15,7 +15,6 @@ from repro.core.cafc_c import cafc_c
 from repro.core.cafc_ch import cafc_ch
 from repro.core.config import CAFCConfig
 from repro.core.form_page import FormPage
-from repro.core.similarity import BackendSpec
 from repro.eval.entropy import total_entropy
 from repro.eval.fmeasure import overall_f_measure
 
@@ -56,8 +55,6 @@ def sweep_configs(
     base: Optional[CAFCConfig] = None,
     algorithm: str = "cafc-ch",
     n_runs: int = 1,
-    backend: BackendSpec = None,
-    similarity: BackendSpec = None,
 ) -> SweepResult:
     """Evaluate every combination of the ``grid`` overrides.
 
@@ -76,14 +73,6 @@ def sweep_configs(
         seeding fails) or ``"cafc-c"`` (averaged over ``n_runs`` seeds).
     n_runs:
         Random-seed trials per cell for ``"cafc-c"``.
-    backend:
-        Similarity backend spec forwarded to every cell's run.  Backend
-        *names* (or ``None``) are resolved per cell against that cell's
-        config, so grid overrides of ``content_mode`` or the Equation-3
-        weights take effect; a backend *instance* is used as-is.
-    similarity:
-        Removed.  Passing it raises TypeError with a migration hint —
-        use ``backend=`` (finishing the SimilarityBackend deprecation).
 
     Raises
     ------
@@ -92,12 +81,6 @@ def sweep_configs(
     """
     if algorithm not in ("cafc-ch", "cafc-c"):
         raise ValueError(f"unknown algorithm: {algorithm!r}")
-    if similarity is not None:
-        raise TypeError(
-            "sweep_configs(similarity=...) was removed after its "
-            "deprecation cycle; pass backend= (a backend name such as "
-            '"engine", or a SimilarityBackend instance)'
-        )
     base = base or CAFCConfig()
     for name in grid:
         if not hasattr(base, name):
@@ -116,9 +99,9 @@ def sweep_configs(
         fell_back = False
         if algorithm == "cafc-ch":
             try:
-                clustering = cafc_ch(pages, config, backend=backend).clustering
+                clustering = cafc_ch(pages, config).clustering
             except ValueError:
-                clustering = cafc_c(pages, config, backend=backend).clustering
+                clustering = cafc_c(pages, config).clustering
                 fell_back = True
             entropy = total_entropy(clustering, gold)
             f_measure = overall_f_measure(clustering, gold)
@@ -126,7 +109,7 @@ def sweep_configs(
             entropies, f_measures = [], []
             for run_seed in range(n_runs):
                 run_config = replace(config, seed=run_seed)
-                clustering = cafc_c(pages, run_config, backend=backend).clustering
+                clustering = cafc_c(pages, run_config).clustering
                 entropies.append(total_entropy(clustering, gold))
                 f_measures.append(overall_f_measure(clustering, gold))
             entropy = statistics.mean(entropies)

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.clustering.hac import Linkage, hac, similarity_matrix
+from repro.clustering.hac import Linkage, hac
 from repro.core.cafc_c import cafc_c
 from repro.core.cafc_ch import cafc_ch
 from repro.core.config import CAFCConfig
@@ -91,7 +91,7 @@ def run_hac_seeding(
 
     # HAC over the entire dataset; its clusters become seed centroids.
     if matrix is None:
-        matrix = similarity_matrix(pages, context.similarity)
+        matrix = context.similarity_matrix()
     hac_result = hac(matrix, n_clusters=8, linkage=Linkage.AVERAGE)
     seed_centroids = [
         centroid_of([pages[i] for i in members])

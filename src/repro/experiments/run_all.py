@@ -52,8 +52,6 @@ def run_all(
     analysis cache.  ``report_header`` prepends a run header naming the
     chosen executors.
     """
-    from repro.vsm.batch import form_page_similarity_matrix
-
     if only and only not in experiment_names():
         raise ValueError(
             f"unknown experiment {only!r}; known: {experiment_names()}"
@@ -86,7 +84,7 @@ def run_all(
     if needs_matrix:
         specs.append(ExperimentSpec(
             name="matrix",
-            runner=lambda: form_page_similarity_matrix(context.pages),
+            runner=context.similarity_matrix,
         ))
 
     experiment(

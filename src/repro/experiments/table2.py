@@ -20,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.clustering.hac import Linkage, hac, hac_from_groups, similarity_matrix
+from repro.clustering.hac import Linkage, hac, hac_from_groups
 from repro.core.cafc_c import cafc_c
 from repro.core.cafc_ch import cafc_ch
 from repro.core.config import CAFCConfig
@@ -113,7 +113,7 @@ def run_table2(
     )
 
     if matrix is None:
-        matrix = similarity_matrix(pages, similarity)
+        matrix = context.similarity_matrix()
 
     # CAFC-C (HAC): plain agglomeration cut at k.
     hac_result = hac(matrix, n_clusters=8, linkage=linkage)

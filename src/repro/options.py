@@ -1,19 +1,15 @@
 """One validator for every ``"auto" | "off" | <name>`` config option.
 
-``CAFCConfig.backend``, ``CAFCConfig.index`` and ``CAFCConfig.scheme``
-(plus the CLI flags and service constructors that mirror them) all
-follow the same convention: a small closed set of lowercase names, with
-``"auto"`` meaning "let the library pick" and — where the feature can
-be disabled at all — ``"off"`` meaning "don't".  This module is the
+``CAFCConfig.index`` and ``CAFCConfig.scheme`` (plus the CLI flags and
+service constructors that mirror them) follow the same convention: a
+small closed set of lowercase names, with ``"auto"`` meaning "let the
+library pick" and — where the feature can be disabled at all —
+``"off"`` meaning "don't".  This module is the
 single place the allowed names live, so the error a user sees always
 states which *field* was wrong and what it accepts.
 """
 
 from typing import Optional, Sequence
-
-#: ``CAFCConfig.backend`` — similarity backend.  Batch similarity can
-#: never be "off" (clustering needs it), so there is no ``"off"`` here.
-BACKEND_CHOICES = ("auto", "engine", "naive")
 
 #: ``CAFCConfig.index`` — inverted-index retrieval.  ``"on"`` forces the
 #: index even below the auto thresholds.

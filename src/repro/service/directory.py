@@ -53,7 +53,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.core.form_page import FormPage, RawFormPage
 from repro.core.incremental import IncrementalOrganizer
 from repro.core.pipeline import _label_terms
-from repro.core.similarity import BackendSpec
 from repro.index.directory_index import DirectoryIndex
 from repro.resilience.faults import inject
 from repro.resilience.journal import (
@@ -292,7 +291,6 @@ class FormDirectory:
     def from_snapshot(
         cls,
         snapshot: Union[Snapshot, str],
-        backend: BackendSpec = None,
         drift_threshold: float = 0.7,
         index: Optional[str] = None,
         **kwargs,
@@ -306,7 +304,7 @@ class FormDirectory:
         if not isinstance(snapshot, Snapshot):
             snapshot = Snapshot.load(snapshot)
         organizer = snapshot.to_organizer(
-            backend=backend, drift_threshold=drift_threshold, index=index
+            drift_threshold=drift_threshold, index=index
         )
         return cls(organizer, index=index, **kwargs)
 

@@ -32,7 +32,6 @@ from repro.core.config import CAFCConfig
 from repro.core.form_page import FormPage
 from repro.core.incremental import IncrementalOrganizer
 from repro.core.pipeline import CAFCResult, _label_terms
-from repro.core.similarity import BackendSpec
 from repro.core.vectorizer import FormPageVectorizer
 from repro.datasets.store import DatasetFormatError, atomic_write_json, read_json
 from repro.resilience.faults import inject
@@ -122,7 +121,6 @@ class Snapshot:
 
     def to_organizer(
         self,
-        backend: BackendSpec = None,
         drift_threshold: float = 0.7,
         index: Optional[str] = None,
     ) -> IncrementalOrganizer:
@@ -139,7 +137,6 @@ class Snapshot:
             self.vectorizer(),
             config=self.config,
             drift_threshold=drift_threshold,
-            backend=backend,
             index=index,
         )
 

@@ -1,21 +1,23 @@
-"""Tests for vectorized batch similarity (repro.vsm.batch) and result
-persistence (repro.datasets.results)."""
+"""Tests for the all-pairs Equation-3 matrix (the compiled engine's CSR
+matmul, pinned to the scalar oracle) and result persistence
+(repro.datasets.results)."""
 
 import numpy as np
 import pytest
 
-from repro.clustering.hac import similarity_matrix
+from repro.clustering.hac import Linkage, hac
 from repro.core.config import CAFCConfig, ContentMode
-from repro.core.similarity import FormPageSimilarity
+from repro.core.form_page import VectorPair
+from repro.core.simengine import SimilarityEngine
 from repro.datasets import load_result, save_result
-from repro.vsm.batch import (
-    build_term_index,
-    centroid_rows,
-    cosine_matrix,
-    form_page_similarity_matrix,
-    to_csr,
-)
 from repro.vsm.vector import SparseVector, cosine_similarity
+from tests.oracle import NaiveBackend, max_abs_diff
+
+
+def pc_engine(vectors):
+    """Plain cosine over ``vectors`` (PC-only compilation)."""
+    items = [VectorPair(pc=vector, fc=SparseVector()) for vector in vectors]
+    return SimilarityEngine(items, content_mode=ContentMode.PC)
 
 
 class TestCosineMatrix:
@@ -29,29 +31,31 @@ class TestCosineMatrix:
 
     def test_matches_scalar_cosine(self):
         vectors = self._vectors()
-        matrix = cosine_matrix(vectors)
+        matrix = pc_engine(vectors).pairwise()
         for i in range(len(vectors)):
             for j in range(len(vectors)):
                 expected = cosine_similarity(vectors[i], vectors[j])
                 assert matrix[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_vector_row_is_zero(self):
-        matrix = cosine_matrix(self._vectors())
+        matrix = pc_engine(self._vectors()).pairwise()
         assert np.all(matrix[3] == 0.0)
 
     def test_empty_collection(self):
-        assert cosine_matrix([]).shape == (0, 0)
+        assert pc_engine([]).pairwise().shape == (0, 0)
 
     def test_term_index_stable(self):
         vectors = self._vectors()
-        assert build_term_index(vectors) == {"a": 0, "b": 1, "c": 2, "d": 3}
+        vocab = pc_engine(vectors).space("pc").vocab
+        assert vocab == {"a": 0, "b": 1, "c": 2, "d": 3}
 
     def test_csr_round_trip(self):
         vectors = self._vectors()
-        index = build_term_index(vectors)
-        matrix = to_csr(vectors, index)
+        space = pc_engine(vectors).space("pc")
+        matrix = space.csr()
         assert matrix.shape == (4, 4)
-        assert matrix[0, index["b"]] == 2.0
+        # Rows are stored normalized: 2 / |(1, 2)|.
+        assert matrix[0, space.vocab["b"]] == pytest.approx(2.0 / 5.0 ** 0.5)
 
     def test_centroid_rows(self):
         vectors = [
@@ -59,45 +63,49 @@ class TestCosineMatrix:
             SparseVector({"a": 4.0}),
             SparseVector({"b": 1.0}),
         ]
-        index = build_term_index(vectors)
-        matrix = to_csr(vectors, index)
-        centroids = centroid_rows(matrix, [[0, 1], [2]])
-        assert centroids[0, index["a"]] == pytest.approx(3.0)
-        assert centroids[1, index["b"]] == pytest.approx(1.0)
+        centroids = pc_engine(vectors).to_centroids([0, 0, 1], k=2)
+        assert centroids.vector_pair(0).pc["a"] == pytest.approx(3.0)
+        assert centroids.vector_pair(1).pc["b"] == pytest.approx(1.0)
 
 
 class TestFormPageSimilarityMatrix:
+    """The engine's all-pairs Equation-3 matrix agrees with the per-pair
+    oracle, and HAC cuts it identically."""
+
+    def _check(self, pages, config):
+        scalar = NaiveBackend.from_config(config).pairwise(pages)
+        engine = SimilarityEngine.from_config(pages, config).pairwise()
+        assert max_abs_diff(scalar, engine) <= 1e-12
+        return scalar, engine
+
     def test_matches_scalar_path_on_benchmark_sample(self, small_pages):
-        pages = small_pages[:40]
-        scalar = similarity_matrix(pages, FormPageSimilarity())
-        batch = form_page_similarity_matrix(pages)
-        assert np.allclose(scalar, batch, atol=1e-10)
+        self._check(small_pages[:40], CAFCConfig())
 
     @pytest.mark.parametrize("mode", [ContentMode.FC, ContentMode.PC])
     def test_single_space_modes_match(self, small_pages, mode):
-        pages = small_pages[:30]
-        scalar = similarity_matrix(pages, FormPageSimilarity(content_mode=mode))
-        batch = form_page_similarity_matrix(
-            pages,
-            use_pc=mode is ContentMode.PC,
-            use_fc=mode is ContentMode.FC,
-        )
-        assert np.allclose(scalar, batch, atol=1e-10)
+        self._check(small_pages[:30], CAFCConfig(content_mode=mode))
 
     def test_weighted_combination_matches(self, small_pages):
-        pages = small_pages[:30]
-        scalar = similarity_matrix(
-            pages, FormPageSimilarity(page_weight=3.0, form_weight=1.0)
+        self._check(
+            small_pages[:30], CAFCConfig(page_weight=3.0, form_weight=1.0)
         )
-        batch = form_page_similarity_matrix(pages, page_weight=3.0, form_weight=1.0)
-        assert np.allclose(scalar, batch, atol=1e-10)
 
     def test_no_spaces_rejected(self, small_pages):
         with pytest.raises(ValueError):
-            form_page_similarity_matrix(small_pages[:5], use_pc=False, use_fc=False)
+            SimilarityEngine(small_pages[:5], page_weight=0.0, form_weight=0.0)
 
     def test_empty_pages(self):
-        assert form_page_similarity_matrix([]).shape == (0, 0)
+        assert SimilarityEngine([]).pairwise().shape == (0, 0)
+
+    @pytest.mark.parametrize(
+        "linkage", [Linkage.AVERAGE, Linkage.SINGLE, Linkage.COMPLETE]
+    )
+    def test_hac_clusterings_identical(self, small_pages, linkage):
+        scalar, engine = self._check(small_pages, CAFCConfig())
+        assert (
+            hac(engine, n_clusters=8, linkage=linkage).clustering.clusters
+            == hac(scalar, n_clusters=8, linkage=linkage).clustering.clusters
+        )
 
 
 class TestResultPersistence:

@@ -10,6 +10,7 @@ from repro.core.hubs import build_hub_clusters
 from repro.eval.entropy import total_entropy
 from repro.eval.fmeasure import overall_f_measure
 from repro.vsm.vector import SparseVector
+from tests.oracle import NaiveBackend, oracle_kmeans
 import random
 
 
@@ -174,3 +175,38 @@ class TestOnSmallBenchmark:
         config = CAFCConfig(k=8, min_hub_cardinality=3)
         ch = cafc_ch(small_pages, config)
         assert overall_f_measure(ch.clustering, small_gold) > 0.75
+
+
+class TestOracleParity:
+    """CAFC-C and CAFC-CH on the 454-page corpus give exactly the
+    clusterings of the per-pair reference path."""
+
+    def test_cafc_c_matches_oracle(self, benchmark_pages):
+        config = CAFCConfig(k=8, seed=3)
+        seeds = random_seed_centroids(benchmark_pages, 8, random.Random(3))
+        oracle = oracle_kmeans(benchmark_pages, seeds, config)
+        result = cafc_c(benchmark_pages, config)
+        assert result.clustering.clusters == oracle.clustering.clusters
+        assert result.iterations == oracle.iterations
+
+    def test_cafc_ch_matches_oracle(self, benchmark_pages, benchmark_gold):
+        from repro.core.seeds import select_hub_clusters
+
+        config = CAFCConfig(k=8)
+        hubs = build_hub_clusters(
+            benchmark_pages, min_cardinality=config.min_hub_cardinality
+        )
+        selected = select_hub_clusters(
+            hubs, 8, backend=NaiveBackend.from_config(config)
+        )
+        oracle = oracle_kmeans(
+            benchmark_pages, [c.centroid for c in selected], config
+        )
+        result = cafc_ch(benchmark_pages, config, hub_clusters=hubs)
+        assert [c.hub_url for c in result.selected_seeds] == [
+            c.hub_url for c in selected
+        ]
+        assert result.clustering.clusters == oracle.clustering.clusters
+        assert total_entropy(result.clustering, benchmark_gold) == total_entropy(
+            oracle.clustering, benchmark_gold
+        )

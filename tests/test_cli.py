@@ -43,6 +43,16 @@ class TestParser:
         assert args.k == 4
         assert args.algorithm == "cafc-c"
 
+    def test_no_subcommand_takes_backend(self):
+        """The one Equation-3 batch path left no backend to choose."""
+        for command in (
+            ["organize"],
+            ["snapshot", "build", "--out", "d.json"],
+            ["serve"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--backend", "naive"])
+
     def test_bad_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["organize", "--algorithm", "dbscan"])

@@ -189,3 +189,47 @@ class TestAnchorText:
         n_with_anchors = sum(1 for p in raw_with if p.anchor_texts)
         # Most non-orphan pages have hub inlinks carrying anchors.
         assert n_with_anchors > len(raw_with) / 2
+
+
+class TestQualityAwareOnCorpus:
+    """Quality-aware selection runs Algorithm 3 on the engine backend;
+    on the 454-page corpus it picks the hubs the per-pair path picked."""
+
+    #: Selection at the paper's default cardinality (8), seed-42 corpus.
+    DEFAULT_SELECTION = [
+        "http://dir.nemi201.org/movie-links.html",
+        "http://dir.livera33.org/airfare-links.html",
+        "http://dir.tuzupomi63.org/auto-links.html",
+        "http://dir.zugero100.org/book-links.html",
+        "http://dir.rara169.org/job-links.html",
+        "http://dir.cilo238.org/music-links.html",
+        "http://dir.xeduko132.org/hotel-links.html",
+        "http://dir.mone272.org/rental-links.html",
+    ]
+
+    def test_default_cardinality_selection_pinned(self, benchmark_pages):
+        clusters = build_hub_clusters(benchmark_pages, min_cardinality=8)
+        selected = select_hub_clusters_quality_aware(
+            clusters, 8, benchmark_pages, FormPageSimilarity()
+        )
+        assert [c.hub_url for c in selected] == self.DEFAULT_SELECTION
+
+    @pytest.mark.parametrize("min_cardinality", [3, 8, 12])
+    def test_matches_oracle_selection(self, benchmark_pages, min_cardinality):
+        from repro.core.seeds import select_hub_clusters
+        from tests.oracle import NaiveBackend
+
+        similarity = FormPageSimilarity()
+        clusters = build_hub_clusters(
+            benchmark_pages, min_cardinality=min_cardinality
+        )
+        scored = score_hub_clusters(clusters, benchmark_pages, similarity)
+        keep = max(8, int(round(len(scored) * 0.75)))
+        expected = select_hub_clusters(
+            [q.cluster for q in scored[:keep]], 8,
+            backend=NaiveBackend(similarity),
+        )
+        selected = select_hub_clusters_quality_aware(
+            clusters, 8, benchmark_pages, similarity
+        )
+        assert [c.hub_url for c in selected] == [c.hub_url for c in expected]

@@ -94,6 +94,12 @@ class TestHacAlgorithm:
         result = pipeline.organize(small_raw_pages, algorithm="hac")
         assert all(cluster.top_terms for cluster in result.clusters)
 
+    def test_hac_matrix_counted_in_engine_stats(self, small_raw_pages):
+        pipeline = CAFCPipeline(CAFCConfig(k=8))
+        result = pipeline.organize(small_raw_pages, algorithm="hac")
+        n = len(small_raw_pages)
+        assert result.engine_stats.comparisons == n * (n - 1) // 2
+
     def test_hac_with_fewer_pages_than_k(self, small_raw_pages):
         pipeline = CAFCPipeline(CAFCConfig(k=8, min_hub_cardinality=3))
         result = pipeline.organize(small_raw_pages[:4], algorithm="hac")

@@ -25,6 +25,18 @@ class TestRunAll:
         assert len(names) == len(set(names))
 
 
+class TestSharedMatrixParity:
+    def test_direct_table2_matches_run_all(self):
+        """``run_table2`` computing its own matrix gives the same cells
+        as the run-all shared matrix node."""
+        from repro.experiments import table2
+        from repro.experiments.context import get_context
+
+        report = run_all(only="table2", n_runs=1)
+        direct = table2.run_table2(get_context(seed=42), n_kmeans_runs=1)
+        assert table2.format_table2(direct) in report
+
+
 class TestSloppyMarkupInvariance:
     """Sloppy markup must change the HTML but never the visible terms."""
 

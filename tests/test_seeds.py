@@ -6,8 +6,11 @@ import pytest
 from repro.core.form_page import VectorPair
 from repro.core.hubs import HubCluster
 from repro.core.seeds import hub_distance_matrix, select_hub_clusters
-from repro.core.similarity import FormPageSimilarity, NaiveBackend
+from repro.core.config import CAFCConfig, ContentMode
+from repro.core.hubs import build_hub_clusters
+from repro.core.similarity import EngineBackend, FormPageSimilarity
 from repro.vsm.vector import SparseVector
+from tests.oracle import NaiveBackend, max_abs_diff
 
 
 def cluster(hub_url, pc_terms, members=(0,)):
@@ -98,3 +101,31 @@ class TestSelection:
         clusters = make_clusters()
         selected = select_hub_clusters(clusters, 4, backend=SIM)
         assert len({id(c) for c in selected}) == 4
+
+
+class TestEngineMatchesOracle:
+    def test_default_backend_matches_oracle(self):
+        clusters = make_clusters()
+        engine = hub_distance_matrix(clusters)
+        oracle = hub_distance_matrix(clusters, backend=SIM)
+        assert isinstance(engine, np.ndarray)
+        assert max_abs_diff(engine, oracle) <= 1e-12
+
+    @pytest.mark.parametrize("mode", list(ContentMode))
+    @pytest.mark.parametrize("min_cardinality", [3, 8])
+    def test_corpus_selection_identical(
+        self, benchmark_pages, mode, min_cardinality
+    ):
+        """Algorithm 3 on the 454-page corpus picks the same hubs, in the
+        same order, from the engine matrix as from the scalar oracle."""
+        config = CAFCConfig(k=8, content_mode=mode)
+        clusters = build_hub_clusters(
+            benchmark_pages, min_cardinality=min_cardinality
+        )
+        oracle = select_hub_clusters(
+            clusters, 8, backend=NaiveBackend.from_config(config)
+        )
+        engine = select_hub_clusters(
+            clusters, 8, backend=EngineBackend.from_config(config)
+        )
+        assert [c.hub_url for c in engine] == [c.hub_url for c in oracle]

@@ -152,6 +152,37 @@ class TestValidation:
         assert info["fc_vocabulary"] > 0
 
 
+class TestLegacyPayloads:
+    """Snapshots written while ``CAFCConfig`` still had a similarity
+    ``backend`` field keep loading into the same directory."""
+
+    def test_config_ignores_legacy_backend_key(self):
+        state = SMALL_CONFIG.to_dict()
+        assert "backend" not in state
+        for legacy in ("naive", "engine", "auto"):
+            restored = CAFCConfig.from_dict({**state, "backend": legacy})
+            assert restored == SMALL_CONFIG
+
+    def test_snapshot_with_backend_key_loads_same_directory(
+        self, snapshot_path, tmp_path
+    ):
+        payload = json.loads(gzip.decompress(snapshot_path.read_bytes()))
+        payload["config"]["backend"] = "naive"
+        legacy_path = tmp_path / "legacy.json"
+        legacy_path.write_text(json.dumps(payload))
+
+        current = Snapshot.load(snapshot_path)
+        legacy = Snapshot.load(legacy_path)
+        assert legacy.to_payload() == current.to_payload()
+        organizer = legacy.to_organizer()
+        reference = current.to_organizer()
+        for members in current.clusters:
+            for page in members[:3]:
+                assert organizer.classify_vectorized(page) == (
+                    reference.classify_vectorized(page)
+                )
+
+
 class TestServedParity:
     """The acceptance criterion: a server cold-started from a snapshot
     classifies every page of the full benchmark corpus exactly as the

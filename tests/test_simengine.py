@@ -1,13 +1,14 @@
-"""Tests for the batched similarity engine and the backend API.
+"""Tests for the batched similarity engine and its backend.
 
-The contract under test: every backend — and every batched shape the
-engine serves — agrees with the scalar Equation-3 arithmetic
-(:class:`FormPageSimilarity`) to 1e-9, including degenerate pages with
-an empty PC or FC vector, across all three content modes.
+The contract under test: every batched shape the engine serves agrees
+with the scalar Equation-3 oracle (:mod:`tests.oracle`) to 1e-12,
+including degenerate pages with an empty PC or FC vector, across all
+three content modes.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.cafc_c import cafc_c, random_seed_centroids
@@ -16,15 +17,13 @@ from repro.core.form_page import FormPage, VectorPair
 from repro.core.similarity import (
     EngineBackend,
     FormPageSimilarity,
-    NaiveBackend,
-    SimilarityBackend,
     form_page_similarity,
-    resolve_backend,
 )
-from repro.core.simengine import HAVE_NUMPY, EngineStats, SimilarityEngine
+from repro.core.simengine import EngineStats, SimilarityEngine
 from repro.vsm.vector import SparseVector
+from tests.oracle import NaiveBackend, max_abs_diff, oracle_kmeans
 
-TOLERANCE = 1e-9
+TOLERANCE = 1e-12
 
 VOCAB = [f"term{i}" for i in range(60)]
 
@@ -58,7 +57,8 @@ def config_for(mode: ContentMode, **overrides) -> CAFCConfig:
 
 
 class TestBackendAgreement:
-    """Satellite: the 200-random-pair property test, all content modes."""
+    """The 200-random-pair property test and full-matrix pins, all
+    content modes, engine vs the scalar oracle."""
 
     @pytest.mark.parametrize("mode", list(ContentMode))
     def test_engine_matches_naive_on_random_pairs(self, mode):
@@ -66,7 +66,7 @@ class TestBackendAgreement:
         pages = random_pages(rng, 40)
         config = config_for(mode)
         naive = NaiveBackend.from_config(config)
-        engine = EngineBackend.from_config(config, use_numpy=False)
+        engine = EngineBackend.from_config(config)
         matrix = engine.pairwise(pages)
         for _ in range(200):
             i = rng.randrange(len(pages))
@@ -83,47 +83,43 @@ class TestBackendAgreement:
         pages = random_pages(rng, 30)
         config = config_for(mode)
         reference = NaiveBackend.from_config(config).pairwise(pages)
-        compiled = EngineBackend.from_config(config, use_numpy=False).pairwise(pages)
-        for row_a, row_b in zip(reference, compiled):
-            for a, b in zip(row_a, row_b):
-                assert b == pytest.approx(a, abs=TOLERANCE)
+        compiled = EngineBackend.from_config(config).pairwise(pages)
+        assert max_abs_diff(reference, compiled) <= TOLERANCE
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy/SciPy unavailable")
     @pytest.mark.parametrize("mode", list(ContentMode))
     def test_numpy_fast_path_agreement(self, mode):
+        """The CSR-matmul matrix is a symmetric ndarray on the oracle."""
         rng = random.Random(7)
         pages = random_pages(rng, 30)
         config = config_for(mode)
         reference = NaiveBackend.from_config(config).pairwise(pages)
-        compiled = EngineBackend.from_config(config, use_numpy=True).pairwise(pages)
-        for row_a, row_b in zip(reference, compiled):
-            for a, b in zip(row_a, row_b):
-                assert b == pytest.approx(a, abs=TOLERANCE)
+        compiled = EngineBackend.from_config(config).pairwise(pages)
+        assert isinstance(compiled, np.ndarray)
+        assert compiled.shape == (len(pages), len(pages))
+        assert max_abs_diff(compiled, compiled.T) <= TOLERANCE
+        assert max_abs_diff(reference, compiled) <= TOLERANCE
 
     def test_page_centroid_matrix_agreement(self):
         rng = random.Random(5)
         pages = random_pages(rng, 25)
         centroids = [VectorPair.of(page) for page in pages[:4]]
-        config = config_for(ContentMode.FC_PC)
-        reference = NaiveBackend.from_config(config).page_centroid_matrix(
-            pages, centroids
-        )
-        compiled = EngineBackend.from_config(
-            config, use_numpy=False
-        ).page_centroid_matrix(pages, centroids)
-        for row_a, row_b in zip(reference, compiled):
-            for a, b in zip(row_a, row_b):
-                assert b == pytest.approx(a, abs=TOLERANCE)
+        for mode in ContentMode:
+            config = config_for(mode)
+            reference = NaiveBackend.from_config(config).page_centroid_matrix(
+                pages, centroids
+            )
+            compiled = EngineBackend.from_config(config).page_centroid_matrix(
+                pages, centroids
+            )
+            assert max_abs_diff(reference, compiled) <= TOLERANCE
 
     def test_weighted_combination(self):
         rng = random.Random(3)
         pages = random_pages(rng, 20)
         config = CAFCConfig(k=3, page_weight=2.0, form_weight=0.5)
         reference = NaiveBackend.from_config(config).pairwise(pages)
-        compiled = EngineBackend.from_config(config, use_numpy=False).pairwise(pages)
-        for row_a, row_b in zip(reference, compiled):
-            for a, b in zip(row_a, row_b):
-                assert b == pytest.approx(a, abs=TOLERANCE)
+        compiled = EngineBackend.from_config(config).pairwise(pages)
+        assert max_abs_diff(reference, compiled) <= TOLERANCE
 
     def test_compat_wrapper_matches_scalar_class(self):
         rng = random.Random(11)
@@ -141,7 +137,7 @@ class TestEngineShapes:
     def test_topk_matches_exhaustive_scoring(self):
         rng = random.Random(21)
         pages = random_pages(rng, 30)
-        engine = SimilarityEngine(pages, use_numpy=False)
+        engine = SimilarityEngine(pages)
         scalar = FormPageSimilarity()
         query = pages[17]
         expected = sorted(
@@ -160,7 +156,7 @@ class TestEngineShapes:
     def test_to_centroids_matches_equation_four(self):
         rng = random.Random(31)
         pages = random_pages(rng, 12)
-        engine = SimilarityEngine(pages, use_numpy=False)
+        engine = SimilarityEngine(pages)
         assignments = [i % 3 for i in range(len(pages))]
         centroids = engine.to_centroids(assignments, k=3)
         from repro.core.form_page import centroid_of
@@ -179,40 +175,38 @@ class TestEngineShapes:
         pages = random_pages(rng, 36)
         for seed in (0, 1, 2):
             config = CAFCConfig(k=3, seed=seed)
-            naive = cafc_c(pages, config, backend="naive")
-            engine = cafc_c(pages, config, backend="engine")
+            seeds = random_seed_centroids(pages, 3, random.Random(seed))
+            naive = oracle_kmeans(pages, seeds, config)
+            engine = cafc_c(pages, config)
             assert naive.clustering.clusters == engine.clustering.clusters
             assert naive.iterations == engine.iterations
             assert naive.converged == engine.converged
 
     def test_empty_collection(self):
-        engine = SimilarityEngine([], use_numpy=False)
-        assert engine.pairwise() == []
+        engine = SimilarityEngine([])
+        assert engine.pairwise().shape == (0, 0)
         seeds = [VectorPair(pc=SparseVector({"a": 1.0}), fc=SparseVector())]
         result = engine.kmeans(seeds)
         assert result.converged
         assert result.clustering.clusters == [[]]
 
-    def test_use_numpy_true_requires_numpy(self):
-        if HAVE_NUMPY:
-            SimilarityEngine([], use_numpy=True)  # must not raise
-        else:
-            with pytest.raises(RuntimeError):
-                SimilarityEngine([], use_numpy=True)
+    def test_combined_mode_needs_a_positive_weight(self):
+        with pytest.raises(ValueError):
+            SimilarityEngine([], page_weight=0.0, form_weight=0.0)
 
 
 class TestStats:
     def test_pairwise_counts_comparisons(self):
         rng = random.Random(51)
         pages = random_pages(rng, 10)
-        backend = EngineBackend(use_numpy=False)
+        backend = EngineBackend()
         backend.pairwise(pages)
         assert backend.stats.comparisons == 10 * 9 // 2
 
     def test_engine_reuse_counts_cache_hits(self):
         rng = random.Random(52)
         pages = random_pages(rng, 8)
-        backend = EngineBackend(use_numpy=False)
+        backend = EngineBackend()
         backend.pairwise(pages)
         assert backend.stats.cache_hits == 0
         backend.pairwise(pages)
@@ -232,49 +226,23 @@ class TestStats:
         # Full matrix: diagonal plus both triangles' shared computation.
         assert backend.stats.comparisons == 6 + 6 * 5 // 2
 
+    def test_backend_tag_is_constant(self):
+        assert EngineBackend().stats.backend == "engine"
+        assert SimilarityEngine([]).stats.as_dict()["backend"] == "engine"
+
 
 class TestResolveBackend:
-    def test_names(self):
-        assert isinstance(resolve_backend("naive"), NaiveBackend)
-        assert isinstance(resolve_backend("engine"), EngineBackend)
-        assert isinstance(resolve_backend("auto"), EngineBackend)
-
-    def test_none_uses_config_field(self):
-        config = CAFCConfig(backend="naive")
-        assert isinstance(resolve_backend(None, config), NaiveBackend)
+    """``backend=`` takes an EngineBackend instance or None (built from
+    the config); nothing else is resolved."""
 
     def test_instance_passthrough(self):
-        backend = NaiveBackend(FormPageSimilarity())
-        assert resolve_backend(backend) is backend
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            resolve_backend("turbo")
-
-    def test_config_validates_backend_field(self):
-        with pytest.raises(ValueError):
-            CAFCConfig(backend="turbo")
-
-    def test_bare_similarity_object_rejected(self):
-        """The PR-1 deprecation is finished: bare callables hard-error."""
-        with pytest.raises(TypeError, match="NaiveBackend"):
-            resolve_backend(FormPageSimilarity())
-
-    def test_bare_callable_rejected_with_migration_hint(self):
-        def fake_similarity(a, b):
-            return 0.5
-
-        with pytest.raises(TypeError, match="wrap the callable"):
-            resolve_backend(fake_similarity)
-
-    def test_wrapped_callable_still_works(self):
-        """The migration target: NaiveBackend(similarity) is accepted."""
-        backend = resolve_backend(NaiveBackend(FormPageSimilarity()))
-        assert isinstance(backend, NaiveBackend)
-
-    def test_backends_satisfy_protocol(self):
-        assert isinstance(NaiveBackend(FormPageSimilarity()), SimilarityBackend)
-        assert isinstance(EngineBackend(), SimilarityBackend)
+        """A caller's backend instance is used as-is: its stats see the run."""
+        rng = random.Random(54)
+        pages = random_pages(rng, 12)
+        backend = EngineBackend()
+        cafc_c(pages, CAFCConfig(k=3), backend=backend)
+        assert backend.stats.comparisons > 0
+        assert backend.stats.n_pages == len(pages)
 
     def test_config_carries_weights_into_backends(self):
         config = CAFCConfig(
@@ -285,9 +253,8 @@ class TestResolveBackend:
         assert engine.form_weight == 3.0
 
     def test_seeds_positional_similarity_removed(self):
-        """``select_hub_clusters`` lost its positional similarity seam;
-        the wrapped-backend migration path selects the same seeds as the
-        named backend."""
+        """``select_hub_clusters`` takes no positional similarity; the
+        oracle backend selects the same seeds as the engine backend."""
         from repro.core.hubs import HubCluster
         from repro.core.seeds import select_hub_clusters
 
@@ -303,19 +270,54 @@ class TestResolveBackend:
         ]
         with pytest.raises(TypeError):
             select_hub_clusters(clusters, 3, FormPageSimilarity())
-        wrapped = select_hub_clusters(
+        oracle = select_hub_clusters(
             clusters, 3, backend=NaiveBackend(FormPageSimilarity())
         )
-        modern = select_hub_clusters(clusters, 3, backend="naive")
-        assert [c.hub_url for c in wrapped] == [c.hub_url for c in modern]
+        engine = select_hub_clusters(clusters, 3, backend=EngineBackend())
+        assert [c.hub_url for c in oracle] == [c.hub_url for c in engine]
 
 
 class TestCafcSeedPathways:
     def test_random_seeds_unchanged_by_backend(self):
-        """Seed selection draws from the config RNG identically under
-        both backends (the backend never touches the RNG)."""
+        """Seed selection draws from the config RNG identically on every
+        call (the backend never touches the RNG)."""
         rng = random.Random(71)
         pages = random_pages(rng, 20)
         seeds_a = random_seed_centroids(pages, 4, random.Random(5))
         seeds_b = random_seed_centroids(pages, 4, random.Random(5))
         assert [s.pc for s in seeds_a] == [s.pc for s in seeds_b]
+
+
+class TestCorpusParity:
+    """Engine vs oracle on the 454-page benchmark corpus."""
+
+    @pytest.mark.parametrize("mode", list(ContentMode))
+    def test_pairwise_and_page_centroid_within_tolerance(
+        self, benchmark_pages, mode
+    ):
+        pages = benchmark_pages[:120]
+        config = config_for(mode)
+        naive = NaiveBackend.from_config(config)
+        engine = EngineBackend.from_config(config)
+        assert max_abs_diff(
+            naive.pairwise(pages), engine.pairwise(pages)
+        ) <= TOLERANCE
+        centroids = [VectorPair.of(page) for page in benchmark_pages[-8:]]
+        assert max_abs_diff(
+            naive.page_centroid_matrix(benchmark_pages, centroids),
+            engine.page_centroid_matrix(benchmark_pages, centroids),
+        ) <= TOLERANCE
+
+    @pytest.mark.parametrize("mode", list(ContentMode))
+    def test_engine_kmeans_identical_to_oracle(self, benchmark_pages, mode):
+        for seed in (0, 1):
+            config = CAFCConfig(k=8, seed=seed, content_mode=mode)
+            seeds = random_seed_centroids(benchmark_pages, 8, random.Random(seed))
+            oracle = oracle_kmeans(benchmark_pages, seeds, config)
+            engine = SimilarityEngine.from_config(benchmark_pages, config).kmeans(
+                seeds,
+                stop_fraction=config.stop_fraction,
+                max_iterations=config.max_iterations,
+            )
+            assert engine.clustering.clusters == oracle.clustering.clusters
+            assert engine.iterations == oracle.iterations
