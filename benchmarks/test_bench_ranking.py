@@ -7,14 +7,16 @@ exists for (docs/RANKING.md):
   (Eq. 6) of a CAFC-CH organization of the 454-page corpus under each
   scheme (``eq1``, ``bm25``, and the ``tf`` ablation baseline);
 * **search latency** — warm ``/search`` timings (cluster and page
-  scope) against a directory built under each scheme, indexed and
-  full-scan.
+  scope) against a directory built under each scheme: the directory's
+  indexed search and the ``tests/oracle.py`` full scan over the same
+  organizer.
 
 Before any configuration is timed, its correctness gates are asserted:
-indexed answers must be bit-identical to the full scan (exact top-k
+indexed answers must be bit-identical to the oracle scan (exact top-k
 pruning is scheme-agnostic), and BM25 vectors must be normalized to
 (0, 1] per feature space.  Records ``BENCH_ranking.json`` at the repo
-root — the numbers quoted in docs/RANKING.md.
+root — the numbers quoted in docs/RANKING.md.  Run from the repo root
+so ``tests.oracle`` imports.
 """
 
 import json
@@ -30,6 +32,7 @@ from repro.eval.entropy import total_entropy
 from repro.eval.fmeasure import overall_f_measure
 from repro.service.directory import FormDirectory
 from repro.service.snapshot import build_snapshot
+from tests.oracle import cluster_rows, page_rows, scan_clusters, scan_pages
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULTS_PATH = REPO_ROOT / "BENCH_ranking.json"
@@ -47,14 +50,15 @@ QUERIES = (
 TOP_N = (1, 5, 25)
 
 
-def assert_search_parity(indexed, scan):
+def assert_search_parity(directory):
     """Indexed answers must match the scan bit-for-bit before timing."""
+    organizer = directory.organizer
     for query in QUERIES:
         for n in TOP_N:
-            assert indexed.search(query, n=n) == scan.search(query, n=n), \
-                (query, n)
-            assert indexed.search_pages(query, n=n) == \
-                scan.search_pages(query, n=n), (query, n)
+            assert directory.search(query, n=n) == \
+                scan_clusters(organizer, query, n), (query, n)
+            assert directory.search_pages(query, n=n) == \
+                scan_pages(organizer, query, n), (query, n)
 
 
 def assert_bm25_normalized(pages):
@@ -80,6 +84,17 @@ def run_queries(directory, scope):
         directory.search_pages
     for query in QUERIES:
         search(query, n=5)
+
+
+def oracle_queries(directory, scope):
+    """The oracle scan of the query mix, over combined vectors derived
+    once up front (the directory caches its own per generation too)."""
+    organizer = directory.organizer
+    if scope == "clusters":
+        scan, rows = scan_clusters, cluster_rows(organizer)
+    else:
+        scan, rows = scan_pages, page_rows(organizer)
+    return lambda: [scan(organizer, query, 5, rows) for query in QUERIES]
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +129,10 @@ def test_bench_ranking_scheme_ab(raw_pages, context):
 
         snapshot = build_snapshot(result, pipeline.vectorizer, pipeline.config)
         with FormDirectory.from_snapshot(
-            snapshot, index="on", auto_recluster=False
-        ) as indexed, FormDirectory.from_snapshot(
-            snapshot, index="off", auto_recluster=False
-        ) as scan:
+            snapshot, auto_recluster=False
+        ) as indexed:
             assert indexed.scheme_name == scheme
-            assert_search_parity(indexed, scan)
+            assert_search_parity(indexed)
 
             row = {
                 "scheme": scheme,
@@ -128,7 +141,7 @@ def test_bench_ranking_scheme_ab(raw_pages, context):
             }
             for scope in ("clusters", "pages"):
                 warm_indexed = timed_warm(lambda: run_queries(indexed, scope))
-                warm_scan = timed_warm(lambda: run_queries(scan, scope))
+                warm_scan = timed_warm(oracle_queries(indexed, scope))
                 row[f"search_{scope}_indexed_us"] = round(warm_indexed * 1e6, 1)
                 row[f"search_{scope}_scan_us"] = round(warm_scan * 1e6, 1)
             rows.append(row)
@@ -161,7 +174,7 @@ def test_bench_ranking_scheme_ab(raw_pages, context):
             "is Equation 5 (lower is better), F-measure Equation 6 "
             "(higher is better).  Search timings are warm best-of-3 x 10 "
             "repeats over 6 queries at n=5; every timed directory first "
-            "passed a bit-identical indexed-vs-scan parity check, and "
+            "passed a bit-identical indexed-vs-oracle-scan parity check, and "
             "BM25 vectors were verified normalized to (0, 1] per feature "
             "space before the PC/FC combination."
         ),

@@ -1,20 +1,23 @@
-"""Search benchmark: full scan vs inverted-index retrieval.
+"""Search benchmark: the directory's indexed search vs the oracle scan.
 
-Pairs an ``index="on"`` directory with an ``index="off"`` directory
-built from the *same* snapshot and measures ``search`` (cluster scope)
-and ``search_pages`` at growing cluster counts (k = 8, 32, 128 over the
+Serves one snapshot and measures ``search`` (cluster scope) and
+``search_pages`` — which always rank through the posting lists —
+against the reference full scans of ``tests/oracle.py`` over the same
+live organizer, at growing cluster counts (k = 8, 32, 128 over the
 454-page corpus) and growing page counts (replicated corpora), cold and
 warm.  Every timed configuration is parity-checked first: the indexed
 answers must be bit-identical — ids, scores, order — to the scan before
-its timing is allowed into the table.
+its timing is allowed into the table.  The timed scan reuses combined
+vectors derived once per configuration, as the directory caches its
+own per generation.
 
 Records ``BENCH_search.json`` at the repo root (the numbers quoted in
 docs/PERFORMANCE.md).  The acceptance claim is the large end: at k=128
 clusters and at the replicated page scale the indexed path must be at
-least 1.5x faster warm.  The small end is reported without spin — at
-k=8 the posting-list bookkeeping does not pay for itself, which is
-exactly why the ``auto`` mode keeps full scan below
-``INDEX_AUTO_MIN_CLUSTERS`` clusters.
+least 1.5x faster warm.  The small end is reported as measured.
+
+Run from the repo root (``make bench-search``) so ``tests.oracle``
+imports.
 """
 
 import dataclasses
@@ -30,6 +33,7 @@ from repro.core.pipeline import CAFCPipeline
 from repro.service.directory import FormDirectory
 from repro.service.snapshot import build_snapshot
 from repro.webgen.corpus import generate_benchmark
+from tests.oracle import cluster_rows, page_rows, scan_clusters, scan_pages
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULTS_PATH = REPO_ROOT / "BENCH_search.json"
@@ -53,28 +57,23 @@ def raw_pages():
     return generate_benchmark(seed=42).raw_pages()
 
 
-def build_pair(raw_pages, k):
-    """The same snapshot served twice: indexed and full-scan."""
+def build_directory(raw_pages, k):
+    """A served snapshot of the corpus organized into ``k`` clusters."""
     pipeline = CAFCPipeline(CAFCConfig(k=k))
     snapshot = build_snapshot(
         pipeline.organize(raw_pages), pipeline.vectorizer, pipeline.config
     )
-    indexed = FormDirectory.from_snapshot(
-        snapshot, index="on", auto_recluster=False
-    )
-    scan = FormDirectory.from_snapshot(
-        snapshot, index="off", auto_recluster=False
-    )
-    return indexed, scan
+    return FormDirectory.from_snapshot(snapshot, auto_recluster=False)
 
 
-def assert_parity(indexed, scan):
+def assert_parity(directory):
+    organizer = directory.organizer
     for query in QUERIES:
         for n in TOP_N:
-            assert indexed.search(query, n=n) == scan.search(query, n=n), \
-                (query, n)
-            assert indexed.search_pages(query, n=n) == \
-                scan.search_pages(query, n=n), (query, n)
+            assert directory.search(query, n=n) == \
+                scan_clusters(organizer, query, n), (query, n)
+            assert directory.search_pages(query, n=n) == \
+                scan_pages(organizer, query, n), (query, n)
 
 
 def timed(fn, rounds=5, inner=20):
@@ -98,9 +97,20 @@ def run_queries(directory, scope):
         search(query, n=5)
 
 
-def measure(label, indexed, scan, scope, rows):
-    cold_scan, warm_scan = timed(lambda: run_queries(scan, scope))
-    cold_indexed, warm_indexed = timed(lambda: run_queries(indexed, scope))
+def oracle_queries(directory, scope):
+    """The oracle scan of the query mix, over combined vectors derived
+    once up front (the directory caches its own per generation too)."""
+    organizer = directory.organizer
+    if scope == "clusters":
+        scan, rows = scan_clusters, cluster_rows(organizer)
+    else:
+        scan, rows = scan_pages, page_rows(organizer)
+    return lambda: [scan(organizer, query, 5, rows) for query in QUERIES]
+
+
+def measure(label, directory, scope, rows):
+    cold_scan, warm_scan = timed(oracle_queries(directory, scope))
+    cold_indexed, warm_indexed = timed(lambda: run_queries(directory, scope))
     speedup = warm_scan / warm_indexed
     rows.append({
         "config": label,
@@ -127,43 +137,33 @@ def test_bench_search_scan_vs_indexed(raw_pages):
     # Growing cluster counts, fixed 454-page corpus.
     cluster_speedups = {}
     for k in CLUSTER_COUNTS:
-        indexed, scan = build_pair(raw_pages, k)
-        try:
-            assert_parity(indexed, scan)
+        with build_directory(raw_pages, k) as directory:
+            assert_parity(directory)
             cluster_speedups[k] = measure(
-                f"k={k} clusters", indexed, scan, "clusters", rows
+                f"k={k} clusters", directory, "clusters", rows
             )
-            if k == CLUSTER_COUNTS[-1]:
-                measure(f"k={k} clusters", indexed, scan, "pages", rows)
-        finally:
-            indexed.close()
-            scan.close()
+            measure(f"k={k} clusters", directory, "pages", rows)
 
     # Growing page counts at a fixed k: replicate the corpus under
-    # suffixed URLs through the live add path, both directories fed
-    # identically, parity re-checked after the churn.
-    indexed, scan = build_pair(raw_pages, 32)
-    try:
+    # suffixed URLs through the live add path, parity re-checked after
+    # the churn.
+    with build_directory(raw_pages, 32) as directory:
         page_speedups = {}
-        assert_parity(indexed, scan)
+        assert_parity(directory)
         page_speedups[n_corpus] = measure(
-            f"{n_corpus} pages (k=32)", indexed, scan, "pages", rows
+            f"{n_corpus} pages (k=32)", directory, "pages", rows
         )
         total = n_corpus
         for copy in PAGE_REPLICAS:
             for raw in raw_pages:
-                replica = dataclasses.replace(
+                directory.add(dataclasses.replace(
                     raw, url=f"{raw.url}?copy={copy}"
-                )
-                assert indexed.add(replica) == scan.add(replica)
+                ))
             total += n_corpus
-            assert_parity(indexed, scan)
+            assert_parity(directory)
             page_speedups[total] = measure(
-                f"{total} pages (k=32)", indexed, scan, "pages", rows
+                f"{total} pages (k=32)", directory, "pages", rows
             )
-    finally:
-        indexed.close()
-        scan.close()
 
     top_k = CLUSTER_COUNTS[-1]
     top_pages = max(page_speedups)
@@ -184,11 +184,11 @@ def test_bench_search_scan_vs_indexed(raw_pages):
         "required_speedup": REQUIRED_SPEEDUP,
         "note": (
             "Single-threaded wall clock, warm = best-of-5 x 20 repeats; "
-            "every timed configuration passed a bit-identical parity "
-            "check against the full scan first.  The k=8 row is expected "
-            "to show no win — posting-list overhead beats the scan only "
-            "as cluster/page counts grow, which is why index=auto keeps "
-            "full scan below 32 clusters / 256 pages."
+            "scan = the tests/oracle.py reference scan over the same "
+            "live organizer (combined vectors derived once, outside the "
+            "timing); every "
+            "timed configuration passed a bit-identical parity check "
+            "against it first."
         ),
     }, indent=2) + "\n")
 
@@ -205,10 +205,9 @@ def test_bench_search_scan_vs_indexed(raw_pages):
 def test_bench_search_pruning_ratio(raw_pages):
     """The index must actually skip work, not just re-order it: at
     k=128 the candidate-pruning ratio over the query mix stays > 0."""
-    indexed, scan = build_pair(raw_pages, CLUSTER_COUNTS[-1])
-    try:
-        assert_parity(indexed, scan)
-        stats = indexed._retrieval_stats()
+    with build_directory(raw_pages, CLUSTER_COUNTS[-1]) as directory:
+        assert_parity(directory)
+        stats = directory._index.stats
         assert stats.rows_total > 0
         ratio = 1.0 - stats.rows_scored / stats.rows_total
         print(f"\n[k={CLUSTER_COUNTS[-1]}] pruning ratio {ratio:.1%} "
@@ -223,6 +222,3 @@ def test_bench_search_pruning_ratio(raw_pages):
                 "pruning_ratio": round(ratio, 4),
             }
             RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    finally:
-        indexed.close()
-        scan.close()

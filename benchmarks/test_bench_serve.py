@@ -67,7 +67,7 @@ QUERIES = (
 LOAD_LEVELS = ((1, 256, 2), (64, 8, 3), (1024, 2, 2))
 
 DIRECTORY_KWARGS = dict(
-    journal=None, auto_recluster=False, batch_window_ms=None, cache_size=0
+    journal=None, auto_recluster=False, cache_size=0
 )
 
 

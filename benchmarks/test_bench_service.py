@@ -1,11 +1,11 @@
-"""Service benchmarks: classify throughput vs micro-batch window.
+"""Service benchmark: inline classify throughput under 16 clients.
 
 Not from the paper — this measures the serving layer added on top of
 the reproduction: 16 concurrent clients classifying pages of the full
-benchmark corpus against a 454-page directory, at batch windows
-unbatched / 0 ms / 5 ms / 20 ms.  The printed table records requests
-served, engine batch calls made (the coalescing ratio), and throughput;
-docs/PERFORMANCE.md keeps the reference numbers.
+benchmark corpus against a 454-page directory.  Each request scores
+inline under one read lock (the Equation-3 centroid scan); the printed
+line records requests served and throughput, and docs/PERFORMANCE.md
+keeps the reference numbers.
 """
 
 import threading
@@ -19,13 +19,6 @@ from repro.service.snapshot import build_snapshot
 
 N_CLIENTS = 16
 REQUESTS_PER_CLIENT = 16
-
-WINDOWS = [
-    pytest.param(None, id="unbatched"),
-    pytest.param(0.0, id="window-0ms"),
-    pytest.param(5.0, id="window-5ms"),
-    pytest.param(20.0, id="window-20ms"),
-]
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +38,7 @@ def _hammer(directory, raw_pages):
         try:
             for step in range(REQUESTS_PER_CLIENT):
                 raw = raw_pages[(offset + step * N_CLIENTS) % len(raw_pages)]
-                outcome = directory.classify(raw, timeout=60.0)
+                outcome = directory.classify(raw)
                 assert outcome.cluster >= 0
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
@@ -61,28 +54,21 @@ def _hammer(directory, raw_pages):
     assert not errors, errors
 
 
-@pytest.mark.parametrize("window", WINDOWS)
-def test_bench_classify_throughput(benchmark, service_setup, window):
+def test_bench_classify_throughput(benchmark, service_setup):
     snapshot, raw_pages = service_setup
     directory = FormDirectory.from_snapshot(
-        snapshot, batch_window_ms=window, cache_size=0, auto_recluster=False
+        snapshot, cache_size=0, auto_recluster=False
     )
     try:
         benchmark.pedantic(
             _hammer, args=(directory, raw_pages), rounds=1, iterations=1
         )
         requests = int(directory._m_requests.value)
-        batches = int(directory._m_batches.value)
         assert requests == N_CLIENTS * REQUESTS_PER_CLIENT
         elapsed = benchmark.stats["mean"]
-        label = "unbatched" if window is None else f"{window:g} ms"
         print(
-            f"\n  window={label}: {requests} requests, {batches} engine "
-            f"batches ({requests / max(1, batches):.1f} req/batch), "
-            f"{requests / elapsed:,.0f} req/s"
+            f"\n  inline classify, {N_CLIENTS} clients: {requests} "
+            f"requests, {requests / elapsed:,.0f} req/s"
         )
-        if window is not None:
-            # Coalescing must be visible whenever the queue is enabled.
-            assert batches <= requests
     finally:
         directory.close()

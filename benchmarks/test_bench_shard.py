@@ -62,7 +62,7 @@ QUERIES = (
 TOP_N = (1, 5, 25)
 
 DIRECTORY_KWARGS = dict(
-    journal=None, auto_recluster=False, batch_window_ms=None, cache_size=0
+    journal=None, auto_recluster=False, cache_size=0
 )
 
 
@@ -212,7 +212,7 @@ def test_bench_replica_catch_up(snapshot, raw_pages, tmp_path):
     )
     leader = LocalShardClient(leader_node, name="leader")
     replica = ReplicaNode(
-        leader, name="replica-0", batch_window_ms=None, cache_size=0
+        leader, name="replica-0", cache_size=0
     )
     try:
         replica.bootstrap()
@@ -290,7 +290,7 @@ def test_bench_failover(snapshot, raw_pages, tmp_path):
     )
     leader = LocalShardClient(leader_node, name="leader")
     replica = ReplicaNode(
-        leader, name="replica-0", batch_window_ms=None, cache_size=0
+        leader, name="replica-0", cache_size=0
     )
     replica.bootstrap()
     replica_client = LocalShardClient(replica, name="replica-0")

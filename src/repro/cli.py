@@ -283,12 +283,9 @@ def _build_serve_directory(args: argparse.Namespace):
     """A FormDirectory from --snapshot, or built on the fly."""
     from repro.service import FormDirectory
 
-    window = args.batch_window_ms if args.batch_window_ms >= 0 else None
     knobs = dict(
-        batch_window_ms=window,
         cache_size=args.cache_size,
         auto_recluster=not args.no_auto_recluster,
-        index=args.index,
         journal=getattr(args, "journal", None),
     )
     if args.snapshot:
@@ -418,9 +415,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     stats = directory.stats()
     print(
         f"form directory: {stats['pages']} pages in {stats['clusters']} "
-        f"clusters; batch window "
-        f"{directory.batch_window_ms if directory.batch_window_ms is not None else 'off'} ms; "
-        f"transport {args.transport}"
+        f"clusters; transport {args.transport}"
     )
 
     if args.smoke:
@@ -531,9 +526,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         lease_store=lease_store,
         lease_ttl=args.lease_ttl,
         epoch=args.epoch,
-        batch_window_ms=(
-            args.batch_window_ms if args.batch_window_ms >= 0 else None
-        ),
     )
     server = serve_shard(
         node, host=args.host, port=args.port,
@@ -569,10 +561,7 @@ def _cmd_replica(args: argparse.Namespace) -> int:
     )
 
     leader = HttpShardClient(args.leader, timeout=args.request_timeout)
-    replica = ReplicaNode(
-        leader, name=args.name, max_lag_records=args.max_lag,
-        batch_window_ms=None,
-    )
+    replica = ReplicaNode(leader, name=args.name, max_lag_records=args.max_lag)
     position = replica.bootstrap()
     print(f"bootstrapped from {args.leader} at journal position {position}")
     server = serve_replica(
@@ -710,8 +699,7 @@ def _router_smoke(args: argparse.Namespace) -> int:
                 clients.append(
                     HttpShardClient(server.base_url, name=f"shard-{index}")
                 )
-            replica = ReplicaNode(clients[0], name="replica-0",
-                                  batch_window_ms=None)
+            replica = ReplicaNode(clients[0], name="replica-0")
             replica.bootstrap()
             replica_server = serve_replica(replica, transport=transport)
             replica_server.serve_in_thread()
@@ -990,17 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--snapshot it must match the snapshot's fitted scheme",
     )
     p_serve.add_argument(
-        "--index", choices=["auto", "on", "off"], default="auto",
-        help="inverted-index retrieval for classify candidates and "
-             "/search (auto enables it at scale; results are "
-             "bit-identical either way — docs/SERVING.md)",
-    )
-    p_serve.add_argument(
-        "--batch-window-ms", type=float, default=5.0,
-        help="classify micro-batching window; 0 = flush immediately "
-             "(still coalesces under load); negative = disable batching",
-    )
-    p_serve.add_argument(
         "--cache-size", type=int, default=1024,
         help="classify LRU result-cache capacity (0 disables)",
     )
@@ -1069,10 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument(
         "--segment-records", type=int, default=64,
         help="seal the active journal segment after this many records",
-    )
-    p_shard.add_argument(
-        "--batch-window-ms", type=float, default=5.0,
-        help="classify micro-batching window; negative disables batching",
     )
     p_shard.add_argument(
         "--lease-dir", metavar="DIR",

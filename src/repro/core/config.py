@@ -9,7 +9,7 @@ backlinks per page.
 import enum
 from dataclasses import dataclass, field
 
-from repro.options import INDEX_CHOICES, SCHEME_CHOICES, validate_option
+from repro.options import SCHEME_CHOICES, validate_option
 from repro.parallel.config import ParallelConfig
 from repro.resilience.config import ResilienceConfig
 from repro.stream.config import StreamConfig
@@ -64,13 +64,6 @@ class CAFCConfig:
     seed:
         RNG seed for random-seed selection; runs are reproducible given
         the same seed.
-    index:
-        Inverted-index retrieval for the read path (classify candidate
-        generation and directory search): ``"auto"`` (default; on once
-        the collection is large enough to pay off), ``"on"`` (always),
-        ``"off"`` (always full scans).  Indexed results are
-        bit-identical to the scans — see docs/SERVING.md, "Indexed
-        retrieval".
     scheme:
         Term-weighting scheme for vectorization: ``"auto"`` (default;
         the paper's Equation 1), ``"eq1"``, ``"bm25"`` (Okapi BM25 with
@@ -79,9 +72,9 @@ class CAFCConfig:
         :class:`~repro.vsm.schemes.WeightingScheme` instance directly
         to the vectorizer for tuned parameters.  See docs/RANKING.md.
 
-        ``index`` / ``scheme`` share one convention —
-        ``"auto" | "off" | <name>`` — and one validator
-        (:mod:`repro.options`); the error names the offending field.
+        ``scheme`` follows the ``"auto" | "off" | <name>`` convention
+        and validator of :mod:`repro.options`; the error names the
+        offending field.
     parallel:
         Ingestion execution plan (workers, chunk size, executor, and
         the analysis cache) — see
@@ -112,7 +105,6 @@ class CAFCConfig:
     stop_fraction: float = 0.1
     max_iterations: int = 50
     seed: int = 0
-    index: str = "auto"
     scheme: str = "auto"
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
@@ -132,7 +124,6 @@ class CAFCConfig:
             "stop_fraction": self.stop_fraction,
             "max_iterations": self.max_iterations,
             "seed": self.seed,
-            "index": self.index,
             "scheme": self.scheme,
             "parallel": self.parallel.to_dict(),
             "resilience": self.resilience.to_dict(),
@@ -143,8 +134,8 @@ class CAFCConfig:
     def from_dict(cls, state: dict) -> "CAFCConfig":
         """Rebuild a config exported by :meth:`to_dict` (validates).
 
-        Keys this version no longer has (a ``"backend"`` written by
-        older snapshots) are ignored.
+        Keys this version no longer has (the ``"backend"`` and
+        ``"index"`` knobs older snapshots wrote) are ignored.
         """
         defaults = cls()
         return cls(
@@ -173,7 +164,6 @@ class CAFCConfig:
                 state.get("max_iterations", defaults.max_iterations)
             ),
             seed=int(state.get("seed", defaults.seed)),
-            index=str(state.get("index", defaults.index)),
             scheme=str(state.get("scheme", defaults.scheme)),
             parallel=ParallelConfig.from_dict(dict(state.get("parallel", {}))),
             resilience=ResilienceConfig.from_dict(
@@ -183,7 +173,6 @@ class CAFCConfig:
         )
 
     def __post_init__(self) -> None:
-        validate_option("index", self.index, INDEX_CHOICES)
         validate_option("scheme", self.scheme, SCHEME_CHOICES)
         if self.k < 1:
             raise ValueError("k must be positive")

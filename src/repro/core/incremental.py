@@ -34,11 +34,6 @@ from repro.core.config import CAFCConfig
 from repro.core.form_page import FormPage, RawFormPage, VectorPair, centroid_of
 from repro.core.similarity import EngineBackend
 from repro.core.vectorizer import FormPageVectorizer
-from repro.index.centroids import CentroidIndex
-from repro.index.directory_index import (
-    INDEX_AUTO_MIN_CLUSTERS,
-    validate_index_mode,
-)
 
 
 @dataclass
@@ -77,7 +72,6 @@ class IncrementalOrganizer:
         vectorizer: FormPageVectorizer,
         config: Optional[CAFCConfig] = None,
         drift_threshold: float = 0.7,
-        index: Optional[str] = None,
     ) -> None:
         if not initial_clusters:
             raise ValueError("need at least one initial cluster")
@@ -95,29 +89,6 @@ class IncrementalOrganizer:
             self.clusters.append(cluster)
             for page in members:
                 self._by_url[page.url] = len(self.clusters) - 1
-
-        # Candidate-pruned classification (repro.index): with many
-        # clusters, scoring a page against every centroid per classify
-        # is the read path's scan; posting lists over the centroids cut
-        # it to a provably sufficient candidate set, re-scored through
-        # the same backend.pair arithmetic (results bit-identical).
-        # Cluster count never changes after construction (recluster
-        # preserves it), so the auto decision is made once here.
-        self.index_mode = validate_index_mode(
-            index if index is not None else self.config.index
-        )
-        self._index_active = self.index_mode == "on" or (
-            self.index_mode == "auto"
-            and len(self.clusters) >= INDEX_AUTO_MIN_CLUSTERS
-        )
-        self.centroid_index: Optional[CentroidIndex] = None
-        if self._index_active:
-            self.centroid_index = CentroidIndex(
-                content_mode=self.config.content_mode,
-                page_weight=self.config.page_weight,
-                form_weight=self.config.form_weight,
-            )
-            self.centroid_index.rebuild(self.clusters)
 
         self._contrib: Dict[str, float] = {}
         self._cohesion_sum = 0.0
@@ -188,28 +159,12 @@ class IncrementalOrganizer:
 
     def classify_vectorized(self, page: FormPage) -> Tuple[int, float]:
         """Best cluster for an already-vectorized page, without mutating
-        anything.  Returns ``(cluster_index, similarity)``; ties break
-        toward the lowest index, exactly as :meth:`add` assigns.
-
-        With the centroid index active (``index="on"``, or ``"auto"``
-        over at least ``INDEX_AUTO_MIN_CLUSTERS`` clusters), posting-
-        list pruning generates a candidate set and only the survivors
-        are scored — same winner, same float, fewer evaluations.  The
-        full scan costs ``len(self.clusters)`` similarity evaluations
-        and remains the reference (and the fallback when a concurrent
-        reader finds the index rows stale).
+        anything: the argmax of Equation 3 over the k centroids.
+        Returns ``(cluster_index, similarity)``; ties break toward the
+        lowest index, exactly as :meth:`add` assigns, and the similarity
+        is the same ``backend.pair`` float :meth:`add` sees.  Costs
+        ``len(self.clusters)`` similarity evaluations.
         """
-        index = self.centroid_index
-        if index is not None and index.fresh(self.clusters):
-            hit = index.top1(
-                page,
-                lambda i: self.backend.pair(page, self.clusters[i].centroid),
-            )
-            if hit is not None:
-                return hit
-            # Every centroid scored 0: mirror the scan's argmax over an
-            # all-zero score list (first cluster wins).
-            return 0, self.backend.pair(page, self.clusters[0].centroid)
         scores = [
             self.backend.pair(page, cluster.centroid)
             for cluster in self.clusters
@@ -225,25 +180,9 @@ class IncrementalOrganizer:
     def classify_batch(
         self, pages: Sequence[FormPage]
     ) -> List[Tuple[int, float]]:
-        """Classify many vectorized pages in ONE backend batch call.
-
-        This is the micro-batching hook the form-directory server
-        coalesces concurrent requests through: a single
-        ``page_centroid_matrix`` over pages x centroids replaces
-        ``len(pages) * len(self.clusters)`` scalar pair calls.  Argmax
-        tie-breaking matches :meth:`classify_vectorized` (lowest index).
-        """
-        pages = list(pages)
-        if not pages:
-            return []
-        matrix = self.backend.page_centroid_matrix(
-            pages, self.centroid_pairs()
-        )
-        results: List[Tuple[int, float]] = []
-        for row in matrix:
-            best_index = max(range(len(row)), key=row.__getitem__)
-            results.append((best_index, row[best_index]))
-        return results
+        """:meth:`classify_vectorized` over each page, in order — the
+        call the serving directory scores requests through."""
+        return [self.classify_vectorized(page) for page in pages]
 
     def add(self, raw: RawFormPage) -> int:
         """Insert a newly discovered source; returns its cluster index.
@@ -272,8 +211,6 @@ class IncrementalOrganizer:
         cluster = self.clusters[best_index]
         cluster.pages.append(page)
         cluster.rebuild_centroid()
-        if self.centroid_index is not None:
-            self.centroid_index.sync(self.clusters)
         contribution = self.backend.pair(page, cluster.centroid)
         self._contrib[page.url] = contribution
         self._cohesion_sum += contribution
@@ -294,8 +231,6 @@ class IncrementalOrganizer:
         cluster = self.clusters[cluster_index]
         cluster.pages = [page for page in cluster.pages if page.url != url]
         cluster.rebuild_centroid()
-        if self.centroid_index is not None:
-            self.centroid_index.sync(self.clusters)
         self._cohesion_sum -= self._contrib.pop(url, 0.0)
         self.n_removed += 1
         return True
@@ -426,8 +361,6 @@ class IncrementalOrganizer:
                 if old_assignment.get(page.url) != index:
                     moved += 1
         self.clusters = new_clusters
-        if self.centroid_index is not None:
-            self.centroid_index.rebuild(self.clusters)
         self.refresh_cohesion()
         self._baseline_cohesion = self.cohesion
         return moved

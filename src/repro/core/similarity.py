@@ -10,14 +10,14 @@ drives k-means assignment, HAC matrices and hub-cluster distances.
 The *content mode* restricts which spaces contribute — the FC / PC / FC+PC
 configurations of Figure 2.
 
-Batch consumers (Algorithm 1's assignment loop, Algorithm 3's distance
+Consumers (Algorithm 1's assignment loop, Algorithm 3's distance
 matrix, incremental classification) go through :class:`EngineBackend`,
 which serves batched shapes from the compiled
 :class:`~repro.core.simengine.SimilarityEngine` and single pairs from
 :class:`FormPageSimilarity`, counting both in one :class:`EngineStats`.
 """
 
-from typing import List, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -169,16 +169,5 @@ class EngineBackend:
         """Full symmetric similarity matrix over ``items``."""
         engine = self.engine_for(items)
         matrix = engine.pairwise()
-        self.collect(engine)
-        return matrix
-
-    def page_centroid_matrix(
-        self,
-        pages: Sequence[HasVectorPair],
-        centroids: Sequence[HasVectorPair],
-    ) -> List[List[float]]:
-        """Rows = pages, columns = centroids."""
-        engine = self.engine_for(pages)
-        matrix = engine.page_centroid_matrix(centroids)
         self.collect(engine)
         return matrix

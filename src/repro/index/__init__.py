@@ -4,21 +4,15 @@ Exact top-k without full scans: per-term posting lists with
 pre-normalized weights and per-term max-weight upper bounds
 (:mod:`~repro.index.postings`), term-at-a-time accumulation with
 upper-bound pruning and exact re-scoring (:mod:`~repro.index.retrieval`),
-centroid candidate generation for classify
-(:mod:`~repro.index.centroids`), and the generation-stamped directory
-state behind ``/search`` (:mod:`~repro.index.directory_index`).
+and the generation-stamped directory state behind ``/search``
+(:mod:`~repro.index.directory_index`).
 
-Results are parity-pinned against the full-scan paths — same ids, same
-floats, same order.  See docs/SERVING.md ("Indexed retrieval").
+Results are parity-pinned against full-scan reference rankings — same
+ids, same floats, same order.  See docs/SERVING.md ("Indexed
+retrieval").
 """
 
-from repro.index.centroids import CentroidIndex
-from repro.index.directory_index import (
-    INDEX_AUTO_MIN_CLUSTERS,
-    INDEX_AUTO_MIN_PAGES,
-    DirectoryIndex,
-    validate_index_mode,
-)
+from repro.index.directory_index import DirectoryIndex
 from repro.index.merge import (
     assert_sorted,
     cluster_hit_key,
@@ -35,9 +29,6 @@ from repro.index.retrieval import (
 from repro.index.spill import SpillingSpaceIndex, SpillSegment
 
 __all__ = [
-    "INDEX_AUTO_MIN_CLUSTERS",
-    "INDEX_AUTO_MIN_PAGES",
-    "CentroidIndex",
     "Channel",
     "DirectoryIndex",
     "RetrievalStats",
@@ -50,5 +41,4 @@ __all__ = [
     "merge_ranked",
     "page_hit_key",
     "top_k_exact",
-    "validate_index_mode",
 ]

@@ -1,67 +1,50 @@
-"""The serving directory's retrieval state — combined-vector caches and
-(optionally) posting lists, generation-stamped.
+"""The serving directory's retrieval state — combined vectors and
+posting lists, generation-stamped.
 
 :class:`DirectoryIndex` owns two row collections for a
 :class:`~repro.service.directory.FormDirectory`:
 
 * **clusters** — each cluster's combined ``PC + FC`` centroid vector
-  (the thing ``/search`` scores queries against).  These used to be
-  re-materialized per request inside the read lock; here they are
-  computed once per centroid change and reused by every query — the
-  ``index="off"`` mode keeps exactly this cache, minus posting lists.
+  (the thing ``/search`` scores queries against), computed once per
+  centroid change and reused by every query instead of being
+  re-materialized inside the read lock.
 * **pages** — each managed page's combined vector, for
   ``/search?scope=pages``.  Page rows are keyed by a stable integer id
   (URLs map to ids) and survive re-clustering untouched: only cluster
   membership moves, and that is looked up live at query time.
 
-Every mutation the owning directory performs calls :meth:`sync_clusters`
-/ :meth:`page_upsert` / :meth:`page_remove` under the directory's write
+Both collections carry posting lists, and every search goes through
+them (:meth:`top_clusters` / :meth:`top_pages`).  Every mutation the
+owning directory performs calls :meth:`sync_clusters` /
+:meth:`page_upsert` / :meth:`page_remove` under the directory's write
 lock and then stamps :attr:`generation` with the directory's new
 generation.  Read paths compare stamps; on a mismatch (a mutation path
-that forgot to sync) they fall back to a fresh full scan instead of
-serving stale rows.
+that forgot to sync) they fall back to a full scan of the live
+organizer instead of serving stale rows.
 
 Parity: cached combined vectors are built by the same
-``centroid.pc.add(centroid.fc)`` call the per-query path used, so their
-term dicts (and hence dot-product iteration order) are identical —
-cached, indexed, and from-scratch scoring all produce the same floats.
+``centroid.pc.add(centroid.fc)`` call a from-scratch scan uses, so
+their term dicts (and hence dot-product iteration order) are identical
+— indexed and from-scratch scoring produce the same floats.
 """
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.index.postings import SpaceIndex
 from repro.index.retrieval import (
-    Channel,
     RetrievalStats,
     combined_query_channel,
     top_k_exact,
 )
-from repro.options import INDEX_CHOICES, validate_option
 from repro.vsm.vector import SparseVector
-
-#: ``index="auto"`` turns indexed retrieval on at these sizes.  Below
-#: them a full scan over cached combined vectors is already cheap, and
-#: the small-k behaviour (including pinned per-add similarity budgets)
-#: stays byte-for-byte what it was before the index existed.
-INDEX_AUTO_MIN_CLUSTERS = 32
-INDEX_AUTO_MIN_PAGES = 256
-
-
-def validate_index_mode(mode: str) -> str:
-    """Shared-convention validation (:mod:`repro.options`) for the
-    index mode; the raised :class:`~repro.options.OptionError` names the
-    ``index`` field."""
-    return validate_option("index", mode, INDEX_CHOICES)
 
 
 class DirectoryIndex:
     """Cluster + page retrieval rows for one serving directory."""
 
-    def __init__(self, mode: str = "auto") -> None:
-        self.mode = validate_index_mode(mode)
-        build = self.mode != "off"
-        self._clusters = SpaceIndex(build_postings=build)
-        self._pages = SpaceIndex(build_postings=build)
+    def __init__(self) -> None:
+        self._clusters = SpaceIndex()
+        self._pages = SpaceIndex()
         self._centroid_refs: List[object] = []
         self._row_by_url: Dict[str, int] = {}
         self._url_by_row: Dict[int, str] = {}
@@ -69,24 +52,6 @@ class DirectoryIndex:
         #: Directory generation these rows reflect (-1 = never synced).
         self.generation = -1
         self.stats = RetrievalStats()
-
-    # ----------------------------------------------------------------
-    # Mode resolution.
-    # ----------------------------------------------------------------
-
-    def use_for_clusters(self) -> bool:
-        if self.mode == "off":
-            return False
-        if self.mode == "on":
-            return True
-        return len(self._clusters) >= INDEX_AUTO_MIN_CLUSTERS
-
-    def use_for_pages(self) -> bool:
-        if self.mode == "off":
-            return False
-        if self.mode == "on":
-            return True
-        return len(self._pages) >= INDEX_AUTO_MIN_PAGES
 
     # ----------------------------------------------------------------
     # Introspection (metrics).
@@ -107,10 +72,6 @@ class DirectoryIndex:
     @property
     def n_page_terms(self) -> int:
         return self._pages.n_terms
-
-    @property
-    def n_pages(self) -> int:
-        return len(self._pages)
 
     # ----------------------------------------------------------------
     # Maintenance (caller holds the directory write lock).
@@ -172,18 +133,6 @@ class DirectoryIndex:
         """The cached combined centroid of cluster ``index``."""
         return self._clusters.vector(index)
 
-    def cluster_combined_all(self) -> List[SparseVector]:
-        return [
-            self._clusters.vector(index)
-            for index in range(len(self._clusters))
-        ]
-
-    def page_combined_items(self) -> Iterator[Tuple[str, SparseVector]]:
-        """(url, combined vector) over every indexed page, for the
-        cached full-scan path."""
-        for row, vector in self._pages.row_items():
-            yield self._url_by_row[row], vector
-
     def top_clusters(
         self, query: SparseVector, k: int,
         score_exact: Callable[[int], float],
@@ -212,9 +161,4 @@ class DirectoryIndex:
         return self._url_by_row[row]
 
 
-__all__ = [
-    "INDEX_AUTO_MIN_CLUSTERS",
-    "INDEX_AUTO_MIN_PAGES",
-    "DirectoryIndex",
-    "validate_index_mode",
-]
+__all__ = ["DirectoryIndex"]

@@ -31,21 +31,11 @@ from repro.vsm.vector import SparseVector
 
 
 class SpaceIndex:
-    """Posting lists with max-weight upper bounds over one vector space.
+    """Posting lists with max-weight upper bounds over one vector space."""
 
-    ``build_postings=False`` keeps only the per-row vector/norm storage
-    — the shape the ``index="off"`` directory uses as a plain combined-
-    vector cache, so the cache and the full index share one maintenance
-    code path.
-    """
+    __slots__ = ("_postings", "_max", "_vectors", "_norms", "n_postings")
 
-    __slots__ = (
-        "_postings", "_max", "_vectors", "_norms", "n_postings",
-        "build_postings",
-    )
-
-    def __init__(self, build_postings: bool = True) -> None:
-        self.build_postings = build_postings
+    def __init__(self) -> None:
         #: term -> [(row_id, weight / row_norm)], append-ordered.
         self._postings: Dict[str, List[Tuple[int, float]]] = {}
         #: term -> max pre-normalized weight over its posting list.
@@ -108,7 +98,7 @@ class SpaceIndex:
         norm = vector.norm()
         self._vectors[row_id] = vector
         self._norms[row_id] = norm
-        if norm == 0.0 or not self.build_postings:
+        if norm == 0.0:
             return
         inv = 1.0 / norm
         postings = self._postings
@@ -136,7 +126,7 @@ class SpaceIndex:
         if vector is None:
             return False
         norm = self._norms.pop(row_id)
-        if norm == 0.0 or not self.build_postings:
+        if norm == 0.0:
             return True
         postings = self._postings
         maxima = self._max

@@ -74,13 +74,6 @@ class RetrievalStats:
             return 0.0
         return self.rows_scored / self.rows_total
 
-    def merge(self, other: "RetrievalStats") -> None:
-        self.rows_total += other.rows_total
-        self.rows_touched += other.rows_touched
-        self.rows_scored += other.rows_scored
-        self.terms_total += other.terms_total
-        self.terms_processed += other.terms_processed
-
 
 @dataclass
 class Channel:

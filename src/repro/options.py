@@ -1,19 +1,14 @@
 """One validator for every ``"auto" | "off" | <name>`` config option.
 
-``CAFCConfig.index`` and ``CAFCConfig.scheme`` (plus the CLI flags and
-service constructors that mirror them) follow the same convention: a
-small closed set of lowercase names, with ``"auto"`` meaning "let the
-library pick" and — where the feature can be disabled at all —
-``"off"`` meaning "don't".  This module is the
-single place the allowed names live, so the error a user sees always
-states which *field* was wrong and what it accepts.
+``CAFCConfig.scheme`` (plus the CLI flag that mirrors it) and the
+shard ``placement`` follow the same convention: a small closed set of
+lowercase names, with ``"auto"`` meaning "let the library pick" and —
+where the feature can be disabled at all — ``"off"`` meaning "don't".
+The validator here is shared, so the error a user sees always states
+which *field* was wrong and what it accepts.
 """
 
 from typing import Optional, Sequence
-
-#: ``CAFCConfig.index`` — inverted-index retrieval.  ``"on"`` forces the
-#: index even below the auto thresholds.
-INDEX_CHOICES = ("auto", "on", "off")
 
 #: ``CAFCConfig.scheme`` — term-weighting scheme.  ``"auto"`` is the
 #: paper's Equation 1; ``"off"`` disables corpus weighting (plain

@@ -1,7 +1,7 @@
 """Supervised background workers — crash, log, back off, restart.
 
-The directory's background threads (the classify batcher, the drift
-re-clusterer) previously died silently on any exception, taking their
+Background threads (the directory's drift re-clusterer, the failover
+monitor) previously died silently on any exception, taking their
 feature with them for the rest of the process.  :class:`SupervisedWorker`
 wraps a target callable in a restart loop:
 

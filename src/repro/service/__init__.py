@@ -9,8 +9,8 @@ long-running directory service:
   (vectorizer statistics, centroids, page assignments, config) so a
   server cold-starts in milliseconds without re-running the pipeline;
 * :mod:`repro.service.directory` — a thread-safe façade over
-  :class:`~repro.core.incremental.IncrementalOrganizer` with
-  micro-batched classification, an LRU result cache, and
+  :class:`~repro.core.incremental.IncrementalOrganizer` with inline
+  Equation-3 classification, an LRU result cache, indexed search, and
   drift-triggered background re-clustering;
 * :mod:`repro.service.app` — the transport-neutral JSON application
   (classify / add / remove / search / clusters / healthz / metrics);
@@ -19,7 +19,7 @@ long-running directory service:
 * :mod:`repro.service.aio` — the ``asyncio`` event-loop transport:
   keep-alive + pipelining, admission control with structured
   ``429 + Retry-After`` load shedding, slowloris/idle reaping;
-* :mod:`repro.service.metrics` — latency histograms, batch/cache
+* :mod:`repro.service.metrics` — latency histograms, request/cache
   counters and engine-stats rollups in Prometheus text format.
 
 Everything is standard library only (the similarity engine's optional

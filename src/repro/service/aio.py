@@ -1,7 +1,7 @@
 """Event-loop HTTP transport with admission control and load shedding.
 
-The directory stays a *threaded* object — classify coalesces in the
-micro-batch queue, writers take the RWLock — but the connection layer
+The directory stays a *threaded* object — readers share the RWLock,
+writers take it exclusively — but the connection layer
 here is a single ``asyncio`` event loop speaking HTTP/1.1 over an
 ``asyncio.Protocol``.  One loop owns every socket: keep-alive and
 pipelined parsing cost a buffer scan instead of a thread, so tens of

@@ -440,7 +440,7 @@ class DirectoryApp(BaseApp):
 
     def _post_classify(self, body: dict) -> Response:
         raw = _raw_page_from_body(body)
-        outcome = self.directory.classify(raw, timeout=self.request_timeout)
+        outcome = self.directory.classify(raw)
         return json_response(
             200,
             {
@@ -450,7 +450,6 @@ class DirectoryApp(BaseApp):
                 "similarity": outcome.similarity,
                 "top_terms": outcome.top_terms,
                 "cached": outcome.cached,
-                "batch_size": outcome.batch_size,
             },
         )
 

@@ -6,11 +6,11 @@ use:
 
 * a **readers-writer lock** lets any number of classify/search requests
   score in parallel while add/remove/recluster take exclusive access;
-* a **micro-batching queue** coalesces concurrent classify requests
-  into a single batched ``page_centroid_matrix`` call — under load, one
-  engine batch serves many requests (the ``/metrics`` counters
-  ``classify_requests_total`` vs ``classify_batches_total`` make the
-  coalescing observable);
+* **one read path per request**: classify scores inline under one read
+  lock with Section 5's argmax of Equation 3 over the k centroids (the
+  same scalar scan :meth:`~FormDirectory.add` assigns by, so the two
+  agree to the last bit), and search ranks through the
+  :class:`~repro.index.directory_index.DirectoryIndex` posting lists;
 * an **LRU result cache** keyed by content hash short-circuits repeat
   classifications of the same page; entries are validated against a
   directory *generation* that every mutation bumps, so a cache hit can
@@ -31,7 +31,7 @@ The resilience layer (docs/RESILIENCE.md) threads through here too:
   (fsynced, before the mutation) so ``snapshot + journal`` replays a
   killed directory back to bit-identical state; :meth:`checkpoint` folds
   the log into a fresh snapshot and truncates it;
-* the batching and drift-repair threads run under a
+* the drift-repair thread runs under a
   :class:`~repro.resilience.supervisor.SupervisedWorker` — a crash is
   logged, counted (``worker_restarts_total``) and restarted with
   backoff instead of silently killing the feature;
@@ -65,10 +65,7 @@ from repro.resilience.journal import (
 from repro.resilience.retry import CIRCUIT_OPEN
 from repro.resilience.stats import STATS
 from repro.resilience.supervisor import SupervisedWorker
-from repro.service.metrics import (
-    DEFAULT_SIZE_BUCKETS,
-    MetricsRegistry,
-)
+from repro.service.metrics import MetricsRegistry
 from repro.service.snapshot import Snapshot, _page_from_json, _page_to_json
 from repro.text.analyzer import TextAnalyzer
 from repro.vsm.vector import SparseVector, cosine_similarity
@@ -141,20 +138,6 @@ class ClassifyOutcome:
     similarity: float
     top_terms: List[str]
     cached: bool = False
-    batch_size: int = 1
-
-
-class _PendingClassify:
-    """One queued classify request awaiting the next batch flush."""
-
-    __slots__ = ("page", "event", "result", "error", "generation")
-
-    def __init__(self, page: FormPage) -> None:
-        self.page = page
-        self.event = threading.Event()
-        self.result: Optional[Tuple[int, float, int]] = None
-        self.error: Optional[BaseException] = None
-        self.generation = -1
 
 
 def content_hash(raw: RawFormPage) -> str:
@@ -179,13 +162,6 @@ class FormDirectory:
     organizer:
         The maintained clustering (typically from
         :meth:`~repro.service.snapshot.Snapshot.to_organizer`).
-    batch_window_ms:
-        How long the batching worker waits after the first queued
-        request before flushing, collecting concurrent requests into one
-        engine call.  ``0`` flushes immediately but still coalesces
-        whatever queued while the previous batch was scoring.  ``None``
-        disables the queue entirely — every request scores on its own
-        thread (the unbatched reference mode).
     cache_size:
         LRU capacity of the classify result cache (0 disables).
     auto_recluster:
@@ -194,12 +170,6 @@ class FormDirectory:
     metrics:
         A :class:`~repro.service.metrics.MetricsRegistry` to instrument
         into (one is created when omitted).
-    index:
-        Inverted-index mode for /search and /search?scope=pages:
-        ``"auto"`` (on at scale), ``"on"``, ``"off"``.  ``None`` (the
-        default) follows ``organizer.config.index``.  Even ``"off"``
-        keeps the per-generation combined-centroid cache, so no query
-        re-materializes centroid sums inside the read lock.
     journal:
         Write-ahead journal for crash safety: a path, an open
         :class:`~repro.resilience.journal.DirectoryJournal`, or ``None``
@@ -212,35 +182,26 @@ class FormDirectory:
     def __init__(
         self,
         organizer: IncrementalOrganizer,
-        batch_window_ms: Optional[float] = 5.0,
         cache_size: int = 1024,
         auto_recluster: bool = True,
         metrics: Optional[MetricsRegistry] = None,
-        index: Optional[str] = None,
         journal: Union[str, DirectoryJournal, None] = None,
     ) -> None:
         # Lifecycle state first, before anything that can raise:
         # ``close()`` must be safe on a partially constructed directory.
         self._closed = False
-        self._stopped = False
-        self._worker: Optional[SupervisedWorker] = None
         self._journal: Optional[DirectoryJournal] = None
         self._replaying = False
-        self._queue: List[_PendingClassify] = []
-        self._queue_cond = threading.Condition()
         self._recluster_lock = threading.Lock()
         self._recluster_running = False
         self.n_reclusters = 0
         self.n_replayed = 0
 
-        if batch_window_ms is not None and batch_window_ms < 0:
-            batch_window_ms = None
         self.organizer = organizer
         self.vectorizer = organizer.vectorizer
         # Weighting-scheme label for metrics/healthz: which formula the
         # served vectors (and every query-time transform) were built with.
         self.scheme_name = getattr(self.vectorizer.scheme, "name", "eq1")
-        self.batch_window_ms = batch_window_ms
         self.cache_size = max(0, int(cache_size))
         self.auto_recluster = auto_recluster
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -253,9 +214,7 @@ class FormDirectory:
         self._rw = RWLock()
         self._generation = 0
         self._analyzer = TextAnalyzer()
-        self._index = DirectoryIndex(
-            index if index is not None else organizer.config.index
-        )
+        self._index = DirectoryIndex()
         self._index.rebuild(organizer, self._generation)
 
         self._cache: "OrderedDict[str, Tuple[int, int, float, List[str]]]" = (
@@ -274,13 +233,6 @@ class FormDirectory:
         if self._journal is not None:
             self._replay_journal()
 
-        if self.batch_window_ms is not None:
-            self._worker = SupervisedWorker(
-                self._flush_loop, name="repro-classify-batcher",
-                backoff_base=0.01,
-            )
-            self._worker.start()
-
         self._instrument()
 
     # ----------------------------------------------------------------
@@ -292,21 +244,13 @@ class FormDirectory:
         cls,
         snapshot: Union[Snapshot, str],
         drift_threshold: float = 0.7,
-        index: Optional[str] = None,
         **kwargs,
     ) -> "FormDirectory":
-        """Cold-start a directory from a snapshot (object or path).
-
-        ``index`` overrides the snapshot config's inverted-index mode
-        for both the organizer (classify candidates) and the directory
-        (search).
-        """
+        """Cold-start a directory from a snapshot (object or path)."""
         if not isinstance(snapshot, Snapshot):
             snapshot = Snapshot.load(snapshot)
-        organizer = snapshot.to_organizer(
-            drift_threshold=drift_threshold, index=index
-        )
-        return cls(organizer, index=index, **kwargs)
+        organizer = snapshot.to_organizer(drift_threshold=drift_threshold)
+        return cls(organizer, **kwargs)
 
     # ----------------------------------------------------------------
     # Write-ahead journal: append-before-apply, replay on start.
@@ -541,13 +485,6 @@ class FormDirectory:
         self._m_cache_hits = m.counter(
             "classify_cache_hits_total", "Classify requests served from cache"
         )
-        self._m_batches = m.counter(
-            "classify_batches_total", "Engine batch calls made for classify"
-        )
-        self._m_batch_size = m.histogram(
-            "classify_batch_size", "Requests coalesced per engine batch",
-            buckets=DEFAULT_SIZE_BUCKETS,
-        )
         self._m_adds = m.counter("directory_adds_total", "Pages added")
         self._m_removes = m.counter("directory_removes_total", "Pages removed")
         self._m_reclusters = m.counter(
@@ -641,11 +578,11 @@ class FormDirectory:
         m.gauge(
             "index_rows_considered_total",
             "Rows an unindexed scan would have scored (indexed queries)",
-        ).set_function(lambda: self._retrieval_stats().rows_total)
+        ).set_function(lambda: index.stats.rows_total)
         m.gauge(
             "index_rows_scored_total",
             "Rows actually scored exactly after posting-list pruning",
-        ).set_function(lambda: self._retrieval_stats().rows_scored)
+        ).set_function(lambda: index.stats.rows_scored)
         m.gauge(
             "index_pruning_ratio",
             "Fraction of scan work avoided by the index (1 - scored/total)",
@@ -691,20 +628,8 @@ class FormDirectory:
             "Directory health: 0 ok / 1 degraded / 2 recovering",
         ).set_function(self.health_code)
 
-    def _retrieval_stats(self):
-        """Roll up retrieval stats across the directory index and (when
-        active) the organizer's classify centroid index."""
-        from repro.index.retrieval import RetrievalStats
-
-        total = RetrievalStats()
-        total.merge(self._index.stats)
-        centroid_index = getattr(self.organizer, "centroid_index", None)
-        if centroid_index is not None:
-            total.merge(centroid_index.stats)
-        return total
-
     def _pruning_ratio(self) -> float:
-        stats = self._retrieval_stats()
+        stats = self._index.stats
         if stats.rows_total == 0:
             return 0.0
         return 1.0 - stats.rows_scored / stats.rows_total
@@ -713,14 +638,14 @@ class FormDirectory:
     # Classify — the hot path.
     # ----------------------------------------------------------------
 
-    def classify(
-        self, raw: RawFormPage, timeout: Optional[float] = 30.0
-    ) -> ClassifyOutcome:
+    def classify(self, raw: RawFormPage) -> ClassifyOutcome:
         """Assign ``raw`` to its most similar cluster (read-only).
 
-        Cache hit -> answer without scoring.  Batched mode -> the
-        request joins the coalescing queue and waits for its flush.
-        Unbatched mode -> scores inline under the read lock.
+        Cache hit -> answer without scoring.  Otherwise the page is
+        vectorized outside every lock and scored inline under one read
+        lock: the argmax of Equation 3 over the k centroids — the
+        ``backend.pair`` scan :meth:`add` assigns by — plus the winner's
+        descriptive terms, all from one generation.
         """
         self._m_requests.inc()
         key = content_hash(raw)
@@ -732,38 +657,17 @@ class FormDirectory:
                 url=raw.url, cluster=cluster, similarity=similarity,
                 top_terms=terms, cached=True,
             )
+        if self._closed:
+            raise RuntimeError("directory is closed")
         page = self._vectorize_timed(raw)
-
-        if self.batch_window_ms is None:
-            with self._rw.read_locked():
-                generation = self._generation
-                cluster, similarity = self.organizer.classify_vectorized(page)
-                terms = self._cluster_terms(cluster)
-            batch_size = 1
-            self._m_batches.inc()
-            self._m_batch_size.observe(1)
-        else:
-            pending = _PendingClassify(page)
-            with self._queue_cond:
-                if self._stopped:
-                    raise RuntimeError("directory is closed")
-                self._queue.append(pending)
-                self._queue_cond.notify()
-            if not pending.event.wait(timeout):
-                raise TimeoutError(
-                    f"classify of {raw.url!r} timed out after {timeout}s"
-                )
-            if pending.error is not None:
-                raise pending.error
-            cluster, similarity, batch_size = pending.result
-            generation = pending.generation
-            with self._rw.read_locked():
-                terms = self._cluster_terms(cluster)
-
+        with self._rw.read_locked():
+            generation = self._generation
+            [(cluster, similarity)] = self.organizer.classify_batch([page])
+            terms = self._cluster_terms(cluster)
         self._cache_put(key, generation, cluster, similarity, terms)
         return ClassifyOutcome(
             url=raw.url, cluster=cluster, similarity=similarity,
-            top_terms=terms, cached=False, batch_size=batch_size,
+            top_terms=terms,
         )
 
     def _vectorize_once(self, raw: RawFormPage) -> FormPage:
@@ -792,40 +696,6 @@ class FormDirectory:
         finally:
             self._m_vectorize_seconds.observe(time.perf_counter() - started)
         return page
-
-    def _flush_loop(self) -> None:
-        """The batching worker: wait for work, linger for the window,
-        then serve everything queued with ONE engine batch call."""
-        window = (self.batch_window_ms or 0.0) / 1000.0
-        while True:
-            with self._queue_cond:
-                while not self._queue and not self._stopped:
-                    self._queue_cond.wait()
-                if self._stopped and not self._queue:
-                    return
-            if window > 0.0:
-                time.sleep(window)
-            with self._queue_cond:
-                batch = self._queue
-                self._queue = []
-            if not batch:
-                continue
-            try:
-                with self._rw.read_locked():
-                    generation = self._generation
-                    scored = self.organizer.classify_batch(
-                        [pending.page for pending in batch]
-                    )
-                self._m_batches.inc()
-                self._m_batch_size.observe(len(batch))
-                for pending, (cluster, similarity) in zip(batch, scored):
-                    pending.result = (cluster, similarity, len(batch))
-                    pending.generation = generation
-                    pending.event.set()
-            except BaseException as exc:  # propagate to every waiter
-                for pending in batch:
-                    pending.error = exc
-                    pending.event.set()
 
     # ----------------------------------------------------------------
     # Cache.
@@ -996,17 +866,16 @@ class FormDirectory:
         The query is analyzed with the page-text pipeline and scored by
         cosine against each cluster's combined (PC + FC) centroid,
         mirroring :class:`repro.explore.ClusterExplorer.search`.  The
-        combined centroids come from the per-generation cache; with the
-        index in play, posting-list pruning replaces the scan — same
-        hits, same floats, same order (docs/SERVING.md).
+        combined centroids come from the per-generation index, and
+        posting-list pruning ranks them — the same hits, floats and
+        order as a full scan (docs/SERVING.md).
         """
         query_vector = self._query_vector(query)
         if not query_vector:
             return []
         started = time.perf_counter()
         with self._rw.read_locked():
-            fresh = self._index.generation == self._generation
-            if fresh and self._index.use_for_clusters():
+            if self._index.generation == self._generation:
                 path = "indexed"
                 ranked = self._index.top_clusters(
                     query_vector, n,
@@ -1021,14 +890,11 @@ class FormDirectory:
                     )
                     for index, score in ranked
                 ]
-            else:
+            else:  # a mutation path forgot to sync; stay correct
                 path = "scan"
                 hits = []
                 for index, cluster in enumerate(self.organizer.clusters):
-                    if fresh:
-                        combined = self._index.cluster_combined(index)
-                    else:  # a mutation path forgot to sync; stay correct
-                        combined = cluster.centroid.pc.add(cluster.centroid.fc)
+                    combined = cluster.centroid.pc.add(cluster.centroid.fc)
                     score = cosine_similarity(query_vector, combined)
                     if score <= 0.0:
                         continue
@@ -1045,16 +911,15 @@ class FormDirectory:
         (``/search?scope=pages``).
 
         Each page is scored by cosine between the query and its combined
-        (PC + FC) vector; ties break by URL.  Indexed and scan paths are
-        parity-pinned exactly like cluster search.
+        (PC + FC) vector; ties break by URL.  Ranked through the page
+        posting lists, parity-pinned exactly like cluster search.
         """
         query_vector = self._query_vector(query)
         if not query_vector:
             return []
         started = time.perf_counter()
         with self._rw.read_locked():
-            fresh = self._index.generation == self._generation
-            if fresh and self._index.use_for_pages():
+            if self._index.generation == self._generation:
                 path = "indexed"
                 ranked = self._index.top_pages(
                     query_vector, n,
@@ -1067,21 +932,15 @@ class FormDirectory:
                      self._index.page_vector(row))
                     for row, score in ranked
                 ]
-            else:
+            else:  # a mutation path forgot to sync; stay correct
                 path = "scan"
-                if fresh:
-                    pairs = self._index.page_combined_items()
-                else:  # defensive: derive from the live organizer state
-                    pairs = (
-                        (page.url, page.pc.add(page.fc))
-                        for cluster in self.organizer.clusters
-                        for page in cluster.pages
-                    )
                 scored = []
-                for url, combined in pairs:
-                    score = cosine_similarity(query_vector, combined)
-                    if score > 0.0:
-                        scored.append((url, score, combined))
+                for cluster in self.organizer.clusters:
+                    for page in cluster.pages:
+                        combined = page.pc.add(page.fc)
+                        score = cosine_similarity(query_vector, combined)
+                        if score > 0.0:
+                            scored.append((page.url, score, combined))
                 scored.sort(key=lambda hit: (-hit[1], hit[0]))
                 scored = scored[:n]
             hits = [
@@ -1122,16 +981,14 @@ class FormDirectory:
         (the repair holds the write lock, which is exactly why this must
         not take the read lock — /healthz keeps answering during it;
         the HTTP layer turns it into 503 + Retry-After).  ``degraded``:
-        still serving, but impaired — the vectorize breaker is open,
-        the batching worker gave up, or drift passed the threshold with
-        no repair running.  Plain attribute reads only.
+        still serving, but impaired — the vectorize breaker is open, or
+        drift passed the threshold with no repair running.  Plain
+        attribute reads only.
         """
         if self._replaying or self._recluster_running:
             return "recovering"
-        worker = self._worker
         if (
-            (worker is not None and worker.gave_up)
-            or self._breaker.state_code == CIRCUIT_OPEN
+            self._breaker.state_code == CIRCUIT_OPEN
             or self.organizer.needs_reclustering
         ):
             return "degraded"
@@ -1156,17 +1013,11 @@ class FormDirectory:
                 "n_reclusters": self.n_reclusters,
                 "generation": self._generation,
                 "scheme": self.scheme_name,
-                "batch_window_ms": self.batch_window_ms,
                 "cache_size": self.cache_size,
                 "uptime_seconds": time.time() - self.started_unix,
                 "engine": organizer.backend.stats.as_dict(),
                 "index": {
-                    "mode": self._index.mode,
                     "generation": self._index.generation,
-                    "active_clusters": self._index.use_for_clusters(),
-                    "active_pages": self._index.use_for_pages(),
-                    "classify_candidates": organizer.centroid_index
-                    is not None,
                     "cluster_postings": self._index.n_cluster_postings,
                     "page_postings": self._index.n_page_postings,
                 },
@@ -1197,21 +1048,13 @@ class FormDirectory:
     # ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the batching worker and the journal.  Idempotent, and
-        safe on a directory whose ``__init__`` failed partway (the
-        lifecycle attributes are initialized before anything that can
-        raise); pending classify requests are still served."""
+        """Close the journal; later uncached classify requests raise.
+        Idempotent, and safe on a directory whose ``__init__`` failed
+        partway (the lifecycle attributes are initialized before
+        anything that can raise)."""
         if getattr(self, "_closed", True):
             return
         self._closed = True
-        cond = getattr(self, "_queue_cond", None)
-        if cond is not None:
-            with cond:
-                self._stopped = True
-                cond.notify_all()
-        worker = getattr(self, "_worker", None)
-        if worker is not None:
-            worker.stop(timeout=5.0)
         journal = getattr(self, "_journal", None)
         if journal is not None:
             journal.close()

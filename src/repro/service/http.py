@@ -6,7 +6,7 @@ Endpoints (all JSON unless noted):
 method    path            purpose
 ========  ==============  ====================================================
 POST      ``/classify``   assign a page ``{url, html, backlinks?}`` to its
-                          cluster (read-only; micro-batched)
+                          cluster (read-only)
 POST      ``/add``        insert (or replace) a source
 POST      ``/remove``     drop a source ``{url}``
 GET       ``/search``     ``?q=keyword+query&n=3&scope=clusters|pages`` —
@@ -174,8 +174,8 @@ class DirectoryHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
     # socketserver's default accept backlog is 5; a burst of concurrent
-    # clients (the whole point of micro-batching) would see kernel
-    # connection resets before the server ever accepts them.
+    # clients would see kernel connection resets before the server ever
+    # accepts them.
     request_queue_size = 128
 
     def __init__(

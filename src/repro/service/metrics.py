@@ -26,7 +26,7 @@ DEFAULT_LATENCY_BUCKETS = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
 
-#: Default batch-size buckets (requests coalesced per engine call).
+#: Default count buckets (e.g. shards answering one fanned-out request).
 DEFAULT_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 _LabelKey = Tuple[Tuple[str, str], ...]

@@ -120,24 +120,20 @@ class Snapshot:
         return FormPageVectorizer.from_state(self.vectorizer_state)
 
     def to_organizer(
-        self,
-        drift_threshold: float = 0.7,
-        index: Optional[str] = None,
+        self, drift_threshold: float = 0.7
     ) -> IncrementalOrganizer:
         """An :class:`IncrementalOrganizer` serving this snapshot.
 
         Centroids are rebuilt from the stored page vectors in stored
         order — the same float-addition order the builder used — so
         every subsequent classification matches the builder's
-        bit-for-bit.  ``index`` overrides the snapshot config's
-        inverted-index mode (``"auto"``/``"on"``/``"off"``).
+        bit-for-bit.
         """
         return IncrementalOrganizer(
             [list(members) for members in self.clusters],
             self.vectorizer(),
             config=self.config,
             drift_threshold=drift_threshold,
-            index=index,
         )
 
     # ----------------------------------------------------------------
@@ -335,14 +331,11 @@ def snapshot_info(path: Union[str, Path]) -> Dict[str, object]:
     clusters = payload.get("clusters", [])
     sizes = [len(entry.get("pages", [])) for entry in clusters]
     vectorizer = payload.get("vectorizer", {})
-    config = payload.get("config", {})
     return {
         "kind": payload.get("kind"),
         "format_version": payload.get("format_version"),
         "created_unix": payload.get("created_unix"),
         "algorithm": payload.get("algorithm"),
-        "index": config.get("index", "auto") if isinstance(config, dict)
-        else "auto",
         "scheme": _scheme_name(vectorizer if isinstance(vectorizer, dict) else {}),
         "n_clusters": len(clusters),
         "n_pages": sum(sizes),

@@ -1,14 +1,15 @@
-"""Reference Equation-3 arithmetic: the oracle the batched engine is pinned to.
+"""Reference arithmetic: the oracles the fast paths are pinned to.
 
 Everything here computes one scalar
-:class:`~repro.core.similarity.FormPageSimilarity` call per pair — slow,
+:class:`~repro.core.similarity.FormPageSimilarity` or
+:func:`~repro.vsm.vector.cosine_similarity` call per pair — slow,
 obviously correct, and the yardstick for
 :class:`~repro.core.similarity.EngineBackend` /
-:class:`~repro.core.simengine.SimilarityEngine` in the tests and the
-bench smoke.
+:class:`~repro.core.simengine.SimilarityEngine`, the directory's
+classify scan and its posting-list search, in the tests and the benches.
 """
 
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -16,8 +17,11 @@ from repro.clustering.kmeans import KMeansResult, kmeans
 from repro.core.cafc_c import similarity_for
 from repro.core.config import CAFCConfig
 from repro.core.form_page import centroid_of
+from repro.core.pipeline import _label_terms
 from repro.core.similarity import FormPageSimilarity
 from repro.core.simengine import EngineStats
+from repro.text.analyzer import TextAnalyzer
+from repro.vsm.vector import SparseVector, cosine_similarity
 
 
 class NaiveBackend:
@@ -59,6 +63,105 @@ class NaiveBackend:
             [self.pair(page, centroid) for centroid in centroids]
             for page in pages
         ]
+
+
+def naive_argmax(
+    config: CAFCConfig, page, centroids: Sequence
+) -> Tuple[int, float]:
+    """Section 5's classification by per-pair Equation 3: the first
+    centroid with the highest similarity, and that similarity."""
+    backend = NaiveBackend.from_config(config)
+    scores = [backend.pair(page, centroid) for centroid in centroids]
+    best = max(range(len(scores)), key=scores.__getitem__)
+    return best, scores[best]
+
+
+_ANALYZER = TextAnalyzer()
+
+
+def query_vector(query: str) -> SparseVector:
+    """A keyword query through the page-text pipeline, term counts as
+    weights — the vector ``/search`` scores."""
+    weights: Dict[str, float] = {}
+    for term in _ANALYZER.analyze(query):
+        weights[term] = weights.get(term, 0.0) + 1.0
+    return SparseVector(weights)
+
+
+def cluster_rows(organizer) -> List[SparseVector]:
+    """Every cluster's combined (PC + FC) centroid, in cluster order."""
+    return [
+        cluster.centroid.pc.add(cluster.centroid.fc)
+        for cluster in organizer.clusters
+    ]
+
+
+def page_rows(organizer) -> List[Tuple[str, int, SparseVector]]:
+    """``(url, cluster, combined vector)`` for every managed page."""
+    return [
+        (page.url, index, page.pc.add(page.fc))
+        for index, cluster in enumerate(organizer.clusters)
+        for page in cluster.pages
+    ]
+
+
+def matched_terms(vector: SparseVector, combined: SparseVector) -> List[str]:
+    return sorted(term for term in vector.terms() if term in combined)
+
+
+def scan_clusters(
+    organizer, query: str, n: int, rows: Optional[List[SparseVector]] = None
+) -> List[Dict[str, object]]:
+    """Reference ``/search``: cosine of the query against every
+    cluster's combined centroid, best first, ties by index.  Like the
+    directory's stale-index fallback, it builds a hit record for every
+    positive score before truncating.  ``rows`` (from
+    :func:`cluster_rows`) skips re-deriving the combined vectors when
+    the organizer has not changed since."""
+    vector = query_vector(query)
+    if rows is None:
+        rows = cluster_rows(organizer)
+    hits = []
+    for index, combined in enumerate(rows):
+        score = cosine_similarity(vector, combined)
+        if score > 0.0:
+            cluster = organizer.clusters[index]
+            hits.append({
+                "cluster": index,
+                "score": score,
+                "matched_terms": matched_terms(vector, combined),
+                "top_terms": _label_terms(cluster.centroid, 6),
+                "size": cluster.size,
+            })
+    hits.sort(key=lambda hit: (-hit["score"], hit["cluster"]))
+    return hits[:n]
+
+
+def scan_pages(
+    organizer, query: str, n: int,
+    rows: Optional[List[Tuple[str, int, SparseVector]]] = None,
+) -> List[Dict[str, object]]:
+    """Reference ``/search?scope=pages``: cosine of the query against
+    every managed page's combined vector, best first, ties by URL.
+    ``rows`` comes from :func:`page_rows`, as for :func:`scan_clusters`."""
+    vector = query_vector(query)
+    if rows is None:
+        rows = page_rows(organizer)
+    scored = []
+    for url, index, combined in rows:
+        score = cosine_similarity(vector, combined)
+        if score > 0.0:
+            scored.append((url, score, index, combined))
+    scored.sort(key=lambda hit: (-hit[1], hit[0]))
+    return [
+        {
+            "url": url,
+            "cluster": index,
+            "score": score,
+            "matched_terms": matched_terms(vector, combined),
+        }
+        for url, score, index, combined in scored[:n]
+    ]
 
 
 def oracle_kmeans(

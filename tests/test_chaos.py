@@ -137,7 +137,6 @@ class TestChaosDirectory:
         directory = FormDirectory.from_snapshot(
             small_snapshot,
             auto_recluster=False,
-            batch_window_ms=None,
             cache_size=0,
             journal=str(tmp_path / "chaos.wal"),
         )
@@ -178,7 +177,7 @@ class TestChaosDirectory:
         self, small_snapshot, tmp_path
     ):
         directory = FormDirectory.from_snapshot(
-            small_snapshot, auto_recluster=False, batch_window_ms=None
+            small_snapshot, auto_recluster=False
         )
         plan = FaultPlan([FaultSpec("snapshot.save", "transient")], seed=0)
         target = tmp_path / "never.json.gz"

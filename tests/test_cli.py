@@ -1,5 +1,7 @@
 """Tests for the CLI (repro.cli)."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -29,6 +31,21 @@ class TestParser:
             )
             assert args.workers == 4
             assert args.no_cache is True
+
+    def test_no_read_path_knobs(self):
+        """Each read request has one code path: no subcommand takes
+        ``--index`` or ``--batch-window-ms``."""
+        def flags(parser):
+            for action in parser._actions:
+                yield from action.option_strings
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from flags(sub)
+
+        found = set(flags(build_parser()))
+        assert {"--scheme", "--cache-size", "--segment-records"} <= found
+        assert "--index" not in found
+        assert "--batch-window-ms" not in found
 
     def test_corpus_args(self):
         args = build_parser().parse_args(["corpus", "--seed", "7", "--save", "x.json"])

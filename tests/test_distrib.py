@@ -51,7 +51,7 @@ QUERIES = [
 ]
 
 DIRECTORY_KWARGS = dict(
-    journal=None, auto_recluster=False, batch_window_ms=None, cache_size=0
+    journal=None, auto_recluster=False, cache_size=0
 )
 
 
@@ -361,13 +361,13 @@ class TestHttpFaces:
             index = part.meta["shard"]
             node = ShardNode(
                 part, journal=tmp_path / f"s{index}.wal",
-                segment_records=4, batch_window_ms=None,
+                segment_records=4,
             )
             server = serve_shard(node)
             server.serve_in_thread()
             servers.append(server)
             clients.append(HttpShardClient(server.base_url))
-        replica = ReplicaNode(clients[0], batch_window_ms=None)
+        replica = ReplicaNode(clients[0])
         replica.bootstrap()
         replica_server = serve_replica(replica)
         replica_server.serve_in_thread()

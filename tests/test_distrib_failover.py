@@ -34,9 +34,9 @@ from repro.service.snapshot import build_snapshot
 N_POOL = 20
 SOAK_SEEDS = range(5)
 
-SHARD_KWARGS = dict(auto_recluster=False, batch_window_ms=None, cache_size=0)
+SHARD_KWARGS = dict(auto_recluster=False, cache_size=0)
 # ReplicaNode.bootstrap pins journal/auto_recluster itself.
-REPLICA_KWARGS = dict(batch_window_ms=None, cache_size=0)
+REPLICA_KWARGS = dict(cache_size=0)
 
 
 @pytest.fixture(scope="module")

@@ -74,10 +74,10 @@ TTL = 10.0
 #: bar; ``make failover-chaos`` (or the env knob) can push it higher.
 FENCE_SEEDS = range(int(os.environ.get("REPRO_FENCING_SEEDS", "25")))
 
-SHARD_KWARGS = dict(auto_recluster=False, batch_window_ms=None, cache_size=0)
-REPLICA_KWARGS = dict(batch_window_ms=None, cache_size=0)
+SHARD_KWARGS = dict(auto_recluster=False, cache_size=0)
+REPLICA_KWARGS = dict(cache_size=0)
 DIRECTORY_KWARGS = dict(
-    auto_recluster=False, batch_window_ms=None, cache_size=0
+    auto_recluster=False, cache_size=0
 )
 
 

@@ -9,6 +9,7 @@ from repro.core.vectorizer import FormPageVectorizer
 from repro.webgen.corpus import generate_benchmark
 
 from tests.conftest import small_config
+from tests.oracle import naive_argmax
 
 
 @pytest.fixture(scope="module")
@@ -193,28 +194,30 @@ class TestEmptyOrganizer:
 
 
 class TestBatchClassify:
-    """The serving hooks: classify_batch must agree with the scalar
-    path, and recluster must repair drift in place."""
+    """The serving hooks: classify_batch must be the per-pair Equation-3
+    argmax, and recluster must repair drift in place."""
 
     def test_classify_batch_matches_scalar(self, organizer_setup):
         organizer = make_organizer(organizer_setup)
         _, pages, _ = organizer_setup
         probes = pages[:16]
-        batched = organizer.classify_batch(probes)
-        for page, (cluster, similarity) in zip(probes, batched):
-            want_cluster, want_similarity = organizer.classify_vectorized(page)
-            assert cluster == want_cluster, page.url
-            assert similarity == pytest.approx(want_similarity, abs=1e-9)
+        scored = organizer.classify_batch(probes)
+        assert len(scored) == len(probes)
+        for page, got in zip(probes, scored):
+            want = naive_argmax(
+                organizer.config, page, organizer.centroid_pairs()
+            )
+            assert got == want, page.url  # same cluster AND same float
+            assert got == organizer.classify_vectorized(page), page.url
 
-    def test_classify_batch_single_engine_call(self, organizer_setup):
+    def test_classify_batch_costs_k_per_page(self, organizer_setup):
         organizer = make_organizer(organizer_setup)
         _, pages, _ = organizer_setup
         probes = pages[:16]
         before = organizer.backend.stats.comparisons
         organizer.classify_batch(probes)
         paid = organizer.backend.stats.comparisons - before
-        # One batched matrix call: pages x centroids comparisons, not
-        # per-request overhead.
+        # One Equation-3 evaluation per (page, centroid) pair.
         assert paid == len(probes) * len(organizer.clusters)
 
     def test_recluster_preserves_pages_and_k(self, organizer_setup):

@@ -1,11 +1,12 @@
 """repro.index — posting lists, pruned retrieval, and parity pins.
 
-The contract under test is absolute: indexed top-k (clusters and pages,
-classify and search) must be **bit-identical** to the full-scan
-reference — same ids, same float scores, same order — including after
+The contract under test is absolute: indexed search top-k (clusters and
+pages) must be **bit-identical** to the full-scan reference scans in
+``tests/oracle.py`` — same ids, same float scores, same order — and the
+classify scan to the per-pair Equation-3 argmax, including after
 arbitrary interleavings of add / remove / recluster.  The randomized
-property tests drive an ``index="on"`` directory and an ``index="off"``
-directory through identical mutation schedules and diff every answer.
+property tests drive a directory through a mutation schedule and diff
+every answer against the oracles on its live state.
 """
 
 import json
@@ -17,7 +18,6 @@ import pytest
 from repro.core.config import CAFCConfig
 from repro.core.pipeline import CAFCPipeline
 from repro.index import (
-    INDEX_AUTO_MIN_CLUSTERS,
     SpaceIndex,
     combined_query_channel,
     top_k_exact,
@@ -27,6 +27,8 @@ from repro.service.directory import FormDirectory
 from repro.service.http import serve_directory
 from repro.service.snapshot import build_snapshot, snapshot_info
 from repro.vsm.vector import SparseVector, cosine_similarity
+
+from tests.oracle import naive_argmax, scan_clusters, scan_pages
 
 SMALL_CONFIG = CAFCConfig(k=8, min_hub_cardinality=3)
 
@@ -97,15 +99,6 @@ class TestSpaceIndex:
         assert 3 in index
         assert index.n_postings == 0
         assert index.remove_row(3)
-
-    def test_storage_only_mode(self):
-        index = SpaceIndex(build_postings=False)
-        index.add_row(1, SparseVector({"a": 2.0}))
-        assert 1 in index
-        assert index.n_postings == 0
-        assert index.postings("a") == []
-        assert index.remove_row(1)
-        assert len(index) == 0
 
 
 # ---------------------------------------------------------------------
@@ -223,52 +216,34 @@ class TestTopKExact:
 
 
 # ---------------------------------------------------------------------
-# Classify parity: indexed candidate generation vs full centroid scan.
+# Classify parity: the centroid scan vs the per-pair Equation-3 argmax.
 # ---------------------------------------------------------------------
 
 
+def assert_classify_parity(organizer, pages):
+    for page in pages:
+        want = naive_argmax(organizer.config, page, organizer.centroid_pairs())
+        assert organizer.classify_vectorized(page) == want, page.url
+
+
 class TestClassifyParity:
-    def test_indexed_classify_bit_identical(self, small_snapshot, small_pages):
-        organizer_on = small_snapshot.to_organizer(index="on")
-        organizer_off = small_snapshot.to_organizer(index="off")
-        assert organizer_on.centroid_index is not None
-        assert organizer_off.centroid_index is None
-        for page in small_pages:
-            got = organizer_on.classify_vectorized(page)
-            want = organizer_off.classify_vectorized(page)
-            assert got == want, page.url  # same cluster AND same float
-
-    def test_parity_survives_mutations(self, small_snapshot, small_raw_pages):
-        organizer_on = small_snapshot.to_organizer(index="on")
-        organizer_off = small_snapshot.to_organizer(index="off")
-        churn = small_raw_pages[:10]
-        for raw in churn[:5]:
-            assert organizer_on.remove(raw.url) == organizer_off.remove(raw.url)
-        for raw in churn[:5]:
-            assert organizer_on.add(raw) == organizer_off.add(raw)
-        organizer_on.recluster()
-        organizer_off.recluster()
-        probes = [
-            organizer_on.vectorizer.transform_new(raw) for raw in churn
-        ]
-        for page in probes:
-            assert organizer_on.classify_vectorized(page) == \
-                organizer_off.classify_vectorized(page), page.url
-
-    def test_auto_threshold(self, small_snapshot):
-        organizer = small_snapshot.to_organizer()  # auto, k=8 clusters
-        assert len(organizer.clusters) < INDEX_AUTO_MIN_CLUSTERS
-        assert organizer.centroid_index is None
-
-    def test_candidate_pruning_counts_fewer_comparisons(
+    def test_classify_bit_identical_to_oracle(
         self, small_snapshot, small_pages
     ):
-        organizer = small_snapshot.to_organizer(index="on")
-        stats = organizer.centroid_index.stats
-        for page in small_pages[:20]:
-            organizer.classify_vectorized(page)
-        assert stats.rows_total == 20 * len(organizer.clusters)
-        assert 0 < stats.rows_scored <= stats.rows_total
+        organizer = small_snapshot.to_organizer()
+        assert_classify_parity(organizer, small_pages)  # cluster AND float
+
+    def test_parity_survives_mutations(self, small_snapshot, small_raw_pages):
+        organizer = small_snapshot.to_organizer()
+        churn = small_raw_pages[:10]
+        for raw in churn[:5]:
+            organizer.remove(raw.url)
+        for raw in churn[:5]:
+            organizer.add(raw)
+        organizer.recluster()
+        assert_classify_parity(organizer, [
+            organizer.vectorizer.transform_new(raw) for raw in churn
+        ])
 
 
 # ---------------------------------------------------------------------
@@ -288,50 +263,56 @@ QUERIES = (
 )
 
 
-class TestDirectoryParity:
-    def assert_search_parity(self, indexed, scan):
-        for query in QUERIES:
-            for n in (1, 3, 5, 20):
-                got = indexed.search(query, n=n)
-                want = scan.search(query, n=n)
-                assert got == want, (query, n)
-                got_pages = indexed.search_pages(query, n=n)
-                want_pages = scan.search_pages(query, n=n)
-                assert got_pages == want_pages, (query, n)
+def assert_search_parity(directory, sizes=(1, 3, 5, 20)):
+    """Every query, both scopes, against the oracle scans of the
+    directory's live organizer — and through the indexed path."""
+    indexed = directory.metrics.counter(
+        "search_requests_total", "Search requests served",
+        scope="clusters", path="indexed", scheme=directory.scheme_name,
+    )
+    before = indexed.value
+    for query in QUERIES:
+        for n in sizes:
+            assert directory.search(query, n=n) == \
+                scan_clusters(directory.organizer, query, n), (query, n)
+            assert directory.search_pages(query, n=n) == \
+                scan_pages(directory.organizer, query, n), (query, n)
+    assert indexed.value - before == len(QUERIES) * len(sizes)
 
+
+class TestDirectoryParity:
     def test_randomized_interleaved_mutations(
         self, small_snapshot, small_raw_pages
     ):
         rng = random.Random(1234)
-        with make_directory(small_snapshot, index="on") as indexed, \
-                make_directory(small_snapshot, index="off") as scan:
-            assert indexed.stats()["index"]["active_clusters"]
-            assert not scan.stats()["index"]["active_clusters"]
-            self.assert_search_parity(indexed, scan)
+        with make_directory(small_snapshot) as directory:
+            assert_search_parity(directory)
 
             managed = {raw.url for raw in small_raw_pages
-                       if raw.url in indexed.organizer}
+                       if raw.url in directory.organizer}
             pool = list(small_raw_pages)
             for round_number in range(4):
                 for _ in range(6):
                     action = rng.random()
                     if action < 0.45:
                         raw = rng.choice(pool)
-                        assert indexed.add(raw) == scan.add(raw)
+                        directory.add(raw)
                         managed.add(raw.url)
                     elif action < 0.8 and managed:
                         url = rng.choice(sorted(managed))
-                        assert indexed.remove(url) == scan.remove(url)
+                        assert directory.remove(url)
                         managed.discard(url)
                     else:
-                        indexed.recluster()
-                        scan.recluster()
-                self.assert_search_parity(indexed, scan)
-            assert indexed.generation == scan.generation
-            assert indexed.generation > 0
+                        directory.recluster()
+                assert_search_parity(directory)
+                assert_classify_parity(directory.organizer, [
+                    directory.vectorizer.transform_new(raw)
+                    for raw in pool[:8]
+                ])
+            assert directory.generation > 0
 
     def test_page_hits_shape(self, small_snapshot):
-        with make_directory(small_snapshot, index="on") as directory:
+        with make_directory(small_snapshot) as directory:
             hits = directory.search_pages("flight airfare", n=5)
             assert hits
             previous = None
@@ -347,17 +328,17 @@ class TestDirectoryParity:
                         (-hit["score"], hit["url"])
                 previous = hit
 
-    def test_off_mode_still_caches_combined_centroids(self, small_snapshot):
-        with make_directory(small_snapshot, index="off") as directory:
+    def test_caches_combined_centroids(self, small_snapshot):
+        with make_directory(small_snapshot) as directory:
             first = directory._index.cluster_combined(0)
             assert directory.search("flight airfare", n=3)
             assert directory._index.cluster_combined(0) is first
-            assert directory._index.n_cluster_postings == 0
+            assert directory._index.n_cluster_postings > 0
 
     def test_generation_stamps_follow_mutations(
         self, small_snapshot, small_raw_pages
     ):
-        with make_directory(small_snapshot, index="on") as directory:
+        with make_directory(small_snapshot) as directory:
             assert directory._index.generation == directory.generation == 0
             directory.add(small_raw_pages[0])
             assert directory._index.generation == directory.generation == 1
@@ -373,24 +354,23 @@ class TestDirectoryParity:
 
 
 class TestBenchmarkCorpusParity:
-    def test_full_corpus_bit_identical(self, benchmark_raw_pages):
-        pipeline = CAFCPipeline(CAFCConfig())
-        result = pipeline.organize(benchmark_raw_pages)
+    def assert_full_corpus_parity(self, raw_pages, k):
+        pipeline = CAFCPipeline(CAFCConfig(k=k))
+        result = pipeline.organize(raw_pages)
         snapshot = build_snapshot(result, pipeline.vectorizer, pipeline.config)
-        organizer_on = snapshot.to_organizer(index="on")
-        organizer_off = snapshot.to_organizer(index="off")
-        for raw in benchmark_raw_pages:
-            page = organizer_on.vectorizer.transform_new(raw)
-            assert organizer_on.classify_vectorized(page) == \
-                organizer_off.classify_vectorized(page), raw.url
-        with FormDirectory(organizer_on, auto_recluster=False) as indexed, \
-                FormDirectory(organizer_off, auto_recluster=False) as scan:
-            for query in QUERIES:
-                for n in (1, 5, 25):
-                    assert indexed.search(query, n=n) == \
-                        scan.search(query, n=n), query
-                    assert indexed.search_pages(query, n=n) == \
-                        scan.search_pages(query, n=n), query
+        organizer = snapshot.to_organizer()
+        assert len(organizer.clusters) == k
+        assert_classify_parity(organizer, [
+            organizer.vectorizer.transform_new(raw) for raw in raw_pages
+        ])
+        with FormDirectory(organizer, auto_recluster=False) as directory:
+            assert_search_parity(directory, sizes=(1, 5, 25))
+
+    def test_full_corpus_bit_identical(self, benchmark_raw_pages):
+        self.assert_full_corpus_parity(benchmark_raw_pages, k=8)
+
+    def test_full_corpus_bit_identical_k32(self, benchmark_raw_pages):
+        self.assert_full_corpus_parity(benchmark_raw_pages, k=32)
 
 
 # ---------------------------------------------------------------------
@@ -404,7 +384,7 @@ class TestServiceSurfaces:
             return json.loads(response.read().decode("utf-8"))
 
     def test_http_search_scopes(self, small_snapshot):
-        directory = make_directory(small_snapshot, index="on")
+        directory = make_directory(small_snapshot)
         server = serve_directory(directory)
         server.serve_in_thread()
         try:
@@ -425,7 +405,7 @@ class TestServiceSurfaces:
             server.shut_down()
 
     def test_search_and_index_metrics_exposed(self, small_snapshot):
-        with make_directory(small_snapshot, index="on") as directory:
+        with make_directory(small_snapshot) as directory:
             directory.search("flight airfare", n=3)
             directory.search_pages("flight airfare", n=3)
             text = directory.metrics.render()
@@ -439,21 +419,30 @@ class TestServiceSurfaces:
             assert "repro_index_rows_scored_total" in text
 
     def test_scan_path_labels(self, small_snapshot):
-        with make_directory(small_snapshot, index="off") as directory:
-            directory.search("flight airfare", n=3)
+        # Stale index rows (a mutation path that forgot to sync) fall
+        # back to a scan of the live organizer, labeled path="scan".
+        with make_directory(small_snapshot) as directory:
+            directory._index.generation = -1
+            query = "flight airfare"
+            assert directory.search(query, n=3) == \
+                scan_clusters(directory.organizer, query, 3)
+            assert directory.search_pages(query, n=3) == \
+                scan_pages(directory.organizer, query, 3)
             text = directory.metrics.render()
-            assert 'repro_search_requests_total{path="scan",' \
-                'scheme="eq1",scope="clusters"} 1' in text
+            for scope in ("clusters", "pages"):
+                assert 'repro_search_requests_total{path="scan",' \
+                    f'scheme="eq1",scope="{scope}"}} 1' in text
 
     def test_config_round_trip_and_snapshot_info(
         self, small_snapshot, tmp_path
     ):
-        config = CAFCConfig(index="on")
-        assert CAFCConfig.from_dict(config.to_dict()).index == "on"
-        with pytest.raises(ValueError):
-            CAFCConfig(index="sometimes")
+        config = CAFCConfig(k=12)
+        assert "index" not in config.to_dict()
+        assert CAFCConfig.from_dict(config.to_dict()) == config
+        with pytest.raises(TypeError):
+            CAFCConfig(index="on")
         path = tmp_path / "snap.json.gz"
         small_snapshot.save(path)
         info = snapshot_info(path)
-        assert info["index"] == "auto"
+        assert "index" not in info
         assert info["n_pages"] == small_snapshot.n_pages

@@ -56,7 +56,6 @@ def seed_corpus(small_raw_pages):
 
 def make_directory(snapshot, **kwargs):
     kwargs.setdefault("auto_recluster", False)
-    kwargs.setdefault("batch_window_ms", None)
     kwargs.setdefault("cache_size", 0)
     return FormDirectory.from_snapshot(snapshot, **kwargs)
 

@@ -584,7 +584,7 @@ def small_snapshot(small_raw_pages):
 class TestDirectoryLifecycle:
     def test_close_is_idempotent(self, small_snapshot):
         directory = FormDirectory.from_snapshot(
-            small_snapshot, auto_recluster=False, batch_window_ms=None
+            small_snapshot, auto_recluster=False
         )
         directory.close()
         directory.close()  # second close must be a no-op
@@ -596,7 +596,7 @@ class TestDirectoryLifecycle:
 
     def test_context_manager_closes(self, small_snapshot):
         with FormDirectory.from_snapshot(
-            small_snapshot, auto_recluster=False, batch_window_ms=None
+            small_snapshot, auto_recluster=False
         ) as directory:
             assert directory.health_state() == "ok"
         assert directory._closed

@@ -45,6 +45,8 @@ from repro.vsm.weights import (
     tf_idf_vector,
 )
 
+from tests.oracle import scan_clusters, scan_pages
+
 SMALL_CONFIG = CAFCConfig(k=8, min_hub_cardinality=3)
 
 
@@ -377,16 +379,15 @@ class TestIndexedSearchParityPerScheme:
         pipeline, result = _build(small_raw_pages, scheme)
         snapshot = build_snapshot(result, pipeline.vectorizer, pipeline.config)
         with FormDirectory(
-            snapshot.to_organizer(index="on"), auto_recluster=False
-        ) as indexed, FormDirectory(
-            snapshot.to_organizer(index="off"), auto_recluster=False
-        ) as scan:
+            snapshot.to_organizer(), auto_recluster=False
+        ) as indexed:
             assert indexed.scheme_name == scheme
+            organizer = indexed.organizer
             for query in self.QUERIES:
                 for n in (1, 5, 25):
                     assert indexed.search(query, n=n) == \
-                        scan.search(query, n=n), query
+                        scan_clusters(organizer, query, n), query
                     assert indexed.search_pages(query, n=n) == \
-                        scan.search_pages(query, n=n), query
+                        scan_pages(organizer, query, n), query
             stats = indexed.stats()
             assert stats["scheme"] == scheme

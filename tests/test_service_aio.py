@@ -47,7 +47,6 @@ def small_snapshot(small_raw_pages):
 
 
 def _directory(small_snapshot, **kwargs):
-    kwargs.setdefault("batch_window_ms", None)
     kwargs.setdefault("cache_size", 0)
     kwargs.setdefault("auto_recluster", False)
     return FormDirectory.from_snapshot(small_snapshot, **kwargs)

@@ -1,17 +1,19 @@
-"""FormDirectory tests — locking, caching, batching, concurrency.
+"""FormDirectory tests — locking, caching, classify/add agreement,
+concurrency.
 
 The hammer tests drive real threads against one directory: classifiers
 race against a mutator, and the assertions check the invariants the
-service guarantees (no lost updates, no stale cache hits, batched and
-unbatched classification agreeing).
+service guarantees (no lost updates, no stale cache hits, every answer
+equal to a fresh scoring of the final state).
 """
 
 import threading
+import time
 
 import pytest
 
 from repro.core.config import CAFCConfig
-from repro.core.pipeline import CAFCPipeline
+from repro.core.pipeline import CAFCPipeline, _label_terms
 from repro.service.directory import (
     ClassifyOutcome,
     FormDirectory,
@@ -19,6 +21,9 @@ from repro.service.directory import (
     content_hash,
 )
 from repro.service.snapshot import build_snapshot
+from repro.webgen.stream import page_at
+
+from tests.oracle import naive_argmax
 
 
 SMALL_CONFIG = CAFCConfig(k=8, min_hub_cardinality=3)
@@ -120,17 +125,6 @@ class TestClassify:
             assert second.cluster == first.cluster
             assert second.similarity == first.similarity
 
-    def test_batched_matches_unbatched(self, small_snapshot, small_raw_pages):
-        with make_directory(small_snapshot, batch_window_ms=None) as plain, \
-                make_directory(small_snapshot, batch_window_ms=2.0) as batched:
-            for raw in small_raw_pages:
-                want = plain.classify(raw)
-                got = batched.classify(raw)
-                assert got.cluster == want.cluster, raw.url
-                assert got.similarity == pytest.approx(
-                    want.similarity, abs=1e-9
-                )
-
     def test_mutation_invalidates_cache(self, small_snapshot, small_raw_pages):
         with make_directory(small_snapshot) as directory:
             probe = small_raw_pages[2]
@@ -143,7 +137,7 @@ class TestClassify:
             assert not refreshed.cached, "cache served a pre-mutation answer"
 
     def test_classify_after_close_raises(self, small_snapshot, small_raw_pages):
-        directory = make_directory(small_snapshot, batch_window_ms=1.0)
+        directory = make_directory(small_snapshot)
         directory.close()
         with pytest.raises(RuntimeError, match="closed"):
             directory.classify(small_raw_pages[0])
@@ -152,6 +146,80 @@ class TestClassify:
         with make_directory(small_snapshot, cache_size=0) as directory:
             directory.classify(small_raw_pages[0])
             assert not directory.classify(small_raw_pages[0]).cached
+
+
+@pytest.fixture(scope="module")
+def k32_snapshot(benchmark_raw_pages):
+    pipeline = CAFCPipeline(CAFCConfig(k=32))
+    result = pipeline.organize(benchmark_raw_pages)
+    return build_snapshot(result, pipeline.vectorizer, pipeline.config)
+
+
+class TestClassifyAgreesWithAdd:
+    """``/classify`` is the non-destructive twin of ``/add``: the same
+    Equation-3 scan, so the same cluster and the same float."""
+
+    def test_classify_predicts_add_to_the_last_bit(self, k32_snapshot):
+        with FormDirectory.from_snapshot(
+            k32_snapshot, auto_recluster=False
+        ) as directory:
+            organizer = directory.organizer
+            assert len(organizer.clusters) == 32
+            for index in range(300):
+                raw = page_at(3_000_000 + index, seed=5)
+                outcome = directory.classify(raw)
+                page = directory.vectorizer.transform_new(raw)
+                centroid = organizer.clusters[outcome.cluster].centroid
+                assert (outcome.cluster, outcome.similarity) == naive_argmax(
+                    organizer.config, page, organizer.centroid_pairs()
+                ), raw.url
+                assert outcome.similarity == \
+                    organizer.backend.pair(page, centroid), raw.url
+                assert outcome.top_terms == _label_terms(centroid, 6)
+                cluster, _ = directory.add(raw)
+                assert cluster == outcome.cluster, raw.url
+
+    def test_top_terms_from_the_scored_generation(
+        self, small_snapshot, small_raw_pages
+    ):
+        """A writer that queues while classify scores cannot change the
+        terms returned with the cluster it scored."""
+        with make_directory(small_snapshot, cache_size=0) as directory:
+            organizer = directory.organizer
+            seen = {}
+
+            def shrink(cluster):
+                with directory._rw.write_locked():
+                    for page in organizer.clusters[cluster].pages[1:]:
+                        organizer.remove(page.url)
+
+            def racing_scan(pages):
+                scored = type(organizer).classify_batch(organizer, pages)
+                cluster = scored[0][0]
+                seen["terms"] = _label_terms(
+                    organizer.clusters[cluster].centroid, 6
+                )
+                seen["writer"] = threading.Thread(
+                    target=shrink, args=(cluster,)
+                )
+                seen["writer"].start()
+                deadline = time.monotonic() + 10.0
+                while not directory._rw._writers_waiting:
+                    assert time.monotonic() < deadline, "writer never queued"
+                    time.sleep(0.001)
+                return scored
+
+            organizer.classify_batch = racing_scan
+            try:
+                outcome = directory.classify(small_raw_pages[0])
+            finally:
+                del organizer.classify_batch
+            seen["writer"].join(timeout=30.0)
+            assert not seen["writer"].is_alive()
+            # The writer did change the labels; classify answered from
+            # the generation it scored, not the one after.
+            assert directory._cluster_terms(outcome.cluster) != seen["terms"]
+            assert outcome.top_terms == seen["terms"]
 
 
 class TestMutations:
@@ -223,9 +291,7 @@ class TestConcurrencyHammer:
     ROUNDS = 6
 
     def test_hammer(self, small_snapshot, small_raw_pages):
-        with make_directory(
-            small_snapshot, batch_window_ms=1.0, cache_size=64
-        ) as directory:
+        with make_directory(small_snapshot, cache_size=64) as directory:
             stop = threading.Event()
             errors = []
             served = []
@@ -238,7 +304,7 @@ class TestConcurrencyHammer:
             def classifier(raw):
                 while not stop.is_set():
                     try:
-                        outcome = directory.classify(raw, timeout=30.0)
+                        outcome = directory.classify(raw)
                     except Exception as exc:  # pragma: no cover
                         errors.append(exc)
                         return
@@ -284,64 +350,8 @@ class TestConcurrencyHammer:
             for raw in probes:
                 cached = directory.classify(raw)
                 page = directory.vectorizer.transform_new(raw)
-                want_cluster, want_similarity = (
-                    directory.organizer.classify_vectorized(page)
-                )
-                assert cached.cluster == want_cluster, raw.url
-                assert cached.similarity == pytest.approx(
-                    want_similarity, abs=1e-9
-                )
-
-    def test_coalescing_under_concurrency(
-        self, small_snapshot, small_raw_pages
-    ):
-        """16 concurrent clients: strictly fewer engine batches than
-        requests, with every answer matching the unbatched reference."""
-        n_clients = 16
-        probes = small_raw_pages[:n_clients]
-        with make_directory(small_snapshot, batch_window_ms=None,
-                            cache_size=0) as reference:
-            expected = {
-                raw.url: reference.classify(raw).cluster for raw in probes
-            }
-
-        with make_directory(
-            small_snapshot, batch_window_ms=25.0, cache_size=0
-        ) as directory:
-            barrier = threading.Barrier(n_clients)
-            outcomes = {}
-            errors = []
-            lock = threading.Lock()
-
-            def client(raw):
-                try:
-                    barrier.wait(timeout=30.0)
-                    outcome = directory.classify(raw, timeout=60.0)
-                    with lock:
-                        outcomes[raw.url] = outcome
-                except Exception as exc:  # pragma: no cover
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=client, args=(raw,)) for raw in probes
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120.0)
-            assert not errors, errors
-            assert len(outcomes) == n_clients
-
-            requests = directory._m_requests.value
-            batches = directory._m_batches.value
-            assert requests == n_clients
-            assert batches < requests, (
-                f"no coalescing: {batches} batches for {requests} requests"
-            )
-            assert max(o.batch_size for o in outcomes.values()) > 1
-
-            for url, outcome in outcomes.items():
-                assert outcome.cluster == expected[url], url
+                want = directory.organizer.classify_vectorized(page)
+                assert (cached.cluster, cached.similarity) == want, raw.url
 
 
 class TestIngestMetrics:

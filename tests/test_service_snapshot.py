@@ -15,6 +15,7 @@ from repro.core.config import CAFCConfig
 from repro.core.incremental import IncrementalOrganizer
 from repro.core.pipeline import CAFCPipeline
 from repro.datasets.store import DatasetFormatError
+from repro.service.directory import FormDirectory
 from repro.service.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     Snapshot,
@@ -150,11 +151,13 @@ class TestValidation:
         assert info["n_clusters"] == snapshot.n_clusters
         assert info["pc_vocabulary"] > 0
         assert info["fc_vocabulary"] > 0
+        assert "index" not in info
 
 
 class TestLegacyPayloads:
     """Snapshots written while ``CAFCConfig`` still had a similarity
-    ``backend`` field keep loading into the same directory."""
+    ``backend`` or a retrieval ``index`` field keep loading into the
+    same directory."""
 
     def test_config_ignores_legacy_backend_key(self):
         state = SMALL_CONFIG.to_dict()
@@ -181,6 +184,34 @@ class TestLegacyPayloads:
                 assert organizer.classify_vectorized(page) == (
                     reference.classify_vectorized(page)
                 )
+
+
+    def test_config_ignores_legacy_index_key(self):
+        state = SMALL_CONFIG.to_dict()
+        assert "index" not in state
+        for legacy in ("auto", "on", "off"):
+            restored = CAFCConfig.from_dict({**state, "index": legacy})
+            assert restored == SMALL_CONFIG
+
+    @pytest.mark.parametrize("legacy", ["off", "on"])
+    def test_snapshot_with_index_key_serves_same_answers(
+        self, snapshot_path, tmp_path, small_raw_pages, legacy
+    ):
+        payload = json.loads(gzip.decompress(snapshot_path.read_bytes()))
+        payload["config"]["index"] = legacy
+        legacy_path = tmp_path / "legacy.json"
+        legacy_path.write_text(json.dumps(payload))
+        assert snapshot_info(legacy_path) == snapshot_info(snapshot_path)
+
+        kwargs = dict(auto_recluster=False, cache_size=0)
+        with FormDirectory.from_snapshot(legacy_path, **kwargs) as old, \
+                FormDirectory.from_snapshot(snapshot_path, **kwargs) as new:
+            for query in ("flight airfare", "book author", "job salary"):
+                assert old.search(query, n=5) == new.search(query, n=5)
+                assert old.search_pages(query, n=5) == \
+                    new.search_pages(query, n=5)
+            for raw in small_raw_pages[:20]:
+                assert old.classify(raw) == new.classify(raw), raw.url
 
 
 class TestServedParity:

@@ -108,9 +108,9 @@ class TestBackendAgreement:
             reference = NaiveBackend.from_config(config).page_centroid_matrix(
                 pages, centroids
             )
-            compiled = EngineBackend.from_config(config).page_centroid_matrix(
-                pages, centroids
-            )
+            compiled = SimilarityEngine.from_config(
+                pages, config
+            ).page_centroid_matrix(centroids)
             assert max_abs_diff(reference, compiled) <= TOLERANCE
 
     def test_weighted_combination(self):
@@ -305,7 +305,9 @@ class TestCorpusParity:
         centroids = [VectorPair.of(page) for page in benchmark_pages[-8:]]
         assert max_abs_diff(
             naive.page_centroid_matrix(benchmark_pages, centroids),
-            engine.page_centroid_matrix(benchmark_pages, centroids),
+            SimilarityEngine.from_config(
+                benchmark_pages, config
+            ).page_centroid_matrix(centroids),
         ) <= TOLERANCE
 
     @pytest.mark.parametrize("mode", list(ContentMode))
