@@ -10,15 +10,23 @@ The paper's form-page model needs four things from an HTML page:
   searchable forms can be told apart from login/quote-request forms and
   hidden fields can be ignored (Section 4.1, footnote 3).
 
-No third-party HTML library is available in this environment, so this
-package implements a small, tolerant DOM on top of the standard library's
-``html.parser``.
+No third-party HTML library is a dependency, so this package implements
+a small, tolerant DOM on top of the standard library's ``html.parser``
+for form structure and labels.  Located text (the first three items)
+needs no tree: :func:`scan_page` streams it from the parser's events in
+one pass.
 """
 
 from repro.html.dom import Element, Node, Text
 from repro.html.forms import Form, FormField, SelectOption, extract_forms
 from repro.html.parser import parse_html
-from repro.html.text_extract import LocatedText, TextLocation, extract_located_text
+from repro.html.text_extract import (
+    LocatedText,
+    PageScan,
+    TextLocation,
+    extract_located_text,
+    scan_page,
+)
 
 __all__ = [
     "Element",
@@ -32,4 +40,6 @@ __all__ = [
     "LocatedText",
     "TextLocation",
     "extract_located_text",
+    "PageScan",
+    "scan_page",
 ]

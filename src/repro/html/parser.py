@@ -5,6 +5,10 @@ unclosed tags, stray end tags and implicit nesting.  The parser below keeps
 an open-element stack, auto-closes void tags, handles implicit closers
 (``<option>`` after ``<option>``, ``<li>`` after ``<li>``, ...) and ignores
 end tags that match nothing — it never raises on malformed input.
+
+The located-text scanner in :mod:`repro.html.text_extract` applies the
+same stack rules without building the tree; a change to one belongs in
+both (``tests/test_located_scan.py`` checks they agree).
 """
 
 from html.parser import HTMLParser

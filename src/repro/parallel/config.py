@@ -8,8 +8,8 @@ with how many workers and what chunk size.
 
 The ``auto`` policy is deliberately conservative: parallelism only pays
 when there are enough pages to amortize pool startup and pickling, and a
-process pool on a single-core host is pure overhead, so ``auto``
-degrades to serial whenever either condition fails.  Forcing
+process pool with one usable CPU is pure overhead, so ``auto`` degrades
+to serial whenever either condition fails.  Forcing
 ``executor="process"`` (or ``"thread"``) always honors the request —
 that is what the parity tests rely on.
 """
@@ -23,6 +23,15 @@ from typing import Optional
 MIN_AUTO_PARALLEL_PAGES = 64
 
 _EXECUTORS = ("auto", "serial", "thread", "process")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (a pinned process counts only its CPUs), else
+    ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -51,14 +60,15 @@ class ParallelConfig:
     Attributes
     ----------
     workers:
-        Pool size; ``0`` means "one per CPU" (``os.cpu_count()``).
+        Pool size; ``0`` means "one per usable CPU" (the process's CPU
+        affinity where the platform reports it, else ``os.cpu_count()``).
         ``1`` always runs serially — no pool is ever spawned.
     chunk_size:
         Pages per worker task; ``0`` picks a size that gives each worker
         several chunks (for load balancing) without drowning in pickling
         overhead.
     executor:
-        ``"auto"`` (serial for small corpora or single-core hosts,
+        ``"auto"`` (serial for small corpora or one usable CPU,
         process pool otherwise), ``"serial"``, ``"thread"`` or
         ``"process"``.  Threads share the parent's stem cache but stay
         GIL-bound on this pure-Python workload; processes scale with
@@ -94,7 +104,7 @@ class ParallelConfig:
     # ----------------------------------------------------------------
 
     def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+        return self.workers if self.workers > 0 else usable_cpus()
 
     def resolve(self, n_items: int) -> ResolvedPlan:
         """Decide how ``n_items`` pages actually get analyzed."""

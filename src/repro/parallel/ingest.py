@@ -24,9 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.form_page import LocatedTerm, RawFormPage
-from repro.html.forms import extract_forms
-from repro.html.parser import parse_html
-from repro.html.text_extract import TextLocation, extract_located_text
+from repro.html.text_extract import TextLocation, scan_page
 from repro.parallel.cache import (
     AnalysisCache,
     DiskAnalysisCache,
@@ -100,18 +98,20 @@ class IngestStats:
 
 
 def analyze_form_page(raw: RawFormPage, analyzer: TextAnalyzer) -> PageAnalysis:
-    """Analyze one raw page: parse, locate text, tokenize, stem.
+    """Analyze one raw page: scan located text, tokenize, stem.
 
     This is the Section 2.1 construction up to (but excluding) the
     corpus-relative IDF weighting.  ``on_page_terms`` counts only the
     page's own visible terms — harvested anchor text (appended at the
     end of ``pc_terms``) is excluded, since Table 1 reasons about
-    on-page text.
+    on-page text.  ``attribute_count`` is the largest form's: a page can
+    embed several forms (nav search + the database form), and the
+    database form is normally the largest.
     """
-    root = parse_html(raw.html)
+    scan = scan_page(raw.html)
     pc_terms: List[LocatedTerm] = []
     fc_terms: List[LocatedTerm] = []
-    for fragment in extract_located_text(root):
+    for fragment in scan.fragments:
         terms = analyzer.analyze(fragment.text)
         located = [(term, fragment.location) for term in terms]
         pc_terms.extend(located)
@@ -125,13 +125,7 @@ def analyze_form_page(raw: RawFormPage, analyzer: TextAnalyzer) -> PageAnalysis:
         pc_terms.extend(
             (term, TextLocation.ANCHOR) for term in analyzer.analyze(anchor)
         )
-    attribute_count = 0
-    forms = extract_forms(root)
-    if forms:
-        # A page can embed several forms (nav search + the database
-        # form); the database form is normally the largest.
-        attribute_count = max(form.attribute_count for form in forms)
-    return PageAnalysis(pc_terms, fc_terms, attribute_count, on_page_terms)
+    return PageAnalysis(pc_terms, fc_terms, scan.attribute_count, on_page_terms)
 
 
 # ----------------------------------------------------------------------

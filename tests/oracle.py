@@ -7,6 +7,11 @@ obviously correct, and the yardstick for
 :class:`~repro.core.similarity.EngineBackend` /
 :class:`~repro.core.simengine.SimilarityEngine`, the directory's
 classify scan and its posting-list search, in the tests and the benches.
+
+It also keeps the DOM route to a page's analysis — :func:`parse_html`,
+a recursive walk of the tree for located text, and
+:func:`extract_forms` for the form size — that the one-pass scanner
+behind :func:`~repro.parallel.ingest.analyze_form_page` is pinned to.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -16,10 +21,15 @@ import numpy as np
 from repro.clustering.kmeans import KMeansResult, kmeans
 from repro.core.cafc_c import similarity_for
 from repro.core.config import CAFCConfig
-from repro.core.form_page import centroid_of
+from repro.core.form_page import RawFormPage, centroid_of
 from repro.core.pipeline import _label_terms
 from repro.core.similarity import FormPageSimilarity
 from repro.core.simengine import EngineStats
+from repro.html.dom import NON_VISIBLE_TAGS, Element, Text
+from repro.html.forms import extract_forms
+from repro.html.parser import parse_html
+from repro.html.text_extract import LocatedText, TextLocation
+from repro.parallel.ingest import PageAnalysis
 from repro.text.analyzer import TextAnalyzer
 from repro.vsm.vector import SparseVector, cosine_similarity
 
@@ -184,3 +194,90 @@ def max_abs_diff(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     assert a.shape == b.shape, (a.shape, b.shape)
     return float(np.max(np.abs(a - b))) if a.size else 0.0
+
+
+# ----------------------------------------------------------------------
+# The DOM route to a page analysis.
+# ----------------------------------------------------------------------
+
+def _location_of(element: Element) -> TextLocation:
+    """Classify an element by its own tag and ancestry."""
+    if element.tag == "title" or element.has_ancestor("title"):
+        return TextLocation.TITLE
+    if element.tag == "option" or element.has_ancestor("option"):
+        return TextLocation.OPTION
+    if element.tag == "a" or element.has_ancestor("a"):
+        return TextLocation.ANCHOR
+    return TextLocation.BODY
+
+
+def _walk(element: Element, inside_form: bool, out: List[LocatedText]) -> None:
+    if element.tag in NON_VISIBLE_TAGS and element.tag != "head":
+        return
+    if element.tag == "head":
+        # The title inside <head> is visible (browser chrome + search
+        # snippets); everything else in head is not.
+        title = element.find("title")
+        if title is not None:
+            text = title.text_content().strip()
+            if text:
+                out.append(LocatedText(text, TextLocation.TITLE, inside_form))
+        return
+    if element.tag == "input":
+        input_type = element.get("type").lower()
+        if input_type in ("submit", "button", "image", "reset"):
+            value = element.get("value") or element.get("alt")
+            if value:
+                out.append(LocatedText(value, TextLocation.BODY, inside_form))
+        elif input_type != "hidden":
+            placeholder = element.get("placeholder")
+            if placeholder:
+                out.append(LocatedText(placeholder, TextLocation.BODY, inside_form))
+        return
+    if element.tag == "img":
+        alt = element.get("alt")
+        if alt:
+            out.append(LocatedText(alt, _location_of(element), inside_form))
+        return
+
+    now_inside_form = inside_form or element.tag == "form"
+    for child in element.children:
+        if isinstance(child, Text):
+            fragment = child.data.strip()
+            if fragment:
+                out.append(
+                    LocatedText(fragment, _location_of(element), now_inside_form)
+                )
+        elif isinstance(child, Element):
+            _walk(child, now_inside_form, out)
+
+
+def dom_located_text(root: Element) -> List[LocatedText]:
+    """Located text by a recursive walk of a parsed tree."""
+    fragments: List[LocatedText] = []
+    _walk(root, inside_form=False, out=fragments)
+    return fragments
+
+
+def dom_attribute_count(root: Element) -> int:
+    """The largest form's attribute count, by :func:`extract_forms`."""
+    return max((form.attribute_count for form in extract_forms(root)), default=0)
+
+
+def dom_page_analysis(raw: RawFormPage, analyzer: TextAnalyzer) -> PageAnalysis:
+    """:func:`~repro.parallel.ingest.analyze_form_page` by the DOM route:
+    parse a tree, walk it for located text, extract its forms."""
+    root = parse_html(raw.html)
+    pc_terms = []
+    fc_terms = []
+    for fragment in dom_located_text(root):
+        located = [(term, fragment.location) for term in analyzer.analyze(fragment.text)]
+        pc_terms.extend(located)
+        if fragment.inside_form:
+            fc_terms.extend(located)
+    on_page_terms = len(pc_terms)
+    for anchor in raw.anchor_texts:
+        pc_terms.extend(
+            (term, TextLocation.ANCHOR) for term in analyzer.analyze(anchor)
+        )
+    return PageAnalysis(pc_terms, fc_terms, dom_attribute_count(root), on_page_terms)

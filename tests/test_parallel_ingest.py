@@ -10,6 +10,7 @@ this contract.
 """
 
 import concurrent.futures
+import os
 import pickle
 import threading
 
@@ -179,6 +180,21 @@ def test_resolve_policy():
         workers=2, executor="process", chunk_size=5
     ).resolve(100).chunk_size == 5
     assert ParallelConfig(workers=8, executor="process").resolve(0).is_serial
+
+
+def test_auto_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    # Pinned to one CPU of eight: auto stays serial, whatever the size.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert ParallelConfig().effective_workers() == 1
+    assert ParallelConfig().resolve(500).is_serial
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert ParallelConfig().resolve(500).workers == 3
+    # An explicit pool size is not second-guessed.
+    assert ParallelConfig(workers=4).effective_workers() == 4
+    # Without an affinity call the CPU count decides.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert ParallelConfig().effective_workers() == 8
 
 
 def test_config_validation_and_roundtrip():
