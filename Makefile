@@ -27,7 +27,7 @@ bench-ranking:         ## weighting-scheme A/B (eq1/bm25/tf); records BENCH_rank
 bench-shard:           ## single vs 2-/4-shard A/B + replica catch-up; records BENCH_shard.json
 	pytest benchmarks/test_bench_shard.py -q -s --timeout=600
 
-bench-serve:           ## threaded vs asyncio transport A/B (byte parity gated) + 429 saturation; records BENCH_serve.json
+bench-serve:           ## HTTP server at c=1/64/1024 (parity gated vs app.handle) + 429 saturation; records BENCH_serve.json
 	pytest benchmarks/test_bench_serve.py -q -s --timeout=600
 
 bench-stream:          ## 100k-page streamed ingest (RSS ceiling + batch-parity gate); records BENCH_stream.json
@@ -36,9 +36,8 @@ bench-stream:          ## 100k-page streamed ingest (RSS ceiling + batch-parity 
 stream-smoke:          ## 20k-page streamed ingest under an RSS cap + batch-parity gate on the reference corpus
 	PYTHONPATH=src python -m repro ingest --stream --smoke
 
-serve-smoke:           ## boot the directory server on an ephemeral port, probe it, shut down (both transports)
-	PYTHONPATH=src python -m repro serve --smoke --transport asyncio
-	PYTHONPATH=src python -m repro serve --smoke --transport threaded
+serve-smoke:           ## boot the directory server on an ephemeral port, probe it, shut down
+	PYTHONPATH=src python -m repro serve --smoke
 
 shard-smoke:           ## boot router + 2 shards + 1 replica in-process, round-trip, shut down
 	PYTHONPATH=src python -m repro router --smoke

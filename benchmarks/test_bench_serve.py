@@ -1,31 +1,33 @@
-"""Serving benchmark: threaded vs asyncio transport under fan-out.
+"""Serving benchmark: the HTTP server under fan-out.
 
 Not from the paper — this measures the connection layer added on top of
-the reproduction.  One 454-page directory is served two ways (the
-thread-per-connection ``ThreadingHTTPServer`` and the
-``asyncio.Protocol`` front end with admission control) and hammered
-with keep-alive ``/search`` traffic at three concurrency levels:
+the reproduction.  One 454-page directory is served by the
+``asyncio.Protocol`` server with admission control and hammered with
+keep-alive ``/search`` traffic at three concurrency levels:
 
 * **c=1** — single-connection latency floor;
 * **c=64** — the scatter-gather sweet spot (the router's fan-out);
-* **c=1024** — connection-count stress: the asyncio transport must
-  *sustain* this (zero errors, zero sheds, bounded p99) where a
-  thread-per-connection server pays a thousand stacks and scheduler
-  churn.
+* **c=1024** — connection-count stress: the server must *sustain*
+  this (zero errors, zero sheds, bounded p99).
 
-Before any timing, a **parity gate** drives an identical request
-sequence through both transports over the *same* app object and
-requires byte-identical bodies — a transport may only be benchmarked
-while provably serving the same API.
+Each row reports per-request latency (clock starts at the request's
+write) and per-connection latency from connect start (clock starts
+before ``open_connection``, so time queued in the server's accept path
+counts too), next to throughput.
 
-A final **saturation run** points c=64 at an asyncio server with a
+Before any timing, a **parity gate** drives a request sequence through
+the server and through in-process ``DirectoryApp.handle`` on the *same*
+app object and requires identical status and body bytes — the server
+may only be benchmarked while provably serving the same API.
+
+A final **saturation run** points c=64 at a server with a
 deliberately tiny in-flight budget and proves shedding is structured:
 every response is a clean 200 or a 429 with ``Retry-After`` — zero
 resets, zero silent drops (served + shed == sent).
 
 Records ``BENCH_serve.json`` at the repo root.  Absolute numbers are
-single-CPU-container noise; the hard assertions are the parity gate,
-sustained c=1024 on asyncio, and lossless shedding.
+shared-host noise; the hard assertions are the parity gate, sustained
+c=1024, and lossless shedding.
 """
 
 import asyncio
@@ -42,10 +44,8 @@ import pytest
 
 from repro.core.config import CAFCConfig
 from repro.core.pipeline import CAFCPipeline
-from repro.service.aio import AdmissionConfig, AsyncHTTPServer, \
-    serve_directory_async
+from repro.service.aio import AdmissionConfig, serve_directory
 from repro.service.directory import FormDirectory
-from repro.service.http import serve_directory
 from repro.service.snapshot import build_snapshot
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -115,11 +115,14 @@ async def _read_response(reader):
 async def _run_load(host, port, targets, concurrency, per_connection):
     """Hammer the server with ``concurrency`` keep-alive connections.
 
-    Returns ``{latencies, statuses, connect_errors}`` — a request that
-    dies mid-flight records a synthetic status 0 so nothing vanishes
-    from the accounting.
+    Returns ``{latencies, connection_latencies, statuses,
+    connect_errors}`` — a request that dies mid-flight records a
+    synthetic status 0 so nothing vanishes from the accounting.
+    ``connection_latencies`` holds, per fully served connection, the
+    time from the start of its connect to its last response.
     """
     latencies = []
+    connection_latencies = []
     statuses = []
     connect_errors = [0]
     # Open connections through a gate so c=1024 doesn't SYN-flood the
@@ -128,6 +131,7 @@ async def _run_load(host, port, targets, concurrency, per_connection):
 
     async def worker(worker_id):
         async with connect_gate:
+            connect_started = time.perf_counter()
             for attempt in range(3):
                 try:
                     reader, writer = await asyncio.open_connection(
@@ -160,6 +164,9 @@ async def _run_load(host, port, targets, concurrency, per_connection):
                 statuses.append(status)
                 if close:
                     return
+            connection_latencies.append(
+                time.perf_counter() - connect_started
+            )
         finally:
             writer.close()
             try:
@@ -170,13 +177,20 @@ async def _run_load(host, port, targets, concurrency, per_connection):
     await asyncio.gather(*(worker(i) for i in range(concurrency)))
     return {
         "latencies": latencies,
+        "connection_latencies": connection_latencies,
         "statuses": statuses,
         "connect_errors": connect_errors[0],
     }
 
 
-def _load_row(transport, host, port, concurrency, per_connection,
-              rounds=1):
+def _pct(sorted_values, q):
+    if not sorted_values:
+        return float("nan")
+    return sorted_values[min(len(sorted_values) - 1,
+                             int(q * (len(sorted_values) - 1)))]
+
+
+def _load_row(host, port, concurrency, per_connection, rounds=1):
     targets = _search_targets()
     best = None
     for _ in range(max(1, rounds)):
@@ -189,35 +203,33 @@ def _load_row(transport, host, port, concurrency, per_connection,
             best = (attempt, seconds)
     outcome, elapsed = best
     latencies = sorted(outcome["latencies"])
+    per_conn = sorted(outcome["connection_latencies"])
     sent = concurrency * per_connection
     ok = sum(1 for s in outcome["statuses"] if s == 200)
     shed = sum(1 for s in outcome["statuses"] if s == 429)
     broken = sum(1 for s in outcome["statuses"] if s == 0)
 
-    def pct(q):
-        if not latencies:
-            return float("nan")
-        return latencies[min(len(latencies) - 1,
-                             int(q * (len(latencies) - 1)))]
-
     row = {
-        "transport": transport,
         "concurrency": concurrency,
         "requests_sent": sent,
         "requests_ok": ok,
         "requests_shed": shed,
         "requests_broken": broken,
         "connect_errors": outcome["connect_errors"],
-        "p50_ms": round(pct(0.50) * 1e3, 2),
-        "p99_ms": round(pct(0.99) * 1e3, 2),
+        "p50_ms": round(_pct(latencies, 0.50) * 1e3, 2),
+        "p99_ms": round(_pct(latencies, 0.99) * 1e3, 2),
         "mean_ms": round(statistics.fmean(latencies) * 1e3, 2)
         if latencies else float("nan"),
+        "connection_p50_ms": round(_pct(per_conn, 0.50) * 1e3, 2),
+        "connection_p99_ms": round(_pct(per_conn, 0.99) * 1e3, 2),
         "throughput_rps": round(ok / elapsed, 1),
         "wall_seconds": round(elapsed, 2),
     }
     print(
-        f"  {transport:<9} c={concurrency:<5} {ok:>5}/{sent} ok  "
+        f"  c={concurrency:<5} {ok:>5}/{sent} ok  "
         f"p50 {row['p50_ms']:7.2f}ms  p99 {row['p99_ms']:8.2f}ms  "
+        f"conn p50 {row['connection_p50_ms']:8.2f}ms  "
+        f"p99 {row['connection_p99_ms']:8.2f}ms  "
         f"{row['throughput_rps']:8.1f} req/s"
     )
     return row
@@ -244,11 +256,11 @@ def _fetch(base, target, payload=None):
 
 
 def _parity_gate(directory, raw_pages):
-    """Both transports over one app must answer byte-identically."""
-    threaded = serve_directory(directory, transport="threaded")
-    threaded.serve_in_thread()
-    aio = AsyncHTTPServer(threaded.app, on_close=lambda: None)
-    aio.serve_in_thread()
+    """The server must answer exactly what in-process
+    ``DirectoryApp.handle`` returns for the same request."""
+    server = serve_directory(directory)
+    server.serve_in_thread()
+    app = server.app
     page = raw_pages[0]
     classify_body = {
         "url": page.url,
@@ -266,13 +278,16 @@ def _parity_gate(directory, raw_pages):
     ]
     try:
         for target, payload in cases:
-            status_t, body_t = _fetch(threaded.base_url, target, payload)
-            status_a, body_a = _fetch(aio.base_url, target, payload)
-            assert status_t == status_a, (target, status_t, status_a)
-            assert body_t == body_a, target
+            status, body = _fetch(server.base_url, target, payload)
+            if payload is None:
+                want = app.handle("GET", target)
+            else:
+                data = json.dumps(payload).encode("utf-8")
+                want = app.handle("POST", target, lambda: data)
+            assert status == want.status, (target, status, want.status)
+            assert body == want.body, target
     finally:
-        aio.shut_down()
-        threaded.shut_down()  # closes the shared directory
+        server.shut_down()  # closes the directory
 
 
 # ---------------------------------------------------------------------------
@@ -280,59 +295,41 @@ def _parity_gate(directory, raw_pages):
 # ---------------------------------------------------------------------------
 
 
-def test_bench_serve_transports(snapshot, context):
+def test_bench_serve_load_levels(snapshot, context):
     print(f"\n[{len(context.raw_pages)} pages, k=32, "
           f"{os.cpu_count()} cpu(s)]")
 
-    # Gate first: a transport is only timed while provably serving the
-    # same bytes as the reference.
+    # Gate first: the server is only timed while provably serving the
+    # same bytes as the in-process app.
     _parity_gate(
         FormDirectory.from_snapshot(snapshot, **DIRECTORY_KWARGS),
         context.raw_pages,
     )
-    print("  parity gate: threaded == asyncio (byte-identical)")
+    print("  parity gate: server == DirectoryApp.handle (byte-identical)")
 
-    rows = []
-
-    # Threaded transport.
-    threaded = serve_directory(
-        FormDirectory.from_snapshot(snapshot, **DIRECTORY_KWARGS),
-        transport="threaded",
-    )
-    threaded.serve_in_thread()
-    try:
-        for concurrency, per_connection, rounds in LOAD_LEVELS:
-            rows.append(_load_row(
-                "threaded", "127.0.0.1", threaded.port,
-                concurrency, per_connection, rounds=rounds,
-            ))
-    finally:
-        threaded.shut_down()
-
-    # Asyncio transport, budgets sized for the c=1024 sustain run (the
-    # shedding behavior gets its own dedicated phase below).
+    # Budgets sized for the c=1024 sustain run (the shedding behavior
+    # gets its own dedicated phase below).
     admission = AdmissionConfig(
         max_inflight=2048, cheap_inflight=64, max_connections=4096
     )
-    aio = serve_directory_async(
+    server = serve_directory(
         FormDirectory.from_snapshot(snapshot, **DIRECTORY_KWARGS),
         admission=admission,
     )
-    aio.serve_in_thread()
+    server.serve_in_thread()
+    rows = []
     try:
         for concurrency, per_connection, rounds in LOAD_LEVELS:
             rows.append(_load_row(
-                "asyncio", "127.0.0.1", aio.port,
+                "127.0.0.1", server.port,
                 concurrency, per_connection, rounds=rounds,
             ))
     finally:
-        aio.shut_down()
+        server.shut_down()
 
-    by_key = {(row["transport"], row["concurrency"]): row for row in rows}
-
-    # The asyncio transport must SUSTAIN c=1024: every request answered
-    # 200, none shed, none broken, p99 finite.
-    sustain = by_key[("asyncio", 1024)]
+    # The server must SUSTAIN c=1024: every request answered 200, none
+    # shed, none broken, p99 finite.
+    sustain = {row["concurrency"]: row for row in rows}[1024]
     assert sustain["requests_ok"] == sustain["requests_sent"], sustain
     assert sustain["requests_broken"] == 0, sustain
     assert sustain["connect_errors"] == 0, sustain
@@ -356,18 +353,19 @@ def test_bench_serve_transports(snapshot, context):
         "rows": rows,
         "saturation": saturation,
         "note": (
-            "Threaded (thread-per-connection) vs asyncio (event-loop "
-            "parse + threaded app dispatch) transports over the same "
-            "DirectoryApp, single CPU container.  A byte-identical "
-            "parity gate across both transports ran before any timing. "
-            " The asyncio rows use max_inflight=2048 so c=1024 is a "
-            "sustain test (zero sheds required); the saturation block "
-            "uses max_inflight=4 to prove shedding is lossless: every "
-            "request is a clean 200 or a structured 429 + Retry-After, "
-            "served + shed == sent, zero connection resets.  On one "
-            "CPU both transports are GIL-bound on the same engine, so "
-            "throughput parity at c<=64 is the expectation; the "
-            "asyncio win is c=1024 without a thousand handler stacks."
+            "The asyncio HTTP server (event-loop parse + threaded app "
+            "dispatch) over one DirectoryApp; the load client runs in "
+            "the same process.  A parity gate against in-process "
+            "DirectoryApp.handle (status + body bytes) ran before any "
+            "timing.  p50/p99_ms time each request from its write; "
+            "connection_p50/p99_ms time each connection from the start "
+            "of its connect to its last response, so queueing in "
+            "accept counts too.  The rows use max_inflight=2048 so "
+            "c=1024 is a sustain test (zero sheds required); the "
+            "saturation block uses max_inflight=4 to prove shedding is "
+            "lossless: every request is a clean 200 or a structured "
+            "429 + Retry-After, served + shed == sent, zero connection "
+            "resets."
         ),
     }, indent=2) + "\n")
     print(f"  wrote {RESULTS_PATH.name}")
@@ -440,7 +438,7 @@ async def _run_open_loop(host, port, targets, rate_rps, duration_s):
 
 
 def test_bench_serve_open_loop(snapshot, context):
-    """Fixed-arrival-rate levels against the asyncio transport.
+    """Fixed-arrival-rate levels against the server.
 
     Appends an ``open_loop`` block to ``BENCH_serve.json`` (the
     closed-loop rows stay untouched so trajectories remain comparable).
@@ -449,7 +447,7 @@ def test_bench_serve_open_loop(snapshot, context):
     admission = AdmissionConfig(
         max_inflight=2048, cheap_inflight=64, max_connections=4096
     )
-    server = serve_directory_async(
+    server = serve_directory(
         FormDirectory.from_snapshot(snapshot, **DIRECTORY_KWARGS),
         admission=admission,
     )
@@ -501,7 +499,6 @@ def test_bench_serve_open_loop(snapshot, context):
         else {"benchmark": "serve"}
     )
     payload["open_loop"] = {
-        "transport": "asyncio",
         "endpoint": "/search?q=...&n=5 (one connection per request)",
         "duration_seconds": 4.0,
         "rows": rows,
@@ -518,7 +515,7 @@ def test_bench_serve_open_loop(snapshot, context):
 
 def _saturation_run(snapshot):
     admission = AdmissionConfig(max_inflight=4, heavy_workers=4)
-    server = serve_directory_async(
+    server = serve_directory(
         FormDirectory.from_snapshot(snapshot, **DIRECTORY_KWARGS),
         admission=admission,
     )

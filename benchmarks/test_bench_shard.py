@@ -385,7 +385,7 @@ def test_bench_http_client_pooling(snapshot, raw_pages):
     """
     part = split_snapshot(snapshot, 1)[0]
     node = ShardNode(part, **DIRECTORY_KWARGS)
-    server = serve_shard(node, transport="asyncio")
+    server = serve_shard(node)
     server.serve_in_thread()
     clients = {
         "per-call": HttpShardClient(server.base_url, pooled=False),

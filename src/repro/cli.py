@@ -339,9 +339,7 @@ def _build_serve_directory(args: argparse.Namespace):
 
 
 def _admission_from_args(args: argparse.Namespace):
-    """An AdmissionConfig from the CLI knobs (asyncio transport only)."""
-    if getattr(args, "transport", "threaded") != "asyncio":
-        return None
+    """An AdmissionConfig from the CLI's admission knobs."""
     from repro.service.aio import AdmissionConfig
 
     config = AdmissionConfig()
@@ -356,33 +354,26 @@ def _admission_from_args(args: argparse.Namespace):
     return config
 
 
-def _add_transport_args(parser) -> None:
-    parser.add_argument(
-        "--transport", choices=["threaded", "asyncio"], default="asyncio",
-        help="connection layer: 'asyncio' (event loop, keep-alive + "
-             "pipelining, admission control with 429 shedding) or "
-             "'threaded' (the classic thread-per-connection server); "
-             "responses are byte-identical (docs/SERVING.md)",
-    )
+def _add_admission_args(parser) -> None:
     parser.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
-        help="asyncio only: concurrent heavy requests before 429 "
-             "shedding (default 64)",
+        help="concurrent heavy requests before 429 shedding "
+             "(default 64; docs/SERVING.md)",
     )
     parser.add_argument(
         "--max-connections", type=int, default=None, metavar="N",
-        help="asyncio only: open-socket cap; newcomers beyond it get "
-             "429 + close (default 4096)",
+        help="open-socket cap; newcomers beyond it get 429 + close "
+             "(default 4096)",
     )
     parser.add_argument(
         "--header-timeout", type=float, default=None, metavar="SECONDS",
-        help="asyncio only: reap a connection whose request frame "
-             "stalls this long (slowloris defense; default 5)",
+        help="reap a connection whose request frame stalls this long "
+             "(slowloris defense; default 5)",
     )
     parser.add_argument(
         "--idle-timeout", type=float, default=None, metavar="SECONDS",
-        help="asyncio only: close idle keep-alive connections after "
-             "this long (default 60)",
+        help="close idle keep-alive connections after this long "
+             "(default 60)",
     )
 
 
@@ -408,14 +399,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=0 if args.smoke else args.port,
         max_request_bytes=args.max_request_bytes,
-        request_timeout=args.request_timeout,
-        transport=args.transport,
         admission=_admission_from_args(args),
     )
     stats = directory.stats()
     print(
         f"form directory: {stats['pages']} pages in {stats['clusters']} "
-        f"clusters; transport {args.transport}"
+        "clusters"
     )
 
     if args.smoke:
@@ -529,7 +518,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     )
     server = serve_shard(
         node, host=args.host, port=args.port,
-        transport=args.transport, admission=_admission_from_args(args),
+        admission=_admission_from_args(args),
     )
     health = node.healthz()
     print(
@@ -566,7 +555,7 @@ def _cmd_replica(args: argparse.Namespace) -> int:
     print(f"bootstrapped from {args.leader} at journal position {position}")
     server = serve_replica(
         replica, host=args.host, port=args.port,
-        transport=args.transport, admission=_admission_from_args(args),
+        admission=_admission_from_args(args),
     )
 
     stop = threading.Event()
@@ -644,7 +633,7 @@ def _cmd_router(args: argparse.Namespace) -> int:
     )
     server = serve_router(
         router, host=args.host, port=args.port,
-        transport=args.transport, admission=_admission_from_args(args),
+        admission=_admission_from_args(args),
     )
     print(
         f"router over {router.n_shards} shard(s), "
@@ -681,7 +670,6 @@ def _router_smoke(args: argparse.Namespace) -> int:
     )
 
     snapshot = _smoke_snapshot(seed=args.seed)
-    transport = getattr(args, "transport", "threaded")
     servers = []
     with tempfile.TemporaryDirectory(prefix="repro-shard-smoke-") as tmp:
         try:
@@ -693,7 +681,7 @@ def _router_smoke(args: argparse.Namespace) -> int:
                     part, journal=Path(tmp) / f"shard-{index}.wal",
                     segment_records=8,
                 )
-                server = serve_shard(node, transport=transport)
+                server = serve_shard(node)
                 server.serve_in_thread()
                 servers.append(server)
                 clients.append(
@@ -701,7 +689,7 @@ def _router_smoke(args: argparse.Namespace) -> int:
                 )
             replica = ReplicaNode(clients[0], name="replica-0")
             replica.bootstrap()
-            replica_server = serve_replica(replica, transport=transport)
+            replica_server = serve_replica(replica)
             replica_server.serve_in_thread()
             servers.append(replica_server)
             replica_client = HttpShardClient(
@@ -711,7 +699,7 @@ def _router_smoke(args: argparse.Namespace) -> int:
                 [[clients[0], replica_client], [clients[1]]],
                 placement=args.placement,
             )
-            router_server = serve_router(router, transport=transport)
+            router_server = serve_router(router)
             router_server.serve_in_thread()
             servers.append(router_server)
             base = router_server.base_url
@@ -740,7 +728,7 @@ def _router_smoke(args: argparse.Namespace) -> int:
             assert added["ok"] and isinstance(added["cluster"], int), added
             report = replica.poll()
             print(
-                f"shard smoke ok ({transport}): {base} merged "
+                f"shard smoke ok: {base} merged "
                 f"{len(search['hits'])} hit(s) from "
                 f"{len(search['shards']['answered'])} shards; add landed "
                 f"on shard {added['shard']} cluster {added['cluster']}; "
@@ -990,10 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reject request bodies larger than this (413)",
     )
     p_serve.add_argument(
-        "--request-timeout", type=float, default=30.0,
-        help="per-connection socket timeout in seconds",
-    )
-    p_serve.add_argument(
         "--journal", metavar="PATH",
         help="write-ahead journal path: every add/remove/recluster is "
              "fsynced there before it is applied, and an existing "
@@ -1010,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="boot on an ephemeral port, probe /healthz and /classify, "
              "shut down (CI self-check)",
     )
-    _add_transport_args(p_serve)
+    _add_admission_args(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_shard = subparsers.add_parser(
@@ -1063,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="starting epoch floor for the journal (recovered epoch "
              "wins if higher); normally left at 0",
     )
-    _add_transport_args(p_shard)
+    _add_admission_args(p_shard)
     p_shard.set_defaults(func=_cmd_shard)
 
     p_replica = subparsers.add_parser(
@@ -1110,7 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-ttl", type=float, default=10.0,
         help="lease time-to-live the promoted leader renews under",
     )
-    _add_transport_args(p_replica)
+    _add_admission_args(p_replica)
     p_replica.set_defaults(func=_cmd_replica)
 
     p_router = subparsers.add_parser(
@@ -1140,7 +1124,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="boot router + 2 shards + 1 replica in-process, round-trip "
              "/search, /add and /healthz, shut down (CI self-check)",
     )
-    _add_transport_args(p_router)
+    _add_admission_args(p_router)
     p_router.set_defaults(func=_cmd_router)
 
     p_failover = subparsers.add_parser(

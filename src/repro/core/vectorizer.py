@@ -103,8 +103,8 @@ class FormPageVectorizer:
             else None
         )
         self.ingest_stats = IngestStats()
-        # transform_new runs concurrently under the service's threaded
-        # HTTP server; the analysis cache locks itself, this lock keeps
+        # transform_new runs concurrently on the HTTP server's worker
+        # pool; the analysis cache locks itself, this lock keeps
         # the stats counters consistent.
         self._stats_lock = threading.Lock()
 

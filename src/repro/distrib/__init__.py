@@ -20,9 +20,12 @@ and put a scatter-gather router in front.
   :class:`~repro.distrib.fence.FailoverCoordinator` that detects a
   dead leader, promotes the most-caught-up replica, and repoints the
   router (``repro failover``);
-* :mod:`~repro.distrib.client` / :mod:`~repro.distrib.http` — the
-  in-process and HTTP transports (``repro shard`` / ``repro replica``
-  / ``repro router``).
+* :mod:`~repro.distrib.client` — the in-process and HTTP shard
+  clients;
+* :mod:`~repro.distrib.http` — the shard, replica and router apps and
+  their ``serve_*`` factories, all on the one
+  :class:`~repro.service.aio.AsyncHTTPServer` (``repro shard`` /
+  ``repro replica`` / ``repro router``).
 
 See docs/SHARDING.md for topology, protocol, and the ops runbook.
 """
@@ -43,11 +46,8 @@ from repro.distrib.fence import (
 )
 from repro.distrib.http import (
     ReplicaApp,
-    ReplicaHTTPServer,
     RouterApp,
-    RouterHTTPServer,
     ShardApp,
-    ShardHTTPServer,
     serve_replica,
     serve_router,
     serve_shard,
@@ -77,13 +77,10 @@ __all__ = [
     "PLACEMENT_CHOICES",
     "StaleEpochError",
     "ReplicaApp",
-    "ReplicaHTTPServer",
     "ReplicaNode",
     "RouterApp",
-    "RouterHTTPServer",
     "SegmentGone",
     "ShardApp",
-    "ShardHTTPServer",
     "ShardNode",
     "ShardUnavailable",
     "serve_replica",

@@ -1,12 +1,12 @@
 """HTTP faces of the distributed directory — shard, replica, router.
 
-All three are transport-neutral apps (:class:`ShardApp`,
-:class:`ReplicaApp`, :class:`RouterApp`) over the single-node plumbing
+All three are apps (:class:`ShardApp`, :class:`ReplicaApp`,
+:class:`RouterApp`) over the single-node plumbing
 (:class:`~repro.service.app.DirectoryApp` — bounded bodies, structured
-errors, request metrics), so every node kind runs on *either* connection
-layer: the classic threaded server or the :mod:`repro.service.aio`
-event-loop transport with admission control (``transport="asyncio"`` on
-the ``serve_*`` factories, ``--transport`` on the CLI).
+errors, request metrics), served by the one HTTP server,
+:class:`~repro.service.aio.AsyncHTTPServer`, with its admission control
+(``admission=`` on the ``serve_*`` factories, ``--max-inflight`` and
+friends on the CLI).
 
 * **shard** (:func:`serve_shard`) — the full single-node API with
   global cluster ids, plus the replication feed
@@ -22,8 +22,7 @@ the ``serve_*`` factories, ``--transport`` on the CLI).
 """
 
 import json
-from http.server import ThreadingHTTPServer
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.distrib.replica import ReplicaNode
 from repro.distrib.router import (
@@ -38,14 +37,12 @@ from repro.service.app import (
     ApiError,
     BaseApp,
     DEFAULT_MAX_REQUEST_BYTES,
-    DEFAULT_REQUEST_TIMEOUT,
     DirectoryApp,
     METRICS_CONTENT_TYPE,
     Response,
     _raw_page_from_body,
     json_response,
 )
-from repro.service.http import DirectoryHTTPServer, DirectoryRequestHandler
 
 
 class ShardApp(DirectoryApp):
@@ -53,12 +50,7 @@ class ShardApp(DirectoryApp):
 
     server_version = "repro-shard/1.0"
 
-    def __init__(
-        self,
-        shard: ShardNode,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    ) -> None:
-        BaseApp.__init__(self, request_timeout)
+    def __init__(self, shard: ShardNode) -> None:
         self._shard = shard
 
     @property
@@ -156,12 +148,7 @@ class ReplicaApp(ShardApp):
 
     server_version = "repro-replica/1.0"
 
-    def __init__(
-        self,
-        replica: ReplicaNode,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    ) -> None:
-        BaseApp.__init__(self, request_timeout)
+    def __init__(self, replica: ReplicaNode) -> None:
         self.replica = replica
 
     @property
@@ -253,12 +240,7 @@ class RouterApp(BaseApp):
 
     server_version = "repro-router/1.0"
 
-    def __init__(
-        self,
-        router: DirectoryRouter,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    ) -> None:
-        super().__init__(request_timeout)
+    def __init__(self, router: DirectoryRouter) -> None:
         self.router = router
 
     @property
@@ -350,173 +332,52 @@ class RouterApp(BaseApp):
         return json_response(200, {"ok": True, **reply})
 
 
-class _NodeHTTPServer(DirectoryHTTPServer):
-    """Threaded server over an arbitrary app (shard/replica/router):
-    the single-node server minus the bare-directory assumption."""
-
-    def __init__(
-        self,
-        app: BaseApp,
-        address: Tuple[str, int],
-        max_request_bytes: int,
-        request_timeout: float,
-    ) -> None:
-        self.app = app
-        self.max_request_bytes = max_request_bytes
-        self.request_timeout = request_timeout
-        self.shutting_down = False
-        # Skip DirectoryHTTPServer.__init__ (it expects a bare
-        # directory); bind straight to the threading server.
-        ThreadingHTTPServer.__init__(self, address, DirectoryRequestHandler)
-
-    def shut_down(self) -> None:
-        self.shutting_down = True
-        self.shutdown()
-        self.server_close()
-        self.app.close()
-
-
-class ShardHTTPServer(_NodeHTTPServer):
-    """One shard node behind the shard API."""
-
-    def __init__(
-        self,
-        shard: ShardNode,
-        address: Tuple[str, int] = ("127.0.0.1", 0),
-        max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    ) -> None:
-        self.shard = shard
-        self.directory = shard.directory
-        super().__init__(
-            ShardApp(shard, request_timeout=request_timeout),
-            address, max_request_bytes, request_timeout,
-        )
-
-
-class ReplicaHTTPServer(_NodeHTTPServer):
-    """A replica node behind the read-only API."""
-
-    def __init__(
-        self,
-        replica: ReplicaNode,
-        address: Tuple[str, int] = ("127.0.0.1", 0),
-        max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    ) -> None:
-        self.replica = replica
-        super().__init__(
-            ReplicaApp(replica, request_timeout=request_timeout),
-            address, max_request_bytes, request_timeout,
-        )
-
-
-class RouterHTTPServer(_NodeHTTPServer):
-    """The router behind the public API."""
-
-    def __init__(
-        self,
-        router: DirectoryRouter,
-        address: Tuple[str, int] = ("127.0.0.1", 0),
-        max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    ) -> None:
-        self.router = router
-        super().__init__(
-            RouterApp(router, request_timeout=request_timeout),
-            address, max_request_bytes, request_timeout,
-        )
-
-
-def _serve(
-    app: BaseApp,
-    on_close: Callable[[], None],
-    threaded_cls,
-    node,
-    host: str,
-    port: int,
-    transport: str,
-    admission: Optional[AdmissionConfig],
-    **kwargs,
-):
-    if transport == "asyncio":
-        return AsyncHTTPServer(
-            app,
-            (host, port),
-            max_request_bytes=kwargs.get(
-                "max_request_bytes", DEFAULT_MAX_REQUEST_BYTES
-            ),
-            admission=admission,
-            on_close=on_close,
-        )
-    if transport != "threaded":
-        raise ValueError(
-            f"unknown transport {transport!r}; pick 'threaded' or 'asyncio'"
-        )
-    return threaded_cls(node, (host, port), **kwargs)
-
-
 def serve_shard(
     shard: ShardNode,
     host: str = "127.0.0.1",
     port: int = 0,
-    transport: str = "threaded",
+    max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
     admission: Optional[AdmissionConfig] = None,
-    **kwargs,
-):
+) -> AsyncHTTPServer:
     """Bind a shard server (port 0 picks an ephemeral port)."""
-    app = ShardApp(
-        shard,
-        request_timeout=kwargs.get("request_timeout",
-                                   DEFAULT_REQUEST_TIMEOUT),
+    return AsyncHTTPServer(
+        ShardApp(shard), (host, port),
+        max_request_bytes=max_request_bytes, admission=admission,
     )
-    return _serve(app, shard.close, ShardHTTPServer, shard,
-                  host, port, transport, admission, **kwargs)
 
 
 def serve_replica(
     replica: ReplicaNode,
     host: str = "127.0.0.1",
     port: int = 0,
-    transport: str = "threaded",
+    max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
     admission: Optional[AdmissionConfig] = None,
-    **kwargs,
-):
+) -> AsyncHTTPServer:
     """Bind a replica server."""
-    app = ReplicaApp(
-        replica,
-        request_timeout=kwargs.get("request_timeout",
-                                   DEFAULT_REQUEST_TIMEOUT),
+    return AsyncHTTPServer(
+        ReplicaApp(replica), (host, port),
+        max_request_bytes=max_request_bytes, admission=admission,
     )
-    return _serve(app, replica.close, ReplicaHTTPServer, replica,
-                  host, port, transport, admission, **kwargs)
 
 
 def serve_router(
     router: DirectoryRouter,
     host: str = "127.0.0.1",
     port: int = 0,
-    transport: str = "threaded",
+    max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
     admission: Optional[AdmissionConfig] = None,
-    **kwargs,
-):
+) -> AsyncHTTPServer:
     """Bind a router server."""
-    app = RouterApp(
-        router,
-        request_timeout=kwargs.get("request_timeout",
-                                   DEFAULT_REQUEST_TIMEOUT),
+    return AsyncHTTPServer(
+        RouterApp(router), (host, port),
+        max_request_bytes=max_request_bytes, admission=admission,
     )
-    return _serve(app, router.close, RouterHTTPServer, router,
-                  host, port, transport, admission, **kwargs)
 
 
 __all__ = [
     "ReplicaApp",
-    "ReplicaHTTPServer",
     "RouterApp",
-    "RouterHTTPServer",
     "ShardApp",
-    "ShardHTTPServer",
     "serve_replica",
     "serve_router",
     "serve_shard",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.pipeline import CAFCResult, OrganizedCluster
-from repro.index import SpaceIndex, combined_query_channel, top_k_exact
+from repro.index import SpaceIndex, top_k_exact
 from repro.text.analyzer import TextAnalyzer
 from repro.vsm.vector import SparseVector, cosine_similarity
 
@@ -83,7 +83,8 @@ class ClusterExplorer:
             return []
         index_rows = self._centroid_index()
         ranked = top_k_exact(
-            [combined_query_channel(index_rows, query_vector)],
+            index_rows,
+            query_vector,
             n,
             lambda i: cosine_similarity(query_vector, self._combined[i]),
         )

@@ -20,16 +20,10 @@ from repro.index.merge import (
     page_hit_key,
 )
 from repro.index.postings import SpaceIndex
-from repro.index.retrieval import (
-    Channel,
-    RetrievalStats,
-    combined_query_channel,
-    top_k_exact,
-)
+from repro.index.retrieval import RetrievalStats, top_k_exact
 from repro.index.spill import SpillingSpaceIndex, SpillSegment
 
 __all__ = [
-    "Channel",
     "DirectoryIndex",
     "RetrievalStats",
     "SpaceIndex",
@@ -37,7 +31,6 @@ __all__ = [
     "SpillingSpaceIndex",
     "assert_sorted",
     "cluster_hit_key",
-    "combined_query_channel",
     "merge_ranked",
     "page_hit_key",
     "top_k_exact",

@@ -31,11 +31,7 @@ their term dicts (and hence dot-product iteration order) are identical
 from typing import Callable, Dict, List, Tuple
 
 from repro.index.postings import SpaceIndex
-from repro.index.retrieval import (
-    RetrievalStats,
-    combined_query_channel,
-    top_k_exact,
-)
+from repro.index.retrieval import RetrievalStats, top_k_exact
 from repro.vsm.vector import SparseVector
 
 
@@ -139,8 +135,7 @@ class DirectoryIndex:
     ) -> List[Tuple[int, float]]:
         """Exact top-``k`` clusters by combined-centroid cosine."""
         return top_k_exact(
-            [combined_query_channel(self._clusters, query)],
-            k, score_exact, stats=self.stats,
+            self._clusters, query, k, score_exact, stats=self.stats,
         )
 
     def top_pages(
@@ -149,8 +144,7 @@ class DirectoryIndex:
     ) -> List[Tuple[int, float]]:
         """Exact top-``k`` page rows, URL-tie-broken like the scan."""
         return top_k_exact(
-            [combined_query_channel(self._pages, query)],
-            k, score_exact, stats=self.stats,
+            self._pages, query, k, score_exact, stats=self.stats,
             tie_key=self._url_by_row.__getitem__,
         )
 

@@ -4,10 +4,9 @@ upper-bound pruning.
 The algorithm is the classic two-phase TAAT scheme, arranged so that
 its results are **bit-identical** to the full-scan reference paths:
 
-1. *Accumulate with bounds.*  Query terms (possibly spanning several
-   feature-space channels, each carrying its Equation-3 scale folded
-   into the query weights) are processed in descending order of their
-   maximum possible score contribution ``q_w * max_prenormed(term)``.
+1. *Accumulate with bounds.*  Query terms (weights pre-divided by the
+   query norm) are processed in descending order of their maximum
+   possible score contribution ``q_w * max_prenormed(term)``.
    Walking a term's posting list adds its contribution to every row
    containing it.  After each term, if at least ``k`` rows have been
    touched and the sum of the *remaining* terms' bounds falls below the
@@ -30,8 +29,8 @@ would keep.  The margins only make pruning marginally more conservative.
 """
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.index.postings import SpaceIndex
 
@@ -75,63 +74,58 @@ class RetrievalStats:
         return self.rows_scored / self.rows_total
 
 
-@dataclass
-class Channel:
-    """One feature-space contribution to a query.
-
-    ``query_pre`` maps terms to query weights with every scale baked in
-    — ``C_s / (C1 + C2) / ||q_s||`` for Equation-3 channels, or simply
-    ``1 / ||q||`` for single combined-space queries — so a term's score
-    contribution to a row is exactly ``query_pre[term] *
-    posting_weight`` and partial sums are directly comparable to final
-    scores.
-    """
-
-    space: SpaceIndex
-    query_pre: Dict[str, float] = field(default_factory=dict)
-
-
 def top_k_exact(
-    channels: Sequence[Channel],
+    space: SpaceIndex,
+    query,
     k: int,
     score_exact: Callable[[int], float],
     stats: Optional[RetrievalStats] = None,
     tie_key: Optional[Callable[[int], object]] = None,
+    norm: Optional[float] = None,
 ) -> List[Tuple[int, float]]:
-    """The exact top-``k`` rows across ``channels``, highest score first.
+    """The exact top-``k`` rows of ``space`` for ``query``, highest
+    score first.
 
-    ``score_exact(row_id)`` must return the row's full-precision score
-    via the same arithmetic as the full-scan reference; it is invoked
-    only for rows surviving bound pruning.  Rows with non-positive exact
-    scores are dropped (matching the scan paths, which skip them).
-    Ties break toward the lower ``row_id``, or toward the lower
-    ``tie_key(row_id)`` when given (page search breaks ties by URL) —
-    boundary ties are safe because a row tying the k-th exact score can
-    never be pruned (its upper bound is at least the pruning threshold).
+    ``query`` is a :class:`~repro.vsm.vector.SparseVector` (a combined
+    PC+FC query); its weights are pre-divided by its norm (``norm``, or
+    ``query.norm()`` when omitted) so partial sums are
+    cosine-comparable.  ``score_exact(row_id)`` must return the row's
+    full-precision score via the same arithmetic as the full-scan
+    reference; it is invoked only for rows surviving bound pruning.
+    Rows with non-positive exact scores are dropped (matching the scan
+    paths, which skip them).  Ties break toward the lower ``row_id``, or
+    toward the lower ``tie_key(row_id)`` when given (page search breaks
+    ties by URL) — boundary ties are safe because a row tying the k-th
+    exact score can never be pruned (its upper bound is at least the
+    pruning threshold).
 
     Returns ``[(row_id, score)]`` sorted by ``(-score, tie key)``.
     """
     if stats is None:
         stats = RetrievalStats()
-    rows_total = max((len(ch.space) for ch in channels), default=0)
+    rows_total = len(space)
     stats.rows_total += rows_total
     if k <= 0 or rows_total == 0:
         return []
+    if norm is None:
+        norm = query.norm()
+    if norm == 0.0:
+        return []
+    inv = 1.0 / norm
 
-    # Bound-ordered term entries: (bound, channel, term, scaled weight).
-    entries: List[Tuple[float, int, str, float]] = []
-    for channel_index, channel in enumerate(channels):
-        space = channel.space
-        for term, weight in channel.query_pre.items():
-            if weight <= 0.0:
-                continue
-            bound = weight * space.max_prenormed(term)
-            if bound > 0.0:
-                entries.append((bound, channel_index, term, weight))
+    # Bound-ordered term entries: (bound, term, scaled weight).
+    entries: List[Tuple[float, str, float]] = []
+    for term, weight in query.items():
+        weight = weight * inv
+        if weight <= 0.0:
+            continue
+        bound = weight * space.max_prenormed(term)
+        if bound > 0.0:
+            entries.append((bound, term, weight))
     stats.terms_total += len(entries)
     if not entries:
         return []
-    entries.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
+    entries.sort(key=lambda entry: (-entry[0], entry[1]))
 
     suffix = [0.0] * (len(entries) + 1)
     for index in range(len(entries) - 1, -1, -1):
@@ -140,14 +134,14 @@ def top_k_exact(
     accumulated: Dict[int, float] = {}
     remaining = 0.0
     processed = len(entries)
-    for index, (bound, channel_index, term, weight) in enumerate(entries):
+    for index, (bound, term, weight) in enumerate(entries):
         if len(accumulated) >= k:
             remaining = suffix[index]
             kth = heapq.nlargest(k, accumulated.values())[-1]
             if _inflate(remaining) < _deflate(kth):
                 processed = index
                 break
-        for row, prenormed in channels[channel_index].space.postings(term):
+        for row, prenormed in space.postings(term):
             if row in accumulated:
                 accumulated[row] += weight * prenormed
             else:
@@ -186,25 +180,7 @@ def top_k_exact(
     return scored[:k]
 
 
-def combined_query_channel(
-    space: SpaceIndex, query, norm: Optional[float] = None
-) -> Channel:
-    """A single-space channel for a combined (PC+FC summed) query.
-
-    ``query`` is a :class:`~repro.vsm.vector.SparseVector`; its weights
-    are pre-divided by its norm so partial sums are cosine-comparable.
-    """
-    if norm is None:
-        norm = query.norm()
-    if norm == 0.0:
-        return Channel(space, {})
-    inv = 1.0 / norm
-    return Channel(space, {term: weight * inv for term, weight in query.items()})
-
-
 __all__ = [
-    "Channel",
     "RetrievalStats",
-    "combined_query_channel",
     "top_k_exact",
 ]

@@ -43,11 +43,7 @@ from repro.datasets.store import (
     write_framed_records,
 )
 from repro.index.postings import SpaceIndex
-from repro.index.retrieval import (
-    RetrievalStats,
-    combined_query_channel,
-    top_k_exact,
-)
+from repro.index.retrieval import RetrievalStats, top_k_exact
 from repro.vsm.vector import SparseVector
 
 _SEGMENT_FORMAT_VERSION = 1
@@ -267,7 +263,6 @@ class SpillingSpaceIndex:
 
         merged: List[Tuple[int, float]] = []
         if len(self.resident):
-            channel = combined_query_channel(self.resident, query, norm=norm)
             resident = self.resident
 
             def score_exact(row_id: int) -> float:
@@ -275,7 +270,9 @@ class SpillingSpaceIndex:
                     resident.norm(row_id) * norm
                 )
 
-            merged.extend(top_k_exact([channel], k, score_exact, stats=stats))
+            merged.extend(top_k_exact(
+                resident, query, k, score_exact, stats=stats, norm=norm,
+            ))
 
         query_pre = [
             (term, weight / norm) for term, weight in query.items()

@@ -69,7 +69,7 @@ class AnalysisCache:
     """A bounded in-memory LRU of :class:`~repro.parallel.ingest.PageAnalysis`.
 
     Thread-safe: every operation holds an internal lock, because the
-    service's ``ThreadingHTTPServer`` runs ``transform_new`` outside the
+    server's worker pool runs ``transform_new`` outside the
     directory locks and concurrent ``/classify`` / ``/add`` requests hit
     this cache simultaneously.  The lock is a dict move plus a counter
     bump — negligible next to the parse it saves.  ``max_size=0``

@@ -12,28 +12,27 @@ long-running directory service:
   :class:`~repro.core.incremental.IncrementalOrganizer` with inline
   Equation-3 classification, an LRU result cache, indexed search, and
   drift-triggered background re-clustering;
-* :mod:`repro.service.app` — the transport-neutral JSON application
+* :mod:`repro.service.app` — the JSON application, free of sockets
   (classify / add / remove / search / clusters / healthz / metrics);
-* :mod:`repro.service.http` — the threaded ``ThreadingHTTPServer``
-  transport over that app;
-* :mod:`repro.service.aio` — the ``asyncio`` event-loop transport:
-  keep-alive + pipelining, admission control with structured
+* :mod:`repro.service.aio` — the HTTP server, one ``asyncio`` event
+  loop: keep-alive + pipelining, admission control with structured
   ``429 + Retry-After`` load shedding, slowloris/idle reaping;
+  :func:`serve_directory` binds it over a directory;
 * :mod:`repro.service.metrics` — latency histograms, request/cache
   counters and engine-stats rollups in Prometheus text format.
 
-Everything is standard library only (the similarity engine's optional
-NumPy fast path keeps working underneath).
+The serving layer itself uses only the standard library; the
+similarity engine underneath needs NumPy and SciPy (declared
+dependencies).
 """
 
 from repro.service.aio import (
     AdmissionConfig,
     AsyncHTTPServer,
-    serve_directory_async,
+    serve_directory,
 )
 from repro.service.app import ApiError, BaseApp, DirectoryApp, Response
 from repro.service.directory import ClassifyOutcome, FormDirectory
-from repro.service.http import DirectoryHTTPServer, serve_directory
 from repro.service.metrics import MetricsRegistry
 from repro.service.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
@@ -52,10 +51,8 @@ __all__ = [
     "ClassifyOutcome",
     "DirectoryApp",
     "FormDirectory",
-    "DirectoryHTTPServer",
     "Response",
     "serve_directory",
-    "serve_directory_async",
     "MetricsRegistry",
     "SNAPSHOT_FORMAT_VERSION",
     "Snapshot",

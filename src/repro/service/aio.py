@@ -1,16 +1,18 @@
-"""Event-loop HTTP transport with admission control and load shedding.
+"""The HTTP server: one event loop, admission control, load shedding.
 
 The directory stays a *threaded* object — readers share the RWLock,
-writers take it exclusively — but the connection layer
-here is a single ``asyncio`` event loop speaking HTTP/1.1 over an
+writers take it exclusively — but the connection layer here is a
+single ``asyncio`` event loop speaking HTTP/1.1 over an
 ``asyncio.Protocol``.  One loop owns every socket: keep-alive and
 pipelined parsing cost a buffer scan instead of a thread, so tens of
 thousands of idle connections are cheap.  Parsed requests hop to a
-small worker pool (``run_in_executor``) that calls the same
-transport-neutral :class:`repro.service.app.BaseApp` the threaded
-server uses, which is what makes the two transports byte-identical.
+small worker pool (``run_in_executor``) that calls a
+:class:`repro.service.app.BaseApp`; the server only adds framing
+headers, so its bodies are the app's bytes.  The same server fronts
+every node kind — directory (:func:`serve_directory`) and the shard,
+replica and router apps of :mod:`repro.distrib.http`.
 
-What the event loop adds on top of the threaded server:
+On top of plain HTTP/1.1 the server provides:
 
 * **Admission control** — per-route-class in-flight budgets.  Heavy
   routes (classify/search/add/...) and cheap routes (healthz/metrics)
@@ -27,10 +29,9 @@ What the event loop adds on top of the threaded server:
 * **Gauges** — open connections, per-class in-flight depth, shed
   counts, all on the app's existing ``/metrics`` registry.
 
-``AsyncHTTPServer`` mirrors the threaded server's surface (``port``,
-``base_url``, ``serve_in_thread()``, ``serve_forever()``,
-``shut_down()``) so the CLI, tests, and benchmarks can swap transports
-with one flag.
+``AsyncHTTPServer`` exposes ``port``, ``base_url``,
+``serve_in_thread()``, ``serve_forever()`` and ``shut_down()`` for the
+CLI, tests and benchmarks.
 """
 
 import asyncio
@@ -39,13 +40,12 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 from repro.service.app import (
     ApiError,
     BaseApp,
     DEFAULT_MAX_REQUEST_BYTES,
-    DEFAULT_REQUEST_TIMEOUT,
     DirectoryApp,
     Response,
     check_content_length,
@@ -70,16 +70,20 @@ class AdmissionConfig:
     budget for ``/healthz`` and ``/metrics``.  ``heavy_workers`` /
     ``cheap_workers`` size the two executor pools — keeping them
     distinct means a wedged classify pool cannot starve liveness
-    probes.  ``max_connections`` bounds open sockets (newcomers beyond
-    it get a 429 and a clean close, never a silent reset) and
-    ``backlog`` is the kernel accept queue.  ``header_timeout`` reaps
-    slowloris clients (measured from the first byte of a request
-    frame); ``idle_timeout`` closes idle keep-alive connections.
+    probes.  Heavy handlers are CPU-bound Python under one GIL, so
+    each extra heavy worker takes GIL time from the loop thread that
+    reads, parses and writes every socket: at c=1024 on 2 CPUs, 8
+    workers doubled the connect-to-last-response p50 that 2 give.
+    ``max_connections`` bounds open sockets (newcomers beyond it get a
+    429 and a clean close, never a silent reset) and ``backlog`` is the
+    kernel accept queue.  ``header_timeout`` reaps slowloris clients
+    (measured from the first byte of a request frame);
+    ``idle_timeout`` closes idle keep-alive connections.
     """
 
     max_inflight: int = 64
     cheap_inflight: int = 16
-    heavy_workers: int = 8
+    heavy_workers: int = 2
     cheap_workers: int = 2
     max_connections: int = 4096
     backlog: int = 512
@@ -108,14 +112,10 @@ class AdmissionController:
             "cheap": config.cheap_inflight,
         }
         metrics.gauge(
-            "server_connections_open",
-            "Open sockets on the asyncio transport",
-            transport="asyncio",
+            "server_connections_open", "Open sockets",
         ).set_function(lambda: float(self.connections_open))
         metrics.gauge(
-            "server_connections_total",
-            "Connections accepted since start",
-            transport="asyncio",
+            "server_connections_total", "Connections accepted since start",
         ).set_function(lambda: float(self.connections_total))
         for route_class in ("heavy", "cheap"):
             metrics.gauge(
@@ -484,14 +484,12 @@ _REASONS = {
 
 
 class AsyncHTTPServer:
-    """The asyncio front end: one event loop, two worker pools, one app.
+    """The HTTP server: one event loop, two worker pools, one app.
 
-    Mirrors the threaded :class:`DirectoryHTTPServer` surface so the
-    two are drop-in interchangeable: the socket is bound eagerly in
-    ``__init__`` (``port``/``base_url`` valid immediately),
-    ``serve_in_thread()`` runs the loop on a daemon thread, and
-    ``shut_down()`` drains connections then closes the served object
-    via ``on_close``.
+    The socket is bound eagerly in ``__init__`` (``port``/``base_url``
+    valid immediately), ``serve_in_thread()`` runs the loop on a daemon
+    thread, and ``shut_down()`` drains connections then calls
+    ``app.close()``.
     """
 
     def __init__(
@@ -500,17 +498,15 @@ class AsyncHTTPServer:
         address: Tuple[str, int] = ("127.0.0.1", 0),
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
         admission: Optional[AdmissionConfig] = None,
-        on_close: Optional[Callable[[], None]] = None,
     ) -> None:
         self.app = app
         self.max_request_bytes = max_request_bytes
         self.admission = AdmissionController(
             admission or AdmissionConfig(), app.metrics_registry
         )
-        self._on_close = on_close
         config = self.admission.config
-        # Bind eagerly so .port / .base_url work before the loop runs —
-        # the threaded server behaves this way and tests rely on it.
+        # Bind eagerly so .port / .base_url work before the loop runs;
+        # tests and the CLI read them before serving.
         self._socket = socket.create_server(
             address, backlog=config.backlog, reuse_port=False
         )
@@ -553,7 +549,7 @@ class AsyncHTTPServer:
         self._thread = thread
         thread.start()
         if not self._started.wait(timeout=15):
-            raise RuntimeError("asyncio server failed to start")
+            raise RuntimeError("HTTP server failed to start")
         return thread
 
     def serve_forever(self) -> None:
@@ -624,8 +620,7 @@ class AsyncHTTPServer:
                 self.loop.close()
         for pool in self._pools.values():
             pool.shutdown(wait=False)
-        if self._on_close is not None:
-            self._on_close()
+        self.app.close()
 
     # -- request execution --------------------------------------------
 
@@ -652,24 +647,20 @@ class AsyncHTTPServer:
             admission.release(route_class)
 
 
-def serve_directory_async(
+def serve_directory(
     directory,
     host: str = "127.0.0.1",
     port: int = 0,
     max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-    request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     admission: Optional[AdmissionConfig] = None,
 ) -> AsyncHTTPServer:
-    """Bind the asyncio transport over a :class:`FormDirectory` (port 0
-    picks an ephemeral port) — the event-loop twin of
-    :func:`repro.service.http.serve_directory`."""
-    app = DirectoryApp(directory, request_timeout=request_timeout)
+    """Bind a server for a :class:`FormDirectory` (port 0 picks an
+    ephemeral port); shutting it down closes the directory."""
     return AsyncHTTPServer(
-        app,
+        DirectoryApp(directory),
         (host, port),
         max_request_bytes=max_request_bytes,
         admission=admission,
-        on_close=directory.close,
     )
 
 
@@ -679,5 +670,5 @@ __all__ = [
     "AsyncHTTPServer",
     "MAX_HEADER_BYTES",
     "PIPELINE_HIGH_WATER",
-    "serve_directory_async",
+    "serve_directory",
 ]

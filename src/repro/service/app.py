@@ -1,29 +1,42 @@
-"""The transport-neutral JSON application layer.
+"""The JSON application layer, separate from the socket layer.
 
 Every HTTP face of the directory (single node, shard, replica, router)
 is a table of routes over some serving object.  This module factors the
 *application* out of the *transport*: a :class:`BaseApp` maps one parsed
-request — ``(method, target, body)`` — to a :class:`Response`, with the
-same structured-error mapping, request metrics, and JSON encoding no
-matter which connection layer carried the bytes.
+request — ``(method, target, body)`` — to a :class:`Response`, with one
+structured-error mapping, request metrics, and JSON encoding.
 
-Two transports drive apps today:
+Endpoints of the single-node directory (all JSON unless noted):
 
-* :mod:`repro.service.http` — the original ``ThreadingHTTPServer``
-  (one thread per connection);
-* :mod:`repro.service.aio` — the ``asyncio.Protocol`` front end with
-  admission control and load shedding.
+========  ==============  ====================================================
+method    path            purpose
+========  ==============  ====================================================
+POST      ``/classify``   assign a page ``{url, html, backlinks?}`` to its
+                          cluster (read-only)
+POST      ``/add``        insert (or replace) a source
+POST      ``/remove``     drop a source ``{url}``
+GET       ``/search``     ``?q=keyword+query&n=3&scope=clusters|pages`` —
+                          rank clusters (or managed pages)
+GET       ``/clusters``   cluster directory summary
+GET       ``/healthz``    liveness + staleness stats
+GET       ``/metrics``    Prometheus text format (not JSON)
+========  ==============  ====================================================
 
-Because both call :meth:`BaseApp.handle` and both serialize through
-:func:`json_bytes`, the JSON bodies they produce are byte-identical by
-construction — ``tests/test_service_aio.py`` pins that across every
-endpoint.
+Every response is either ``{"ok": true, ...}`` or a structured error
+``{"ok": false, "error": {"code", "message"}}`` with a matching HTTP
+status; bodies above ``max_request_bytes`` are rejected with 413 before
+being read.
+
+One server drives every app: :class:`repro.service.aio.AsyncHTTPServer`,
+an ``asyncio.Protocol`` front end with admission control and load
+shedding.  It adds only framing headers around :meth:`BaseApp.handle`'s
+bytes, so calling the app in-process answers exactly what the server
+sends — ``tests/test_service_aio.py`` pins that across every endpoint.
 
 Handlers *return* :class:`Response` objects; they never touch a socket.
-Transport concerns (reading the body off the wire, ``Connection``
-header handling, write errors) stay in the transports, but the
-Content-Length admission checks (411/400/413) live here so the two
-transports reject malformed framing with the same structured bodies.
+Connection concerns (framing, ``Connection`` header handling, write
+errors) stay in the server; the Content-Length checks (411/400/413)
+live here as :func:`check_content_length`.
 """
 
 import json
@@ -40,23 +53,12 @@ from repro.resilience.retry import RetryError
 #: holds anything reasonable and stops accidental uploads).
 DEFAULT_MAX_REQUEST_BYTES = 2 * 1024 * 1024
 
-#: Default per-request timeout (seconds) — the classify wait bound and,
-#: on the threaded transport, the per-connection socket timeout.
-DEFAULT_REQUEST_TIMEOUT = 30.0
-
 #: ``Retry-After`` hint (seconds) sent with 503 while the directory is
 #: recovering (journal replay / drift repair in flight).
 RECOVERING_RETRY_AFTER = 1
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-
-class ClientDisconnected(Exception):
-    """Raised by a transport's ``read_body`` callable when the client
-    vanished mid-request (reset, broken pipe, read timeout).  The app
-    observes the request as status 499 and re-raises so the transport
-    can drop the connection without writing anything."""
 
 
 class ApiError(Exception):
@@ -84,7 +86,7 @@ class ApiError(Exception):
 
 class Response:
     """One finished response: status, body bytes, and headers the
-    transport must write (it adds its own framing headers on top)."""
+    server must write (it adds its own framing headers on top)."""
 
     __slots__ = ("status", "body", "content_type", "extra_headers")
 
@@ -102,7 +104,7 @@ class Response:
 
 
 def json_bytes(payload: dict) -> bytes:
-    """The one JSON serializer every transport shares (byte parity)."""
+    """The one JSON serializer every app response goes through."""
     return json.dumps(payload).encode("utf-8")
 
 
@@ -131,8 +133,7 @@ def check_content_length(
     length_header: Optional[str], max_request_bytes: int
 ) -> int:
     """Validate a request's Content-Length before any body byte is
-    read.  Shared by both transports so 411/400/413 carry identical
-    structured bodies."""
+    read, so 411/400/413 carry the usual structured bodies."""
     if length_header is None:
         raise ApiError(411, "length_required", "Content-Length required")
     try:
@@ -193,7 +194,7 @@ class BaseApp:
 
     Subclasses provide ``get_routes()`` / ``post_routes()`` (endpoint →
     handler), a ``metrics_registry`` property, and a ``server_version``
-    string for the transport's ``Server`` header.  GET handlers take the
+    string for the server's ``Server`` header.  GET handlers take the
     parsed query dict; POST handlers take the parsed JSON body dict.
     Both return a :class:`Response`.
     """
@@ -201,13 +202,8 @@ class BaseApp:
     server_version = "repro-app/1.0"
 
     #: Routes that must stay answerable while the heavy routes saturate
-    #: — the asyncio transport gives them their own concurrency budget.
+    #: — the server gives them their own concurrency budget.
     CHEAP_ROUTES = frozenset({"/healthz", "/metrics"})
-
-    def __init__(
-        self, request_timeout: float = DEFAULT_REQUEST_TIMEOUT
-    ) -> None:
-        self.request_timeout = request_timeout
 
     # -- to be provided by subclasses ---------------------------------
 
@@ -220,6 +216,10 @@ class BaseApp:
 
     def post_routes(self) -> Dict[str, Callable]:
         return {}
+
+    def close(self) -> None:
+        """Release the served object; the server calls this once on
+        shut-down."""
 
     # -- dispatch -----------------------------------------------------
 
@@ -256,12 +256,11 @@ class BaseApp:
         read_body: Optional[Callable[[], bytes]] = None,
     ) -> Response:
         """One request → one :class:`Response`.  Never raises: every
-        failure maps to the structured-error body the threaded server
-        always produced (``{"ok": false, "error": {code, message}}``).
+        failure maps to the structured-error body
+        (``{"ok": false, "error": {code, message}}``).
 
-        ``read_body`` supplies the raw body bytes for POSTs; it may
-        raise :class:`ApiError` (the threaded transport's Content-Length
-        checks run inside it, so 411/413 observe like any other error).
+        ``read_body`` supplies the raw body bytes for POSTs; it is only
+        called once a POST route matched.
         """
         started = self._now()
         endpoint, query_string = self.split_target(target)
@@ -286,9 +285,6 @@ class BaseApp:
                     405, "method_not_allowed",
                     f"unsupported method {method!r}",
                 )
-        except ClientDisconnected:
-            self.observe(endpoint.lstrip("/") or "root", 499, started)
-            raise
         except ApiError as error:
             response = error_response(error)
         except StaleEpochError as exc:
@@ -345,12 +341,7 @@ class DirectoryApp(BaseApp):
 
     server_version = "repro-directory/1.0"
 
-    def __init__(
-        self,
-        directory,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    ) -> None:
-        super().__init__(request_timeout)
+    def __init__(self, directory) -> None:
         self._directory = directory
 
     @property
@@ -477,13 +468,11 @@ __all__ = [
     "ApiError",
     "BaseApp",
     "DEFAULT_MAX_REQUEST_BYTES",
-    "DEFAULT_REQUEST_TIMEOUT",
     "DirectoryApp",
     "JSON_CONTENT_TYPE",
     "METRICS_CONTENT_TYPE",
     "RECOVERING_RETRY_AFTER",
     "Response",
-    "ClientDisconnected",
     "check_content_length",
     "error_response",
     "json_bytes",

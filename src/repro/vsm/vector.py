@@ -138,32 +138,6 @@ class SparseVector:
             if tid in lookup
         )
 
-    def dot_prenormed(self, weights: Mapping[str, float]) -> float:
-        """Dot product against a plain pre-scaled ``{term: weight}`` map.
-
-        The inverted-index accumulators (:mod:`repro.index`) carry
-        queries as already-normalized plain dicts; this fast path skips
-        SparseVector construction, zero filtering and norm bookkeeping
-        entirely.  Iterates the sparser side, like :meth:`dot`,
-        translating through the interned vocabulary.
-        """
-        if len(self._ids) > len(weights):
-            lookup = self._by_id()
-            id_of = _VOCAB.id_of
-            total = 0.0
-            for term, w in weights.items():
-                tid = id_of(term)
-                if tid is not None and tid in lookup:
-                    total += w * lookup[tid]
-            return total
-        term_of = _VOCAB.term
-        total = 0.0
-        for tid, w in zip(self._ids, self._vals):
-            term = term_of(tid)
-            if term in weights:
-                total += w * weights[term]
-        return total
-
     def scale(self, factor: float) -> "SparseVector":
         """Return a new vector scaled by ``factor``."""
         return SparseVector._from_ids(

@@ -47,6 +47,24 @@ class TestParser:
         assert "--index" not in found
         assert "--batch-window-ms" not in found
 
+    def test_one_transport_no_serve_timeout(self):
+        """One HTTP server: no node takes ``--transport``, and ``serve``
+        has no ``--request-timeout`` (the replica's is its client
+        timeout and stays)."""
+        for command in (
+            ["serve", "--transport", "asyncio"],
+            ["serve", "--request-timeout", "5"],
+            ["shard", "--snapshot", "s.json", "--transport", "asyncio"],
+            ["replica", "--leader", "http://x", "--transport", "asyncio"],
+            ["router", "--transport", "asyncio"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command)
+        args = build_parser().parse_args(
+            ["replica", "--leader", "http://x", "--request-timeout", "5"]
+        )
+        assert args.request_timeout == 5.0
+
     def test_corpus_args(self):
         args = build_parser().parse_args(["corpus", "--seed", "7", "--save", "x.json"])
         assert args.seed == 7

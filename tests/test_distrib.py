@@ -473,12 +473,10 @@ class TestHttpFaces:
 class TestPooledHttpClient:
     """The pooled persistent-connection shard client."""
 
-    def _shard_server(self, small_snapshot, port=0, transport="asyncio"):
+    def _shard_server(self, small_snapshot, port=0):
         part = split_snapshot(small_snapshot, 1)[0]
         node = ShardNode(part, **DIRECTORY_KWARGS)
-        server = serve_shard(
-            node, port=port, transport=transport
-        )
+        server = serve_shard(node, port=port)
         server.serve_in_thread()
         return server
 
@@ -533,13 +531,3 @@ class TestPooledHttpClient:
                 client.search(QUERIES[0], n=3)
         finally:
             client.close()
-
-    def test_pooled_client_against_threaded_transport(self, small_snapshot):
-        server = self._shard_server(small_snapshot, transport="threaded")
-        client = HttpShardClient(server.base_url)
-        try:
-            first = client.search(QUERIES[0], n=3)
-            assert client.search(QUERIES[0], n=3) == first
-        finally:
-            client.close()
-            server.shut_down()

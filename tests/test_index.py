@@ -17,14 +17,10 @@ import pytest
 
 from repro.core.config import CAFCConfig
 from repro.core.pipeline import CAFCPipeline
-from repro.index import (
-    SpaceIndex,
-    combined_query_channel,
-    top_k_exact,
-)
-from repro.index.retrieval import Channel, RetrievalStats
+from repro.index import SpaceIndex, top_k_exact
+from repro.index.retrieval import RetrievalStats
 from repro.service.directory import FormDirectory
-from repro.service.http import serve_directory
+from repro.service import serve_directory
 from repro.service.snapshot import build_snapshot, snapshot_info
 from repro.vsm.vector import SparseVector, cosine_similarity
 
@@ -137,7 +133,7 @@ class TestTopKExact:
             for k in (1, 3, 10, 50):
                 stats = RetrievalStats()
                 got = top_k_exact(
-                    [combined_query_channel(index, query)], k,
+                    index, query, k,
                     lambda row: cosine_similarity(query, index.vector(row)),
                     stats=stats,
                 )
@@ -149,15 +145,15 @@ class TestTopKExact:
         index = SpaceIndex()
         query = SparseVector({"a": 1.0})
         assert top_k_exact(
-            [combined_query_channel(index, query)], 3, lambda row: 1.0
+            index, query, 3, lambda row: 1.0
         ) == []
         index.add_row(0, SparseVector({"b": 1.0}))  # disjoint vocabulary
         assert top_k_exact(
-            [combined_query_channel(index, query)], 3,
+            index, query, 3,
             lambda row: cosine_similarity(query, index.vector(row)),
         ) == []
         assert top_k_exact(
-            [combined_query_channel(index, query)], 0, lambda row: 1.0
+            index, query, 0, lambda row: 1.0
         ) == []
 
     def test_tie_break_via_key(self):
@@ -168,51 +164,11 @@ class TestTopKExact:
         names = {0: "zebra", 1: "apple", 2: "mango"}
         query = SparseVector({"a": 2.0})
         got = top_k_exact(
-            [combined_query_channel(index, query)], 2,
+            index, query, 2,
             lambda row: cosine_similarity(query, index.vector(row)),
             tie_key=names.__getitem__,
         )
         assert [row for row, _ in got] == [1, 2]
-
-    def test_multi_channel_bounds(self):
-        # Two channels (the classify shape): brute-force an Equation-3
-        # style half/half combination and require exact agreement.
-        rng = random.Random(99)
-        vocabulary = [f"t{i}" for i in range(30)]
-        first, second = SpaceIndex(), SpaceIndex()
-        for row in range(80):
-            first.add_row(row, random_vector(rng, vocabulary))
-            second.add_row(row, random_vector(rng, vocabulary))
-
-        def exact(query_a, query_b, row):
-            return 0.5 * cosine_similarity(query_a, first.vector(row)) \
-                + 0.5 * cosine_similarity(query_b, second.vector(row))
-
-        for _ in range(15):
-            query_a = random_vector(rng, vocabulary, max_terms=6)
-            query_b = random_vector(rng, vocabulary, max_terms=6)
-            channels = []
-            if query_a.norm() > 0.0:
-                scale = 0.5 / query_a.norm()
-                channels.append(Channel(
-                    first, {t: w * scale for t, w in query_a.items()}
-                ))
-            if query_b.norm() > 0.0:
-                scale = 0.5 / query_b.norm()
-                channels.append(Channel(
-                    second, {t: w * scale for t, w in query_b.items()}
-                ))
-            if not channels:
-                continue
-            got = top_k_exact(
-                channels, 5, lambda row: exact(query_a, query_b, row)
-            )
-            scored = [
-                (row, exact(query_a, query_b, row)) for row in range(80)
-            ]
-            scored = [(r, s) for r, s in scored if s > 0.0]
-            scored.sort(key=lambda pair: (-pair[1], pair[0]))
-            assert got == scored[:5]
 
 
 # ---------------------------------------------------------------------

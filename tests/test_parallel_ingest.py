@@ -337,7 +337,7 @@ def test_memory_cache_is_a_bounded_lru():
 
 
 def test_memory_cache_survives_concurrent_hammering():
-    # Regression: the service's threaded HTTP server reaches this cache
+    # Regression: the HTTP server's worker pool reaches this cache
     # from concurrent /classify and /add handlers outside every
     # directory lock; unsynchronized move_to_end/popitem raced into
     # KeyError and a corrupted LRU.

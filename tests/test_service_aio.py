@@ -1,10 +1,11 @@
-"""The asyncio transport: parity, keep-alive, admission, shedding.
+"""The HTTP server: parity, keep-alive, admission, shedding.
 
 Four suites over real sockets:
 
-* **parity** — every endpoint (success and error paths) served by the
-  threaded and asyncio transports over the *same* directory must return
-  byte-identical JSON bodies;
+* **parity** — every endpoint (success and error paths, including 413
+  and the 503 "recovering" state) must answer with the status, content
+  type and body bytes that in-process ``app.handle`` returns for the
+  same request;
 * **connection behavior** — keep-alive reuse, raw-socket pipelining,
   ``Connection: close`` echo, shutdown-in-progress close headers;
 * **admission control** — saturating the heavy in-flight budget sheds
@@ -28,11 +29,16 @@ from repro.core.pipeline import CAFCPipeline
 from repro.service.aio import (
     AdmissionConfig,
     AsyncHTTPServer,
-    serve_directory_async,
+    serve_directory,
 )
-from repro.service.app import ApiError, BaseApp, Response, json_response
+from repro.service.app import (
+    ApiError,
+    BaseApp,
+    Response,
+    check_content_length,
+    json_response,
+)
 from repro.service.directory import FormDirectory
-from repro.service.http import serve_directory
 from repro.service.metrics import MetricsRegistry
 from repro.service.snapshot import build_snapshot
 
@@ -85,35 +91,69 @@ def raw_page_payload(raw):
 
 
 # ---------------------------------------------------------------------------
-# Byte parity across transports.
+# Byte parity: the server against in-process app.handle.
 # ---------------------------------------------------------------------------
 
 
+def wire(result):
+    """(status, content type, Retry-After, body) of an HTTP answer."""
+    status, headers, body = result
+    return (status, headers.get("Content-Type"),
+            headers.get("Retry-After"), body)
+
+
+def in_process(app, method, target, data=b""):
+    """The same four fields straight from ``app.handle`` — no socket."""
+    response = app.handle(method, target, lambda: data)
+    extra = dict(response.extra_headers)
+    return (response.status, response.content_type,
+            extra.get("Retry-After"), response.body)
+
+
+def oversized_post(port):
+    """POST an announced 3 MiB body, head only: the 413 is decided from
+    Content-Length, so the client never races the server's close."""
+    sock = socket.create_connection(("127.0.0.1", port))
+    sock.sendall(
+        b"POST /classify HTTP/1.1\r\nHost: x\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Content-Length: 3145728\r\n\r\n"
+    )
+    sock.settimeout(10)
+    data = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    sock.close()
+    head, _, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, body
+
+
 class TestTransportParity:
-    """Both transports over ONE shared directory: identical request
-    sequences must produce byte-identical JSON bodies."""
+    """The server adds framing and nothing else: for one request
+    sequence over ONE directory, status, content type, Retry-After and
+    body bytes equal what ``app.handle`` returns in-process."""
 
     @pytest.fixture()
-    def both(self, small_snapshot, monkeypatch):
+    def served(self, small_snapshot, monkeypatch):
         directory = _directory(small_snapshot)
         # /healthz reports uptime_seconds from time.time(); freeze it so
-        # the two servers can't disagree by microseconds.
+        # the two answers can't disagree by microseconds.
         frozen = time.time()
         monkeypatch.setattr(time, "time", lambda: frozen)
-        threaded = serve_directory(directory, transport="threaded")
-        threaded.serve_in_thread()
-        # The asyncio server shares the SAME directory (and metrics
-        # registry): identical engine counters in /healthz stats.
-        aio = AsyncHTTPServer(threaded.app, on_close=lambda: None)
-        aio.serve_in_thread()
+        server = serve_directory(directory)
+        server.serve_in_thread()
         try:
-            yield threaded.base_url, aio.base_url
+            yield server
         finally:
-            aio.shut_down()
-            threaded.shut_down()
+            server.shut_down()
 
-    # Sequential identical requests: read endpoints are pure, so both
-    # transports see the same directory state for every pair.
+    # Sequential identical requests: read endpoints are pure, so the
+    # server and the in-process call see the same directory state.
     GET_TARGETS = [
         "/clusters",
         "/clusters?max_urls=2",
@@ -127,20 +167,12 @@ class TestTransportParity:
         "/healthz",
     ]
 
-    def test_get_endpoints_byte_identical(self, both):
-        threaded, aio = both
+    def test_get_endpoints_byte_identical(self, served):
         for target in self.GET_TARGETS:
-            status_t, headers_t, body_t = get_raw(threaded, target)
-            status_a, headers_a, body_a = get_raw(aio, target)
-            assert status_t == status_a, target
-            assert body_t == body_a, target
-            assert (headers_t.get("Content-Type")
-                    == headers_a.get("Content-Type")), target
-            assert (headers_t.get("Retry-After")
-                    == headers_a.get("Retry-After")), target
+            got = wire(get_raw(served.base_url, target))
+            assert got == in_process(served.app, "GET", target), target
 
-    def test_post_endpoints_byte_identical(self, both, small_raw_pages):
-        threaded, aio = both
+    def test_post_endpoints_byte_identical(self, served, small_raw_pages):
         page = small_raw_pages[0]
         cases = [
             ("/classify", raw_page_payload(page), None),
@@ -151,77 +183,59 @@ class TestTransportParity:
             ("/nope", {}, None),                                     # 404
         ]
         for path, payload, raw_bytes in cases:
-            result_t = post_raw(threaded, path, payload, raw_bytes=raw_bytes)
-            result_a = post_raw(aio, path, payload, raw_bytes=raw_bytes)
-            assert result_t[0] == result_a[0], path
-            assert result_t[2] == result_a[2], (path, payload)
+            data = (json.dumps(payload).encode("utf-8")
+                    if raw_bytes is None else raw_bytes)
+            got = wire(post_raw(served.base_url, path, payload,
+                                raw_bytes=raw_bytes))
+            assert got == in_process(served.app, "POST", path, data), (
+                path, payload)
 
-    def test_add_remove_round_trip_identical(self, both, small_raw_pages):
-        # Mutations: run the same add/remove cycle against each
-        # transport in turn; the directory returns to its prior state
-        # between cycles, so the bodies must match byte for byte.
-        threaded, aio = both
+    def test_add_remove_round_trip_identical(self, served, small_raw_pages):
+        # Mutations: run the same add/remove cycle over the socket and
+        # then in-process; the directory returns to its prior state
+        # between cycles, so the answers must match byte for byte.
         page = raw_page_payload(small_raw_pages[1])
         page["url"] = "http://parity.example/new-source"
-        results = []
-        for base in (threaded, aio):
-            added = post_raw(base, "/add", page)
-            removed = post_raw(base, "/remove", {"url": page["url"]})
-            results.append((added, removed))
-        assert results[0][0][2] == results[1][0][2]
-        assert results[0][1][2] == results[1][1][2]
+        add_body = json.dumps(page).encode("utf-8")
+        remove_body = json.dumps({"url": page["url"]}).encode("utf-8")
+        over_wire = (
+            wire(post_raw(served.base_url, "/add", page)),
+            wire(post_raw(served.base_url, "/remove", {"url": page["url"]})),
+        )
+        direct = (
+            in_process(served.app, "POST", "/add", add_body),
+            in_process(served.app, "POST", "/remove", remove_body),
+        )
+        assert over_wire == direct
+        assert over_wire[0][0] == over_wire[1][0] == 200
 
-    def test_payload_too_large_identical(self, both):
-        # The rejection is decided from the announced Content-Length —
-        # send only the head, so neither transport can race the client
-        # mid-body with its Connection: close.
-        threaded, aio = both
+    def test_payload_too_large_identical(self, served):
+        def read_oversized() -> bytes:
+            # The app-side twin of the server's framing check.
+            check_content_length("3145728", served.max_request_bytes)
+            return b""
 
-        def oversized(base):
-            port = int(base.rsplit(":", 1)[1])
-            sock = socket.create_connection(("127.0.0.1", port))
-            sock.sendall(
-                b"POST /classify HTTP/1.1\r\nHost: x\r\n"
-                b"Content-Type: application/json\r\n"
-                b"Content-Length: 3145728\r\n\r\n"
-            )
-            sock.settimeout(10)
-            data = b""
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                data += chunk
-            sock.close()
-            status_line = data.split(b"\r\n", 1)[0]
-            body = data.partition(b"\r\n\r\n")[2]
-            return status_line, body
+        got = wire(oversized_post(served.port))
+        response = served.app.handle("POST", "/classify", read_oversized)
+        assert got[0] == response.status == 413
+        assert got[1] == response.content_type
+        assert got[3] == response.body
 
-        status_t, body_t = oversized(threaded)
-        status_a, body_a = oversized(aio)
-        assert b"413" in status_t and b"413" in status_a
-        assert body_t == body_a
-
-    def test_metrics_same_families(self, both):
+    def test_metrics_same_families(self, served):
         # /metrics can't be byte-pinned (each scrape mutates request
-        # histograms), but both transports expose the same content type
-        # and metric families.
-        threaded, aio = both
-        # Warm the registry: the first-ever scrape renders before its
-        # own observation is recorded, so the request families would
-        # only exist on the second server scraped.
-        get_raw(threaded, "/healthz")
-        get_raw(aio, "/healthz")
-        status_t, headers_t, body_t = get_raw(threaded, "/metrics")
-        status_a, headers_a, body_a = get_raw(aio, "/metrics")
-        assert status_t == status_a == 200
-        assert headers_t["Content-Type"] == headers_a["Content-Type"]
+        # histograms), but the server and app.handle expose the same
+        # content type and metric families.
+        get_raw(served.base_url, "/healthz")  # warm the request families
+        status, headers, body = get_raw(served.base_url, "/metrics")
+        response = served.app.handle("GET", "/metrics")
+        assert status == response.status == 200
+        assert headers["Content-Type"] == response.content_type
 
-        def families(body):
-            return {line.split()[2] for line in body.decode().splitlines()
+        def families(text):
+            return {line.split()[2] for line in text.decode().splitlines()
                     if line.startswith("# TYPE")}
 
-        assert families(body_t) == families(body_a)
+        assert families(body) == families(response.body)
 
     def test_healthz_recovering_parity(self, small_snapshot, monkeypatch):
         directory = _directory(small_snapshot)
@@ -230,19 +244,14 @@ class TestTransportParity:
         monkeypatch.setattr(
             type(directory), "health_state", lambda self: "recovering"
         )
-        threaded = serve_directory(directory, transport="threaded")
-        threaded.serve_in_thread()
-        aio = AsyncHTTPServer(threaded.app, on_close=lambda: None)
-        aio.serve_in_thread()
+        server = serve_directory(directory)
+        server.serve_in_thread()
         try:
-            result_t = get_raw(threaded.base_url, "/healthz")
-            result_a = get_raw(aio.base_url, "/healthz")
-            assert result_t[0] == result_a[0] == 503
-            assert result_t[2] == result_a[2]
-            assert result_t[1]["Retry-After"] == result_a[1]["Retry-After"]
+            got = wire(get_raw(server.base_url, "/healthz"))
+            assert got == in_process(server.app, "GET", "/healthz")
+            assert got[0] == 503 and got[2] == "1"
         finally:
-            aio.shut_down()
-            threaded.shut_down()
+            server.shut_down()
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +262,7 @@ class TestTransportParity:
 class TestConnections:
     @pytest.fixture()
     def server(self, small_snapshot):
-        srv = serve_directory_async(_directory(small_snapshot))
+        srv = serve_directory(_directory(small_snapshot))
         srv.serve_in_thread()
         try:
             yield srv
@@ -345,38 +354,6 @@ class TestConnections:
             data += chunk
         assert b"Connection: close" in data
         sock.close()
-
-    def test_threaded_connection_close_honored(self, small_snapshot):
-        import http.client
-
-        srv = serve_directory(_directory(small_snapshot),
-                              transport="threaded")
-        srv.serve_in_thread()
-        try:
-            conn = http.client.HTTPConnection("127.0.0.1", srv.port)
-            conn.request("GET", "/clusters",
-                         headers={"Connection": "close"})
-            resp = conn.getresponse()
-            resp.read()
-            assert resp.getheader("Connection") == "close"
-            conn.close()
-            # And the shutdown-in-progress path: keep-alive requests
-            # racing shut_down get 503 + Connection: close, not a hang.
-            conn2 = http.client.HTTPConnection("127.0.0.1", srv.port)
-            conn2.request("GET", "/clusters")
-            resp = conn2.getresponse()
-            resp.read()
-            assert resp.getheader("Connection") != "close"
-            srv.shutting_down = True
-            conn2.request("GET", "/clusters")
-            resp = conn2.getresponse()
-            body = resp.read()
-            assert resp.status == 503
-            assert resp.getheader("Connection") == "close"
-            assert json.loads(body)["error"]["code"] == "shutting_down"
-            conn2.close()
-        finally:
-            srv.shut_down()
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +551,7 @@ class TestAdmissionControl:
         writer releases."""
         directory = _directory(small_snapshot)
         config = AdmissionConfig(max_inflight=3, heavy_workers=3)
-        server = serve_directory_async(directory, admission=config)
+        server = serve_directory(directory, admission=config)
         server.serve_in_thread()
         base = server.base_url
         payload = raw_page_payload(small_raw_pages[0])
@@ -631,7 +608,7 @@ class TestSlowloris:
     def test_stalled_header_client_reaped_with_408(self, small_snapshot):
         directory = _directory(small_snapshot)
         config = AdmissionConfig(header_timeout=0.4, idle_timeout=30.0)
-        server = serve_directory_async(directory, admission=config)
+        server = serve_directory(directory, admission=config)
         server.serve_in_thread()
         try:
             sock = socket.create_connection(("127.0.0.1", server.port))
@@ -662,7 +639,7 @@ class TestSlowloris:
         # deadline is measured from the FIRST byte, so it still reaps.
         directory = _directory(small_snapshot)
         config = AdmissionConfig(header_timeout=0.5, idle_timeout=30.0)
-        server = serve_directory_async(directory, admission=config)
+        server = serve_directory(directory, admission=config)
         server.serve_in_thread()
         try:
             sock = socket.create_connection(("127.0.0.1", server.port))
@@ -694,7 +671,7 @@ class TestSlowloris:
     def test_idle_keep_alive_connection_reaped(self, small_snapshot):
         directory = _directory(small_snapshot)
         config = AdmissionConfig(header_timeout=5.0, idle_timeout=0.4)
-        server = serve_directory_async(directory, admission=config)
+        server = serve_directory(directory, admission=config)
         server.serve_in_thread()
         try:
             sock = socket.create_connection(("127.0.0.1", server.port))
@@ -722,7 +699,7 @@ class TestSlowloris:
 class TestLifecycle:
     def test_shut_down_idempotent_and_closes_directory(self, small_snapshot):
         directory = _directory(small_snapshot)
-        server = serve_directory_async(directory)
+        server = serve_directory(directory)
         server.serve_in_thread()
         status, _, _ = get_raw(server.base_url, "/healthz")
         assert status == 200
@@ -732,7 +709,7 @@ class TestLifecycle:
 
     def test_shut_down_before_serve(self, small_snapshot):
         directory = _directory(small_snapshot)
-        server = serve_directory_async(directory)
+        server = serve_directory(directory)
         port = server.port
         assert port > 0
         server.shut_down()
@@ -741,7 +718,7 @@ class TestLifecycle:
 
     def test_port_available_immediately(self, small_snapshot):
         directory = _directory(small_snapshot)
-        server = serve_directory_async(directory)
+        server = serve_directory(directory)
         assert server.port > 0
         assert server.base_url.startswith("http://127.0.0.1:")
         server.shut_down()

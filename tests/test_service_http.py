@@ -16,7 +16,7 @@ import pytest
 from repro.core.config import CAFCConfig
 from repro.core.pipeline import CAFCPipeline
 from repro.service.directory import FormDirectory
-from repro.service.http import serve_directory
+from repro.service import serve_directory
 from repro.service.snapshot import build_snapshot
 
 

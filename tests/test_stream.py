@@ -400,7 +400,6 @@ class TestSpillIndex:
         from repro.index import (
             SpaceIndex,
             SpillingSpaceIndex,
-            combined_query_channel,
             top_k_exact,
         )
 
@@ -415,7 +414,8 @@ class TestSpillIndex:
         query = self._vectors(n=1, seed=99)[0]
         norm = query.norm()
         reference = top_k_exact(
-            [combined_query_channel(full, query)],
+            full,
+            query,
             10,
             lambda r: full.vector(r).dot(query) / (full.norm(r) * norm),
         )
