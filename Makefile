@@ -1,6 +1,6 @@
 # Convenience targets; everything works without make too.
 
-.PHONY: install test bench bench-smoke bench-ingest bench-search bench-ranking bench-shard bench-serve bench-stream serve-smoke shard-smoke stream-smoke chaos failover-chaos experiments examples lint clean
+.PHONY: install test bench bench-smoke bench-ingest bench-search bench-ranking bench-shard bench-serve bench-stream serve-smoke shard-smoke stream-smoke chaos failover-chaos bench-paper experiments examples clean
 
 install:
 	pip install -e . || python setup.py develop

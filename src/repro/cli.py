@@ -9,6 +9,9 @@ Commands
 ``corpus``
     Generate the benchmark corpus and print its profile; ``--save PATH``
     writes it as a JSON dataset.
+``ingest --stream``
+    Streamed, bounded-memory ingestion over generated pages
+    (docs/INGESTION.md).
 ``organize``
     Load a JSON dataset (or generate the benchmark) and run the CAFC
     pipeline, printing the resulting database-domain clusters.
@@ -22,8 +25,13 @@ Commands
     Persist a fully built directory index to a versioned JSON(+gzip)
     snapshot, or summarize one without loading it.
 ``serve``
-    Run the form-directory HTTP server (see docs/SERVING.md) from a
-    snapshot — or build one on the fly from a dataset / the benchmark.
+    Run the form-directory HTTP server over a snapshot from
+    ``snapshot build`` (docs/SERVING.md).
+``shard`` / ``replica`` / ``router``
+    Serve one shard of a split snapshot, a read replica tailing a
+    shard's journal, or the scatter-gather front end (docs/SHARDING.md).
+``failover``
+    Watch a shard leader and promote a replica when it dies.
 """
 
 import argparse
@@ -152,23 +160,33 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_organize(args: argparse.Namespace) -> int:
-    from repro.core import CAFCConfig, CAFCPipeline
-
+def _load_or_generate(args: argparse.Namespace):
     if args.dataset:
         from repro.datasets import load_dataset
 
-        raw_pages = load_dataset(args.dataset)
-    else:
-        from repro.webgen import generate_benchmark
+        return load_dataset(args.dataset)
+    from repro.webgen import generate_benchmark
 
-        raw_pages = generate_benchmark(seed=args.seed).raw_pages()
+    return generate_benchmark(seed=args.seed).raw_pages()
 
-    pipeline = CAFCPipeline(CAFCConfig(
-        k=args.k, scheme=args.scheme,
-        parallel=_parallel_config(args)
-    ))
-    result = pipeline.organize(raw_pages, algorithm=args.algorithm)
+
+def _organize(args: argparse.Namespace, algorithm="cafc-ch", **config):
+    """Organize --dataset (or the generated benchmark) into ``args.k``
+    clusters; ``config`` sets further CAFCConfig fields.  Returns the
+    raw pages, the fitted pipeline and its result."""
+    from repro.core import CAFCConfig, CAFCPipeline
+
+    raw_pages = _load_or_generate(args)
+    pipeline = CAFCPipeline(CAFCConfig(k=args.k, **config))
+    result = pipeline.organize(raw_pages, algorithm=algorithm)
+    return raw_pages, pipeline, result
+
+
+def _cmd_organize(args: argparse.Namespace) -> int:
+    _, pipeline, result = _organize(
+        args, args.algorithm, scheme=args.scheme,
+        parallel=_parallel_config(args),
+    )
     print(f"ingest: {pipeline.vectorizer.ingest_stats.describe()}")
     if args.save_result:
         from repro.datasets import save_result
@@ -188,23 +206,10 @@ def _cmd_organize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_or_generate(args: argparse.Namespace):
-    if getattr(args, "dataset", None):
-        from repro.datasets import load_dataset
-
-        return load_dataset(args.dataset)
-    from repro.webgen import generate_benchmark
-
-    return generate_benchmark(seed=args.seed).raw_pages()
-
-
 def _cmd_explore(args: argparse.Namespace) -> int:
-    from repro.core import CAFCConfig, CAFCPipeline
     from repro.explore import ClusterExplorer
 
-    raw_pages = _load_or_generate(args)
-    pipeline = CAFCPipeline(CAFCConfig(k=args.k))
-    result = pipeline.organize(raw_pages)
+    _, _, result = _organize(args)
     explorer = ClusterExplorer(result)
     print(explorer.summary())
     if args.query:
@@ -220,13 +225,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_unify(args: argparse.Namespace) -> int:
-    from repro.core import CAFCConfig, CAFCPipeline
     from repro.integration import build_unified_interface
 
-    raw_pages = _load_or_generate(args)
+    raw_pages, _, result = _organize(args)
     raw_by_url = {page.url: page for page in raw_pages}
-    pipeline = CAFCPipeline(CAFCConfig(k=args.k))
-    result = pipeline.organize(raw_pages)
     if not 0 <= args.cluster < result.n_clusters:
         print(f"cluster must be in [0, {result.n_clusters})", file=sys.stderr)
         return 1
@@ -251,15 +253,12 @@ def _cmd_unify(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot_build(args: argparse.Namespace) -> int:
-    from repro.core import CAFCConfig, CAFCPipeline
     from repro.service import build_snapshot
 
-    raw_pages = _load_or_generate(args)
-    pipeline = CAFCPipeline(CAFCConfig(
-        k=args.k, scheme=args.scheme,
-        parallel=_parallel_config(args)
-    ))
-    result = pipeline.organize(raw_pages, algorithm=args.algorithm)
+    _, pipeline, result = _organize(
+        args, args.algorithm, scheme=args.scheme,
+        parallel=_parallel_config(args),
+    )
     snapshot = build_snapshot(result, pipeline.vectorizer, pipeline.config)
     snapshot.save(args.out)
     print(f"ingest: {pipeline.vectorizer.ingest_stats.describe()}")
@@ -277,65 +276,6 @@ def _cmd_snapshot_inspect(args: argparse.Namespace) -> int:
     for key, value in info.items():
         print(f"{key}: {value}")
     return 0
-
-
-def _build_serve_directory(args: argparse.Namespace):
-    """A FormDirectory from --snapshot, or built on the fly."""
-    from repro.service import FormDirectory
-
-    knobs = dict(
-        cache_size=args.cache_size,
-        auto_recluster=not args.no_auto_recluster,
-        journal=getattr(args, "journal", None),
-    )
-    if args.snapshot:
-        directory = FormDirectory.from_snapshot(args.snapshot, **knobs)
-        requested = getattr(args, "scheme", "auto")
-        if requested != "auto" and requested != directory.scheme_name:
-            directory.close()
-            raise SystemExit(
-                f"--scheme {requested} conflicts with the snapshot's "
-                f"fitted scheme {directory.scheme_name!r}; re-weighting "
-                "needs a re-fit (repro snapshot build --scheme "
-                f"{requested})"
-            )
-        return directory
-
-    from repro.core import CAFCConfig, CAFCPipeline
-    from repro.service import build_snapshot
-
-    if getattr(args, "smoke", False) and not args.dataset:
-        # The smoke corpus: a scaled-down benchmark so the whole
-        # boot-probe-shutdown cycle stays in seconds.
-        from repro.webgen.config import GeneratorConfig
-        from repro.webgen.corpus import generate_benchmark
-
-        config = GeneratorConfig(
-            pages_per_domain={
-                "airfare": 9, "auto": 8, "book": 8, "hotel": 9,
-                "job": 8, "movie": 8, "music": 8, "rental": 6,
-            },
-            single_attribute_per_domain=2,
-            mixed_entertainment_pages=2,
-            small_hubs_per_domain=6,
-            medium_hubs_per_domain=3,
-            n_directories=15,
-            n_travel_portals=2,
-            seed=args.seed,
-        )
-        raw_pages = generate_benchmark(config=config).raw_pages()
-        pipeline = CAFCPipeline(CAFCConfig(
-            k=args.k, min_hub_cardinality=3,
-            scheme=getattr(args, "scheme", "auto"),
-        ))
-    else:
-        raw_pages = _load_or_generate(args)
-        pipeline = CAFCPipeline(CAFCConfig(
-            k=args.k, scheme=getattr(args, "scheme", "auto"),
-        ))
-    result = pipeline.organize(raw_pages)
-    snapshot = build_snapshot(result, pipeline.vectorizer, pipeline.config)
-    return FormDirectory.from_snapshot(snapshot, **knobs)
 
 
 def _admission_from_args(args: argparse.Namespace):
@@ -378,22 +318,34 @@ def _add_admission_args(parser) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-    import urllib.request
+    if not (args.snapshot or args.smoke):
+        raise SystemExit(
+            "serve needs --snapshot PATH: build one first with "
+            "`repro snapshot build --out PATH` (or pass --smoke)"
+        )
+    if args.chaos is None:
+        return _serve(args)
+    # Dev/soak mode: arm the canned chaos plan process-wide so the
+    # snapshot, vectorize and journal seams all misbehave — the server
+    # should stay up (degraded at worst).  The previous plan comes back
+    # when the command returns.  docs/RESILIENCE.md.
+    from repro.resilience import FaultPlan, active_plan
 
-    from repro.service import serve_directory
+    plan = FaultPlan.default_chaos(args.chaos)
+    print(f"chaos mode: {plan.describe()['specs']} (seed {args.chaos})")
+    with active_plan(plan):
+        return _serve(args)
 
-    if getattr(args, "chaos", None) is not None:
-        # Dev/soak mode: arm the canned chaos plan process-wide so the
-        # snapshot, vectorize and journal seams all misbehave — the
-        # server should stay up (degraded at worst).  docs/RESILIENCE.md.
-        from repro.resilience import FaultPlan, install_plan
 
-        plan = FaultPlan.default_chaos(args.chaos)
-        install_plan(plan)
-        print(f"chaos mode: {plan.describe()['specs']} (seed {args.chaos})")
+def _serve(args: argparse.Namespace) -> int:
+    from repro.service import FormDirectory, serve_directory
 
-    directory = _build_serve_directory(args)
+    directory = FormDirectory.from_snapshot(
+        args.snapshot or _smoke_snapshot(),
+        cache_size=args.cache_size,
+        auto_recluster=not args.no_auto_recluster,
+        journal=args.journal,
+    )
     server = serve_directory(
         directory,
         host=args.host,
@@ -406,38 +358,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"form directory: {stats['pages']} pages in {stats['clusters']} "
         "clusters"
     )
+    if not args.smoke:
+        return _serve_until_interrupted(server)
 
-    if args.smoke:
-        # Boot on an ephemeral port, probe /healthz and one /classify
-        # over a real socket, and shut down cleanly — the CI smoke.
-        server.serve_in_thread()
-        base = server.base_url
-        try:
-            with urllib.request.urlopen(base + "/healthz", timeout=15) as r:
-                health = json.loads(r.read().decode("utf-8"))
-            assert health["status"] == "ok", health
-            body = json.dumps({
-                "url": "http://smoke.example/form",
-                "html": "<html><title>flight search</title><body>"
-                        "<form><input name='from'><input name='to'></form>"
-                        "book cheap flights and airline tickets</body></html>",
-            }).encode("utf-8")
-            request = urllib.request.Request(
-                base + "/classify", data=body,
-                headers={"Content-Type": "application/json"}, method="POST",
-            )
-            with urllib.request.urlopen(request, timeout=15) as r:
-                outcome = json.loads(r.read().decode("utf-8"))
-            assert outcome["ok"] and isinstance(outcome["cluster"], int), outcome
-            print(
-                f"serve smoke ok: {base} classified into cluster "
-                f"{outcome['cluster']} ({', '.join(outcome['top_terms'][:3])})"
-            )
-        finally:
-            server.shut_down()
-        return 0
+    # Boot on an ephemeral port, probe /healthz and one /classify over
+    # a real socket, and shut down cleanly — the CI smoke.
+    server.serve_in_thread()
+    base = server.base_url
+    try:
+        health = _http_json(base + "/healthz")
+        assert health["status"] == "ok", health
+        outcome = _http_json(base + "/classify", _PROBE_PAGE)
+        assert outcome["ok"] and isinstance(outcome["cluster"], int), outcome
+        print(
+            f"serve smoke ok: {base} classified into cluster "
+            f"{outcome['cluster']} ({', '.join(outcome['top_terms'][:3])})"
+        )
+    finally:
+        server.shut_down()
+    return 0
 
-    print(f"serving on {server.base_url} (Ctrl-C to stop)")
+
+def _serve_until_interrupted(server, label: str = "serving") -> int:
+    """Serve until Ctrl-C (SIGINT), then shut the server down."""
+    print(f"{label} on {server.base_url} (Ctrl-C to stop)")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -447,8 +391,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _smoke_snapshot(seed: int = 42, k: int = 8):
-    """A small-corpus snapshot for the distrib smoke modes."""
+def _smoke_snapshot(seed: int = 42):
+    """The 64-page snapshot the ``serve`` and ``router`` smokes boot:
+    a scaled-down benchmark, so a whole boot-probe-shutdown cycle stays
+    in seconds."""
     from repro.core import CAFCConfig, CAFCPipeline
     from repro.service import build_snapshot
     from repro.webgen.config import GeneratorConfig
@@ -468,9 +414,34 @@ def _smoke_snapshot(seed: int = 42, k: int = 8):
         seed=seed,
     )
     raw_pages = generate_benchmark(config=config).raw_pages()
-    pipeline = CAFCPipeline(CAFCConfig(k=k, min_hub_cardinality=3))
+    pipeline = CAFCPipeline(CAFCConfig(k=8, min_hub_cardinality=3))
     result = pipeline.organize(raw_pages)
     return build_snapshot(result, pipeline.vectorizer, pipeline.config)
+
+
+#: The form page both smokes send: a flight search.
+_PROBE_PAGE = {
+    "url": "http://smoke.example/form",
+    "html": "<html><title>flight search</title><body>"
+            "<form><input name='from'><input name='to'></form>"
+            "book cheap flights and airline tickets</body></html>",
+}
+
+
+def _http_json(url: str, payload: Optional[dict] = None):
+    """GET ``url`` (or POST ``payload`` to it as JSON); the decoded reply."""
+    import json
+    import urllib.request
+
+    if payload is None:
+        request = urllib.request.Request(url)
+    else:
+        request = urllib.request.Request(
+            url, data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"}, method="POST",
+        )
+    with urllib.request.urlopen(request, timeout=15) as reply:
+        return json.loads(reply.read().decode("utf-8"))
 
 
 def _lease_path(lease_dir: str, shard_index: int) -> str:
@@ -528,19 +499,11 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         f"{'on' if node.journal else 'off'}; epoch {node.epoch}"
         + (f"; lease {lease_store.path}" if lease_store else "")
     )
-    print(f"serving on {server.base_url} (Ctrl-C to stop)")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        server.shut_down()
-    return 0
+    return _serve_until_interrupted(server)
 
 
 def _cmd_replica(args: argparse.Namespace) -> int:
     import threading
-    import time as time_mod
 
     from repro.distrib import (
         HttpShardClient,
@@ -597,15 +560,10 @@ def _cmd_replica(args: argparse.Namespace) -> int:
     tailer = threading.Thread(target=tail, name="repro-replica-tail",
                               daemon=True)
     tailer.start()
-    print(f"serving (read-only) on {server.base_url} (Ctrl-C to stop)")
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
+        return _serve_until_interrupted(server, "serving (read-only)")
     finally:
         stop.set()
-        server.shut_down()
-    return 0
 
 
 def _cmd_router(args: argparse.Namespace) -> int:
@@ -640,22 +598,13 @@ def _cmd_router(args: argparse.Namespace) -> int:
         f"{args.placement} placement, per-shard timeout "
         f"{args.shard_timeout}s"
     )
-    print(f"serving on {server.base_url} (Ctrl-C to stop)")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        server.shut_down()
-    return 0
+    return _serve_until_interrupted(server)
 
 
 def _router_smoke(args: argparse.Namespace) -> int:
     """Boot router + 2 shards + 1 replica in-process over real sockets,
     round-trip a query and a write, shut down — the CI shard smoke."""
-    import json
     import tempfile
-    import urllib.request
     from pathlib import Path
 
     from repro.distrib import (
@@ -704,27 +653,12 @@ def _router_smoke(args: argparse.Namespace) -> int:
             servers.append(router_server)
             base = router_server.base_url
 
-            with urllib.request.urlopen(base + "/healthz", timeout=15) as r:
-                health = json.loads(r.read().decode("utf-8"))
+            health = _http_json(base + "/healthz")
             assert health["status"] == "ok", health
-            with urllib.request.urlopen(
-                base + "/search?q=cheap+flight+ticket&n=3", timeout=15
-            ) as r:
-                search = json.loads(r.read().decode("utf-8"))
+            search = _http_json(base + "/search?q=cheap+flight+ticket&n=3")
             assert search["ok"] and search["hits"], search
             assert not search["partial"], search
-            body = json.dumps({
-                "url": "http://smoke.example/form",
-                "html": "<html><title>flight search</title><body>"
-                        "<form><input name='from'><input name='to'></form>"
-                        "book cheap flights and airline tickets</body></html>",
-            }).encode("utf-8")
-            request = urllib.request.Request(
-                base + "/add", data=body,
-                headers={"Content-Type": "application/json"}, method="POST",
-            )
-            with urllib.request.urlopen(request, timeout=15) as r:
-                added = json.loads(r.read().decode("utf-8"))
+            added = _http_json(base + "/add", _PROBE_PAGE)
             assert added["ok"] and isinstance(added["cluster"], int), added
             report = replica.poll()
             print(
@@ -951,20 +885,12 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the form-directory HTTP server (docs/SERVING.md)"
     )
     p_serve.add_argument(
-        "--snapshot", help="cold-start from this snapshot "
-        "(default: organize --dataset or the benchmark first)",
+        "--snapshot", metavar="PATH",
+        help="snapshot to serve, from `repro snapshot build` "
+             "(required unless --smoke)",
     )
-    p_serve.add_argument("--dataset", help="JSON dataset path")
-    p_serve.add_argument("--seed", type=int, default=42)
-    p_serve.add_argument("--k", type=int, default=8)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080)
-    p_serve.add_argument(
-        "--scheme", choices=["auto", "off", "eq1", "bm25", "tf"],
-        default="auto",
-        help="term-weighting scheme for on-the-fly builds; with "
-             "--snapshot it must match the snapshot's fitted scheme",
-    )
     p_serve.add_argument(
         "--cache-size", type=int, default=1024,
         help="classify LRU result-cache capacity (0 disables)",
@@ -991,8 +917,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--smoke", action="store_true",
-        help="boot on an ephemeral port, probe /healthz and /classify, "
-             "shut down (CI self-check)",
+        help="boot the 64-page smoke snapshot on an ephemeral port, "
+             "probe /healthz and /classify, shut down (CI self-check)",
     )
     _add_admission_args(p_serve)
     p_serve.set_defaults(func=_cmd_serve)

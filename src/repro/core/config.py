@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from repro.options import SCHEME_CHOICES, validate_option
 from repro.parallel.config import ParallelConfig
 from repro.resilience.config import ResilienceConfig
-from repro.stream.config import StreamConfig
 from repro.vsm.weights import LocationWeights
 
 
@@ -81,17 +80,10 @@ class CAFCConfig:
         :class:`~repro.parallel.config.ParallelConfig` and
         docs/INGESTION.md.  Parallel output is bit-identical to serial.
     resilience:
-        Retry/backoff, circuit-breaker and chaos knobs for the flaky
+        Retry/backoff and circuit-breaker knobs for the flaky
         seams (the backlink API, request vectorization) — see
         :class:`~repro.resilience.config.ResilienceConfig` and
         docs/RESILIENCE.md.
-    stream:
-        Streaming-ingestion knobs (batch size, IDF drift threshold,
-        reservoir, vocabulary budget, spill-to-disk) — see
-        :class:`~repro.stream.config.StreamConfig` and
-        docs/INGESTION.md, "Streaming ingestion".  Only the streaming
-        path (``repro ingest --stream``) reads these; batch runs are
-        unaffected.
     """
 
     k: int = 8
@@ -108,7 +100,6 @@ class CAFCConfig:
     scheme: str = "auto"
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    stream: StreamConfig = field(default_factory=StreamConfig)
 
     def to_dict(self) -> dict:
         """All tunables as JSON-safe data (snapshot support)."""
@@ -127,15 +118,14 @@ class CAFCConfig:
             "scheme": self.scheme,
             "parallel": self.parallel.to_dict(),
             "resilience": self.resilience.to_dict(),
-            "stream": self.stream.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, state: dict) -> "CAFCConfig":
         """Rebuild a config exported by :meth:`to_dict` (validates).
 
-        Keys this version no longer has (the ``"backend"`` and
-        ``"index"`` knobs older snapshots wrote) are ignored.
+        Keys this version no longer has (the ``"backend"``, ``"index"``
+        and ``"stream"`` knobs older snapshots wrote) are ignored.
         """
         defaults = cls()
         return cls(
@@ -169,7 +159,6 @@ class CAFCConfig:
             resilience=ResilienceConfig.from_dict(
                 dict(state.get("resilience", {}))
             ),
-            stream=StreamConfig.from_dict(dict(state.get("stream", {}))),
         )
 
     def __post_init__(self) -> None:

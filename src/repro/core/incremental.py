@@ -282,54 +282,6 @@ class IncrementalOrganizer:
             pages, assignment, old_assignment, final_centroids
         )
 
-    def recluster_minibatch(
-        self,
-        reservoir_size: int = 512,
-        batch_size: int = 64,
-        epochs: int = 3,
-        seed: int = 0,
-    ) -> int:
-        """Drift repair on a *bounded reservoir* instead of a full pass.
-
-        The streaming mode: a deterministic reservoir sample of the
-        managed pages trains a :class:`~repro.clustering.minibatch.
-        MiniBatchKMeans` seeded with the current centroids (O(reservoir)
-        similarity work, whatever the collection size), then one
-        assignment sweep re-labels every member against the trained
-        centroids.  The sweep is O(n) *assignments* but — unlike
-        :meth:`recluster` — there is exactly one of them, no iterate-to-
-        convergence loop, and the training set never exceeds
-        ``reservoir_size`` pages.  Cluster count is preserved; emptied
-        clusters keep their trained centroid.  Returns how many pages
-        moved.
-        """
-        from repro.clustering.minibatch import MiniBatchKMeans, ReservoirSample
-
-        pages = [
-            page for cluster in self.clusters for page in cluster.pages
-        ]
-        if not pages:
-            return 0
-        old_assignment = dict(self._by_url)
-        learner = MiniBatchKMeans(
-            self.centroid_pairs(),
-            page_weight=self.config.page_weight,
-            form_weight=self.config.form_weight,
-            use_pc=self.config.content_mode.uses_pc,
-            use_fc=self.config.content_mode.uses_fc,
-        )
-        reservoir = ReservoirSample(reservoir_size, seed=seed)
-        for page in pages:
-            reservoir.offer(page)
-        sample = reservoir.items
-        for _ in range(max(1, epochs)):
-            for offset in range(0, len(sample), max(1, batch_size)):
-                learner.partial_fit(sample[offset : offset + batch_size])
-        assignment = [learner.assign(page)[0] for page in pages]
-        return self._apply_assignment(
-            pages, assignment, old_assignment, learner.centroid_pairs()
-        )
-
     def _apply_assignment(
         self,
         pages: List[FormPage],

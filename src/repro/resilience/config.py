@@ -2,9 +2,9 @@
 
 One flat record of the retry/breaker defaults a run uses, JSON
 round-trippable so snapshots built under one policy serve under the
-same one after a cold start.  ``chaos_seed`` arms the default chaos
-:class:`~repro.resilience.faults.FaultPlan` (the ``serve --chaos`` dev
-flag); ``None`` — the only sane production value — injects nothing.
+same one after a cold start.  Chaos is not a config field: ``repro
+serve --chaos SEED`` arms :meth:`~repro.resilience.faults.FaultPlan.
+default_chaos` directly.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from repro.resilience.retry import CircuitBreaker, RetryPolicy
 
 @dataclass
 class ResilienceConfig:
-    """Retry, breaker and chaos knobs (see docs/RESILIENCE.md)."""
+    """Retry and breaker knobs (see docs/RESILIENCE.md)."""
 
     retry_max_attempts: int = 4
     retry_base_delay: float = 0.05
@@ -25,7 +25,6 @@ class ResilienceConfig:
     retry_deadline: Optional[float] = 10.0
     breaker_failure_threshold: int = 5
     breaker_reset_timeout: float = 30.0
-    chaos_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         # Delegate range validation to the primitives themselves so the
@@ -62,14 +61,14 @@ class ResilienceConfig:
             "retry_deadline": self.retry_deadline,
             "breaker_failure_threshold": self.breaker_failure_threshold,
             "breaker_reset_timeout": self.breaker_reset_timeout,
-            "chaos_seed": self.chaos_seed,
         }
 
     @classmethod
     def from_dict(cls, state: dict) -> "ResilienceConfig":
+        """Rebuild a config from :meth:`to_dict` data; the ``"chaos_seed"``
+        key older snapshots wrote is ignored."""
         defaults = cls()
         deadline = state.get("retry_deadline", defaults.retry_deadline)
-        chaos = state.get("chaos_seed", defaults.chaos_seed)
         return cls(
             retry_max_attempts=int(
                 state.get("retry_max_attempts", defaults.retry_max_attempts)
@@ -98,5 +97,4 @@ class ResilienceConfig:
                     "breaker_reset_timeout", defaults.breaker_reset_timeout
                 )
             ),
-            chaos_seed=None if chaos is None else int(chaos),
         )

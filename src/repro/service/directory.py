@@ -256,52 +256,68 @@ class FormDirectory:
     # Write-ahead journal: append-before-apply, replay on start.
     # ----------------------------------------------------------------
 
-    def _journal_append(self, record: Dict[str, object]) -> None:
-        """Durably log a mutation *before* applying it.  Caller holds
-        the write lock (which is what keeps log order = apply order).
-        A failed append aborts the mutation — the client sees the error,
+    def _write(
+        self, record: Dict[str, object], page: Optional[FormPage] = None
+    ):
+        """Live writes: durably log ``record``, *then* apply it, both
+        under the write lock (which keeps log order = apply order).  A
+        failed append aborts the mutation — the client sees the error,
         the state stays consistent, and recovery drops any torn bytes.
         """
-        if self._journal is not None and not self._replaying:
-            self._journal.append(record)
+        with self._rw.write_locked():
+            if self._journal is not None:
+                self._journal.append(record)
+            return self._apply(record, page)
 
     def _apply_journal_record(self, record: Dict[str, object]) -> None:
-        """Re-apply one logged mutation through the live code paths.
-
-        Replay journals nothing (``_replaying`` guards the appends) and
-        schedules no drift repair: every repair that actually ran was
-        itself journaled as a ``recluster`` record, so replay reproduces
-        the original interleaving instead of re-deciding it.
+        """Replay and replication: apply a logged record, journaling
+        nothing and scheduling no drift repair — every repair that ran
+        was itself journaled as a ``recluster`` record, so replay
+        reproduces the original interleaving instead of re-deciding it.
         """
+        with self._rw.write_locked():
+            self._apply(record)
+
+    def _apply(
+        self, record: Dict[str, object], page: Optional[FormPage] = None
+    ):
+        """Apply one mutation record to the organizer and the index
+        (caller holds the write lock).  ``page`` is a live add's
+        vectorized page; replay decodes it from the record.  Returns
+        ``(cluster, size)`` for ``add``, whether the URL was managed for
+        ``remove`` and the pages moved for ``recluster``."""
         op = record.get("op")
         if op == "add":
-            page = _page_from_json(record["page"])
-            with self._rw.write_locked():
-                self.organizer.add_vectorized(page)
+            if page is None:
+                page = _page_from_json(record["page"])
+            index = self.organizer.add_vectorized(page)
+            self._generation += 1
+            self._index.page_upsert(page)
+            self._index.sync_clusters(self.organizer, self._generation)
+            return index, self.organizer.clusters[index].size
+        if op == "remove":
+            url = str(record.get("url", ""))
+            removed = self.organizer.remove(url)
+            if removed:
                 self._generation += 1
-                self._index.page_upsert(page)
+                self._index.page_remove(url)
                 self._index.sync_clusters(self.organizer, self._generation)
-        elif op == "remove":
-            with self._rw.write_locked():
-                if self.organizer.remove(str(record.get("url", ""))):
-                    self._generation += 1
-                    self._index.page_remove(str(record.get("url", "")))
-                    self._index.sync_clusters(
-                        self.organizer, self._generation
-                    )
-        elif op == "recluster":
-            with self._rw.write_locked():
-                self.organizer.recluster()
-                self._generation += 1
-                self._index.sync_clusters(self.organizer, self._generation)
+            return removed
+        if op == "recluster":
+            moved = self.organizer.recluster()
+            self._generation += 1
+            # Page vectors survive re-clustering (only membership moved,
+            # and that is looked up live); centroid rows are re-derived.
+            self._index.sync_clusters(self.organizer, self._generation)
             self.n_reclusters += 1
-        elif op == "epoch":
+            return moved
+        if op == "epoch":
             # A fencing marker (journal.bump_epoch): no directory state
             # changes, but the epoch floor rises — every later record
             # must carry at least this epoch.
             self._epoch = max(self._epoch, record_epoch(record))
-        else:
-            raise JournalError(f"unknown journal op {op!r}")
+            return None
+        raise JournalError(f"unknown journal op {op!r}")
 
     def _replay_journal(self) -> None:
         """Roll the organizer forward through every intact record.
@@ -398,6 +414,23 @@ class FormDirectory:
             return max(self._journal.epoch, self._epoch)
         return self._epoch
 
+    def _snapshot_locked(
+        self, algorithm: str, meta: Optional[Dict[str, object]]
+    ) -> Snapshot:
+        """The live state as a snapshot whose meta records
+        ``journal_position`` (the global record position the state
+        includes) and ``epoch``.  Caller holds the write lock, so the
+        state and the position agree."""
+        snapshot_meta = dict(meta) if meta else {}
+        if self._journal is not None:
+            snapshot_meta.setdefault(
+                "journal_position", self._journal.next_record
+            )
+        snapshot_meta.setdefault("epoch", self.epoch)
+        return Snapshot.from_organizer(
+            self.organizer, algorithm=algorithm, meta=snapshot_meta
+        )
+
     def snapshot(
         self,
         algorithm: str = "incremental",
@@ -405,22 +438,12 @@ class FormDirectory:
     ) -> Snapshot:
         """Snapshot the live state in memory (no file, journal intact).
 
-        The ``/replication/snapshot`` bootstrap payload: under the write
-        lock so the captured state and the recorded ``journal_position``
-        (the global record position the state includes) are consistent —
-        a replica materializing this snapshot resumes tailing from
-        exactly that position.
+        The ``/replication/snapshot`` bootstrap payload: a replica
+        materializing it resumes tailing from exactly its
+        ``journal_position``.
         """
         with self._rw.write_locked():
-            snapshot_meta = dict(meta) if meta else {}
-            if self._journal is not None:
-                snapshot_meta.setdefault(
-                    "journal_position", self._journal.next_record
-                )
-            snapshot_meta.setdefault("epoch", self.epoch)
-            return Snapshot.from_organizer(
-                self.organizer, algorithm=algorithm, meta=snapshot_meta
-            )
+            return self._snapshot_locked(algorithm, meta)
 
     def checkpoint(
         self,
@@ -460,15 +483,7 @@ class FormDirectory:
                 f"checkpoint scope must be 'all' or 'sealed', got {scope!r}"
             )
         with self._rw.write_locked():
-            snapshot_meta = dict(meta) if meta else {}
-            if self._journal is not None:
-                snapshot_meta.setdefault(
-                    "journal_position", self._journal.next_record
-                )
-            snapshot_meta.setdefault("epoch", self.epoch)
-            snapshot = Snapshot.from_organizer(
-                self.organizer, algorithm=algorithm, meta=snapshot_meta
-            )
+            snapshot = self._snapshot_locked(algorithm, meta)
             snapshot.save(path)
             if self._journal is not None:
                 if scope == "sealed":
@@ -746,29 +761,19 @@ class FormDirectory:
         """Insert (or replace) a source.  Returns (cluster index, its
         new size)."""
         page = self._vectorize_timed(raw)
-        with self._rw.write_locked():
-            self._journal_append({"op": "add", "page": _page_to_json(page)})
-            index = self.organizer.add_vectorized(page)
-            size = self.organizer.clusters[index].size
-            self._generation += 1
-            self._index.page_upsert(page)
-            self._index.sync_clusters(self.organizer, self._generation)
+        index, size = self._write(
+            {"op": "add", "page": _page_to_json(page)}, page
+        )
         self._m_adds.inc()
         self._maybe_schedule_recluster()
         return index, size
 
     def remove(self, url: str) -> bool:
         """Drop a source.  Returns False when the URL is not managed."""
-        with self._rw.write_locked():
-            # Journaled even when the URL turns out unmanaged: replay of
-            # a no-op remove is itself a no-op, and append-before-apply
-            # stays unconditional.
-            self._journal_append({"op": "remove", "url": url})
-            removed = self.organizer.remove(url)
-            if removed:
-                self._generation += 1
-                self._index.page_remove(url)
-                self._index.sync_clusters(self.organizer, self._generation)
+        # Journaled even when the URL turns out unmanaged: replay of a
+        # no-op remove is itself a no-op, and append-before-apply stays
+        # unconditional.
+        removed = self._write({"op": "remove", "url": url})
         if removed:
             self._m_removes.inc()
         return removed
@@ -804,16 +809,9 @@ class FormDirectory:
 
     def recluster(self) -> int:
         """Run drift repair now (blocking).  Returns pages moved."""
-        with self._rw.write_locked():
-            # recluster() is deterministic given the organizer state, so
-            # an op marker is all replay needs to reproduce it exactly.
-            self._journal_append({"op": "recluster"})
-            moved = self.organizer.recluster()
-            self._generation += 1
-            # Page vectors survive re-clustering (only membership moved,
-            # and that is looked up live); centroid rows are re-derived.
-            self._index.sync_clusters(self.organizer, self._generation)
-        self.n_reclusters += 1
+        # recluster() is deterministic given the organizer state, so an
+        # op marker is all replay needs to reproduce it exactly.
+        moved = self._write({"op": "recluster"})
         self._m_reclusters.inc()
         return moved
 

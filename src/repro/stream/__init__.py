@@ -10,40 +10,28 @@ Pages arrive as a *generator*; the pipeline never holds the corpus:
 * :func:`~repro.stream.runner.run_stream` /
   :func:`~repro.stream.runner.reference_parity` — the end-to-end driver
   and the batch-parity acceptance gate;
-* :class:`~repro.stream.config.StreamConfig` — the knobs, embedded in
-  :class:`~repro.core.config.CAFCConfig`.
-
-Exports resolve lazily: ``repro.core.config`` imports
-:mod:`repro.stream.config` (a leaf), while the ingestor/organizer/runner
-import ``repro.core`` — eager imports here would complete that cycle.
+* :class:`~repro.stream.config.StreamConfig` — the knobs
+  ``run_stream`` takes.
 """
 
-_EXPORTS = {
-    "StreamConfig": ("repro.stream.config", "StreamConfig"),
-    "StreamedPage": ("repro.stream.ingest", "StreamedPage"),
-    "StreamStats": ("repro.stream.ingest", "StreamStats"),
-    "StreamingIngestor": ("repro.stream.ingest", "StreamingIngestor"),
-    "StreamOrganizer": ("repro.stream.organizer", "StreamOrganizer"),
-    "StreamRunResult": ("repro.stream.runner", "StreamRunResult"),
-    "final_labeling": ("repro.stream.runner", "final_labeling"),
-    "reference_parity": ("repro.stream.runner", "reference_parity"),
-    "run_stream": ("repro.stream.runner", "run_stream"),
-}
+from repro.stream.config import StreamConfig
+from repro.stream.ingest import StreamedPage, StreamingIngestor, StreamStats
+from repro.stream.organizer import StreamOrganizer
+from repro.stream.runner import (
+    StreamRunResult,
+    final_labeling,
+    reference_parity,
+    run_stream,
+)
 
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name):
-    try:
-        module_name, attr = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__all__ = [
+    "StreamConfig",
+    "StreamOrganizer",
+    "StreamRunResult",
+    "StreamStats",
+    "StreamedPage",
+    "StreamingIngestor",
+    "final_labeling",
+    "reference_parity",
+    "run_stream",
+]

@@ -1,12 +1,7 @@
-"""Streaming-ingestion knobs.
-
-A leaf module: :class:`~repro.core.config.CAFCConfig` embeds a
-:class:`StreamConfig`, so nothing here may import from ``repro.core``
-(or anything that does).
-"""
+"""Streaming-ingestion knobs."""
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 
 @dataclass
@@ -50,23 +45,6 @@ class StreamConfig:
             raise ValueError("vocab_budget must be >= 0")
         if self.spill_segment_rows < 1:
             raise ValueError("spill_segment_rows must be positive")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "batch_size": self.batch_size,
-            "drift_threshold": self.drift_threshold,
-            "reservoir_size": self.reservoir_size,
-            "reservoir_seed": self.reservoir_seed,
-            "vocab_budget": self.vocab_budget,
-            "min_df": self.min_df,
-            "spill_dir": self.spill_dir,
-            "spill_segment_rows": self.spill_segment_rows,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "StreamConfig":
-        known = set(cls.__dataclass_fields__)
-        return cls(**{k: v for k, v in payload.items() if k in known})
 
 
 __all__ = ["StreamConfig"]

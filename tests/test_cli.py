@@ -65,6 +65,18 @@ class TestParser:
         )
         assert args.request_timeout == 5.0
 
+    def test_serve_takes_a_snapshot_not_a_corpus(self):
+        """``serve`` serves snapshots: the organize-on-the-fly flags are
+        gone (``repro snapshot build`` has them)."""
+        for flag in (
+            ["--dataset", "d.json"], ["--seed", "1"], ["--k", "4"],
+            ["--scheme", "bm25"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", "--smoke"] + flag)
+        args = build_parser().parse_args(["serve", "--snapshot", "s.json"])
+        assert args.snapshot == "s.json" and not args.smoke
+
     def test_corpus_args(self):
         args = build_parser().parse_args(["corpus", "--seed", "7", "--save", "x.json"])
         assert args.seed == 7
@@ -167,6 +179,79 @@ class TestCommands:
             ["unify", "--dataset", str(dataset), "--cluster", "99"]
         )
         assert exit_code == 1
+
+
+class TestNodeCommands:
+    """The node commands in-process, as ``make serve-smoke``,
+    ``make shard-smoke`` and ``make chaos`` run them."""
+
+    def test_serve_smoke(self, capsys):
+        assert main(["serve", "--smoke"]) == 0
+        output = capsys.readouterr().out
+        assert "form directory: 64 pages in 8 clusters" in output
+        assert "serve smoke ok:" in output
+
+    def test_serve_smoke_under_chaos_disarms_on_return(
+        self, capsys, monkeypatch
+    ):
+        from repro.resilience import FaultPlan, get_active_plan, install_plan
+
+        armed = []
+        default_chaos = FaultPlan.default_chaos
+
+        def recording(seed):
+            armed.append(default_chaos(seed))
+            return armed[-1]
+
+        monkeypatch.setattr(FaultPlan, "default_chaos", recording)
+        assert get_active_plan() is None
+        assert main(["serve", "--smoke", "--chaos", "7"]) == 0
+        output = capsys.readouterr().out
+        assert "chaos mode:" in output and "serve smoke ok:" in output
+        assert get_active_plan() is None
+        assert armed[0].crossings("directory.vectorize") > 0
+
+        previous = FaultPlan()
+        install_plan(previous)
+        try:
+            assert main(["serve", "--smoke", "--chaos", "7"]) == 0
+            assert get_active_plan() is previous
+        finally:
+            install_plan(None)
+
+    def test_router_smoke(self, capsys):
+        assert main(["router", "--smoke"]) == 0
+        assert "shard smoke ok:" in capsys.readouterr().out
+
+    def test_serve_without_snapshot_points_at_snapshot_build(self):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["serve"])
+        assert exc_info.value.code not in (0, None)
+        assert "repro snapshot build" in str(exc_info.value.code)
+
+    def test_serve_snapshot_until_interrupted(
+        self, tmp_path, small_raw_pages, capsys, monkeypatch
+    ):
+        """``snapshot build`` then ``serve --snapshot``; Ctrl-C shuts the
+        server down and the command returns 0."""
+        from repro.service.aio import AsyncHTTPServer
+
+        dataset = tmp_path / "corpus.json"
+        snapshot = tmp_path / "directory.json.gz"
+        save_dataset(small_raw_pages, dataset)
+        assert main([
+            "snapshot", "build", "--dataset", str(dataset), "--k", "8",
+            "--out", str(snapshot),
+        ]) == 0
+
+        def interrupted(server):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(AsyncHTTPServer, "serve_forever", interrupted)
+        assert main(["serve", "--snapshot", str(snapshot), "--port", "0"]) == 0
+        output = capsys.readouterr().out
+        assert f"form directory: {len(small_raw_pages)} pages in" in output
+        assert "(Ctrl-C to stop)" in output and "shutting down" in output
 
 
 class TestExperimentsCli:

@@ -1,8 +1,10 @@
 """End-to-end HTTP API tests over a real socket.
 
-A :class:`DirectoryHTTPServer` is bound to an ephemeral port and driven
-with ``urllib`` — the same path a real client takes: JSON bodies,
-Content-Length limits, status codes, and the Prometheus /metrics text.
+The :class:`~repro.service.aio.AsyncHTTPServer` that
+:func:`~repro.service.serve_directory` returns is bound to an ephemeral
+port and driven with ``urllib`` — the same path a real client takes:
+JSON bodies, Content-Length limits, status codes, and the Prometheus
+/metrics text.
 """
 
 import json

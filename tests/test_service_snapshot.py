@@ -156,8 +156,9 @@ class TestValidation:
 
 class TestLegacyPayloads:
     """Snapshots written while ``CAFCConfig`` still had a similarity
-    ``backend`` or a retrieval ``index`` field keep loading into the
-    same directory."""
+    ``backend``, a retrieval ``index`` or a ``stream`` field, or
+    ``ResilienceConfig`` a ``chaos_seed``, keep loading into the same
+    directory."""
 
     def test_config_ignores_legacy_backend_key(self):
         state = SMALL_CONFIG.to_dict()
@@ -206,6 +207,48 @@ class TestLegacyPayloads:
         kwargs = dict(auto_recluster=False, cache_size=0)
         with FormDirectory.from_snapshot(legacy_path, **kwargs) as old, \
                 FormDirectory.from_snapshot(snapshot_path, **kwargs) as new:
+            for query in ("flight airfare", "book author", "job salary"):
+                assert old.search(query, n=5) == new.search(query, n=5)
+                assert old.search_pages(query, n=5) == \
+                    new.search_pages(query, n=5)
+            for raw in small_raw_pages[:20]:
+                assert old.classify(raw) == new.classify(raw), raw.url
+
+
+    #: What the streaming knobs and the chaos seed looked like in
+    #: snapshots written while the configs still carried them.
+    LEGACY_STREAM = {
+        "batch_size": 256, "drift_threshold": 0.1, "reservoir_size": 512,
+        "reservoir_seed": 0, "vocab_budget": 150000, "min_df": 2,
+        "spill_dir": None, "spill_segment_rows": 4096,
+    }
+
+    def test_config_ignores_legacy_stream_and_chaos_keys(self):
+        state = SMALL_CONFIG.to_dict()
+        assert "stream" not in state
+        assert "chaos_seed" not in state["resilience"]
+        restored = CAFCConfig.from_dict({
+            **state,
+            "stream": self.LEGACY_STREAM,
+            "resilience": {**state["resilience"], "chaos_seed": 7},
+        })
+        assert restored == SMALL_CONFIG
+
+    def test_snapshot_with_stream_and_chaos_keys_serves_same_answers(
+        self, snapshot_path, tmp_path, small_raw_pages
+    ):
+        payload = json.loads(gzip.decompress(snapshot_path.read_bytes()))
+        payload["config"]["stream"] = self.LEGACY_STREAM
+        payload["config"]["resilience"]["chaos_seed"] = 7
+        legacy_path = tmp_path / "legacy.json"
+        legacy_path.write_text(json.dumps(payload))
+        assert Snapshot.load(legacy_path).to_payload() == \
+            Snapshot.load(snapshot_path).to_payload()
+
+        kwargs = dict(auto_recluster=False, cache_size=0)
+        with FormDirectory.from_snapshot(legacy_path, **kwargs) as old, \
+                FormDirectory.from_snapshot(snapshot_path, **kwargs) as new:
+            assert old.clusters_summary() == new.clusters_summary()
             for query in ("flight airfare", "book author", "job salary"):
                 assert old.search(query, n=5) == new.search(query, n=5)
                 assert old.search_pages(query, n=5) == \

@@ -17,9 +17,13 @@ The load-bearing claims, each pinned here:
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.clustering.minibatch import MiniBatchKMeans, ReservoirSample
 from repro.core.vectorizer import FormPageVectorizer
 from repro.datasets.store import (
@@ -455,48 +459,24 @@ class TestSpillIndex:
 
 
 # ----------------------------------------------------------------
-# Incremental organizer: mini-batch recluster mode.
-# ----------------------------------------------------------------
-
-
-class TestReclusterMinibatch:
-    def test_moves_pages_and_keeps_membership_total(self, small_raw_pages):
-        from repro.core.cafc_ch import cafc_ch
-        from repro.core.config import CAFCConfig
-        from repro.core.incremental import IncrementalOrganizer
-
-        vectorizer = FormPageVectorizer()
-        pages = vectorizer.fit_transform(small_raw_pages)
-        result = cafc_ch(pages, CAFCConfig(k=8, min_hub_cardinality=3))
-        initial = [
-            [pages[i] for i in members]
-            for members in result.clustering.compact().clusters
-        ]
-        organizer = IncrementalOrganizer(
-            [list(cluster) for cluster in initial], vectorizer
-        )
-        total_before = len(organizer)
-        moved = organizer.recluster_minibatch(
-            reservoir_size=64, batch_size=16, epochs=2, seed=1
-        )
-        assert moved >= 0
-        assert len(organizer) == total_before
-        assert organizer.cohesion > 0.0
-
-
-# ----------------------------------------------------------------
 # Config plumbing.
 # ----------------------------------------------------------------
 
 
 class TestStreamConfig:
-    def test_roundtrip_through_cafc_config(self):
-        from repro.core.config import CAFCConfig
-
-        config = CAFCConfig()
-        config.stream.drift_threshold = 0.25
-        restored = CAFCConfig.from_dict(config.to_dict())
-        assert restored.stream.drift_threshold == 0.25
+    def test_service_import_leaves_stream_unloaded(self):
+        """``repro.core`` no longer embeds the streaming knobs, so the
+        serving stack does not import the streaming path."""
+        code = (
+            "import sys, repro.service; "
+            "print('repro.stream' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.strip() == "False"
 
     def test_validation(self):
         with pytest.raises(ValueError):
