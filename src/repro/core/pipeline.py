@@ -69,17 +69,21 @@ class CAFCResult:
         return sum(cluster.size for cluster in self.clusters)
 
 
-def _label_terms(centroid: VectorPair, n_terms: int) -> List[str]:
+#: How many descriptive terms label a cluster.
+LABEL_TERMS = 6
+
+
+def _label_terms(centroid: VectorPair) -> List[str]:
     """Descriptive terms for a cluster: heaviest centroid terms, with the
     two spaces interleaved (PC first — page vocabulary reads better)."""
-    pc_terms = [term for term, _ in centroid.pc.top_terms(n_terms)]
-    fc_terms = [term for term, _ in centroid.fc.top_terms(n_terms)]
+    pc_terms = [term for term, _ in centroid.pc.top_terms(LABEL_TERMS)]
+    fc_terms = [term for term, _ in centroid.fc.top_terms(LABEL_TERMS)]
     merged: List[str] = []
     for pc_term, fc_term in zip(pc_terms, fc_terms):
         for term in (pc_term, fc_term):
             if term not in merged:
                 merged.append(term)
-    return merged[:n_terms] if merged else pc_terms[:n_terms]
+    return merged[:LABEL_TERMS] if merged else pc_terms[:LABEL_TERMS]
 
 
 class CAFCPipeline:
@@ -118,7 +122,6 @@ class CAFCPipeline:
         self,
         raw_pages: Sequence[RawFormPage],
         algorithm: str = "cafc-ch",
-        n_label_terms: int = 6,
     ) -> CAFCResult:
         """Cluster raw form pages into database-domain groups.
 
@@ -129,13 +132,12 @@ class CAFCPipeline:
         if algorithm not in ("cafc-ch", "cafc-c", "hac"):
             raise ValueError(f"unknown algorithm: {algorithm!r}")
         pages = self.vectorize(raw_pages)
-        return self.organize_vectorized(pages, algorithm, n_label_terms)
+        return self.organize_vectorized(pages, algorithm)
 
     def organize_vectorized(
         self,
         pages: Sequence[FormPage],
         algorithm: str = "cafc-ch",
-        n_label_terms: int = 6,
     ) -> CAFCResult:
         """Cluster already-vectorized form pages."""
         used_hubs = False
@@ -185,7 +187,7 @@ class CAFCPipeline:
                 OrganizedCluster(
                     pages=member_pages,
                     centroid=centroid,
-                    top_terms=_label_terms(centroid, n_label_terms),
+                    top_terms=_label_terms(centroid),
                 )
             )
         clusters.sort(key=lambda c: -c.size)

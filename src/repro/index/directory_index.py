@@ -8,6 +8,11 @@ posting lists, generation-stamped.
   (the thing ``/search`` scores queries against), computed once per
   centroid change and reused by every query instead of being
   re-materialized inside the read lock.
+* **labels** — each cluster's descriptive terms, computed on the
+  first read after its centroid changes and then served as-is (a
+  tuple, so no caller can edit the shared copy).  Filling lazily keeps
+  cold start flat; two readers racing to fill one slot compute the
+  same value, so the race is harmless.
 * **pages** — each managed page's combined vector, for
   ``/search?scope=pages``.  Page rows are keyed by a stable integer id
   (URLs map to ids) and survive re-clustering untouched: only cluster
@@ -28,7 +33,7 @@ their term dicts (and hence dot-product iteration order) are identical
 — indexed and from-scratch scoring produce the same floats.
 """
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.index.postings import SpaceIndex
 from repro.index.retrieval import RetrievalStats, top_k_exact
@@ -36,12 +41,20 @@ from repro.vsm.vector import SparseVector
 
 
 class DirectoryIndex:
-    """Cluster + page retrieval rows for one serving directory."""
+    """Cluster + page retrieval rows for one serving directory.
 
-    def __init__(self) -> None:
+    ``label_terms`` maps a centroid to its descriptive terms; the index
+    caches its answer per centroid object.
+    """
+
+    def __init__(
+        self, label_terms: Callable[[object], Sequence[str]]
+    ) -> None:
+        self._label_terms = label_terms
         self._clusters = SpaceIndex()
         self._pages = SpaceIndex()
         self._centroid_refs: List[object] = []
+        self._labels: List[Optional[Tuple[str, ...]]] = []
         self._row_by_url: Dict[str, int] = {}
         self._url_by_row: Dict[int, str] = {}
         self._next_row = 0
@@ -78,6 +91,7 @@ class DirectoryIndex:
         self._clusters.clear()
         self._pages.clear()
         self._centroid_refs = []
+        self._labels = []
         self._row_by_url = {}
         self._url_by_row = {}
         self._next_row = 0
@@ -98,12 +112,14 @@ class DirectoryIndex:
         if len(clusters) != len(self._centroid_refs):
             self._clusters.clear()
             self._centroid_refs = [None] * len(clusters)
+            self._labels = [None] * len(clusters)
         refs = self._centroid_refs
         for index, cluster in enumerate(clusters):
             centroid = cluster.centroid
             if refs[index] is not centroid:
                 self._clusters.add_row(index, centroid.pc.add(centroid.fc))
                 refs[index] = centroid
+                self._labels[index] = None
 
     def page_upsert(self, page) -> None:
         """(Re-)index one managed page's combined vector."""
@@ -128,6 +144,20 @@ class DirectoryIndex:
     def cluster_combined(self, index: int) -> SparseVector:
         """The cached combined centroid of cluster ``index``."""
         return self._clusters.vector(index)
+
+    def cluster_labels(self, index: int, centroid) -> Tuple[str, ...]:
+        """Descriptive terms of cluster ``index``, whose live centroid is
+        ``centroid``.  Cached per centroid object; a centroid the rows
+        were not synced to is labelled from scratch and not cached."""
+        if index < len(self._centroid_refs) and (
+            self._centroid_refs[index] is centroid
+        ):
+            labels = self._labels[index]
+            if labels is None:
+                labels = tuple(self._label_terms(centroid))
+                self._labels[index] = labels
+            return labels
+        return tuple(self._label_terms(centroid))
 
     def top_clusters(
         self, query: SparseVector, k: int,

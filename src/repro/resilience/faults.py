@@ -20,7 +20,10 @@ the exact same failure schedule from a seed:
 * a :class:`FaultPlan` holds the specs and decides, **deterministically
   from (seed, seam, crossing index)**, whether a given crossing fires.
   Two runs with the same plan see byte-identical fault schedules, which
-  is what makes chaos tests reproducible and failures bisectable.
+  is what makes chaos tests reproducible and failures bisectable.  A
+  seam crossed from several threads passes a *key* (the backlink seam
+  passes the queried URL) so the decision follows ``(seed, seam, key,
+  that key's attempt number)`` instead of the thread schedule.
 
 Faults surface as exceptions from :mod:`repro.resilience` — transient
 kinds are retryable (:class:`TransientFault`, :class:`InjectedTimeout`,
@@ -33,7 +36,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.resilience.stats import STATS
 
@@ -82,7 +85,9 @@ _KIND_EXCEPTIONS = {
 }
 
 
-def _stable_fraction(seed: int, seam: str, crossing: int) -> float:
+def _stable_fraction(
+    seed: int, seam: str, crossing: Union[int, str]
+) -> float:
     """Uniform-ish float in [0, 1), a pure function of its inputs —
     salted ``hash()`` would break cross-process reproducibility."""
     digest = hashlib.sha256(f"{seed}:{seam}:{crossing}".encode()).digest()
@@ -139,8 +144,11 @@ class FaultPlan:
 
     The decision for the *i*-th crossing of a seam is a pure function of
     ``(seed, seam, i)``, so concurrent runs that cross seams in the same
-    per-seam order observe the same faults.  All bookkeeping (crossing
-    counters, fire counts) is lock-guarded.
+    per-seam order observe the same faults.  A keyed crossing
+    (:meth:`check` with ``key``) is decided by ``(seed, seam, key, j)``
+    for the key's *j*-th crossing instead, which no thread schedule can
+    reorder as long as one thread at a time crosses with a given key.
+    All bookkeeping (crossing counters, fire counts) is lock-guarded.
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = (), seed: int = 0) -> None:
@@ -148,6 +156,7 @@ class FaultPlan:
         self._specs: List[FaultSpec] = list(specs)
         self._lock = threading.Lock()
         self._crossings: Dict[str, int] = {}
+        self._key_crossings: Dict[Tuple[str, str], int] = {}
         self._fires: Dict[str, int] = {}
         self._spec_fires: Dict[int, int] = {}
 
@@ -166,15 +175,25 @@ class FaultPlan:
 
     # -- the injection point ------------------------------------------
 
-    def check(self, seam: str) -> None:
+    def check(self, seam: str, key: Optional[str] = None) -> None:
         """Cross ``seam``: raise (or stall then raise) when a spec fires.
 
         At most one spec fires per crossing — the first armed spec, in
-        arming order, whose probability admits this crossing.
+        arming order, whose probability admits this crossing.  The roll
+        follows the seam's crossing index, or with ``key`` the number
+        of earlier crossings with that key.  ``after`` and
+        ``max_fires`` always count the seam's crossings and fires in
+        arrival order, so specs that set them stay order-dependent
+        when threads share the seam.
         """
         with self._lock:
             crossing = self._crossings.get(seam, 0)
             self._crossings[seam] = crossing + 1
+            salt: Union[int, str] = crossing
+            if key is not None:
+                attempt = self._key_crossings.get((seam, key), 0)
+                self._key_crossings[(seam, key)] = attempt + 1
+                salt = f"{key}#{attempt}"
             fired: Optional[FaultSpec] = None
             for index, spec in enumerate(self._specs):
                 if spec.seam != seam or crossing < spec.after:
@@ -182,7 +201,7 @@ class FaultPlan:
                 limit = spec.max_fires
                 if limit is not None and self._spec_fires.get(index, 0) >= limit:
                     continue
-                roll = _stable_fraction(self.seed, f"{seam}#{index}", crossing)
+                roll = _stable_fraction(self.seed, f"{seam}#{index}", salt)
                 if roll < spec.probability:
                     fired = spec
                     self._spec_fires[index] = self._spec_fires.get(index, 0) + 1

@@ -5,6 +5,8 @@ one, in this repo) into the unreliable upstream the paper actually
 faced: each ``link_query`` crosses the ``"search.link_query"`` seam of
 a :class:`~repro.resilience.faults.FaultPlan` and may raise a
 transient error, stall-and-timeout, rate-limit, or fail permanently.
+The crossing is keyed by the queried URL, so which query draws which
+fault does not depend on how concurrent harvesting threads interleave.
 
 :class:`ResilientSearchEngine` is the production-side wrapper: it
 drives any engine (flaky or not) through a
@@ -56,7 +58,7 @@ class FlakySearchEngine:
         return self.inner.query_count
 
     def link_query(self, url: str) -> List[str]:
-        self.plan.check(self.seam)
+        self.plan.check(self.seam, key=url)
         return self.inner.link_query(url)
 
     def harvest_backlinks(

@@ -214,10 +214,11 @@ class FormDirectory:
         self._rw = RWLock()
         self._generation = 0
         self._analyzer = TextAnalyzer()
-        self._index = DirectoryIndex()
+        self._index = DirectoryIndex(_label_terms)
         self._index.rebuild(organizer, self._generation)
 
-        self._cache: "OrderedDict[str, Tuple[int, int, float, List[str]]]" = (
+        # key -> (generation, cluster, similarity, labels tuple)
+        self._cache: "OrderedDict[str, Tuple[int, int, float, tuple]]" = (
             OrderedDict()
         )
         self._cache_lock = threading.Lock()
@@ -670,7 +671,7 @@ class FormDirectory:
             self._m_cache_hits.inc()
             return ClassifyOutcome(
                 url=raw.url, cluster=cluster, similarity=similarity,
-                top_terms=terms, cached=True,
+                top_terms=list(terms), cached=True,
             )
         if self._closed:
             raise RuntimeError("directory is closed")
@@ -682,7 +683,7 @@ class FormDirectory:
         self._cache_put(key, generation, cluster, similarity, terms)
         return ClassifyOutcome(
             url=raw.url, cluster=cluster, similarity=similarity,
-            top_terms=terms,
+            top_terms=list(terms),
         )
 
     def _vectorize_once(self, raw: RawFormPage) -> FormPage:
@@ -716,7 +717,9 @@ class FormDirectory:
     # Cache.
     # ----------------------------------------------------------------
 
-    def _cache_get(self, key: str) -> Optional[Tuple[int, float, List[str]]]:
+    def _cache_get(
+        self, key: str
+    ) -> Optional[Tuple[int, float, Tuple[str, ...]]]:
         if not self.cache_size:
             return None
         with self._cache_lock:
@@ -737,7 +740,7 @@ class FormDirectory:
         generation: int,
         cluster: int,
         similarity: float,
-        terms: List[str],
+        terms: Tuple[str, ...],
     ) -> None:
         if not self.cache_size:
             return
@@ -819,11 +822,13 @@ class FormDirectory:
     # Read-only views.
     # ----------------------------------------------------------------
 
-    def _cluster_terms(self, index: int, n_terms: int = 6) -> List[str]:
-        """Descriptive terms for a cluster, from its live centroid.
-        Caller must hold at least the read lock."""
-        return _label_terms(
-            self.organizer.clusters[index].centroid, n_terms
+    def _cluster_terms(self, index: int) -> Tuple[str, ...]:
+        """Descriptive terms for a cluster, from its live centroid —
+        the index's cached labels while that centroid is the one it
+        synced.  Shared: callers hand out a fresh list.  Caller must
+        hold at least the read lock."""
+        return self._index.cluster_labels(
+            index, self.organizer.clusters[index].centroid
         )
 
     def _query_vector(self, query: str) -> SparseVector:
@@ -854,7 +859,7 @@ class FormDirectory:
             "matched_terms": sorted(
                 term for term in query_vector.terms() if term in combined
             ),
-            "top_terms": self._cluster_terms(index),
+            "top_terms": list(self._cluster_terms(index)),
             "size": self.organizer.clusters[index].size,
         }
 
@@ -963,7 +968,7 @@ class FormDirectory:
                 {
                     "cluster": index,
                     "size": cluster.size,
-                    "top_terms": self._cluster_terms(index),
+                    "top_terms": list(self._cluster_terms(index)),
                     "urls": [page.url for page in cluster.pages[:max_urls]],
                 }
                 for index, cluster in enumerate(self.organizer.clusters)

@@ -145,7 +145,6 @@ class Snapshot:
         cls,
         organizer: IncrementalOrganizer,
         algorithm: str = "incremental",
-        n_label_terms: int = 6,
         meta: Optional[Dict[str, object]] = None,
     ) -> "Snapshot":
         """Snapshot a *live* organizer — the checkpoint the directory
@@ -165,7 +164,7 @@ class Snapshot:
             vectorizer_state=organizer.vectorizer.export_state(),
             config=organizer.config,
             top_terms=[
-                _label_terms(cluster.centroid, n_label_terms)
+                _label_terms(cluster.centroid)
                 for cluster in organizer.clusters
             ],
             algorithm=algorithm,

@@ -14,6 +14,7 @@ float-summation order (``dot``, ``norm``, ``accumulate``) is preserved
 exactly, so the re-layout is bit-identical to the old representation.
 """
 
+import heapq
 import math
 from array import array
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -165,9 +166,25 @@ class SparseVector:
             return SparseVector()
         return self.scale(1.0 / length)
 
-    def top_terms(self, n: int = 10) -> Iterable[Tuple[str, float]]:
-        """The ``n`` heaviest terms, descending by weight (ties by term)."""
-        return sorted(self.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+    def top_terms(self, n: int = 10) -> List[Tuple[str, float]]:
+        """The ``n`` heaviest terms, descending by weight (ties by term).
+
+        Only the terms weighing at least the ``n``-th largest weight are
+        resolved to strings and sorted, so a wide centroid costs one heap
+        pass over its weights rather than a sort of every term.  Ties
+        that straddle the cut are all kept, so the result is the full
+        sort's prefix exactly.
+        """
+        vals = self._vals
+        if not 0 < n < len(vals):
+            return sorted(self.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+        cut = heapq.nlargest(n, vals)[-1]
+        term_of = _VOCAB.term
+        heavy = [
+            (term_of(tid), w) for tid, w in zip(self._ids, vals) if w >= cut
+        ]
+        heavy.sort(key=lambda kv: (-kv[1], kv[0]))
+        return heavy[:n]
 
 
 def cosine_similarity(a: SparseVector, b: SparseVector) -> float:

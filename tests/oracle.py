@@ -7,6 +7,10 @@ obviously correct, and the yardstick for
 :class:`~repro.core.similarity.EngineBackend` /
 :class:`~repro.core.simengine.SimilarityEngine`, the directory's
 classify scan and its posting-list search, in the tests and the benches.
+Cluster labels come from a full sort of every centroid term
+(:func:`label_terms`), the reference for the heap-cut
+:meth:`~repro.vsm.vector.SparseVector.top_terms` and the directory's
+per-centroid label cache.
 
 It also keeps the DOM route to a page's analysis — :func:`parse_html`,
 a recursive walk of the tree for located text, and
@@ -21,8 +25,8 @@ import numpy as np
 from repro.clustering.kmeans import KMeansResult, kmeans
 from repro.core.cafc_c import similarity_for
 from repro.core.config import CAFCConfig
-from repro.core.form_page import RawFormPage, centroid_of
-from repro.core.pipeline import _label_terms
+from repro.core.form_page import RawFormPage, VectorPair, centroid_of
+from repro.core.pipeline import LABEL_TERMS
 from repro.core.similarity import FormPageSimilarity
 from repro.core.simengine import EngineStats
 from repro.html.dom import NON_VISIBLE_TAGS, Element, Text
@@ -98,6 +102,25 @@ def query_vector(query: str) -> SparseVector:
     return SparseVector(weights)
 
 
+def top_terms(vector: SparseVector, n: int) -> List[Tuple[str, float]]:
+    """Reference :meth:`~repro.vsm.vector.SparseVector.top_terms`: sort
+    every ``(term, weight)`` item by descending weight, ties by term."""
+    return sorted(vector.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+
+
+def label_terms(centroid: VectorPair) -> List[str]:
+    """Reference :func:`~repro.core.pipeline._label_terms`: the same PC/FC
+    interleave over the full-sort :func:`top_terms`."""
+    pc_terms = [term for term, _ in top_terms(centroid.pc, LABEL_TERMS)]
+    fc_terms = [term for term, _ in top_terms(centroid.fc, LABEL_TERMS)]
+    merged: List[str] = []
+    for pc_term, fc_term in zip(pc_terms, fc_terms):
+        for term in (pc_term, fc_term):
+            if term not in merged:
+                merged.append(term)
+    return merged[:LABEL_TERMS] if merged else pc_terms[:LABEL_TERMS]
+
+
 def cluster_rows(organizer) -> List[SparseVector]:
     """Every cluster's combined (PC + FC) centroid, in cluster order."""
     return [
@@ -140,7 +163,7 @@ def scan_clusters(
                 "cluster": index,
                 "score": score,
                 "matched_terms": matched_terms(vector, combined),
-                "top_terms": _label_terms(cluster.centroid, 6),
+                "top_terms": label_terms(cluster.centroid),
                 "size": cluster.size,
             })
     hits.sort(key=lambda hit: (-hit["score"], hit["cluster"]))

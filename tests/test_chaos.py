@@ -12,10 +12,13 @@ Two invariants, both from docs/RESILIENCE.md:
   the health/metrics endpoints keep rendering.
 """
 
+import sys
+
 import pytest
 
 from repro.core.config import CAFCConfig
 from repro.core.pipeline import CAFCPipeline
+from repro.parallel.config import ParallelConfig
 from repro.resilience import (
     FaultError,
     FaultPlan,
@@ -116,6 +119,34 @@ class TestChaosPipeline:
         second_links, second_report = harvest(7)
         assert first_links == second_links
         assert first_report == second_report
+
+    def test_threaded_harvest_matches_serial_under_forced_interleaving(
+        self, small_web
+    ):
+        """Which backlink query draws which fault depends only on the
+        seed, the URL and that URL's attempt number — not on how the
+        harvesting threads happen to be scheduled."""
+
+        def harvest(parallel):
+            engine = resilient_over(
+                small_web.search_engine(), FaultPlan.default_chaos(7)
+            )
+            pages = small_web.raw_pages(engine=engine, parallel=parallel)
+            return [page.backlinks for page in pages], engine.report.as_dict()
+
+        serial = harvest(ParallelConfig(workers=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = [
+                harvest(ParallelConfig(workers=4, executor="thread"))
+                for _ in range(3)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial[1]["failures"] > 0, "the plan should bite"
+        for run in threaded:
+            assert run == serial
 
 
 # ---------------------------------------------------------------------

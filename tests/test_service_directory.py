@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.core.config import CAFCConfig
-from repro.core.pipeline import CAFCPipeline, _label_terms
+from repro.core.pipeline import CAFCPipeline
 from repro.service.directory import (
     ClassifyOutcome,
     FormDirectory,
@@ -23,7 +23,7 @@ from repro.service.directory import (
 from repro.service.snapshot import build_snapshot
 from repro.webgen.stream import page_at
 
-from tests.oracle import naive_argmax
+from tests.oracle import label_terms, naive_argmax
 
 
 SMALL_CONFIG = CAFCConfig(k=8, min_hub_cardinality=3)
@@ -175,7 +175,7 @@ class TestClassifyAgreesWithAdd:
                 ), raw.url
                 assert outcome.similarity == \
                     organizer.backend.pair(page, centroid), raw.url
-                assert outcome.top_terms == _label_terms(centroid, 6)
+                assert outcome.top_terms == label_terms(centroid)
                 cluster, _ = directory.add(raw)
                 assert cluster == outcome.cluster, raw.url
 
@@ -196,8 +196,8 @@ class TestClassifyAgreesWithAdd:
             def racing_scan(pages):
                 scored = type(organizer).classify_batch(organizer, pages)
                 cluster = scored[0][0]
-                seen["terms"] = _label_terms(
-                    organizer.clusters[cluster].centroid, 6
+                seen["terms"] = label_terms(
+                    organizer.clusters[cluster].centroid
                 )
                 seen["writer"] = threading.Thread(
                     target=shrink, args=(cluster,)
@@ -218,7 +218,8 @@ class TestClassifyAgreesWithAdd:
             assert not seen["writer"].is_alive()
             # The writer did change the labels; classify answered from
             # the generation it scored, not the one after.
-            assert directory._cluster_terms(outcome.cluster) != seen["terms"]
+            relabelled = list(directory._cluster_terms(outcome.cluster))
+            assert relabelled != seen["terms"]
             assert outcome.top_terms == seen["terms"]
 
 
