@@ -61,24 +61,18 @@ def _document_order_items(form: Element) -> List[object]:
     order.  Option text is skipped — option values are contents, not
     labels."""
     items: List[object] = []
-
-    def walk(element: Element) -> None:
-        if element.tag in NON_VISIBLE_TAGS or element.tag == "option":
-            return
-        if _is_attribute_control(element):
-            items.append(element)
-            if element.tag == "input":
-                return
-        for child in element.children:
-            if isinstance(child, Text):
-                fragment = child.data.strip()
-                if fragment:
-                    items.append(fragment)
-            elif isinstance(child, Element):
-                walk(child)
-
-    walk(form)
+    for node in form.iter_nodes(prune=_is_skipped):
+        if isinstance(node, Text):
+            fragment = node.data.strip()
+            if fragment:
+                items.append(fragment)
+        elif not _is_skipped(node) and _is_attribute_control(node):
+            items.append(node)
     return items
+
+
+def _is_skipped(element: Element) -> bool:
+    return element.tag in NON_VISIBLE_TAGS or element.tag == "option"
 
 
 def _wrapping_label(control: Element) -> str:

@@ -11,10 +11,10 @@ The paper's form-page model needs four things from an HTML page:
   hidden fields can be ignored (Section 4.1, footnote 3).
 
 No third-party HTML library is a dependency, so this package implements
-a small, tolerant DOM on top of the standard library's ``html.parser``
-for form structure and labels.  Located text (the first three items)
-needs no tree: :func:`scan_page` streams it from the parser's events in
-one pass.
+its own: one linear-time lexer (:mod:`repro.html.lexer`) under a small,
+tolerant DOM for form structure and labels.  Located text (the first
+three items) needs no tree: :func:`scan_page` streams it from the
+lexer's tokens in one pass.
 """
 
 from repro.html.dom import Element, Node, Text

@@ -4,7 +4,7 @@ Only what the form-page model needs: an element tree with tag names,
 attributes, text nodes, and simple traversal/search helpers.
 """
 
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 
 class Node:
@@ -68,20 +68,40 @@ class Element(Node):
     # Traversal.
     # ----------------------------------------------------------------
 
+    def iter_nodes(
+        self, prune: Optional[Callable[["Element"], bool]] = None
+    ) -> Iterator[Node]:
+        """Yield this element and every descendant node, document order.
+
+        The children of an element for which ``prune`` is true are
+        skipped.  The walk keeps its own stack, so no depth of nesting
+        recurses.
+        """
+        yield self
+        if prune is not None and prune(self):
+            return
+        stack = [iter(self.children)]
+        while stack:
+            for node in stack[-1]:
+                yield node
+                if (isinstance(node, Element) and node.children
+                        and not (prune is not None and prune(node))):
+                    stack.append(iter(node.children))
+                    break
+            else:
+                stack.pop()
+
     def iter(self) -> Iterator["Element"]:
         """Yield this element and every descendant element, pre-order."""
-        yield self
-        for child in self.children:
-            if isinstance(child, Element):
-                yield from child.iter()
+        for node in self.iter_nodes():
+            if isinstance(node, Element):
+                yield node
 
     def iter_text_nodes(self) -> Iterator[Text]:
         """Yield every descendant text node, document order."""
-        for child in self.children:
-            if isinstance(child, Text):
-                yield child
-            elif isinstance(child, Element):
-                yield from child.iter_text_nodes()
+        for node in self.iter_nodes():
+            if isinstance(node, Text):
+                yield node
 
     def find_all(self, tag: str) -> List["Element"]:
         """All descendant elements (including self) with tag ``tag``."""
@@ -113,8 +133,9 @@ class Element(Node):
     # ----------------------------------------------------------------
 
     def text_content(self) -> str:
-        parts = [child.text_content() for child in self.children]
-        return " ".join(part for part in parts if part)
+        # Joining each child's non-empty text with spaces, all the way
+        # down, is joining every non-empty text node with spaces.
+        return " ".join([node.data for node in self.iter_text_nodes() if node.data])
 
     def __repr__(self) -> str:
         return f"Element(<{self.tag}> children={len(self.children)})"

@@ -116,38 +116,36 @@ def _element_visible_text(element: Element) -> str:
     placeholders) is included, since it is rendered on the page.
     """
     parts: List[str] = []
-    _collect_visible_text(element, parts)
+    for node in element.iter_nodes(prune=_hides_children):
+        if isinstance(node, Text):
+            parts.append(node.data)
+        elif node.tag == "input":
+            _collect_input_text(node, parts)
+        elif node.tag == "img":
+            alt = node.get("alt")
+            if alt:
+                parts.append(alt)
     return " ".join(parts)
 
 
-def _collect_visible_text(element: Element, parts: List[str]) -> None:
-    # Rendered attribute values on the element itself.
-    if element.tag == "input":
-        input_type = element.get("type").lower()
-        if input_type not in _NON_VISIBLE_INPUT_TYPES:
-            # Button captions render as text; a text input's default value
-            # also renders.  Placeholder and alt text render in all cases.
-            if input_type in ("submit", "button", "image", "reset"):
-                value = element.get("value")
-                if value:
-                    parts.append(value)
-            for attr in ("placeholder", "alt"):
-                value = element.get(attr)
-                if value:
-                    parts.append(value)
-        return  # void element, no children
-    if element.tag == "img":
-        alt = element.get("alt")
-        if alt:
-            parts.append(alt)
-        return
-    if element.tag in NON_VISIBLE_TAGS:
-        return
-    for child in element.children:
-        if isinstance(child, Text):
-            parts.append(child.data)
-        elif isinstance(child, Element):
-            _collect_visible_text(child, parts)
+def _hides_children(element: Element) -> bool:
+    return element.tag in NON_VISIBLE_TAGS or element.tag in ("input", "img")
+
+
+def _collect_input_text(element: Element, parts: List[str]) -> None:
+    """Rendered attribute values of an ``<input>``."""
+    input_type = element.get("type").lower()
+    if input_type not in _NON_VISIBLE_INPUT_TYPES:
+        # Button captions render as text; a text input's default value
+        # also renders.  Placeholder and alt text render in all cases.
+        if input_type in ("submit", "button", "image", "reset"):
+            value = element.get("value")
+            if value:
+                parts.append(value)
+        for attr in ("placeholder", "alt"):
+            value = element.get(attr)
+            if value:
+                parts.append(value)
 
 
 def _field_label_map(root: Element) -> dict:

@@ -8,22 +8,23 @@ visible text fragment together with its :class:`TextLocation`, and whether
 it is inside a ``<form>`` — the split that defines the FC vs PC feature
 spaces.
 
-The scan builds no DOM tree.  :class:`_LocatedTextScanner` keeps the same
-open-element stack as :func:`~repro.html.parser.parse_html` (implicit
-closers, void tags never pushed, stray end tags ignored, ``<x/>`` never
-opened), so every fragment it emits as a ``html.parser`` event arrives is
-the fragment a walk of the parsed tree would find, in the same order.
-Each stack entry carries its location, form membership and visibility,
-so an event costs a look at the top of the stack and the scan needs no
-recursion, however deep the nesting.
+The scan builds no DOM tree.  :class:`_LocatedTextScanner` runs a stack
+machine over the tokens of :func:`repro.html.lexer.tokens` and keeps the
+same open-element stack as :func:`~repro.html.parser.parse_html`
+(implicit closers, void tags never pushed, stray end tags ignored,
+``<x/>`` never opened), so every fragment it emits as a token arrives
+is the fragment a walk of the parsed tree would find, in the same
+order.  Each stack entry carries its location rank, form membership
+and visibility, so a token costs a look at the top of the stack and
+the scan needs no recursion, however deep the nesting.
 """
 
 import enum
 from dataclasses import dataclass
-from html.parser import HTMLParser
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.html.dom import NON_VISIBLE_TAGS, SELF_NESTING_CLOSERS, VOID_TAGS
+from repro.html.lexer import END, STARTEND, TEXT, tokens
 
 
 class TextLocation(enum.Enum):
@@ -54,18 +55,12 @@ class PageScan(NamedTuple):
 
 
 # An open tag raises the location of everything under it to its own,
-# in this order of precedence (TITLE beats OPTION beats ANCHOR).
-_TAG_LOCATION = {
-    "title": TextLocation.TITLE,
-    "option": TextLocation.OPTION,
-    "a": TextLocation.ANCHOR,
-}
-_PRECEDENCE = {
-    TextLocation.TITLE: 3,
-    TextLocation.OPTION: 2,
-    TextLocation.ANCHOR: 1,
-    TextLocation.BODY: 0,
-}
+# in this order of precedence (TITLE beats OPTION beats ANCHOR).  The
+# stack carries the rank; _LOCATIONS turns it back into a TextLocation.
+_LOCATIONS = (
+    TextLocation.BODY, TextLocation.ANCHOR, TextLocation.OPTION, TextLocation.TITLE,
+)
+_TAG_RANK = {"a": 1, "option": 2, "title": 3}
 
 # Input types whose caption (value, else alt) renders as text.
 _BUTTON_INPUTS = frozenset({"submit", "button", "image", "reset"})
@@ -77,8 +72,14 @@ _UNCOUNTED_INPUTS = frozenset({"hidden", "submit", "image"})
 # does: Form.attribute_count sees every button as a submit control.
 _CONTROLS = frozenset({"input", "select", "textarea"})
 
-# A stack entry: (tag, location, inside_form, hidden).
-_Entry = Tuple[str, TextLocation, bool, bool]
+# Opening these needs more than a push (see _LocatedTextScanner._open).
+_STATEFUL_TAGS = frozenset({"head", "title", "form", "select", "textarea"})
+
+# The only tags whose attributes the scan reads.
+_ATTR_TAGS = frozenset({"input", "img"})
+
+# A stack entry: (tag, location rank, inside_form, hidden).
+_Entry = Tuple[str, int, bool, bool]
 
 
 def _attr(attrs: List[Tuple[str, Optional[str]]], name: str) -> str:
@@ -90,14 +91,13 @@ def _attr(attrs: List[Tuple[str, Optional[str]]], name: str) -> str:
     return ""
 
 
-class _LocatedTextScanner(HTMLParser):
-    """One pass over html.parser events: located text plus form sizes."""
+class _LocatedTextScanner:
+    """One pass over the lexer's tokens: located text plus form sizes."""
 
     def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
         self.fragments: List[LocatedText] = []
         self.attribute_count = 0
-        self._stack: List[_Entry] = [("html", TextLocation.BODY, False, False)]
+        self._stack: List[_Entry] = [("html", 0, False, False)]
         # Controls counted so far in the outermost open <form>; a nested
         # form's controls are a subset of its outermost form's.
         self._form_fields = 0
@@ -109,13 +109,57 @@ class _LocatedTextScanner(HTMLParser):
         self._title: Optional[List[str]] = None
         self._title_depth: Optional[int] = None
 
+    def scan(self, html: str) -> None:
+        stack = self._stack
+        emit = self.fragments.append
+        for kind, value, attrs in tokens(html, _ATTR_TAGS):
+            if kind == TEXT:
+                if self._title_depth is not None and value and not value.isspace():
+                    self._title.append(value)
+                _, rank, inside_form, hidden = stack[-1]
+                if not hidden:
+                    text = value.strip()
+                    if text:
+                        emit(LocatedText(text, _LOCATIONS[rank], inside_form))
+            elif kind == END:
+                if value == "html" or value in VOID_TAGS:
+                    continue
+                for depth in range(len(stack) - 1, 0, -1):
+                    if stack[depth][0] == value:
+                        del stack[depth:]
+                        if self._head_depth is not None or self._title_depth is not None:
+                            self._truncated(depth)
+                        break
+            elif value == "html":
+                continue
+            elif kind == STARTEND:
+                self._leaf(value, attrs)
+            else:
+                if value in SELF_NESTING_CLOSERS and stack[-1][0] == value:
+                    # <option>a<option>b  ==  <option>a</option><option>b</option>
+                    stack.pop()
+                if value in VOID_TAGS:
+                    self._leaf(value, attrs)
+                elif value in _STATEFUL_TAGS:
+                    self._open(value)
+                else:
+                    _, rank, inside_form, hidden = stack[-1]
+                    own = _TAG_RANK.get(value, 0)
+                    stack.append((
+                        value, own if own > rank else rank, inside_form,
+                        hidden or value in NON_VISIBLE_TAGS,
+                    ))
+        if self._head_depth is not None:
+            self._close_head()  # an unclosed <head> ends with the page
+
     # ----------------------------------------------------------------
     # Stack helpers.
     # ----------------------------------------------------------------
 
     def _open(self, tag: str) -> None:
+        """Push one of the _STATEFUL_TAGS."""
         stack = self._stack
-        _, location, inside_form, hidden = stack[-1]
+        _, rank, inside_form, hidden = stack[-1]
         if tag == "head":
             if not hidden:
                 # Only <head>'s first <title> is visible; it is emitted
@@ -126,20 +170,17 @@ class _LocatedTextScanner(HTMLParser):
             if self._head_depth is not None and self._title is None:
                 self._title = []
                 self._title_depth = len(stack)
+            rank = _TAG_RANK["title"]
         elif tag == "form":
             if not inside_form:
                 self._form_fields = 0
             inside_form = True
-        elif tag in _CONTROLS:
-            if inside_form:
-                self._count_control()
-        own = _TAG_LOCATION.get(tag)
-        if own is not None and _PRECEDENCE[own] > _PRECEDENCE[location]:
-            location = own
-        stack.append((tag, location, inside_form, hidden or tag in NON_VISIBLE_TAGS))
+        elif inside_form:  # select or textarea
+            self._count_control()
+        stack.append((tag, rank, inside_form, hidden or tag in NON_VISIBLE_TAGS))
 
-    def _truncate(self, depth: int) -> None:
-        del self._stack[depth:]
+    def _truncated(self, depth: int) -> None:
+        """Close the title and head that the stack lost at ``depth``."""
         if self._title_depth is not None and depth <= self._title_depth:
             self._title_depth = None
         if self._head_depth is not None and depth <= self._head_depth:
@@ -156,7 +197,7 @@ class _LocatedTextScanner(HTMLParser):
 
     def _leaf(self, tag: str, attrs: List[Tuple[str, Optional[str]]]) -> None:
         """A childless element (void, or ``<x/>``) under the stack top."""
-        _, location, inside_form, hidden = self._stack[-1]
+        _, rank, inside_form, hidden = self._stack[-1]
         if tag == "input":
             input_type = _attr(attrs, "type").lower()
             if inside_form and input_type not in _UNCOUNTED_INPUTS:
@@ -176,7 +217,7 @@ class _LocatedTextScanner(HTMLParser):
         elif tag == "img":
             alt = _attr(attrs, "alt")
             if alt and not hidden:
-                self.fragments.append(LocatedText(alt, location, inside_form))
+                self.fragments.append(LocatedText(alt, _LOCATIONS[rank], inside_form))
         elif tag in _CONTROLS:
             if inside_form:
                 self._count_control()
@@ -189,52 +230,6 @@ class _LocatedTextScanner(HTMLParser):
         if self._form_fields > self.attribute_count:
             self.attribute_count = self._form_fields
 
-    # ----------------------------------------------------------------
-    # html.parser callbacks (tags arrive lowercased).
-    # ----------------------------------------------------------------
-
-    def handle_starttag(self, tag: str, attrs: List[Tuple[str, Optional[str]]]) -> None:
-        if tag == "html":
-            return
-        if tag in SELF_NESTING_CLOSERS and self._stack[-1][0] == tag:
-            # <option>a<option>b  ==  <option>a</option><option>b</option>
-            self._stack.pop()
-        if tag in VOID_TAGS:
-            self._leaf(tag, attrs)
-        else:
-            self._open(tag)
-
-    def handle_startendtag(self, tag: str, attrs: List[Tuple[str, Optional[str]]]) -> None:
-        if tag != "html":
-            self._leaf(tag, attrs)
-
-    def handle_endtag(self, tag: str) -> None:
-        if tag == "html" or tag in VOID_TAGS:
-            return
-        stack = self._stack
-        for depth in range(len(stack) - 1, 0, -1):
-            if stack[depth][0] == tag:
-                self._truncate(depth)
-                return
-
-    def handle_data(self, data: str) -> None:
-        if self._title_depth is not None and data and not data.isspace():
-            self._title.append(data)
-        _, location, inside_form, hidden = self._stack[-1]
-        if hidden:
-            return
-        text = data.strip()
-        if text:
-            self.fragments.append(LocatedText(text, location, inside_form))
-
-    def close(self) -> None:
-        super().close()
-        if self._head_depth is not None:
-            self._close_head()  # an unclosed <head> ends with the page
-
-    def error(self, message: str) -> None:  # pragma: no cover - py<3.10 shim
-        pass
-
 
 def scan_page(html: str) -> PageScan:
     """Located text and the largest form's attribute count, in one pass.
@@ -245,8 +240,7 @@ def scan_page(html: str) -> PageScan:
     ([('Jobs', 'title')], 2)
     """
     scanner = _LocatedTextScanner()
-    scanner.feed(html)
-    scanner.close()
+    scanner.scan(html)
     return PageScan(scanner.fragments, scanner.attribute_count)
 
 

@@ -12,12 +12,17 @@ Cluster labels come from a full sort of every centroid term
 :meth:`~repro.vsm.vector.SparseVector.top_terms` and the directory's
 per-centroid label cache.
 
-It also keeps the DOM route to a page's analysis — :func:`parse_html`,
-a recursive walk of the tree for located text, and
-:func:`extract_forms` for the form size — that the one-pass scanner
-behind :func:`~repro.parallel.ingest.analyze_form_page` is pinned to.
+It also keeps the standard library's ``html.parser`` as the reference
+for :mod:`repro.html.lexer`: :class:`TokenRecorder` records its events
+as lexer tokens, and :func:`stdlib_parse_html` builds the DOM from its
+callbacks (both under the lexer's end-of-input rule, :func:`feed_whole_page`).
+On that tree sits the DOM route to a page's analysis — a recursive walk
+for located text and :func:`extract_forms` for the form size — that
+the one-pass scanner behind
+:func:`~repro.parallel.ingest.analyze_form_page` is pinned to.
 """
 
+from html.parser import HTMLParser
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,9 +34,11 @@ from repro.core.form_page import RawFormPage, VectorPair, centroid_of
 from repro.core.pipeline import LABEL_TERMS
 from repro.core.similarity import FormPageSimilarity
 from repro.core.simengine import EngineStats
-from repro.html.dom import NON_VISIBLE_TAGS, Element, Text
+from repro.html.dom import (
+    NON_VISIBLE_TAGS, SELF_NESTING_CLOSERS, VOID_TAGS, Element, Text,
+)
 from repro.html.forms import extract_forms
-from repro.html.parser import parse_html
+from repro.html.lexer import END, START, STARTEND, TEXT
 from repro.html.text_extract import LocatedText, TextLocation
 from repro.parallel.ingest import PageAnalysis
 from repro.text.analyzer import TextAnalyzer
@@ -220,6 +227,105 @@ def max_abs_diff(a, b) -> float:
 
 
 # ----------------------------------------------------------------------
+# The stdlib html.parser route: the reference for repro.html.lexer.
+# ----------------------------------------------------------------------
+
+def feed_whole_page(parser: HTMLParser, html: str) -> None:
+    """Run ``parser`` over a complete page under the lexer's end-of-input
+    rule.
+
+    Where ``feed`` stops to wait for more input, an unterminated
+    comment, declaration, instruction or tag starts; the lexer lets it
+    run to the end of the page and emits nothing more.  Anything else
+    left over (trailing text, a lone ``<``, an unclosed script body)
+    ``close`` handles as usual.
+    """
+    parser.feed(html)
+    rest = parser.rawdata
+    if parser.cdata_elem is None and len(rest) >= 2 and rest[0] == "<":
+        return
+    parser.close()
+
+
+class TokenRecorder(HTMLParser):
+    """``html.parser`` events as :func:`repro.html.lexer.tokens` tuples
+    (comments and declarations dropped, as the lexer drops them)."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.tokens: List[tuple] = []
+
+    def handle_starttag(self, tag, attrs) -> None:
+        self.tokens.append((START, tag, attrs))
+
+    def handle_startendtag(self, tag, attrs) -> None:
+        self.tokens.append((STARTEND, tag, attrs))
+
+    def handle_endtag(self, tag) -> None:
+        self.tokens.append((END, tag, None))
+
+    def handle_data(self, data) -> None:
+        self.tokens.append((TEXT, data, None))
+
+
+def stdlib_tokens(html: str) -> List[tuple]:
+    """Reference :func:`repro.html.lexer.tokens` (every attribute built)."""
+    recorder = TokenRecorder()
+    feed_whole_page(recorder, html)
+    return recorder.tokens
+
+
+class StdlibDomBuilder(HTMLParser):
+    """Reference :func:`repro.html.parser.parse_html`: the same
+    open-element stack, driven by ``html.parser`` callbacks."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.root = Element("html")
+        self._stack: List[Element] = [self.root]
+
+    def handle_starttag(self, tag, attrs) -> None:
+        attr_dict = {name.lower(): (value or "") for name, value in attrs}
+        if tag == "html":
+            # Merge attributes into the synthetic root instead of nesting.
+            self.root.attrs.update(attr_dict)
+            return
+        if tag in SELF_NESTING_CLOSERS and self._stack[-1].tag == tag:
+            # <option>a<option>b  ==  <option>a</option><option>b</option>
+            self._stack.pop()
+        element = Element(tag, attr_dict)
+        self._stack[-1].append(element)
+        if tag not in VOID_TAGS:
+            self._stack.append(element)
+
+    def handle_startendtag(self, tag, attrs) -> None:
+        attr_dict = {name.lower(): (value or "") for name, value in attrs}
+        if tag == "html":
+            self.root.attrs.update(attr_dict)
+            return
+        self._stack[-1].append(Element(tag, attr_dict))
+
+    def handle_endtag(self, tag) -> None:
+        if tag == "html" or tag in VOID_TAGS:
+            return
+        for depth in range(len(self._stack) - 1, 0, -1):
+            if self._stack[depth].tag == tag:
+                del self._stack[depth:]
+                return
+
+    def handle_data(self, data) -> None:
+        if data and not data.isspace():
+            self._stack[-1].append(Text(data))
+
+
+def stdlib_parse_html(html: str) -> Element:
+    """A page's DOM tree as the stdlib route builds it."""
+    builder = StdlibDomBuilder()
+    feed_whole_page(builder, html)
+    return builder.root
+
+
+# ----------------------------------------------------------------------
 # The DOM route to a page analysis.
 # ----------------------------------------------------------------------
 
@@ -289,8 +395,8 @@ def dom_attribute_count(root: Element) -> int:
 
 def dom_page_analysis(raw: RawFormPage, analyzer: TextAnalyzer) -> PageAnalysis:
     """:func:`~repro.parallel.ingest.analyze_form_page` by the DOM route:
-    parse a tree, walk it for located text, extract its forms."""
-    root = parse_html(raw.html)
+    parse a stdlib tree, walk it for located text, extract its forms."""
+    root = stdlib_parse_html(raw.html)
     pc_terms = []
     fc_terms = []
     for fragment in dom_located_text(root):

@@ -13,6 +13,7 @@ import pytest
 # access) because package __init__ re-exports can shadow submodules.
 MODULE_NAMES = [
     "repro.text.tokenize",
+    "repro.html.lexer",
     "repro.html.parser",
     "repro.html.text_extract",
     "repro.html.forms",

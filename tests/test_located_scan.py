@@ -2,9 +2,10 @@
 
 :func:`repro.html.text_extract.scan_page` must yield exactly the
 ``(text, location, inside_form)`` fragments and the largest-form
-``attribute_count`` that parsing a tree, walking it and extracting its
-forms (``tests/oracle.py``) gives — on the paper corpus, on streamed
-pages, on hand-built edge cases and on seeded tag soup.
+``attribute_count`` that parsing a tree with the standard library's
+``html.parser``, walking it and extracting its forms
+(``tests/oracle.py``) gives — on the paper corpus, on streamed pages,
+on hand-built edge cases and on seeded tag soup.
 """
 
 import json
@@ -13,18 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.label_extraction import extract_attribute_labels
 from repro.core.config import CAFCConfig
 from repro.core.form_page import RawFormPage
 from repro.core.pipeline import CAFCPipeline
+from repro.html.forms import extract_forms
 from repro.html.parser import parse_html
 from repro.html.text_extract import TextLocation, extract_located_text, scan_page
+from repro.link_analysis.anchor_text import _anchors_in
 from repro.parallel.ingest import analyze_form_page
 from repro.service.app import DirectoryApp
 from repro.service.directory import FormDirectory
 from repro.service.snapshot import build_snapshot
 from repro.text.analyzer import TextAnalyzer
 from repro.webgen.stream import page_at
-from tests.oracle import dom_attribute_count, dom_located_text, dom_page_analysis
+from tests.oracle import (
+    dom_attribute_count, dom_located_text, dom_page_analysis, stdlib_parse_html,
+)
 
 
 def fragments(located):
@@ -33,7 +39,7 @@ def fragments(located):
 
 def assert_matches_oracle(html):
     scan = scan_page(html)
-    root = parse_html(html)
+    root = stdlib_parse_html(html)
     assert fragments(scan.fragments) == fragments(dom_located_text(root)), html
     assert scan.attribute_count == dom_attribute_count(root), html
 
@@ -212,3 +218,32 @@ def test_deep_nesting_classifies(small_raw_pages):
         assert json.loads(response.body)["ok"] is True
     finally:
         app.close()
+
+
+
+def _deep_page(depth):
+    return DEEP_PAGE.replace("<div>" * DEPTH, "<div>" * depth).replace(
+        "</div>" * DEPTH, "</div>" * depth)
+
+
+def _deep_form(depth):
+    return (
+        "<title>Deep jobs</title>" + "<div>" * depth
+        + "<form><label>Job city <input name=city></label>" + "<span>" * depth
+        + "<a href='/all'>all jobs</a><select><option>Engineer</option></select>"
+        + "</span>" * depth + "</form>" + "</div>" * depth
+    )
+
+
+@pytest.mark.parametrize("page", [_deep_page, _deep_form])
+def test_deep_nesting_on_the_dom_route(page):
+    """The tree, forms, labels and anchors of a deep page equal those of
+    the same page nested three deep."""
+    deep, shallow = page(DEPTH), page(3)
+    root = parse_html(deep)
+    extra_elements = (deep.count("<") - shallow.count("<")) // 2
+    assert len(list(root.iter())) == len(list(parse_html(shallow).iter())) + extra_elements
+    assert root.text_content() == parse_html(shallow).text_content()
+    assert extract_forms(deep) == extract_forms(shallow)
+    assert extract_attribute_labels(deep) == extract_attribute_labels(shallow)
+    assert _anchors_in(deep) == _anchors_in(shallow)
