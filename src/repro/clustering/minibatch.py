@@ -93,7 +93,7 @@ class _SpaceCentroid:
 
     def to_vector(self) -> SparseVector:
         alpha = self.alpha
-        return SparseVector._from_ids(
+        return SparseVector.from_ids(
             (tid, value * alpha) for tid, value in self.weights.items()
         )
 

@@ -30,11 +30,7 @@ from repro.core.incremental import IncrementalOrganizer
 from repro.core.pipeline import CAFCPipeline, CAFCResult
 from repro.core.seeds import select_hub_clusters
 from repro.core.simengine import EngineStats, SimilarityEngine
-from repro.core.similarity import (
-    EngineBackend,
-    FormPageSimilarity,
-    form_page_similarity,
-)
+from repro.core.similarity import EngineBackend, FormPageSimilarity
 from repro.core.vectorizer import FormPageVectorizer
 
 __all__ = [
@@ -51,7 +47,6 @@ __all__ = [
     "CAFCResult",
     "select_hub_clusters",
     "FormPageSimilarity",
-    "form_page_similarity",
     "EngineBackend",
     "SimilarityEngine",
     "EngineStats",

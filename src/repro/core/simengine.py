@@ -3,9 +3,9 @@
 Every hot path of the reproduction (Algorithm 1's assignment loop,
 Algorithm 3's hub-distance matrix, incremental cohesion, the explorer's
 query scoring, the schema baseline) is some batch of Equation-3 cosines.
-Computing them pair-by-pair over string-keyed dictionaries caps corpus
-size; this module compiles a collection once into CSR-style parallel
-arrays and serves every batched shape from that one representation:
+Computing them pair-by-pair caps corpus size; this module compiles a
+collection once into CSR-style parallel arrays and serves every batched
+shape from that one representation:
 
 * :meth:`SimilarityEngine.pairwise` — the full n x n similarity matrix
   as one sparse matmul per feature space;
@@ -13,14 +13,17 @@ arrays and serves every batched shape from that one representation:
   the k-means assignment shape;
 * :meth:`SimilarityEngine.to_centroids` — Equation-4 means straight
   from the compiled rows;
-* :meth:`SimilarityEngine.topk` — query-against-collection ranking;
 * :meth:`SimilarityEngine.kmeans` — Algorithm 1's loop, batched, with
   tie-breaking and stopping semantics identical to
   :func:`repro.clustering.kmeans.kmeans`.
 
-Rows are compiled into :mod:`array` buffers; the all-pairs matrix is a
-SciPy CSR matmul over the normalized rows, and the page x centroid
-shapes accumulate over an inverted index.  Every shape agrees with the
+Rows are the vectors' own :mod:`array` buffers over the process-wide
+:data:`~repro.vsm.interning.VOCABULARY` ids — the engine keeps no term
+table of its own and resolves no strings.  The all-pairs matrix is a
+SciPy CSR matmul over the normalized rows (one column per table id),
+and the page x centroid shapes accumulate over a
+:class:`~repro.index.postings.SpaceIndex`, the posting lists the query
+paths use.  Every shape agrees with the
 scalar :class:`~repro.core.similarity.FormPageSimilarity` to well below
 1e-12: per-space cosines come from pre-normalized rows and are combined
 with the literal Equation-3 expression, never algebraically rearranged.
@@ -39,6 +42,7 @@ from scipy import sparse
 
 from repro.core.config import ContentMode
 from repro.core.form_page import VectorPair
+from repro.vsm.interning import VOCABULARY
 from repro.vsm.vector import SparseVector
 
 
@@ -98,81 +102,65 @@ class EngineStats:
 
 
 class _Space:
-    """One compiled feature space (PC or FC) in CSR-style arrays."""
+    """One compiled feature space (PC or FC) in CSR-style arrays.
 
-    __slots__ = (
-        "vocab", "term_of", "ids", "raw", "nrm", "norms", "_postings", "_csr"
-    )
+    Rows are the collection's vectors as they are: term ids are
+    :data:`~repro.vsm.interning.VOCABULARY` ids, and the id and weight
+    arrays are the vectors' own, shared rather than copied.  Only the
+    normalized weights (``nrm``, aligned with each row's ids) are new.
+    """
+
+    __slots__ = ("vectors", "nrm", "_index", "_csr")
 
     def __init__(self) -> None:
-        self.vocab: Dict[str, int] = {}
-        self.term_of: List[str] = []
-        self.ids: List[array] = []     # per row: term ids ('l')
-        self.raw: List[array] = []     # per row: raw Equation-1 weights ('d')
+        self.vectors: List[SparseVector] = []
         self.nrm: List[array] = []     # per row: weights / row norm ('d')
-        self.norms: List[float] = []
-        self._postings: Optional[Dict[int, List[Tuple[int, float]]]] = None
+        self._index = None
         self._csr = None
 
     def add_row(self, vector: SparseVector) -> None:
-        ids = array("l")
-        raw = array("d")
-        vocab = self.vocab
-        term_of = self.term_of
-        for term, weight in vector.items():
-            term_id = vocab.get(term)
-            if term_id is None:
-                term_id = len(term_of)
-                vocab[term] = term_id
-                term_of.append(term)
-            ids.append(term_id)
-            raw.append(weight)
         norm = vector.norm()
-        self.ids.append(ids)
-        self.raw.append(raw)
+        self.vectors.append(vector)
         if norm > 0.0:
             inv = 1.0 / norm
+            raw = vector.id_arrays()[1]
             self.nrm.append(array("d", (w * inv for w in raw)))
         else:
             self.nrm.append(array("d"))
-        self.norms.append(norm)
+
+    def n_terms(self) -> int:
+        """Distinct terms over the compiled rows."""
+        return len(set().union(*(v.id_arrays()[0] for v in self.vectors)))
 
     # -- derived structures (built lazily, cached) --------------------
 
-    def postings(self) -> Dict[int, List[Tuple[int, float]]]:
-        """Inverted index over normalized rows: id -> [(row, weight)].
+    def index(self):
+        """Posting lists over the normalized rows, rows in ascending
+        order (pages are compiled in sequence)."""
+        if self._index is None:
+            # repro.index imports repro.datasets, which imports repro.core.
+            from repro.index.postings import SpaceIndex
 
-        Rows are appended in ascending order (pages are compiled in
-        sequence), which the upper-triangle accumulation relies on.
-        Each posting is one list of (row, weight) tuples — the layout
-        the accumulation loops iterate millions of times, so one tuple
-        unpack per step replaces parallel-array indexing.
-        """
-        if self._postings is None:
-            postings: Dict[int, List[Tuple[int, float]]] = {}
-            for row, (ids, weights) in enumerate(zip(self.ids, self.nrm)):
-                for term_id, weight in zip(ids, weights):
-                    entry = postings.get(term_id)
-                    if entry is None:
-                        entry = []
-                        postings[term_id] = entry
-                    entry.append((row, weight))
-            self._postings = postings
-        return self._postings
+            index = SpaceIndex()
+            for row, vector in enumerate(self.vectors):
+                index.add_row(row, vector)
+            self._index = index
+        return self._index
 
     def csr(self):
-        """Normalized rows as a scipy CSR matrix."""
+        """Normalized rows as a scipy CSR matrix, one column per
+        :data:`~repro.vsm.interning.VOCABULARY` id."""
         if self._csr is None:
             indptr = [0]
             indices: List[int] = []
             data: List[float] = []
-            for ids, weights in zip(self.ids, self.nrm):
-                indices.extend(ids)
+            for vector, weights in zip(self.vectors, self.nrm):
+                indices.extend(vector.id_arrays()[0])
                 data.extend(weights)
                 indptr.append(len(indices))
             self._csr = sparse.csr_matrix(
                 (data, indices, indptr),
-                shape=(len(self.ids), max(len(self.vocab), 1)),
+                shape=(len(self.vectors), max(len(VOCABULARY), 1)),
                 dtype=np.float64,
             )
         return self._csr
@@ -186,34 +174,13 @@ class _Space:
             return 0.0
         return sum(w * w for w in weights)
 
-    def compile_external(self, vector: SparseVector) -> Dict[int, float]:
-        """A foreign vector as a normalized id -> weight map.
-
-        The norm is the vector's *full* norm (out-of-vocabulary terms
-        included), exactly as the scalar cosine sees it; OOV terms are
-        then dropped because no compiled row can match them.
-        """
-        norm = vector.norm()
-        if norm == 0.0:
-            return {}
-        inv = 1.0 / norm
-        vocab = self.vocab
-        compiled: Dict[int, float] = {}
-        for term, weight in vector.items():
-            term_id = vocab.get(term)
-            if term_id is not None:
-                compiled[term_id] = weight * inv
-        return compiled
-
     def score_column(self, query: Dict[int, float], n_rows: int) -> List[float]:
-        """Cosine of ``query`` against every compiled row (accumulator)."""
+        """Cosine of ``query`` (a normalized id -> weight map) against
+        every compiled row (accumulator)."""
         scores = [0.0] * n_rows
-        postings = self.postings()
+        postings = self.index().postings
         for term_id, query_weight in query.items():
-            entry = postings.get(term_id)
-            if entry is None:
-                continue
-            for row, weight in entry:
+            for row, weight in postings(term_id):
                 scores[row] += query_weight * weight
         return scores
 
@@ -222,13 +189,13 @@ class _Space:
         matrix = self.csr()
         dense = np.asarray((matrix @ matrix.T).todense())
         np.fill_diagonal(
-            dense, [self.self_cosine(i) for i in range(len(self.ids))]
+            dense, [self.self_cosine(i) for i in range(len(self.nrm))]
         )
         return dense
 
 
 class CompiledCentroids:
-    """Equation-4 centroids in engine id space, ready for batched scoring.
+    """Equation-4 centroids over VOCABULARY ids, ready for batched scoring.
 
     Built either from an assignment over the engine's own rows
     (:meth:`SimilarityEngine.to_centroids`) or by compiling external
@@ -272,10 +239,17 @@ class CompiledCentroids:
         compiled = self.raw.get(space)
         if compiled is None:
             return SparseVector()
-        term_of = self.engine.space(space).term_of
-        return SparseVector(
-            {term_of[i]: w for i, w in compiled[index].items()}
-        )
+        return SparseVector.from_ids(compiled[index].items())
+
+
+def _normalized(vector: SparseVector) -> Dict[int, float]:
+    """``vector`` as a normalized id -> weight map (empty if zero)."""
+    norm = vector.norm()
+    if norm == 0.0:
+        return {}
+    inv = 1.0 / norm
+    ids, weights = vector.id_arrays()
+    return {term_id: weight * inv for term_id, weight in zip(ids, weights)}
 
 
 def _sqrt_sum_sq(weights: Dict[int, float]) -> float:
@@ -333,7 +307,7 @@ class SimilarityEngine:
         self.stats.build_seconds = time.perf_counter() - started
         self.stats.n_pages = len(self.items)
         self.stats.n_terms = sum(
-            len(space.vocab) for space in self._spaces.values()
+            space.n_terms() for space in self._spaces.values()
         )
 
     # ----------------------------------------------------------------
@@ -422,7 +396,8 @@ class SimilarityEngine:
             sums: List[Dict[int, float]] = [{} for _ in range(k)]
             for row, cluster in enumerate(assignments):
                 target = sums[cluster]
-                for term_id, weight in zip(space.ids[row], space.raw[row]):
+                ids, raw = space.vectors[row].id_arrays()
+                for term_id, weight in zip(ids, raw):
                     target[term_id] = target.get(term_id, 0.0) + weight
             for cluster in range(k):
                 if counts[cluster] == 0:
@@ -439,20 +414,16 @@ class SimilarityEngine:
         self, pairs: Sequence
     ) -> CompiledCentroids:
         """Compile external (PC, FC) pairs — e.g. hub-cluster centroids —
-        into the engine's id space for batched scoring."""
+        for batched scoring.  Their vectors already carry
+        :data:`~repro.vsm.interning.VOCABULARY` ids; a term no compiled
+        row holds simply has no posting list to walk."""
         centroids = CompiledCentroids(self, len(pairs))
-        for name, space in self._spaces.items():
+        for name in self._spaces:
             for index, pair in enumerate(pairs):
                 vector: SparseVector = getattr(pair, name)
-                norm = vector.norm()
-                centroids.norms[name][index] = norm
-                centroids.nrm[name][index] = space.compile_external(vector)
-                vocab = space.vocab
-                centroids.raw[name][index] = {
-                    vocab[term]: weight
-                    for term, weight in vector.items()
-                    if term in vocab
-                }
+                centroids.norms[name][index] = vector.norm()
+                centroids.nrm[name][index] = _normalized(vector)
+                centroids.raw[name][index] = dict(zip(*vector.id_arrays()))
         return centroids
 
     def page_centroid_matrix(self, centroids) -> List[List[float]]:
@@ -490,32 +461,6 @@ class SimilarityEngine:
                 ]
             )
         return matrix
-
-    def topk(self, query, n: int = 3) -> List[Tuple[int, float]]:
-        """The ``n`` compiled items most similar to ``query``.
-
-        ``query`` is anything with ``.pc`` / ``.fc`` vectors.  Items with
-        zero (or negative) similarity are omitted; ties break toward the
-        lower index, matching the explorer's historical ordering.
-        """
-        total = len(self.items)
-        self.stats.comparisons += total
-        per_space: Dict[str, List[float]] = {}
-        for name, space in self._spaces.items():
-            compiled = space.compile_external(getattr(query, name))
-            per_space[name] = space.score_column(compiled, total)
-        pc_scores = per_space.get("pc")
-        fc_scores = per_space.get("fc")
-        scored = []
-        for index in range(total):
-            value = self._combine(
-                pc_scores[index] if pc_scores else 0.0,
-                fc_scores[index] if fc_scores else 0.0,
-            )
-            if value > 0.0:
-                scored.append((index, value))
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:n]
 
     # ----------------------------------------------------------------
     # Batched k-means (Algorithm 1's loop).

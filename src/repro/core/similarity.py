@@ -77,23 +77,6 @@ class FormPageSimilarity:
         return 1.0 - self(a, b)
 
 
-def form_page_similarity(
-    a: HasVectorPair,
-    b: HasVectorPair,
-    content_mode: ContentMode = ContentMode.FC_PC,
-    page_weight: float = 1.0,
-    form_weight: float = 1.0,
-) -> float:
-    """Thin compatibility wrapper: one Equation-3 similarity, scalar path.
-
-    Equivalent to ``FormPageSimilarity(content_mode, page_weight,
-    form_weight)(a, b)`` and guaranteed (by test) to agree with the
-    batched :class:`~repro.core.simengine.SimilarityEngine` to 1e-9.
-    Prefer an :class:`EngineBackend` for anything called in a loop.
-    """
-    return FormPageSimilarity(content_mode, page_weight, form_weight)(a, b)
-
-
 class EngineBackend:
     """The batched Equation-3 backend over the compiled engine.
 

@@ -14,7 +14,7 @@ from typing import List, Optional
 from repro.core.pipeline import CAFCResult, OrganizedCluster
 from repro.index import SpaceIndex, top_k_exact
 from repro.text.analyzer import TextAnalyzer
-from repro.vsm.vector import SparseVector, cosine_similarity
+from repro.vsm.vector import KeywordQuery, SparseVector
 
 
 @dataclass
@@ -63,46 +63,35 @@ class ClusterExplorer:
     # Search.
     # ----------------------------------------------------------------
 
-    def _query_vector(self, query: str) -> SparseVector:
-        terms = self.analyzer.analyze(query)
-        weights = {}
-        for term in terms:
-            weights[term] = weights.get(term, 0.0) + 1.0
-        return SparseVector(weights)
-
     def search(self, query: str, n: int = 3) -> List[SearchHit]:
         """Rank clusters against a keyword query.
 
         The query is analyzed with the same pipeline as page text and
         scored by cosine against each cluster's combined centroid (PC
         and FC summed — the query has no notion of feature spaces).
-        Clusters with zero similarity are omitted.
+        Clusters with zero similarity are omitted; query words are
+        never interned (:class:`~repro.vsm.vector.KeywordQuery`).
         """
-        query_vector = self._query_vector(query)
-        if not query_vector:
+        keywords = KeywordQuery(self.analyzer.analyze(query))
+        if not keywords:
             return []
         index_rows = self._centroid_index()
         ranked = top_k_exact(
             index_rows,
-            query_vector,
+            keywords.vector,
             n,
-            lambda i: cosine_similarity(query_vector, self._combined[i]),
+            lambda i: keywords.cosine(self._combined[i]),
+            norm=keywords.norm,
         )
-        hits: List[SearchHit] = []
-        for index, score in ranked:
-            combined = self._combined[index]
-            matched = sorted(
-                term for term in query_vector.terms() if term in combined
+        return [
+            SearchHit(
+                cluster_index=index,
+                cluster=self.result.clusters[index],
+                score=score,
+                matched_terms=keywords.matched_terms(self._combined[index]),
             )
-            hits.append(
-                SearchHit(
-                    cluster_index=index,
-                    cluster=self.result.clusters[index],
-                    score=score,
-                    matched_terms=matched,
-                )
-            )
-        return hits
+            for index, score in ranked
+        ]
 
     # ----------------------------------------------------------------
     # Summaries.

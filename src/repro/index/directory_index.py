@@ -30,14 +30,16 @@ organizer instead of serving stale rows.
 Parity: cached combined vectors are built by the same
 ``centroid.pc.add(centroid.fc)`` call a from-scratch scan uses, so
 their term dicts (and hence dot-product iteration order) are identical
-— indexed and from-scratch scoring produce the same floats.
+— indexed and from-scratch scoring produce the same floats.  Queries
+arrive as :class:`~repro.vsm.vector.KeywordQuery` objects, which never
+intern the user's words, and are scored by its exact cosine.
 """
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.index.postings import SpaceIndex
 from repro.index.retrieval import RetrievalStats, top_k_exact
-from repro.vsm.vector import SparseVector
+from repro.vsm.vector import KeywordQuery, SparseVector
 
 
 class DirectoryIndex:
@@ -160,21 +162,25 @@ class DirectoryIndex:
         return tuple(self._label_terms(centroid))
 
     def top_clusters(
-        self, query: SparseVector, k: int,
-        score_exact: Callable[[int], float],
+        self, query: KeywordQuery, k: int
     ) -> List[Tuple[int, float]]:
         """Exact top-``k`` clusters by combined-centroid cosine."""
+        clusters = self._clusters
         return top_k_exact(
-            self._clusters, query, k, score_exact, stats=self.stats,
+            clusters, query.vector, k,
+            lambda row: query.cosine(clusters.vector(row)),
+            stats=self.stats, norm=query.norm,
         )
 
     def top_pages(
-        self, query: SparseVector, k: int,
-        score_exact: Callable[[int], float],
+        self, query: KeywordQuery, k: int
     ) -> List[Tuple[int, float]]:
         """Exact top-``k`` page rows, URL-tie-broken like the scan."""
+        pages = self._pages
         return top_k_exact(
-            self._pages, query, k, score_exact, stats=self.stats,
+            pages, query.vector, k,
+            lambda row: query.cosine(pages.vector(row)),
+            stats=self.stats, norm=query.norm,
             tie_key=self._url_by_row.__getitem__,
         )
 

@@ -1,7 +1,8 @@
 """Incremental per-term posting lists over one sparse feature space.
 
 A :class:`SpaceIndex` maps every term of a row collection (cluster
-centroids, or managed pages) to the rows containing it, with weights
+centroids, managed pages, or a compiled engine space) to the rows
+containing it, with weights
 **pre-normalized** by the row's Euclidean norm — the unit the cosine
 accumulators want — plus a per-term *maximum* pre-normalized weight.
 That maximum is the upper bound the exact top-k retrieval
@@ -23,6 +24,11 @@ the *actual emitted vectors* (whatever :mod:`repro.vsm.schemes` scheme
 produced them), never re-derived from corpus statistics — so exact
 top-k pruning stays exact under Equation 1, BM25, or any future scheme
 without the index knowing which one is active (docs/RANKING.md).
+
+Terms are keyed by their :data:`~repro.vsm.interning.VOCABULARY` id,
+the id the row vectors already carry, so indexing a row resolves no
+strings.  Term strings appear only where postings leave the process
+(:mod:`repro.index.spill` writes them into sealed segments).
 """
 
 from typing import Dict, Iterator, List, Tuple
@@ -36,10 +42,10 @@ class SpaceIndex:
     __slots__ = ("_postings", "_max", "_vectors", "_norms", "n_postings")
 
     def __init__(self) -> None:
-        #: term -> [(row_id, weight / row_norm)], append-ordered.
-        self._postings: Dict[str, List[Tuple[int, float]]] = {}
-        #: term -> max pre-normalized weight over its posting list.
-        self._max: Dict[str, float] = {}
+        #: term id -> [(row_id, weight / row_norm)], append-ordered.
+        self._postings: Dict[int, List[Tuple[int, float]]] = {}
+        #: term id -> max pre-normalized weight over its posting list.
+        self._max: Dict[int, float] = {}
         self._vectors: Dict[int, SparseVector] = {}
         self._norms: Dict[int, float] = {}
         #: total posting entries (the /metrics gauge).
@@ -62,6 +68,10 @@ class SpaceIndex:
     def rows(self) -> Iterator[int]:
         return iter(self._vectors)
 
+    def term_ids(self) -> Iterator[int]:
+        """Ids of the terms with a non-empty posting list."""
+        return iter(self._postings)
+
     def row_items(self) -> Iterator[Tuple[int, SparseVector]]:
         """(row_id, raw vector) pairs — what a cached full scan walks."""
         return iter(self._vectors.items())
@@ -73,14 +83,14 @@ class SpaceIndex:
     def norm(self, row_id: int) -> float:
         return self._norms[row_id]
 
-    def postings(self, term: str) -> List[Tuple[int, float]]:
-        """The (row, pre-normalized weight) posting list of ``term``
+    def postings(self, term_id: int) -> List[Tuple[int, float]]:
+        """The (row, pre-normalized weight) posting list of ``term_id``
         (empty when the term is unindexed)."""
-        return self._postings.get(term, _EMPTY)
+        return self._postings.get(term_id, _EMPTY)
 
-    def max_prenormed(self, term: str) -> float:
-        """Upper bound on any row's pre-normalized weight for ``term``."""
-        return self._max.get(term, 0.0)
+    def max_prenormed(self, term_id: int) -> float:
+        """Upper bound on any row's pre-normalized weight for ``term_id``."""
+        return self._max.get(term_id, 0.0)
 
     # ----------------------------------------------------------------
     # Maintenance.
@@ -103,17 +113,18 @@ class SpaceIndex:
         inv = 1.0 / norm
         postings = self._postings
         maxima = self._max
-        for term, weight in vector.items():
+        ids, weights = vector.id_arrays()
+        for term_id, weight in zip(ids, weights):
             prenormed = weight * inv
-            entry = postings.get(term)
+            entry = postings.get(term_id)
             if entry is None:
-                postings[term] = [(row_id, prenormed)]
-                maxima[term] = prenormed
+                postings[term_id] = [(row_id, prenormed)]
+                maxima[term_id] = prenormed
             else:
                 entry.append((row_id, prenormed))
-                if prenormed > maxima[term]:
-                    maxima[term] = prenormed
-            self.n_postings += 1
+                if prenormed > maxima[term_id]:
+                    maxima[term_id] = prenormed
+        self.n_postings += len(ids)
 
     def remove_row(self, row_id: int) -> bool:
         """Drop a row from every posting list it appears in.
@@ -130,18 +141,18 @@ class SpaceIndex:
             return True
         postings = self._postings
         maxima = self._max
-        for term in vector.terms():
-            entry = postings.get(term)
+        for term_id in vector.id_arrays()[0]:
+            entry = postings.get(term_id)
             if entry is None:
                 continue
             kept = [(row, weight) for row, weight in entry if row != row_id]
             self.n_postings -= len(entry) - len(kept)
             if not kept:
-                del postings[term]
-                del maxima[term]
+                del postings[term_id]
+                del maxima[term_id]
             else:
-                postings[term] = kept
-                maxima[term] = max(weight for _, weight in kept)
+                postings[term_id] = kept
+                maxima[term_id] = max(weight for _, weight in kept)
         return True
 
     def clear(self) -> None:

@@ -6,7 +6,10 @@ its results are **bit-identical** to the full-scan reference paths:
 
 1. *Accumulate with bounds.*  Query terms (weights pre-divided by the
    query norm) are processed in descending order of their maximum
-   possible score contribution ``q_w * max_prenormed(term)``.
+   possible score contribution ``q_w * max_prenormed(term)``, ties by
+   term string.  Posting lists are keyed by
+   :data:`~repro.vsm.interning.VOCABULARY` id; only the query's own
+   terms are resolved to strings, for that tie order.
    Walking a term's posting list adds its contribution to every row
    containing it.  After each term, if at least ``k`` rows have been
    touched and the sum of the *remaining* terms' bounds falls below the
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.index.postings import SpaceIndex
+from repro.vsm.interning import VOCABULARY
 
 #: Pruning-margin knobs: bounds are inflated and thresholds deflated by
 #: this relative factor (plus an absolute floor) before being compared,
@@ -88,10 +92,12 @@ def top_k_exact(
 
     ``query`` is a :class:`~repro.vsm.vector.SparseVector` (a combined
     PC+FC query); its weights are pre-divided by its norm (``norm``, or
-    ``query.norm()`` when omitted) so partial sums are
-    cosine-comparable.  ``score_exact(row_id)`` must return the row's
-    full-precision score via the same arithmetic as the full-scan
-    reference; it is invoked only for rows surviving bound pruning.
+    ``query.norm()`` when omitted — a
+    :class:`~repro.vsm.vector.KeywordQuery` passes its full norm) so
+    partial sums are cosine-comparable.  ``score_exact(row_id)`` must
+    return the row's full-precision score via the same arithmetic as
+    the full-scan reference; it is invoked only for rows surviving
+    bound pruning.
     Rows with non-positive exact scores are dropped (matching the scan
     paths, which skip them).  Ties break toward the lower ``row_id``, or
     toward the lower ``tie_key(row_id)`` when given (page search breaks
@@ -113,15 +119,16 @@ def top_k_exact(
         return []
     inv = 1.0 / norm
 
-    # Bound-ordered term entries: (bound, term, scaled weight).
-    entries: List[Tuple[float, str, float]] = []
-    for term, weight in query.items():
+    # Bound-ordered term entries: (bound, term, term id, scaled weight).
+    entries: List[Tuple[float, str, int, float]] = []
+    term_of = VOCABULARY.term
+    for term_id, weight in zip(*query.id_arrays()):
         weight = weight * inv
         if weight <= 0.0:
             continue
-        bound = weight * space.max_prenormed(term)
+        bound = weight * space.max_prenormed(term_id)
         if bound > 0.0:
-            entries.append((bound, term, weight))
+            entries.append((bound, term_of(term_id), term_id, weight))
     stats.terms_total += len(entries)
     if not entries:
         return []
@@ -134,14 +141,14 @@ def top_k_exact(
     accumulated: Dict[int, float] = {}
     remaining = 0.0
     processed = len(entries)
-    for index, (bound, term, weight) in enumerate(entries):
+    for index, (_, _, term_id, weight) in enumerate(entries):
         if len(accumulated) >= k:
             remaining = suffix[index]
             kth = heapq.nlargest(k, accumulated.values())[-1]
             if _inflate(remaining) < _deflate(kth):
                 processed = index
                 break
-        for row, prenormed in space.postings(term):
+        for row, prenormed in space.postings(term_id):
             if row in accumulated:
                 accumulated[row] += weight * prenormed
             else:

@@ -14,7 +14,9 @@ Segment layout (one framed JSON record each):
 
 * record 0 — header: format version, row range, and per-row
   ``[norm, meta]`` (meta is the caller's tag, e.g. the page URL);
-* one record per term — its posting list ``[[row, prenormed weight]]``
+* one record per term — the term string (resident postings are keyed
+  by process-local :data:`~repro.vsm.interning.VOCABULARY` ids, which
+  the flush resolves), its posting list ``[[row, prenormed weight]]``
   and the per-term maximum.
 
 Readers verify every checksum once at open while building a
@@ -44,6 +46,7 @@ from repro.datasets.store import (
 )
 from repro.index.postings import SpaceIndex
 from repro.index.retrieval import RetrievalStats, top_k_exact
+from repro.vsm.interning import VOCABULARY
 from repro.vsm.vector import SparseVector
 
 _SEGMENT_FORMAT_VERSION = 1
@@ -219,13 +222,16 @@ class SpillingSpaceIndex:
             }
             # Resident posting lists are already pre-normalized; the
             # segment stores them verbatim, so spilled scoring uses the
-            # same floats the resident accumulators would have.
-            for term in sorted(self.resident._postings):
+            # same floats the resident accumulators would have.  Ids are
+            # process-local, so the segment names each term by string.
+            term_of = VOCABULARY.term
+            resident = self.resident
+            for term_id in sorted(resident.term_ids(), key=term_of):
                 yield {
                     "kind": "postings",
-                    "term": term,
-                    "max": self.resident.max_prenormed(term),
-                    "postings": self.resident.postings(term),
+                    "term": term_of(term_id),
+                    "max": resident.max_prenormed(term_id),
+                    "postings": resident.postings(term_id),
                 }
 
         path = self.directory / f"segment-{len(self.segments):06d}.seg"

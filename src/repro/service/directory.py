@@ -68,7 +68,7 @@ from repro.resilience.supervisor import SupervisedWorker
 from repro.service.metrics import MetricsRegistry
 from repro.service.snapshot import Snapshot, _page_from_json, _page_to_json
 from repro.text.analyzer import TextAnalyzer
-from repro.vsm.vector import SparseVector, cosine_similarity
+from repro.vsm.vector import KeywordQuery, SparseVector
 
 
 class RWLock:
@@ -831,13 +831,6 @@ class FormDirectory:
             index, self.organizer.clusters[index].centroid
         )
 
-    def _query_vector(self, query: str) -> SparseVector:
-        """Analyze a keyword query with the page-text pipeline."""
-        weights: Dict[str, float] = {}
-        for term in self._analyzer.analyze(query):
-            weights[term] = weights.get(term, 0.0) + 1.0
-        return SparseVector(weights)
-
     def _observe_search(self, scope: str, path: str, started: float) -> None:
         self.metrics.histogram(
             "search_seconds", "Search latency",
@@ -850,15 +843,13 @@ class FormDirectory:
 
     def _cluster_hit(
         self, index: int, score: float, combined: SparseVector,
-        query_vector: SparseVector,
+        query: KeywordQuery,
     ) -> Dict[str, object]:
         """One /search hit record.  Caller holds the read lock."""
         return {
             "cluster": index,
             "score": score,
-            "matched_terms": sorted(
-                term for term in query_vector.terms() if term in combined
-            ),
+            "matched_terms": query.matched_terms(combined),
             "top_terms": list(self._cluster_terms(index)),
             "size": self.organizer.clusters[index].size,
         }
@@ -873,36 +864,30 @@ class FormDirectory:
         posting-list pruning ranks them — the same hits, floats and
         order as a full scan (docs/SERVING.md).
         """
-        query_vector = self._query_vector(query)
-        if not query_vector:
+        keywords = KeywordQuery(self._analyzer.analyze(query))
+        if not keywords:
             return []
         started = time.perf_counter()
         with self._rw.read_locked():
             if self._index.generation == self._generation:
                 path = "indexed"
-                ranked = self._index.top_clusters(
-                    query_vector, n,
-                    lambda i: cosine_similarity(
-                        query_vector, self._index.cluster_combined(i)
-                    ),
-                )
                 hits = [
                     self._cluster_hit(
                         index, score,
-                        self._index.cluster_combined(index), query_vector,
+                        self._index.cluster_combined(index), keywords,
                     )
-                    for index, score in ranked
+                    for index, score in self._index.top_clusters(keywords, n)
                 ]
             else:  # a mutation path forgot to sync; stay correct
                 path = "scan"
                 hits = []
                 for index, cluster in enumerate(self.organizer.clusters):
                     combined = cluster.centroid.pc.add(cluster.centroid.fc)
-                    score = cosine_similarity(query_vector, combined)
+                    score = keywords.cosine(combined)
                     if score <= 0.0:
                         continue
                     hits.append(
-                        self._cluster_hit(index, score, combined, query_vector)
+                        self._cluster_hit(index, score, combined, keywords)
                     )
                 hits.sort(key=lambda hit: (-hit["score"], hit["cluster"]))
                 hits = hits[:n]
@@ -917,23 +902,17 @@ class FormDirectory:
         (PC + FC) vector; ties break by URL.  Ranked through the page
         posting lists, parity-pinned exactly like cluster search.
         """
-        query_vector = self._query_vector(query)
-        if not query_vector:
+        keywords = KeywordQuery(self._analyzer.analyze(query))
+        if not keywords:
             return []
         started = time.perf_counter()
         with self._rw.read_locked():
             if self._index.generation == self._generation:
                 path = "indexed"
-                ranked = self._index.top_pages(
-                    query_vector, n,
-                    lambda row: cosine_similarity(
-                        query_vector, self._index.page_vector(row)
-                    ),
-                )
                 scored = [
                     (self._index.page_url(row), score,
                      self._index.page_vector(row))
-                    for row, score in ranked
+                    for row, score in self._index.top_pages(keywords, n)
                 ]
             else:  # a mutation path forgot to sync; stay correct
                 path = "scan"
@@ -941,7 +920,7 @@ class FormDirectory:
                 for cluster in self.organizer.clusters:
                     for page in cluster.pages:
                         combined = page.pc.add(page.fc)
-                        score = cosine_similarity(query_vector, combined)
+                        score = keywords.cosine(combined)
                         if score > 0.0:
                             scored.append((page.url, score, combined))
                 scored.sort(key=lambda hit: (-hit[1], hit[0]))
@@ -951,10 +930,7 @@ class FormDirectory:
                     "url": url,
                     "cluster": self.organizer.cluster_of(url),
                     "score": score,
-                    "matched_terms": sorted(
-                        term for term in query_vector.terms()
-                        if term in combined
-                    ),
+                    "matched_terms": keywords.matched_terms(combined),
                 }
                 for url, score, combined in scored
             ]

@@ -11,7 +11,13 @@ dict probes during dot products into integer hashing.
 The table is process-global (:data:`VOCABULARY`) and never shrinks;
 ids are meaningless outside the process, which is why
 ``SparseVector.__reduce__`` pickles vectors back through their term
-strings.
+strings.  It is the only term table in-memory scoring uses: the
+batched engine (:mod:`repro.core.simengine`) and every posting list
+(:mod:`repro.index.postings`) key terms by these ids, and strings
+appear only where data leaves the process (snapshots, spill segments,
+labels, matched query terms).  Because nothing frees an id, serving
+never interns a query's words: :class:`~repro.vsm.vector.KeywordQuery`
+only looks them up.
 """
 
 import sys
@@ -81,103 +87,6 @@ class TermTable:
     def stats(self) -> Dict[str, int]:
         """``{"terms": ..., "bytes_estimate": ...}`` for gauges and CLIs."""
         return {"terms": len(self), "bytes_estimate": self.bytes_estimate()}
-
-
-class BoundedTermTable(TermTable):
-    """A :class:`TermTable` that can shed rarely used terms.
-
-    The process-global :data:`VOCABULARY` must stay append-only — live
-    :class:`~repro.vsm.vector.SparseVector` ids point into it — but
-    *scratch* vocabularies (the streaming ingestor's per-run term
-    bookkeeping, short-lived analysis tables) have no such liability
-    and should not grow with an unbounded stream.  This variant counts
-    :meth:`intern` calls per term and supports frequency-floor
-    compaction: :meth:`compact` drops every term used fewer than
-    ``min_count`` times and reassigns dense ids to the survivors,
-    returning the ``old id -> new id`` remap so any caller-held ids can
-    be rewritten (or discarded).
-
-    ``max_terms`` arms automatic compaction: when interning would grow
-    the table past the cap, :meth:`compact` runs first with an adaptive
-    floor (the smallest ``min_count`` that frees space).  Ids are only
-    stable between compactions — that is the contract callers accept in
-    exchange for bounded memory.
-    """
-
-    __slots__ = ("_counts", "max_terms", "n_compactions", "n_dropped")
-
-    def __init__(self, max_terms: int = 0) -> None:
-        super().__init__()
-        if max_terms < 0:
-            raise ValueError("max_terms must be non-negative")
-        self._counts: List[int] = []
-        self.max_terms = max_terms
-        self.n_compactions = 0
-        self.n_dropped = 0
-
-    def intern(self, term: str) -> int:
-        tid = self._ids.get(term)
-        if tid is not None:
-            self._counts[tid] += 1
-            return tid
-        with self._lock:
-            tid = self._ids.get(term)
-            if tid is not None:
-                self._counts[tid] += 1
-                return tid
-            if self.max_terms and len(self._terms) >= self.max_terms:
-                self._compact_locked(self._adaptive_floor())
-            tid = len(self._terms)
-            self._terms.append(term)
-            self._counts.append(1)
-            self._ids[term] = tid
-            return tid
-
-    def count(self, term: str) -> int:
-        """How many times ``term`` was interned since it last survived
-        (0 when absent)."""
-        tid = self._ids.get(term)
-        return self._counts[tid] if tid is not None else 0
-
-    def _adaptive_floor(self) -> int:
-        """The smallest frequency floor that frees at least a quarter of
-        the table (so compaction is amortized, not per-intern)."""
-        target = max(1, self.max_terms // 4)
-        floor = 2
-        counts = self._counts
-        while sum(1 for c in counts if c < floor) < target:
-            floor *= 2
-            if floor > max(counts, default=1):
-                break
-        return floor
-
-    def compact(self, min_count: int = 2) -> Dict[int, int]:
-        """Drop terms interned fewer than ``min_count`` times; densify ids.
-
-        Returns ``{old id: new id}`` for the survivors — anything absent
-        was dropped.  Survivor counts reset to 1 so long-lived terms must
-        keep earning their slot across compaction epochs.
-        """
-        with self._lock:
-            return self._compact_locked(min_count)
-
-    def _compact_locked(self, min_count: int) -> Dict[int, int]:
-        remap: Dict[int, int] = {}
-        new_terms: List[str] = []
-        new_counts: List[int] = []
-        new_ids: Dict[str, int] = {}
-        for tid, (term, count) in enumerate(zip(self._terms, self._counts)):
-            if count >= min_count:
-                remap[tid] = len(new_terms)
-                new_ids[term] = len(new_terms)
-                new_terms.append(term)
-                new_counts.append(1)
-        self.n_dropped += len(self._terms) - len(new_terms)
-        self._terms = new_terms
-        self._counts = new_counts
-        self._ids = new_ids
-        self.n_compactions += 1
-        return remap
 
 
 #: The process-wide vocabulary every :class:`~repro.vsm.vector.SparseVector`

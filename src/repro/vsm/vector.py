@@ -50,8 +50,8 @@ class SparseVector:
         self._norm: float = -1.0  # computed lazily
 
     @classmethod
-    def _from_ids(cls, items: Iterable[Tuple[int, float]]) -> "SparseVector":
-        """Build from already-interned ``(id, weight)`` pairs (internal)."""
+    def from_ids(cls, items: Iterable[Tuple[int, float]]) -> "SparseVector":
+        """Build from already-interned ``(id, weight)`` pairs."""
         vector = cls.__new__(cls)
         ids = array("q")
         vals = array("d")
@@ -64,6 +64,11 @@ class SparseVector:
         vector._lookup = None
         vector._norm = -1.0
         return vector
+
+    def id_arrays(self) -> Tuple[array, array]:
+        """The packed ``(ids, weights)`` arrays over :data:`VOCABULARY`
+        ids — shared, not copied, so callers only read them."""
+        return self._ids, self._vals
 
     def _by_id(self) -> Dict[int, float]:
         """The ``id -> weight`` dict, built on first random access."""
@@ -129,19 +134,13 @@ class SparseVector:
 
     def dot(self, other: "SparseVector") -> float:
         """Dot product; iterates the sparser operand."""
-        a, b = self, other
-        if len(a._ids) > len(b._ids):
-            a, b = b, a
-        lookup = b._by_id()
-        return sum(
-            w * lookup[tid]
-            for tid, w in zip(a._ids, a._vals)
-            if tid in lookup
-        )
+        if len(self._ids) > len(other._ids):
+            return _dot_over(other, self)
+        return _dot_over(self, other)
 
     def scale(self, factor: float) -> "SparseVector":
         """Return a new vector scaled by ``factor``."""
-        return SparseVector._from_ids(
+        return SparseVector.from_ids(
             (tid, w * factor) for tid, w in zip(self._ids, self._vals)
         )
 
@@ -157,7 +156,7 @@ class SparseVector:
         summed = {**a, **b}
         for tid in a.keys() & b.keys():
             summed[tid] = a[tid] + b[tid]
-        return SparseVector._from_ids(summed.items())
+        return SparseVector.from_ids(summed.items())
 
     def normalized(self) -> "SparseVector":
         """Return a unit-length copy (or an empty vector if zero)."""
@@ -187,6 +186,16 @@ class SparseVector:
         return heavy[:n]
 
 
+def _dot_over(a: SparseVector, b: SparseVector) -> float:
+    """``a . b``, summed in ``a``'s term order."""
+    lookup = b._by_id()
+    return sum(
+        w * lookup[tid]
+        for tid, w in zip(a._ids, a._vals)
+        if tid in lookup
+    )
+
+
 def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
     """Cosine similarity (Equation 2): ``a . b / (|a| |b|)``.
 
@@ -198,6 +207,53 @@ def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
     if denominator == 0.0:
         return 0.0
     return a.dot(b) / denominator
+
+
+class KeywordQuery:
+    """A keyword query as term counts over :data:`VOCABULARY` ids,
+    interning nothing.
+
+    Serving analyzes arbitrary user text, so interning its words would
+    grow the process-wide table with every novel query.  A word the
+    table has never seen cannot match any stored vector, so it is left
+    out of :attr:`vector`; it still counts toward :attr:`norm` and
+    :attr:`size`.  :meth:`cosine` therefore returns the exact float
+    :func:`cosine_similarity` gives for the whole query interned,
+    including which operand :meth:`SparseVector.dot` iterates.
+    """
+
+    __slots__ = ("vector", "norm", "size")
+
+    def __init__(self, terms: Iterable[str]) -> None:
+        counts: Dict[str, float] = {}
+        for term in terms:
+            counts[term] = counts.get(term, 0.0) + 1.0
+        id_of = _VOCAB.id_of
+        known = ((id_of(term), count) for term, count in counts.items())
+        self.vector = SparseVector.from_ids(
+            (tid, count) for tid, count in known if tid is not None
+        )
+        self.norm = math.sqrt(sum(w * w for w in counts.values()))
+        self.size = len(counts)
+
+    def __bool__(self) -> bool:
+        return self.size > 0
+
+    def cosine(self, row: SparseVector) -> float:
+        """Cosine similarity (Equation 2) of the query and ``row``."""
+        denominator = self.norm * row.norm()
+        if denominator == 0.0:
+            return 0.0
+        if self.size > len(row._ids):
+            return _dot_over(row, self.vector) / denominator
+        return _dot_over(self.vector, row) / denominator
+
+    def matched_terms(self, row: SparseVector) -> List[str]:
+        """The query's terms present in ``row``, sorted."""
+        lookup = row._by_id()
+        return sorted(
+            _VOCAB.term(tid) for tid in self.vector._ids if tid in lookup
+        )
 
 
 def accumulate(vectors: Iterable[SparseVector]) -> SparseVector:
@@ -217,7 +273,7 @@ def accumulate(vectors: Iterable[SparseVector]) -> SparseVector:
                 total[tid] = total[tid] + weight
             else:
                 total[tid] = weight
-    return SparseVector._from_ids(total.items())
+    return SparseVector.from_ids(total.items())
 
 
 def mean_vector(vectors: Iterable[SparseVector]) -> SparseVector:

@@ -10,6 +10,7 @@ from repro.core.config import CAFCConfig, ContentMode
 from repro.core.form_page import VectorPair
 from repro.core.simengine import SimilarityEngine
 from repro.datasets import load_result, save_result
+from repro.vsm.interning import VOCABULARY
 from repro.vsm.vector import SparseVector, cosine_similarity
 from tests.oracle import NaiveBackend, max_abs_diff
 
@@ -45,17 +46,21 @@ class TestCosineMatrix:
         assert pc_engine([]).pairwise().shape == (0, 0)
 
     def test_term_index_stable(self):
+        """CSR columns are the vectors' own VOCABULARY ids, in row order."""
         vectors = self._vectors()
-        vocab = pc_engine(vectors).space("pc").vocab
-        assert vocab == {"a": 0, "b": 1, "c": 2, "d": 3}
+        matrix = pc_engine(vectors).space("pc").csr()
+        for row, vector in enumerate(vectors):
+            ids = matrix.indices[matrix.indptr[row]:matrix.indptr[row + 1]]
+            assert [VOCABULARY.term(i) for i in ids] == vector.terms()
 
     def test_csr_round_trip(self):
         vectors = self._vectors()
         space = pc_engine(vectors).space("pc")
         matrix = space.csr()
-        assert matrix.shape == (4, 4)
+        assert matrix.shape == (4, len(VOCABULARY))
         # Rows are stored normalized: 2 / |(1, 2)|.
-        assert matrix[0, space.vocab["b"]] == pytest.approx(2.0 / 5.0 ** 0.5)
+        b = VOCABULARY.id_of("b")
+        assert matrix[0, b] == pytest.approx(2.0 / 5.0 ** 0.5)
 
     def test_centroid_rows(self):
         vectors = [

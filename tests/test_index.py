@@ -9,6 +9,7 @@ property tests drive a directory through a mutation schedule and diff
 every answer against the oracles on its live state.
 """
 
+import itertools
 import json
 import random
 import urllib.request
@@ -17,22 +18,32 @@ import pytest
 
 from repro.core.config import CAFCConfig
 from repro.core.pipeline import CAFCPipeline
+from repro.explore import ClusterExplorer
 from repro.index import SpaceIndex, top_k_exact
 from repro.index.retrieval import RetrievalStats
 from repro.service.directory import FormDirectory
 from repro.service import serve_directory
 from repro.service.snapshot import build_snapshot, snapshot_info
+from repro.text.analyzer import TextAnalyzer
+from repro.vsm.interning import VOCABULARY
 from repro.vsm.vector import SparseVector, cosine_similarity
 
-from tests.oracle import naive_argmax, scan_clusters, scan_pages
+from tests.oracle import (
+    cluster_rows, naive_argmax, page_rows, scan_clusters, scan_pages,
+)
 
 SMALL_CONFIG = CAFCConfig(k=8, min_hub_cardinality=3)
 
 
 @pytest.fixture(scope="module")
-def small_snapshot(small_raw_pages):
+def small_organized(small_raw_pages):
     pipeline = CAFCPipeline(SMALL_CONFIG)
-    result = pipeline.organize(small_raw_pages)
+    return pipeline, pipeline.organize(small_raw_pages)
+
+
+@pytest.fixture(scope="module")
+def small_snapshot(small_organized):
+    pipeline, result = small_organized
     return build_snapshot(result, pipeline.vectorizer, SMALL_CONFIG)
 
 
@@ -53,6 +64,8 @@ def random_vector(rng, vocabulary, max_terms=12):
 # SpaceIndex maintenance.
 # ---------------------------------------------------------------------
 
+tid = VOCABULARY.intern  # posting lists are keyed by VOCABULARY id
+
 
 class TestSpaceIndex:
     def test_add_and_lookup(self):
@@ -63,9 +76,9 @@ class TestSpaceIndex:
         assert 7 in index
         assert index.vector(7) is vector
         assert index.norm(7) == 5.0
-        assert index.postings("a") == [(7, 3.0 * (1.0 / 5.0))]
-        assert index.max_prenormed("b") == 4.0 * (1.0 / 5.0)
-        assert index.max_prenormed("zzz") == 0.0
+        assert index.postings(tid("a")) == [(7, 3.0 * (1.0 / 5.0))]
+        assert index.max_prenormed(tid("b")) == 4.0 * (1.0 / 5.0)
+        assert index.max_prenormed(tid("zzz")) == 0.0
         assert index.n_postings == 2
         assert index.n_terms == 2
 
@@ -73,17 +86,17 @@ class TestSpaceIndex:
         index = SpaceIndex()
         index.add_row(1, SparseVector({"a": 1.0, "b": 1.0}))
         index.add_row(1, SparseVector({"b": 2.0}))
-        assert index.postings("a") == []
-        assert index.postings("b") == [(1, 1.0)]
+        assert index.postings(tid("a")) == []
+        assert index.postings(tid("b")) == [(1, 1.0)]
         assert index.n_postings == 1
 
     def test_remove_recomputes_maxima(self):
         index = SpaceIndex()
         index.add_row(1, SparseVector({"a": 1.0}))          # prenormed 1.0
         index.add_row(2, SparseVector({"a": 3.0, "b": 4.0}))  # a: 0.6
-        assert index.max_prenormed("a") == 1.0
+        assert index.max_prenormed(tid("a")) == 1.0
         assert index.remove_row(1)
-        assert index.max_prenormed("a") == 3.0 * (1.0 / 5.0)
+        assert index.max_prenormed(tid("a")) == 3.0 * (1.0 / 5.0)
         assert not index.remove_row(1)
         assert index.remove_row(2)
         assert index.n_postings == 0
@@ -302,6 +315,100 @@ class TestDirectoryParity:
             assert directory._index.generation == directory.generation == 2
             directory.recluster()
             assert directory._index.generation == directory.generation == 3
+
+
+# ---------------------------------------------------------------------
+# Queries intern nothing: unseen words stay out of VOCABULARY.
+# ---------------------------------------------------------------------
+
+
+_NOVEL = itertools.count()
+
+
+def novel_words(n):
+    """``n`` words no table has seen, unchanged by the analyzer (no
+    vowels, so no stemming rule applies)."""
+    letters = "bcdfghjklmnpqrtvwxz"
+    words = []
+    for _ in range(n):
+        number, word = next(_NOVEL), "zqx"
+        while True:
+            number, digit = divmod(number, len(letters))
+            word += letters[digit]
+            if not number:
+                break
+        words.append(word + "kq")
+    return words
+
+
+def outnumbering_query(row):
+    """Text whose analyzed terms outnumber ``row``'s terms while its
+    known terms do not, so the cosine iterates the row.  The known terms
+    come in reverse row order: iterating the query instead would sum
+    the same products in another order."""
+    analyzer = TextAnalyzer()
+    known = [t for t in row.terms() if analyzer.analyze(t) == [t]]
+    assert len(known) > 2
+    return " ".join(known[len(row) - 2::-1] + novel_words(3))
+
+
+class TestQueriesInternNothing:
+    """Searches analyze arbitrary user text.  Its unseen words must not
+    grow the process-wide table, and leaving them out of the query
+    vector must not move a float: the hits equal the oracle scans, which
+    intern the whole query."""
+
+    def queries(self, shortest_row):
+        return (
+            " ".join(novel_words(3)),
+            "flight airfare " + " ".join(novel_words(2)),
+            outnumbering_query(shortest_row),
+        )
+
+    def test_directory_searches(self, small_snapshot):
+        with make_directory(small_snapshot) as directory:
+            rows = page_rows(directory.organizer)
+            shortest = min(
+                (combined for _, _, combined in rows if len(combined) > 1),
+                key=len,
+            )
+            queries = self.queries(shortest)
+            terms = len(VOCABULARY)
+            clusters = [directory.search(q, n=5) for q in queries]
+            pages = [directory.search_pages(q, n=5) for q in queries]
+            assert len(VOCABULARY) == terms
+            assert not clusters[0] and not pages[0]
+            # The outnumbering query reaches the row it was built from.
+            assert [url for url, _, row in rows if row is shortest][0] in {
+                hit["url"] for hit in pages[2]
+            }
+            for query, cluster_hits, page_hits in zip(
+                queries, clusters, pages
+            ):
+                assert cluster_hits == scan_clusters(
+                    directory.organizer, query, 5
+                )
+                assert page_hits == scan_pages(
+                    directory.organizer, query, 5, rows
+                )
+
+    def test_explorer_search(self, small_organized):
+        _, result = small_organized
+        explorer = ClusterExplorer(result)
+        shortest = min(cluster_rows(result), key=len)
+        queries = self.queries(shortest)
+        terms = len(VOCABULARY)
+        hits = [explorer.search(q, n=5) for q in queries]
+        assert len(VOCABULARY) == terms
+        for query, got in zip(queries, hits):
+            want = scan_clusters(result, query, 5)
+            assert [
+                (hit.cluster_index, hit.score, hit.matched_terms)
+                for hit in got
+            ] == [
+                (hit["cluster"], hit["score"], hit["matched_terms"])
+                for hit in want
+            ]
 
 
 # ---------------------------------------------------------------------

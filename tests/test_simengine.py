@@ -14,12 +14,9 @@ import pytest
 from repro.core.cafc_c import cafc_c, random_seed_centroids
 from repro.core.config import CAFCConfig, ContentMode
 from repro.core.form_page import FormPage, VectorPair
-from repro.core.similarity import (
-    EngineBackend,
-    FormPageSimilarity,
-    form_page_similarity,
-)
+from repro.core.similarity import EngineBackend, FormPageSimilarity
 from repro.core.simengine import EngineStats, SimilarityEngine
+from repro.vsm.interning import VOCABULARY
 from repro.vsm.vector import SparseVector
 from tests.oracle import NaiveBackend, max_abs_diff, oracle_kmeans
 
@@ -28,24 +25,39 @@ TOLERANCE = 1e-12
 VOCAB = [f"term{i}" for i in range(60)]
 
 
-def random_vector(rng: random.Random, empty_chance: float = 0.0) -> SparseVector:
+@pytest.fixture(scope="module")
+def sparse_vocab():
+    """Sixty terms whose VOCABULARY ids are large and far apart: 50k
+    filler terms are interned around them first."""
+    terms = []
+    for i in range(60):
+        for j in range(850):
+            VOCABULARY.intern(f"simengine-filler-{i}-{j}")
+        terms.append(f"simengine-sparse-{i}")
+        VOCABULARY.intern(terms[-1])
+    return terms
+
+
+def random_vector(
+    rng: random.Random, empty_chance: float = 0.0, vocab=VOCAB
+) -> SparseVector:
     if rng.random() < empty_chance:
         return SparseVector()
     n_terms = rng.randint(1, 12)
     return SparseVector(
-        {rng.choice(VOCAB): rng.uniform(0.05, 5.0) for _ in range(n_terms)}
+        {rng.choice(vocab): rng.uniform(0.05, 5.0) for _ in range(n_terms)}
     )
 
 
-def random_pages(rng: random.Random, n: int) -> list:
+def random_pages(rng: random.Random, n: int, vocab=VOCAB) -> list:
     """Random vectorized pages, ~15% with an empty PC or FC vector."""
     pages = []
     for i in range(n):
         pages.append(
             FormPage(
                 url=f"http://site{i}.example/search",
-                pc=random_vector(rng, empty_chance=0.15),
-                fc=random_vector(rng, empty_chance=0.15),
+                pc=random_vector(rng, empty_chance=0.15, vocab=vocab),
+                fc=random_vector(rng, empty_chance=0.15, vocab=vocab),
                 label=f"domain{i % 4}",
             )
         )
@@ -78,13 +90,14 @@ class TestBackendAgreement:
             assert matrix[i][j] == pytest.approx(expected, abs=TOLERANCE)
 
     @pytest.mark.parametrize("mode", list(ContentMode))
-    def test_full_pairwise_matrix_agreement(self, mode):
+    def test_full_pairwise_matrix_agreement(self, mode, sparse_vocab):
         rng = random.Random(99)
-        pages = random_pages(rng, 30)
         config = config_for(mode)
-        reference = NaiveBackend.from_config(config).pairwise(pages)
-        compiled = EngineBackend.from_config(config).pairwise(pages)
-        assert max_abs_diff(reference, compiled) <= TOLERANCE
+        for vocab in (VOCAB, sparse_vocab):
+            pages = random_pages(rng, 30, vocab)
+            reference = NaiveBackend.from_config(config).pairwise(pages)
+            compiled = EngineBackend.from_config(config).pairwise(pages)
+            assert max_abs_diff(reference, compiled) <= TOLERANCE
 
     @pytest.mark.parametrize("mode", list(ContentMode))
     def test_numpy_fast_path_agreement(self, mode):
@@ -99,19 +112,27 @@ class TestBackendAgreement:
         assert max_abs_diff(compiled, compiled.T) <= TOLERANCE
         assert max_abs_diff(reference, compiled) <= TOLERANCE
 
-    def test_page_centroid_matrix_agreement(self):
+    def test_page_centroid_matrix_agreement(self, sparse_vocab):
         rng = random.Random(5)
-        pages = random_pages(rng, 25)
-        centroids = [VectorPair.of(page) for page in pages[:4]]
-        for mode in ContentMode:
-            config = config_for(mode)
-            reference = NaiveBackend.from_config(config).page_centroid_matrix(
-                pages, centroids
-            )
-            compiled = SimilarityEngine.from_config(
-                pages, config
-            ).page_centroid_matrix(centroids)
-            assert max_abs_diff(reference, compiled) <= TOLERANCE
+        for vocab in (VOCAB, sparse_vocab):
+            pages = random_pages(rng, 25, vocab)
+            centroids = [VectorPair.of(page) for page in pages[:4]]
+            # External centroids carrying terms no compiled page holds.
+            centroids.append(VectorPair(
+                pc=SparseVector({vocab[0]: 1.0, "simengine-external": 2.0}),
+                fc=SparseVector({"simengine-external": 1.0}),
+            ))
+            for mode in ContentMode:
+                config = config_for(mode)
+                reference = NaiveBackend.from_config(
+                    config
+                ).page_centroid_matrix(pages, centroids)
+                terms = len(VOCABULARY)
+                compiled = SimilarityEngine.from_config(
+                    pages, config
+                ).page_centroid_matrix(centroids)
+                assert len(VOCABULARY) == terms  # compiling interns nothing
+                assert max_abs_diff(reference, compiled) <= TOLERANCE
 
     def test_weighted_combination(self):
         rng = random.Random(3)
@@ -121,66 +142,45 @@ class TestBackendAgreement:
         compiled = EngineBackend.from_config(config).pairwise(pages)
         assert max_abs_diff(reference, compiled) <= TOLERANCE
 
-    def test_compat_wrapper_matches_scalar_class(self):
-        rng = random.Random(11)
-        pages = random_pages(rng, 10)
-        for mode in ContentMode:
-            scalar = FormPageSimilarity(content_mode=mode)
-            for i in range(len(pages)):
-                for j in range(len(pages)):
-                    assert form_page_similarity(
-                        pages[i], pages[j], content_mode=mode
-                    ) == scalar(pages[i], pages[j])
-
 
 class TestEngineShapes:
-    def test_topk_matches_exhaustive_scoring(self):
-        rng = random.Random(21)
-        pages = random_pages(rng, 30)
-        engine = SimilarityEngine(pages)
-        scalar = FormPageSimilarity()
-        query = pages[17]
-        expected = sorted(
-            (
-                (i, scalar(query, page))
-                for i, page in enumerate(pages)
-                if scalar(query, page) > 0.0
-            ),
-            key=lambda pair: (-pair[1], pair[0]),
-        )[:5]
-        got = engine.topk(query, n=5)
-        assert [i for i, _ in got] == [i for i, _ in expected]
-        for (_, a), (_, b) in zip(got, expected):
-            assert a == pytest.approx(b, abs=TOLERANCE)
-
-    def test_to_centroids_matches_equation_four(self):
+    def test_to_centroids_matches_equation_four(self, sparse_vocab):
         rng = random.Random(31)
-        pages = random_pages(rng, 12)
-        engine = SimilarityEngine(pages)
-        assignments = [i % 3 for i in range(len(pages))]
-        centroids = engine.to_centroids(assignments, k=3)
         from repro.core.form_page import centroid_of
 
-        for cluster in range(3):
-            members = [p for i, p in enumerate(pages) if assignments[i] == cluster]
-            expected = centroid_of(members)
-            got = centroids.vector_pair(cluster)
-            for term, weight in expected.pc.items():
-                assert got.pc[term] == pytest.approx(weight, abs=TOLERANCE)
-            for term, weight in expected.fc.items():
-                assert got.fc[term] == pytest.approx(weight, abs=TOLERANCE)
+        for vocab in (VOCAB, sparse_vocab):
+            pages = random_pages(rng, 12, vocab)
+            engine = SimilarityEngine(pages)
+            assignments = [i % 3 for i in range(len(pages))]
+            centroids = engine.to_centroids(assignments, k=3)
+            for cluster in range(3):
+                members = [
+                    p for i, p in enumerate(pages) if assignments[i] == cluster
+                ]
+                expected = centroid_of(members)
+                got = centroids.vector_pair(cluster)
+                assert got.pc.terms() == expected.pc.terms()
+                assert got.fc.terms() == expected.fc.terms()
+                for term, weight in expected.pc.items():
+                    assert got.pc[term] == pytest.approx(weight, abs=TOLERANCE)
+                for term, weight in expected.fc.items():
+                    assert got.fc[term] == pytest.approx(weight, abs=TOLERANCE)
 
-    def test_kmeans_identical_to_naive_path(self):
+    def test_kmeans_identical_to_naive_path(self, sparse_vocab):
         rng = random.Random(41)
-        pages = random_pages(rng, 36)
-        for seed in (0, 1, 2):
-            config = CAFCConfig(k=3, seed=seed)
-            seeds = random_seed_centroids(pages, 3, random.Random(seed))
-            naive = oracle_kmeans(pages, seeds, config)
-            engine = cafc_c(pages, config)
-            assert naive.clustering.clusters == engine.clustering.clusters
-            assert naive.iterations == engine.iterations
-            assert naive.converged == engine.converged
+        for vocab in (VOCAB, sparse_vocab):
+            pages = random_pages(rng, 36, vocab)
+            for seed in (0, 1, 2):
+                config = CAFCConfig(k=3, seed=seed)
+                seeds = random_seed_centroids(pages, 3, random.Random(seed))
+                naive = oracle_kmeans(pages, seeds, config)
+                terms = len(VOCABULARY)
+                engine = cafc_c(pages, config)
+                assert len(VOCABULARY) == terms
+                assert naive.clustering.clusters == engine.clustering.clusters
+                assert naive.iterations == engine.iterations
+                assert naive.converged == engine.converged
+                assert engine.centroids == naive.centroids
 
     def test_empty_collection(self):
         engine = SimilarityEngine([])
@@ -211,6 +211,17 @@ class TestStats:
         assert backend.stats.cache_hits == 0
         backend.pairwise(pages)
         assert backend.stats.cache_hits == 1
+
+    @pytest.mark.parametrize("mode", list(ContentMode))
+    def test_n_terms_counts_distinct_compiled_terms(self, mode, sparse_vocab):
+        rng = random.Random(55)
+        pages = random_pages(rng, 20) + random_pages(rng, 20, sparse_vocab)
+        engine = SimilarityEngine(pages, content_mode=mode)
+        expected = sum(
+            len({term for page in pages for term in getattr(page, name)})
+            for name in engine.space_names
+        )
+        assert engine.stats.n_terms == engine.n_terms == expected
 
     def test_snapshot_is_detached(self):
         stats = EngineStats(comparisons=3)

@@ -39,7 +39,7 @@ from repro.stream import (
     run_stream,
 )
 from repro.vsm.corpus import CorpusStats
-from repro.vsm.interning import BoundedTermTable, TermTable
+from repro.vsm.interning import TermTable
 from repro.vsm.vector import SparseVector
 from repro.webgen.stream import page_at, stream_chunks, stream_pages
 
@@ -106,30 +106,6 @@ class TestTermTableStats:
         before = stats["bytes_estimate"]
         table.intern("a-much-longer-term-string")
         assert table.stats()["bytes_estimate"] > before
-
-
-class TestBoundedTermTable:
-    def test_compaction_keeps_frequent_terms(self):
-        table = BoundedTermTable(max_terms=8)
-        # "hot" recurs between every cold burst, so it keeps earning its
-        # slot across compaction epochs (survivor counts reset to 1).
-        for i in range(20):
-            table.intern("hot")
-            table.intern("hot")
-            table.intern(f"cold{i}")
-        assert len(table) <= 8
-        assert table.n_compactions >= 1
-        assert table.n_dropped > 0
-        assert "hot" in [table.term(tid) for tid in range(len(table))]
-
-    def test_remap_is_consistent(self):
-        table = BoundedTermTable(max_terms=100)
-        ids = {t: table.intern(t) for t in ("aa", "bb", "cc")}
-        for _ in range(3):
-            table.intern("aa")
-        remap = table.compact(min_count=2)
-        assert ids["aa"] in remap
-        assert table.term(remap[ids["aa"]]) == "aa"
 
 
 class TestPruneRare:

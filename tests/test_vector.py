@@ -2,12 +2,15 @@
 algebra checks."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.vsm.interning import VOCABULARY
 from repro.vsm.vector import (
+    KeywordQuery,
     SparseVector,
     accumulate,
     cosine_similarity,
@@ -124,6 +127,41 @@ class TestCosine:
         assert cosine_similarity(a, b) == pytest.approx(
             cosine_similarity(a.scale(7.0), b.scale(0.5))
         )
+
+
+class TestKeywordQuery:
+    """A keyword query scores exactly like the fully interned query, but
+    interns none of its words."""
+
+    def test_matches_interned_query_bit_for_bit(self):
+        rng = random.Random(2027)
+        known = [f"kq-known-{i}" for i in range(40)]
+        for term in known:
+            VOCABULARY.intern(term)
+        for trial in range(300):
+            row = SparseVector({
+                term: rng.uniform(0.01, 9.0)
+                for term in rng.sample(known, rng.randint(0, 12))
+            })
+            words = rng.sample(known, rng.randint(0, 14))
+            words += words[: rng.randint(0, 3)]  # repeats count twice
+            novel = rng.randint(0, 6)
+            words += [f"kq-novel-{trial}-{i}" for i in range(novel)]
+            rng.shuffle(words)
+            size = len(VOCABULARY)
+            query = KeywordQuery(words)
+            got = query.cosine(row)
+            assert len(VOCABULARY) == size
+            counts = {}
+            for word in words:
+                counts[word] = counts.get(word, 0.0) + 1.0
+            interned = SparseVector(counts)
+            assert got == cosine_similarity(interned, row), trial
+            assert query.norm == interned.norm()
+            assert query.matched_terms(row) == sorted(
+                term for term in interned.terms() if term in row
+            )
+            assert bool(query) == bool(words)
 
 
 class TestAggregation:
