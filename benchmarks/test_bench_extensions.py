@@ -12,13 +12,12 @@ benchmark corpus:
   region on the right edge of Figure 3).
 """
 
-from repro.core.cafc_c import similarity_for
 from repro.core.cafc_ch import cafc_ch
 from repro.core.cafc_c import cafc_c
 from repro.core.config import CAFCConfig
 from repro.core.hubs import build_hub_clusters
 from repro.core.seeds import select_hub_clusters
-from repro.core.similarity import EngineBackend
+from repro.core.similarity import FormPageSimilarity
 from repro.core.vectorizer import FormPageVectorizer
 from repro.eval.entropy import total_entropy
 from repro.eval.fmeasure import overall_f_measure
@@ -61,7 +60,7 @@ def test_bench_anchor_text(benchmark, context):
 
 def test_bench_quality_aware_seeds(benchmark, context):
     """Tightness-filtered Algorithm 3 at directory-dominated thresholds."""
-    similarity = similarity_for(context.config)
+    similarity = FormPageSimilarity.from_config(context.config)
     pages, gold = context.pages, context.gold_labels
 
     def sweep():
@@ -72,7 +71,7 @@ def test_bench_quality_aware_seeds(benchmark, context):
                 continue
             plain_seeds = select_hub_clusters(
                 hub_clusters, 8,
-                backend=EngineBackend.from_config(context.config),
+                similarity=FormPageSimilarity.from_config(context.config),
             )
             quality_seeds = select_hub_clusters_quality_aware(
                 hub_clusters, 8, pages, similarity, drop_fraction=0.25

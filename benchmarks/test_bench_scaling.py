@@ -86,7 +86,7 @@ def test_bench_batch_similarity_speedup(benchmark, context):
     scalar_time = time.perf_counter() - started
 
     def engine_matrix():
-        return SimilarityEngine(pages).pairwise()
+        return SimilarityEngine(pages, FormPageSimilarity()).pairwise()
 
     batch = benchmark(engine_matrix)
     started = time.perf_counter()

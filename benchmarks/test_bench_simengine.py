@@ -22,7 +22,7 @@ from repro.core.cafc_c import cafc_c, random_seed_centroids
 from repro.core.cafc_ch import cafc_ch
 from repro.core.config import CAFCConfig
 from repro.core.seeds import select_hub_clusters
-from repro.core.similarity import EngineBackend
+from repro.core.similarity import FormPageSimilarity
 from repro.core.vectorizer import FormPageVectorizer
 from repro.eval.entropy import total_entropy
 from repro.eval.fmeasure import overall_f_measure
@@ -56,7 +56,7 @@ def test_bench_engine_vs_naive_pairwise(benchmark, context):
     # A fresh backend per round so compile time is charged to the engine
     # (no cached-engine advantage).
     def engine_run():
-        return EngineBackend.from_config(config).pairwise(pages)
+        return FormPageSimilarity.from_config(config).pairwise(pages)
 
     compiled = benchmark.pedantic(engine_run, rounds=1, iterations=1)
     parity = max_abs_diff(reference, compiled)
@@ -98,7 +98,7 @@ def test_bench_engine_scaling_4x(benchmark, scaled_pages):
     config = CAFCConfig(k=8)
 
     def engine_run():
-        return EngineBackend.from_config(config).pairwise(pages)
+        return FormPageSimilarity.from_config(config).pairwise(pages)
 
     compiled = benchmark.pedantic(engine_run, rounds=1, iterations=1)
     engine_time = best_of(engine_run, rounds=2)
@@ -111,7 +111,7 @@ def test_bench_engine_scaling_4x(benchmark, scaled_pages):
 
     def naive_sample():
         for i, j in sample:
-            naive.pair(pages[i], pages[j])
+            naive(pages[i], pages[j])
 
     sample_time = best_of(naive_sample, rounds=2)
     naive_estimate = sample_time / len(sample) * (n * n)
@@ -124,7 +124,7 @@ def test_bench_engine_scaling_4x(benchmark, scaled_pages):
 
     # Spot parity on the scaled corpus: the sampled off-diagonal pairs.
     worst = max(
-        abs(compiled[i, j] - naive.pair(pages[i], pages[j]))
+        abs(compiled[i, j] - naive(pages[i], pages[j]))
         for i, j in sample[:500]
         if i != j
     )
@@ -150,7 +150,7 @@ def test_bench_clustering_parity_across_backends(benchmark, context):
         pages, random_seed_centroids(pages, 8, random.Random(0)), config
     )
     naive_seeds = select_hub_clusters(
-        hub_clusters, 8, backend=NaiveBackend.from_config(config)
+        hub_clusters, 8, similarity=NaiveBackend.from_config(config)
     )
     naive_ch = oracle_kmeans(pages, [c.centroid for c in naive_seeds], config)
 

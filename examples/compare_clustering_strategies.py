@@ -11,7 +11,7 @@ Run:  python examples/compare_clustering_strategies.py   (takes ~1 min)
 import statistics
 
 from repro.clustering.hac import Linkage, hac
-from repro.core import CAFCConfig, SimilarityEngine, cafc_c, cafc_ch
+from repro.core import CAFCConfig, FormPageSimilarity, cafc_c, cafc_ch
 from repro.core.vectorizer import FormPageVectorizer
 from repro.eval import (
     adjusted_rand_index,
@@ -56,7 +56,7 @@ def main() -> None:
     ch = cafc_ch(pages, config)
 
     print("running HAC (average linkage, cut at k=8) ...")
-    matrix = SimilarityEngine.from_config(pages, config).pairwise()
+    matrix = FormPageSimilarity.from_config(config).pairwise(pages)
     hac_result = hac(matrix, 8, Linkage.AVERAGE)
 
     print()

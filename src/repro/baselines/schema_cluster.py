@@ -21,6 +21,7 @@ from repro.baselines.label_extraction import extract_attribute_labels
 from repro.clustering.kmeans import KMeansResult
 from repro.core.config import ContentMode
 from repro.core.form_page import RawFormPage, VectorPair
+from repro.core.similarity import FormPageSimilarity
 from repro.core.simengine import SimilarityEngine
 from repro.text.analyzer import TextAnalyzer
 from repro.vsm.corpus import CorpusStats
@@ -143,7 +144,8 @@ class SchemaClusterer:
         seeds = [schemas[i].vector for i in seed_indices]
 
         engine = SimilarityEngine(
-            [_SchemaPoint(s) for s in schemas], content_mode=ContentMode.PC
+            [_SchemaPoint(s) for s in schemas],
+            FormPageSimilarity(ContentMode.PC),
         )
         result = engine.kmeans(
             [VectorPair(pc=seed, fc=SparseVector()) for seed in seeds],

@@ -101,36 +101,17 @@ class _SpaceCentroid:
 class MiniBatchKMeans:
     """Streaming centroid maintenance with Equation-3 assignment.
 
-    ``seeds`` are the initial centroids as ``.pc`` / ``.fc`` holders;
-    ``page_weight`` / ``form_weight`` are Equation 3's C1 / C2 and
-    ``use_pc`` / ``use_fc`` the content-mode axis.  :meth:`partial_fit`
+    ``seeds`` are the initial centroids as ``.pc`` / ``.fc`` holders.
+    Scoring is the paper's Equation 3 (FC+PC, C1 = C2 = 1), the only
+    configuration the streaming path runs.  :meth:`partial_fit`
     consumes one mini-batch; :meth:`assign` scores without mutating
     (the final labeling pass).  Determinism: ties break toward the
     lowest centroid index, matching the batch engine's argmax.
     """
 
-    def __init__(
-        self,
-        seeds: Sequence,
-        page_weight: float = 1.0,
-        form_weight: float = 1.0,
-        use_pc: bool = True,
-        use_fc: bool = True,
-    ) -> None:
+    def __init__(self, seeds: Sequence) -> None:
         if not seeds:
             raise ValueError("need at least one seed centroid")
-        if not (use_pc or use_fc):
-            raise ValueError("at least one feature space must be active")
-        total = (page_weight if use_pc else 0.0) + (
-            form_weight if use_fc else 0.0
-        )
-        if total <= 0.0:
-            raise ValueError("active feature-space weights must be positive")
-        self.page_weight = page_weight
-        self.form_weight = form_weight
-        self.use_pc = use_pc
-        self.use_fc = use_fc
-        self._scale = 1.0 / total
         self.pc: List[_SpaceCentroid] = [
             _SpaceCentroid(seed.pc) for seed in seeds
         ]
@@ -144,7 +125,8 @@ class MiniBatchKMeans:
         return len(self.counts)
 
     def similarity(self, point) -> List[float]:
-        """Equation-3 score of ``point`` against every centroid."""
+        """Equation-3 score of ``point`` against every centroid:
+        ``(cos(PC) + cos(FC)) * 0.5``."""
         pc = point.pc
         fc = point.fc
         pc_norm = getattr(point, "pc_norm", None)
@@ -153,15 +135,13 @@ class MiniBatchKMeans:
             pc_norm = pc.norm()
         if fc_norm is None:
             fc_norm = fc.norm()
-        scores: List[float] = []
-        for index in range(len(self.counts)):
-            score = 0.0
-            if self.use_pc:
-                score += self.page_weight * self.pc[index].cosine(pc, pc_norm)
-            if self.use_fc:
-                score += self.form_weight * self.fc[index].cosine(fc, fc_norm)
-            scores.append(score * self._scale)
-        return scores
+        return [
+            (
+                self.pc[index].cosine(pc, pc_norm)
+                + self.fc[index].cosine(fc, fc_norm)
+            ) * 0.5
+            for index in range(len(self.counts))
+        ]
 
     def assign(self, point) -> Tuple[int, float]:
         """Best centroid for ``point`` (no mutation); ties to lowest index."""
@@ -181,10 +161,8 @@ class MiniBatchKMeans:
         for point, index in zip(batch, assignments):
             self.counts[index] += 1
             eta = 1.0 / self.counts[index]
-            if self.use_pc:
-                self.pc[index].blend(point.pc, eta)
-            if self.use_fc:
-                self.fc[index].blend(point.fc, eta)
+            self.pc[index].blend(point.pc, eta)
+            self.fc[index].blend(point.fc, eta)
             self.n_updates += 1
         return assignments
 

@@ -9,11 +9,11 @@ Public API
   :class:`repro.core.form_page.FormPage` — the form-page model
   ``FP(Backlink, PC, FC)`` of Sections 2.1 and 3.2.
 * :class:`repro.core.vectorizer.FormPageVectorizer` — Equation 1 vectors.
-* :class:`repro.core.similarity.FormPageSimilarity` — Equation 3 (scalar);
-  :class:`repro.core.similarity.EngineBackend` — the batched backend.
+* :class:`repro.core.similarity.FormPageSimilarity` — Equation 3: the
+  one object holding C1/C2 and the content mode, scalar and batched.
 * :class:`repro.core.simengine.SimilarityEngine` — the compiled sparse
-  engine behind ``EngineBackend`` (with :class:`~repro.core.simengine.EngineStats`
-  instrumentation).
+  engine behind ``FormPageSimilarity.pairwise`` and the k-means loop
+  (with :class:`~repro.core.simengine.EngineStats` instrumentation).
 * :func:`repro.core.cafc_c.cafc_c` — Algorithm 1.
 * :func:`repro.core.cafc_ch.cafc_ch` — Algorithm 2 (+ Algorithm 3 via
   :mod:`repro.core.hubs` and :mod:`repro.core.seeds`).
@@ -30,7 +30,7 @@ from repro.core.incremental import IncrementalOrganizer
 from repro.core.pipeline import CAFCPipeline, CAFCResult
 from repro.core.seeds import select_hub_clusters
 from repro.core.simengine import EngineStats, SimilarityEngine
-from repro.core.similarity import EngineBackend, FormPageSimilarity
+from repro.core.similarity import FormPageSimilarity
 from repro.core.vectorizer import FormPageVectorizer
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "CAFCResult",
     "select_hub_clusters",
     "FormPageSimilarity",
-    "EngineBackend",
     "SimilarityEngine",
     "EngineStats",
     "FormPageVectorizer",

@@ -23,16 +23,8 @@ from typing import List, Optional, Sequence
 from repro.clustering.kmeans import KMeansResult
 from repro.core.config import CAFCConfig
 from repro.core.form_page import FormPage, VectorPair
-from repro.core.similarity import EngineBackend, FormPageSimilarity
-
-
-def similarity_for(config: CAFCConfig) -> FormPageSimilarity:
-    """The Equation-3 similarity implied by a config."""
-    return FormPageSimilarity(
-        content_mode=config.content_mode,
-        page_weight=config.page_weight,
-        form_weight=config.form_weight,
-    )
+from repro.core.similarity import FormPageSimilarity
+from repro.core.simengine import SimilarityEngine
 
 
 def random_seed_centroids(
@@ -52,7 +44,7 @@ def cafc_c(
     pages: Sequence[FormPage],
     config: Optional[CAFCConfig] = None,
     seed_centroids: Optional[Sequence[VectorPair]] = None,
-    backend: Optional[EngineBackend] = None,
+    similarity: Optional[FormPageSimilarity] = None,
 ) -> KMeansResult:
     """Run CAFC-C (Algorithm 1).
 
@@ -66,17 +58,17 @@ def cafc_c(
         Optional externally computed seeds (hub clusters for CAFC-CH,
         HAC groups for the Section 4.3 experiment).  When omitted, ``k``
         random pages seed the run, drawn from ``config.seed``'s RNG.
-    backend:
-        The :class:`~repro.core.similarity.EngineBackend` whose stats
-        the run's comparisons land in; built from ``config`` when
-        omitted.
+    similarity:
+        The Equation-3 :class:`~repro.core.similarity.FormPageSimilarity`
+        the loop scores with and whose stats the run's comparisons land
+        in; built from ``config`` when omitted.
 
     Returns
     -------
     KMeansResult whose clustering indexes into ``pages``.
     """
     config = config or CAFCConfig()
-    backend = backend or EngineBackend.from_config(config)
+    similarity = similarity or FormPageSimilarity.from_config(config)
     if seed_centroids is None:
         rng = random.Random(config.seed)
         seed_centroids = random_seed_centroids(pages, config.k, rng)
@@ -85,11 +77,11 @@ def cafc_c(
             f"got {len(seed_centroids)} seed centroids for k={config.k}"
         )
 
-    engine = backend.engine_for(list(pages))
+    engine = SimilarityEngine(pages, similarity)
     result = engine.kmeans(
         list(seed_centroids),
         stop_fraction=config.stop_fraction,
         max_iterations=config.max_iterations,
     )
-    backend.collect(engine)
+    similarity.stats.merge(engine.stats)
     return result

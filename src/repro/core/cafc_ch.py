@@ -31,7 +31,7 @@ from repro.core.config import CAFCConfig
 from repro.core.form_page import FormPage
 from repro.core.hubs import HubCluster, backlink_coverage, build_hub_clusters
 from repro.core.seeds import select_hub_clusters
-from repro.core.similarity import EngineBackend
+from repro.core.similarity import FormPageSimilarity
 from repro.resilience.stats import STATS
 
 logger = logging.getLogger("repro.resilience")
@@ -61,7 +61,7 @@ def cafc_ch(
     pages: Sequence[FormPage],
     config: Optional[CAFCConfig] = None,
     hub_clusters: Optional[List[HubCluster]] = None,
-    backend: Optional[EngineBackend] = None,
+    similarity: Optional[FormPageSimilarity] = None,
     fallback: bool = False,
 ) -> CAFCCHResult:
     """Run CAFC-CH (Algorithm 2).
@@ -77,10 +77,10 @@ def cafc_ch(
         Pre-built hub clusters (already pruned); built from ``pages`` when
         omitted.  Passing them in lets experiments reuse one hub harvest
         across many configurations.
-    backend:
-        The :class:`~repro.core.similarity.EngineBackend` serving both
-        phases (the Algorithm-3 distance matrix and the k-means loop);
-        built from ``config`` when omitted.
+    similarity:
+        The :class:`~repro.core.similarity.FormPageSimilarity` serving
+        both phases (the Algorithm-3 distance matrix and the k-means
+        loop); built from ``config`` when omitted.
     fallback:
         When True and fewer than ``k`` hub clusters survive pruning
         (backlink coverage collapsed, aggressive pruning, tiny corpus),
@@ -102,9 +102,11 @@ def cafc_ch(
         hub_clusters = build_hub_clusters(
             pages, min_cardinality=config.min_hub_cardinality
         )
-    backend = backend or EngineBackend.from_config(config)
+    similarity = similarity or FormPageSimilarity.from_config(config)
     try:
-        selected = select_hub_clusters(hub_clusters, config.k, backend=backend)
+        selected = select_hub_clusters(
+            hub_clusters, config.k, similarity=similarity
+        )
     except ValueError as exc:
         if not fallback:
             raise
@@ -124,7 +126,7 @@ def cafc_ch(
             },
         )
         STATS.inc("degraded_fallbacks")
-        result = cafc_c(pages, config, backend=backend)
+        result = cafc_c(pages, config, similarity=similarity)
         return CAFCCHResult(
             kmeans=result,
             hub_clusters=hub_clusters,
@@ -133,5 +135,7 @@ def cafc_ch(
             degraded_reason=f"{exc}",
         )
     seed_centroids = [cluster.centroid for cluster in selected]
-    result = cafc_c(pages, config, seed_centroids=seed_centroids, backend=backend)
+    result = cafc_c(
+        pages, config, seed_centroids=seed_centroids, similarity=similarity
+    )
     return CAFCCHResult(kmeans=result, hub_clusters=hub_clusters, selected_seeds=selected)

@@ -31,6 +31,18 @@ class ContentMode(enum.Enum):
         return self in (ContentMode.PC, ContentMode.FC_PC)
 
 
+def check_weights(page_weight: float, form_weight: float) -> None:
+    """Equation 3's rule for C1 / C2: both non-negative, one positive.
+
+    The one check behind :class:`CAFCConfig` and
+    :class:`~repro.core.similarity.FormPageSimilarity`.
+    """
+    if page_weight < 0 or form_weight < 0:
+        raise ValueError("feature-space weights must be non-negative")
+    if page_weight == 0 and form_weight == 0:
+        raise ValueError("at least one feature-space weight must be positive")
+
+
 @dataclass
 class CAFCConfig:
     """All CAFC tunables.
@@ -165,10 +177,7 @@ class CAFCConfig:
         validate_option("scheme", self.scheme, SCHEME_CHOICES)
         if self.k < 1:
             raise ValueError("k must be positive")
-        if self.page_weight < 0 or self.form_weight < 0:
-            raise ValueError("feature-space weights must be non-negative")
-        if self.page_weight == 0 and self.form_weight == 0:
-            raise ValueError("at least one feature-space weight must be positive")
+        check_weights(self.page_weight, self.form_weight)
         if not 0 <= self.stop_fraction < 1:
             raise ValueError("stop_fraction must be in [0, 1)")
         if self.min_hub_cardinality < 1:

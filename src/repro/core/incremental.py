@@ -32,7 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CAFCConfig
 from repro.core.form_page import FormPage, RawFormPage, VectorPair, centroid_of
-from repro.core.similarity import EngineBackend
+from repro.core.similarity import FormPageSimilarity
+from repro.core.simengine import SimilarityEngine
 from repro.core.vectorizer import FormPageVectorizer
 
 
@@ -62,7 +63,7 @@ class IncrementalOrganizer:
     per cluster) plus the fitted vectorizer, then feed it additions and
     removals.  Watch :attr:`needs_reclustering`.
 
-    ``backend.stats.comparisons`` counts every similarity evaluation,
+    ``similarity.stats.comparisons`` counts every similarity evaluation,
     which is how the regression tests pin the O(1)-per-add property.
     """
 
@@ -79,7 +80,7 @@ class IncrementalOrganizer:
             raise ValueError("drift_threshold must be in (0, 1]")
         self.config = config or CAFCConfig()
         self.vectorizer = vectorizer
-        self.backend = EngineBackend.from_config(self.config)
+        self.similarity = FormPageSimilarity.from_config(self.config)
         self.drift_threshold = drift_threshold
         self.clusters: List[IncrementalCluster] = []
         self._by_url: Dict[str, int] = {}
@@ -117,7 +118,7 @@ class IncrementalOrganizer:
             return 0.0
         for cluster in self.clusters:
             for page in cluster.pages:
-                value = self.backend.pair(page, cluster.centroid)
+                value = self.similarity(page, cluster.centroid)
                 self._contrib[page.url] = value
                 self._cohesion_sum += value
         return self.cohesion
@@ -162,15 +163,10 @@ class IncrementalOrganizer:
         anything: the argmax of Equation 3 over the k centroids.
         Returns ``(cluster_index, similarity)``; ties break toward the
         lowest index, exactly as :meth:`add` assigns, and the similarity
-        is the same ``backend.pair`` float :meth:`add` sees.  Costs
+        is the same scalar float :meth:`add` sees.  Costs
         ``len(self.clusters)`` similarity evaluations.
         """
-        scores = [
-            self.backend.pair(page, cluster.centroid)
-            for cluster in self.clusters
-        ]
-        best_index = max(range(len(scores)), key=scores.__getitem__)
-        return best_index, scores[best_index]
+        return self.similarity.best(page, self.centroid_pairs())
 
     def classify(self, raw: RawFormPage) -> Tuple[int, float]:
         """Vectorize a raw page and score it (no mutation) — the serving
@@ -211,7 +207,7 @@ class IncrementalOrganizer:
         cluster = self.clusters[best_index]
         cluster.pages.append(page)
         cluster.rebuild_centroid()
-        contribution = self.backend.pair(page, cluster.centroid)
+        contribution = self.similarity(page, cluster.centroid)
         self._contrib[page.url] = contribution
         self._cohesion_sum += contribution
         self._by_url[page.url] = best_index
@@ -256,21 +252,19 @@ class IncrementalOrganizer:
         baseline to the repaired level.  Returns how many pages changed
         cluster.
         """
-        from repro.core.simengine import SimilarityEngine
-
         pages = [
             page for cluster in self.clusters for page in cluster.pages
         ]
         if not pages:
             return 0
         old_assignment = dict(self._by_url)
-        engine = SimilarityEngine.from_config(pages, self.config)
+        engine = SimilarityEngine(pages, self.similarity)
         result = engine.kmeans(
             self.centroid_pairs(),
             stop_fraction=self.config.stop_fraction,
             max_iterations=max_iterations or self.config.max_iterations,
         )
-        self.backend.stats.merge(engine.stats)
+        self.similarity.stats.merge(engine.stats)
         assignment = [-1] * len(pages)
         for index, members in enumerate(result.clustering.clusters):
             for member in members:

@@ -19,7 +19,7 @@ from repro.core.cafc_c import cafc_c
 from repro.core.cafc_ch import cafc_ch
 from repro.core.config import CAFCConfig
 from repro.core.form_page import FormPage, RawFormPage, VectorPair, centroid_of
-from repro.core.similarity import EngineBackend
+from repro.core.similarity import FormPageSimilarity
 from repro.core.simengine import EngineStats
 from repro.core.vectorizer import FormPageVectorizer
 
@@ -108,7 +108,7 @@ class CAFCPipeline:
             parallel=self.config.parallel,
             scheme=self.config.scheme,
         )
-        self.backend = EngineBackend.from_config(self.config)
+        self.similarity = FormPageSimilarity.from_config(self.config)
 
     # ----------------------------------------------------------------
     # Organizing.
@@ -152,7 +152,7 @@ class CAFCPipeline:
             # fallback ordering — with a structured warning and a
             # degraded_fallbacks counter bump, never an exception.
             ch_result = cafc_ch(
-                pages, self.config, backend=self.backend, fallback=True
+                pages, self.config, similarity=self.similarity, fallback=True
             )
             km_result = ch_result.kmeans
             n_hub_clusters = len(ch_result.hub_clusters)
@@ -167,7 +167,7 @@ class CAFCPipeline:
         elif algorithm == "hac":
             from repro.clustering.hac import Linkage, hac
 
-            matrix = self.backend.pairwise(pages)
+            matrix = self.similarity.pairwise(pages)
             hac_result = hac(
                 matrix, n_clusters=min(self.config.k, len(pages)),
                 linkage=Linkage.AVERAGE,
@@ -175,7 +175,7 @@ class CAFCPipeline:
             clustering = hac_result.clustering
             iterations = len(hac_result.merges)
         else:
-            km_result = cafc_c(pages, self.config, backend=self.backend)
+            km_result = cafc_c(pages, self.config, similarity=self.similarity)
             clustering = km_result.clustering
             iterations = km_result.iterations
 
@@ -199,7 +199,7 @@ class CAFCPipeline:
             n_hub_clusters=n_hub_clusters,
             seed_hub_urls=seed_hub_urls,
             degraded=degraded,
-            engine_stats=self.backend.stats.snapshot(),
+            engine_stats=self.similarity.stats.snapshot(),
         )
 
     # ----------------------------------------------------------------
@@ -216,8 +216,5 @@ class CAFCPipeline:
         if not result.clusters:
             raise ValueError("cannot classify against an empty result")
         page = self.vectorizer.transform_new(raw_page)
-        scores = [
-            self.backend.pair(page, cluster.centroid)
-            for cluster in result.clusters
-        ]
-        return max(range(len(scores)), key=scores.__getitem__)
+        centroids = [cluster.centroid for cluster in result.clusters]
+        return self.similarity.best(page, centroids)[0]

@@ -14,7 +14,7 @@ on clusters (multi-document centroids), not individual pages — provided
 small clusters were pruned first (Section 3.3).
 
 The distance matrix is one batched
-:meth:`~repro.core.similarity.EngineBackend.pairwise` call.
+:meth:`~repro.core.similarity.FormPageSimilarity.pairwise` call.
 """
 
 from typing import List, Optional, Sequence
@@ -22,22 +22,22 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.hubs import HubCluster
-from repro.core.similarity import EngineBackend
+from repro.core.similarity import FormPageSimilarity
 
 
 def hub_distance_matrix(
     clusters: Sequence[HubCluster],
     *,
-    backend: Optional[EngineBackend] = None,
+    similarity: Optional[FormPageSimilarity] = None,
 ) -> np.ndarray:
     """Pairwise centroid distances (1 - similarity), symmetric, zero diag.
 
-    ``backend`` defaults to the paper's Equation 3 (FC+PC, C1 = C2 = 1);
-    pass one to use other weights or to share its stats.
+    ``similarity`` defaults to the paper's Equation 3 (FC+PC,
+    C1 = C2 = 1); pass one to use other weights or to share its stats.
     """
-    backend = backend or EngineBackend()
+    similarity = similarity or FormPageSimilarity()
     centroids = [cluster.centroid for cluster in clusters]
-    matrix = 1.0 - backend.pairwise(centroids)
+    matrix = 1.0 - similarity.pairwise(centroids)
     np.fill_diagonal(matrix, 0.0)
     return matrix
 
@@ -46,7 +46,7 @@ def select_hub_clusters(
     clusters: Sequence[HubCluster],
     k: int,
     *,
-    backend: Optional[EngineBackend] = None,
+    similarity: Optional[FormPageSimilarity] = None,
 ) -> List[HubCluster]:
     """Pick the ``k`` most mutually distant hub clusters (Algorithm 3).
 
@@ -57,7 +57,7 @@ def select_hub_clusters(
     Determinism: ties in the greedy objective are broken by the clusters'
     order in ``clusters`` (which `build_hub_clusters` makes deterministic).
 
-    The similarity arithmetic comes from ``backend`` (see
+    The similarity arithmetic comes from ``similarity`` (see
     :func:`hub_distance_matrix`).
     """
     if k < 1:
@@ -70,7 +70,7 @@ def select_hub_clusters(
     if k == 1:
         return [clusters[0]]
 
-    distances = hub_distance_matrix(clusters, backend=backend)
+    distances = hub_distance_matrix(clusters, similarity=similarity)
     n = len(clusters)
 
     # Step 1: the two most distant clusters.  np.argmax on the upper

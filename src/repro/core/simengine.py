@@ -1,4 +1,4 @@
-"""Batched sparse similarity engine — the shared backend for Equation 3.
+"""Batched sparse similarity engine — the compiled side of Equation 3.
 
 Every hot path of the reproduction (Algorithm 1's assignment loop,
 Algorithm 3's hub-distance matrix, incremental cohesion, the explorer's
@@ -23,10 +23,13 @@ table of its own and resolves no strings.  The all-pairs matrix is a
 SciPy CSR matmul over the normalized rows (one column per table id),
 and the page x centroid shapes accumulate over a
 :class:`~repro.index.postings.SpaceIndex`, the posting lists the query
-paths use.  Every shape agrees with the
-scalar :class:`~repro.core.similarity.FormPageSimilarity` to well below
-1e-12: per-space cosines come from pre-normalized rows and are combined
-with the literal Equation-3 expression, never algebraically rearranged.
+paths use.  The engine holds no Equation-3 configuration of its own:
+it compiles the spaces its
+:class:`~repro.core.similarity.FormPageSimilarity` names
+(``similarity.spaces``) and combines per-space cosines with that
+object's literal expression (``similarity.combine``), never
+algebraically rearranged, so every shape agrees with the scalar path to
+well below 1e-12.
 
 The engine never changes Eq. 1-6 semantics — it only changes how the
 same arithmetic is batched.
@@ -40,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-from repro.core.config import ContentMode
 from repro.core.form_page import VectorPair
 from repro.vsm.interning import VOCABULARY
 from repro.vsm.vector import SparseVector
@@ -48,12 +50,13 @@ from repro.vsm.vector import SparseVector
 
 @dataclass
 class EngineStats:
-    """Instrumentation counters for one engine (or backend) instance.
+    """Instrumentation counters for one engine, or rolled up over a
+    :class:`~repro.core.similarity.FormPageSimilarity`'s engines and
+    scalar calls.
 
     ``comparisons`` counts pair-similarity equivalents: a pairwise call
     over n items adds n*(n-1)/2, an assignment pass adds pages x
-    centroids, a top-k query adds one per scored item.  ``cache_hits``
-    counts compiled-engine reuses.  ``build_seconds`` is time spent
+    centroids, a scalar call adds one.  ``build_seconds`` is time spent
     compiling collections into the packed representation.
     """
 
@@ -61,7 +64,6 @@ class EngineStats:
     n_terms: int = 0
     build_seconds: float = 0.0
     comparisons: int = 0
-    cache_hits: int = 0
     #: Constant tag naming the one batched Equation-3 path; kept so the
     #: ``/stats`` engine block and ``--profile`` output keep their keys.
     backend: str = "engine"
@@ -80,7 +82,6 @@ class EngineStats:
         self.n_terms = max(self.n_terms, other.n_terms)
         self.build_seconds += other.build_seconds
         self.comparisons += other.comparisons
-        self.cache_hits += other.cache_hits
 
     def as_dict(self) -> Dict[str, object]:
         """Counters as plain data — the /metrics rollup shape."""
@@ -90,14 +91,13 @@ class EngineStats:
             "n_terms": self.n_terms,
             "build_seconds": self.build_seconds,
             "comparisons": self.comparisons,
-            "cache_hits": self.cache_hits,
         }
 
     def summary(self) -> str:
         return (
             f"backend={self.backend} pages={self.n_pages} "
             f"terms={self.n_terms} build={self.build_seconds:.3f}s "
-            f"comparisons={self.comparisons} cache_hits={self.cache_hits}"
+            f"comparisons={self.comparisons}"
         )
 
 
@@ -201,8 +201,7 @@ class CompiledCentroids:
     (:meth:`SimilarityEngine.to_centroids`) or by compiling external
     :class:`~repro.core.form_page.VectorPair` objects.  ``raw[space][i]``
     is the centroid's raw id -> weight map, ``nrm[space][i]`` the
-    normalized one used for cosine scoring; ``norms[space][i]`` the
-    Euclidean norm (0.0 for an empty centroid).
+    normalized one used for cosine scoring (empty for an empty centroid).
     """
 
     def __init__(self, engine: "SimilarityEngine", k: int) -> None:
@@ -210,11 +209,9 @@ class CompiledCentroids:
         self.k = k
         self.raw: Dict[str, List[Dict[int, float]]] = {}
         self.nrm: Dict[str, List[Dict[int, float]]] = {}
-        self.norms: Dict[str, List[float]] = {}
         for name in engine.space_names:
             self.raw[name] = [{} for _ in range(k)]
             self.nrm[name] = [{} for _ in range(k)]
-            self.norms[name] = [0.0] * k
 
     def __len__(self) -> int:
         return self.k
@@ -222,7 +219,6 @@ class CompiledCentroids:
     def set_raw(self, space: str, index: int, raw: Dict[int, float]) -> None:
         norm = _sqrt_sum_sq(raw)
         self.raw[space][index] = raw
-        self.norms[space][index] = norm
         if norm > 0.0:
             inv = 1.0 / norm
             self.nrm[space][index] = {i: w * inv for i, w in raw.items()}
@@ -268,39 +264,20 @@ class SimilarityEngine:
         Anything with ``.pc`` / ``.fc`` sparse vectors (form pages, hub
         centroids, schema adapters).  The engine indexes them once; all
         batched operations refer to them by position.
-    content_mode / page_weight / form_weight:
-        The Equation-3 configuration, exactly as
-        :class:`~repro.core.similarity.FormPageSimilarity` takes it.
+    similarity:
+        The :class:`~repro.core.similarity.FormPageSimilarity` whose
+        ``spaces`` are compiled and whose ``combine`` merges them.
     """
 
-    def __init__(
-        self,
-        items: Sequence,
-        content_mode: ContentMode = ContentMode.FC_PC,
-        page_weight: float = 1.0,
-        form_weight: float = 1.0,
-    ) -> None:
-        if content_mode is ContentMode.FC_PC:
-            if page_weight <= 0 and form_weight <= 0:
-                raise ValueError("combined mode needs a positive weight")
+    def __init__(self, items: Sequence, similarity) -> None:
         self.items = list(items)
-        self.content_mode = content_mode
-        self.page_weight = page_weight
-        self.form_weight = form_weight
+        self.similarity = similarity
         self.stats = EngineStats()
 
         started = time.perf_counter()
-        self._spaces: Dict[str, _Space] = {}
-        # A space with zero Equation-3 weight contributes nothing and is
-        # not compiled at all (matches the scalar formula exactly).
-        if content_mode.uses_pc and (
-            content_mode is ContentMode.PC or page_weight > 0
-        ):
-            self._spaces["pc"] = _Space()
-        if content_mode.uses_fc and (
-            content_mode is ContentMode.FC or form_weight > 0
-        ):
-            self._spaces["fc"] = _Space()
+        self._spaces: Dict[str, _Space] = {
+            name: _Space() for name in similarity.spaces
+        }
         for item in self.items:
             for name, space in self._spaces.items():
                 space.add_row(getattr(item, name))
@@ -313,16 +290,6 @@ class SimilarityEngine:
     # ----------------------------------------------------------------
     # Introspection.
     # ----------------------------------------------------------------
-
-    @classmethod
-    def from_config(cls, items: Sequence, config) -> "SimilarityEngine":
-        """Build an engine matching a :class:`~repro.core.config.CAFCConfig`."""
-        return cls(
-            items,
-            content_mode=config.content_mode,
-            page_weight=config.page_weight,
-            form_weight=config.form_weight,
-        )
 
     @property
     def n_pages(self) -> int:
@@ -340,42 +307,25 @@ class SimilarityEngine:
         return self._spaces[name]
 
     # ----------------------------------------------------------------
-    # Combining per-space cosines — the literal Equation-3 expression.
-    # ----------------------------------------------------------------
-
-    def _combine(self, pc: float, fc: float) -> float:
-        mode = self.content_mode
-        if mode is ContentMode.PC:
-            return pc
-        if mode is ContentMode.FC:
-            return fc
-        return (self.page_weight * pc + self.form_weight * fc) / (
-            self.page_weight + self.form_weight
-        )
-
-    # ----------------------------------------------------------------
     # Batched shapes.
     # ----------------------------------------------------------------
 
     def pairwise(self) -> np.ndarray:
         """The full symmetric similarity matrix over the compiled items.
 
-        One CSR matmul per compiled space, combined with the Equation-3
-        weights.  The diagonal holds each item's Equation-3 similarity
-        with itself, where an empty space contributes 0.0.
+        One CSR matmul per compiled space, combined elementwise by
+        ``similarity.combine``.  The diagonal holds each item's
+        Equation-3 similarity with itself, where an empty space
+        contributes 0.0.
         """
         n = len(self.items)
         self.stats.comparisons += n * (n - 1) // 2
-        total = np.zeros((n, n))
-        for name, space in self._spaces.items():
-            matrix = space.pairwise()
-            if self.content_mode is ContentMode.FC_PC:
-                weight = self.page_weight if name == "pc" else self.form_weight
-                matrix = matrix * weight
-            total = total + matrix
-        if self.content_mode is ContentMode.FC_PC:
-            total = total / (self.page_weight + self.form_weight)
-        return total
+        matrices = {
+            name: space.pairwise() for name, space in self._spaces.items()
+        }
+        return self.similarity.combine(
+            matrices.get("pc", 0.0), matrices.get("fc", 0.0)
+        )
 
     def to_centroids(
         self, assignments: Sequence[int], k: Optional[int] = None
@@ -421,7 +371,6 @@ class SimilarityEngine:
         for name in self._spaces:
             for index, pair in enumerate(pairs):
                 vector: SparseVector = getattr(pair, name)
-                centroids.norms[name][index] = vector.norm()
                 centroids.nrm[name][index] = _normalized(vector)
                 centroids.raw[name][index] = dict(zip(*vector.id_arrays()))
         return centroids
@@ -449,11 +398,12 @@ class SimilarityEngine:
             columns[name] = space_columns
         pc_columns = columns.get("pc")
         fc_columns = columns.get("fc")
+        combine = self.similarity.combine
         matrix: List[List[float]] = []
         for row in range(n):
             matrix.append(
                 [
-                    self._combine(
+                    combine(
                         pc_columns[index][row] if pc_columns else 0.0,
                         fc_columns[index][row] if fc_columns else 0.0,
                     )
@@ -475,7 +425,7 @@ class SimilarityEngine:
         """Run k-means over the compiled items from the given seeds.
 
         Semantically identical to :func:`repro.clustering.kmeans.kmeans`
-        driven by :class:`~repro.core.similarity.FormPageSimilarity`:
+        driven by the scalar ``similarity``:
         same assignment tie-breaking (stability toward the previous
         cluster, then the lowest index), same keep-previous-centroid
         behaviour for emptied clusters, same sub-10%-moved stopping
@@ -514,7 +464,6 @@ class SimilarityEngine:
                     for name in self.space_names:
                         current.raw[name][cluster] = updated.raw[name][cluster]
                         current.nrm[name][cluster] = updated.nrm[name][cluster]
-                        current.norms[name][cluster] = updated.norms[name][cluster]
                     final_pairs[cluster] = None  # materialize lazily below
 
             new_assignment = self._assign(current, previous=assignment)

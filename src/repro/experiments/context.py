@@ -12,12 +12,10 @@ from typing import List
 
 import numpy as np
 
-from repro.core.cafc_c import similarity_for
 from repro.core.config import CAFCConfig
 from repro.core.form_page import FormPage, RawFormPage
 from repro.core.hubs import HubCluster, build_hub_clusters
 from repro.core.similarity import FormPageSimilarity
-from repro.core.simengine import SimilarityEngine
 from repro.core.vectorizer import FormPageVectorizer
 from repro.parallel.config import ParallelConfig
 from repro.vsm.weights import LocationWeights
@@ -38,11 +36,11 @@ class ExperimentContext:
 
     @property
     def similarity(self) -> FormPageSimilarity:
-        return similarity_for(self.config)
+        return FormPageSimilarity.from_config(self.config)
 
     def similarity_matrix(self) -> np.ndarray:
         """All-pairs Equation-3 similarity over the pages (HAC input)."""
-        return SimilarityEngine.from_config(self.pages, self.config).pairwise()
+        return self.similarity.pairwise(self.pages)
 
     def hub_clusters(self, min_cardinality: int) -> List[HubCluster]:
         """Hub clusters pruned at ``min_cardinality`` (from the raw set)."""

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.form_page import FormPage
 from repro.core.hubs import HubCluster
 from repro.core.seeds import select_hub_clusters
-from repro.core.similarity import EngineBackend, FormPageSimilarity
+from repro.core.similarity import FormPageSimilarity
 
 
 @dataclass
@@ -109,7 +109,4 @@ def select_hub_clusters_quality_aware(
     scored = score_hub_clusters(clusters, pages, similarity)
     keep = max(k, int(round(len(scored) * (1.0 - drop_fraction))))
     survivors = [quality.cluster for quality in scored[:keep]]
-    backend = EngineBackend(
-        similarity.content_mode, similarity.page_weight, similarity.form_weight
-    )
-    return select_hub_clusters(survivors, k, backend=backend)
+    return select_hub_clusters(survivors, k, similarity=similarity)

@@ -518,13 +518,10 @@ class FormDirectory:
         m.gauge(
             "directory_generation", "Mutations since start"
         ).set_function(lambda: self._generation)
-        stats = self.organizer.backend.stats
+        stats = self.organizer.similarity.stats
         m.gauge(
             "engine_comparisons_total", "Similarity evaluations (engine rollup)"
         ).set_function(lambda: stats.comparisons)
-        m.gauge(
-            "engine_cache_hits_total", "Engine compilation reuses"
-        ).set_function(lambda: stats.cache_hits)
         m.gauge(
             "engine_build_seconds_total", "Time compiling collections"
         ).set_function(lambda: stats.build_seconds)
@@ -660,7 +657,7 @@ class FormDirectory:
         Cache hit -> answer without scoring.  Otherwise the page is
         vectorized outside every lock and scored inline under one read
         lock: the argmax of Equation 3 over the k centroids — the
-        ``backend.pair`` scan :meth:`add` assigns by — plus the winner's
+        ``similarity.best`` scan :meth:`add` assigns by — plus the winner's
         descriptive terms, all from one generation.
         """
         self._m_requests.inc()
@@ -994,7 +991,7 @@ class FormDirectory:
                 "scheme": self.scheme_name,
                 "cache_size": self.cache_size,
                 "uptime_seconds": time.time() - self.started_unix,
-                "engine": organizer.backend.stats.as_dict(),
+                "engine": organizer.similarity.stats.as_dict(),
                 "index": {
                     "generation": self._index.generation,
                     "cluster_postings": self._index.n_cluster_postings,

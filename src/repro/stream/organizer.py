@@ -40,20 +40,15 @@ from repro.vsm.vector import mean_vector
 class StreamOrganizer:
     """Mini-batch clustering driven by a :class:`StreamingIngestor`.
 
-    ``n_clusters`` is the paper's ``k``; ``page_weight`` /
-    ``form_weight`` / ``use_pc`` / ``use_fc`` mirror the batch engine's
-    Equation-3 knobs.  Construct, then :meth:`attach` to an ingestor
-    (wires the re-weight listener), then feed every emitted batch to
-    :meth:`observe_batch`.
+    ``n_clusters`` is the paper's ``k``; assignment is the paper's
+    Equation 3 (FC+PC, C1 = C2 = 1).  Construct, then :meth:`attach` to
+    an ingestor (wires the re-weight listener), then feed every emitted
+    batch to :meth:`observe_batch`.
     """
 
     def __init__(
         self,
         n_clusters: int,
-        page_weight: float = 1.0,
-        form_weight: float = 1.0,
-        use_pc: bool = True,
-        use_fc: bool = True,
         reservoir_size: int = 512,
         reservoir_seed: int = 0,
         bootstrap_pages: int = 256,
@@ -63,10 +58,6 @@ class StreamOrganizer:
         if n_clusters < 1:
             raise ValueError("n_clusters must be positive")
         self.n_clusters = n_clusters
-        self.page_weight = page_weight
-        self.form_weight = form_weight
-        self.use_pc = use_pc
-        self.use_fc = use_fc
         self.bootstrap_pages = max(bootstrap_pages, n_clusters)
         self.bootstrap_epochs = bootstrap_epochs
         self.train_batch_size = train_batch_size
@@ -136,13 +127,7 @@ class StreamOrganizer:
         members = self.reservoir.items
         k = min(self.n_clusters, len(members))
         seed_entries = self._seed_rng.sample(members, k)
-        self.learner = MiniBatchKMeans(
-            [entry.page for entry in seed_entries],
-            page_weight=self.page_weight,
-            form_weight=self.form_weight,
-            use_pc=self.use_pc,
-            use_fc=self.use_fc,
-        )
+        self.learner = MiniBatchKMeans([entry.page for entry in seed_entries])
         pages = [entry.page for entry in members]
         for _ in range(self.bootstrap_epochs):
             for start in range(0, len(pages), self.train_batch_size):

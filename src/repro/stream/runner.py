@@ -54,10 +54,6 @@ def run_stream(
     raw_pages: Iterable[RawFormPage],
     n_clusters: int = 8,
     config: Optional[StreamConfig] = None,
-    page_weight: float = 1.0,
-    form_weight: float = 1.0,
-    use_pc: bool = True,
-    use_fc: bool = True,
     keep_pages: bool = False,
     final_reweight: bool = True,
 ) -> StreamRunResult:
@@ -72,10 +68,6 @@ def run_stream(
     ingestor = StreamingIngestor(config)
     organizer = StreamOrganizer(
         n_clusters,
-        page_weight=page_weight,
-        form_weight=form_weight,
-        use_pc=use_pc,
-        use_fc=use_fc,
         reservoir_size=config.reservoir_size,
         reservoir_seed=config.reservoir_seed,
     ).attach(ingestor)

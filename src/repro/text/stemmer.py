@@ -14,15 +14,39 @@ It intentionally reproduces the original's quirks (e.g. ``agreed`` ->
 from typing import List
 
 
+def memo_put(cache: dict, key: str, value: str, cap: int) -> None:
+    """Store ``key -> value`` in ``cache``, first evicting the oldest
+    entries until it holds fewer than ``cap`` (FIFO; ``cap`` 0 stores
+    nothing).
+
+    Insertion order is all ``dict`` gives cheaply, and any bounded policy
+    works for a pure function.  The memo may be shared across threads
+    (thread-executor ingestion, concurrent service requests).  Single
+    dict ops are atomic under the GIL, but another thread can evict
+    between ``iter()`` and ``pop()`` — the collision is tolerated rather
+    than locked against, which would cost every call and break
+    process-pool pickling.  Evicting in a loop (not once) keeps such a
+    collision from leaving the memo permanently one entry larger, so it
+    overshoots ``cap`` by at most one entry per concurrent writer.
+    """
+    if not cap:
+        return
+    while len(cache) >= cap:
+        try:
+            cache.pop(next(iter(cache)), None)
+        except (StopIteration, RuntimeError, KeyError):
+            pass
+    cache[key] = value
+
+
 class PorterStemmer:
     """Porter stemmer with a bounded memo table.
 
     The algorithm itself is stateless and pure; web corpora repeat terms
     heavily, so each instance memoizes ``stem`` results in a size-capped
-    dict (FIFO eviction — insertion order is all ``dict`` gives us
-    cheaply, and any bounded policy works for a pure function).  The
-    cache is plain data, so instances stay picklable for process pools;
-    ``cache_hits`` / ``cache_misses`` feed the ingestion micro-bench.
+    dict (FIFO eviction, :func:`memo_put`).  The cache is plain data, so
+    instances stay picklable for process pools; ``cache_hits`` /
+    ``cache_misses`` feed the ingestion micro-bench.
 
     Usage::
 
@@ -264,19 +288,7 @@ class PorterStemmer:
             return cached
         self.cache_misses += 1
         stemmed = self._stem_uncached(word)
-        if self.cache_size:
-            if len(self._cache) >= self.cache_size:
-                # The memo may be shared across threads (thread-executor
-                # ingestion, concurrent service requests).  Individual
-                # dict ops are atomic under the GIL, but another thread
-                # can evict between our iter() and pop() — tolerate the
-                # collision instead of taking a lock, which would cost
-                # every stem call and break process-pool pickling.
-                try:
-                    self._cache.pop(next(iter(self._cache)), None)
-                except (StopIteration, RuntimeError, KeyError):
-                    pass
-            self._cache[word] = stemmed
+        memo_put(self._cache, word, stemmed, self.cache_size)
         return stemmed
 
     def _stem_uncached(self, word: str) -> str:

@@ -4,7 +4,7 @@ Everything here computes one scalar
 :class:`~repro.core.similarity.FormPageSimilarity` or
 :func:`~repro.vsm.vector.cosine_similarity` call per pair — slow,
 obviously correct, and the yardstick for
-:class:`~repro.core.similarity.EngineBackend` /
+:meth:`~repro.core.similarity.FormPageSimilarity.pairwise` /
 :class:`~repro.core.simengine.SimilarityEngine`, the directory's
 classify scan and its posting-list search, in the tests and the benches.
 Cluster labels come from a full sort of every centroid term
@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.clustering.kmeans import KMeansResult, kmeans
-from repro.core.cafc_c import similarity_for
 from repro.core.config import CAFCConfig
 from repro.core.form_page import RawFormPage, VectorPair, centroid_of
 from repro.core.pipeline import LABEL_TERMS
@@ -46,12 +45,14 @@ from repro.vsm.vector import SparseVector, cosine_similarity
 
 
 class NaiveBackend:
-    """Per-pair Equation-3 calls behind the ``EngineBackend`` interface.
+    """A :class:`~repro.core.similarity.FormPageSimilarity` whose batched
+    shapes are per-pair scalar calls, with no compiled engine.
 
-    Drop-in for the engine backend wherever a caller takes ``backend=``
-    and only asks for ``pair`` / ``pairwise`` / ``page_centroid_matrix``
-    (Algorithm 3's distance matrix, for one).  Counts comparisons the
-    same way, so stats-based assertions apply to both.
+    Drop-in wherever a caller takes ``similarity=`` and only scores
+    single pairs or asks for ``pairwise`` (Algorithm 3's distance
+    matrix, for one); ``page_centroid_matrix`` is the engine shape's
+    reference.  Counts comparisons the same way, so stats-based
+    assertions apply to both.
     """
 
     def __init__(self, similarity: FormPageSimilarity) -> None:
@@ -60,9 +61,9 @@ class NaiveBackend:
 
     @classmethod
     def from_config(cls, config: CAFCConfig) -> "NaiveBackend":
-        return cls(similarity_for(config))
+        return cls(FormPageSimilarity.from_config(config))
 
-    def pair(self, a, b) -> float:
+    def __call__(self, a, b) -> float:
         self.stats.comparisons += 1
         return self.similarity(a, b)
 
@@ -70,9 +71,9 @@ class NaiveBackend:
         n = len(items)
         matrix = np.zeros((n, n), dtype=np.float64)
         for i in range(n):
-            matrix[i, i] = self.pair(items[i], items[i])
+            matrix[i, i] = self(items[i], items[i])
             for j in range(i + 1, n):
-                value = self.pair(items[i], items[j])
+                value = self(items[i], items[j])
                 matrix[i, j] = value
                 matrix[j, i] = value
         return matrix
@@ -81,7 +82,7 @@ class NaiveBackend:
         self, pages: Sequence, centroids: Sequence
     ) -> List[List[float]]:
         return [
-            [self.pair(page, centroid) for centroid in centroids]
+            [self(page, centroid) for centroid in centroids]
             for page in pages
         ]
 
@@ -91,8 +92,8 @@ def naive_argmax(
 ) -> Tuple[int, float]:
     """Section 5's classification by per-pair Equation 3: the first
     centroid with the highest similarity, and that similarity."""
-    backend = NaiveBackend.from_config(config)
-    scores = [backend.pair(page, centroid) for centroid in centroids]
+    similarity = NaiveBackend.from_config(config)
+    scores = [similarity(page, centroid) for centroid in centroids]
     best = max(range(len(scores)), key=scores.__getitem__)
     return best, scores[best]
 
@@ -211,7 +212,7 @@ def oracle_kmeans(
     return kmeans(
         points=list(pages),
         initial_centroids=list(seed_centroids),
-        similarity=similarity_for(config),
+        similarity=FormPageSimilarity.from_config(config),
         make_centroid=centroid_of,
         stop_fraction=config.stop_fraction,
         max_iterations=config.max_iterations,

@@ -1,5 +1,7 @@
 """Tests for stopwords and the TextAnalyzer pipeline."""
 
+import sys
+import threading
 from collections import Counter
 
 from hypothesis import given
@@ -74,6 +76,53 @@ class TestTextAnalyzer:
         first = analyzer.analyze("reservations reservations")
         second = analyzer.analyze("reservations")
         assert first == [second[0]] * 2
+
+    def test_memo_bounded_and_stems_unchanged(self, monkeypatch):
+        """The memo keeps at most the stemmer's cap (read on insert, so a
+        small cap here stands for the default) and evicting never
+        changes a stem."""
+        text = "searching flights hotels reservations rentals " * 3 + " ".join(
+            f"travel{a}{b}ing" for a in "bcdfg" for b in "klmn"
+        )
+        expected = TextAnalyzer().analyze(text)
+        monkeypatch.setattr(PorterStemmer, "DEFAULT_CACHE_SIZE", 8)
+        analyzer = TextAnalyzer()
+        assert analyzer.analyze(text) == expected
+        assert analyzer.analyze(text) == expected
+        assert len(analyzer._cache) == 8
+
+    def test_shared_memo_under_threads(self, monkeypatch):
+        """Threads sharing one analyzer evict without a lock: no error,
+        no wrong stem, and the memo overshoots the cap by at most one
+        entry per thread."""
+        monkeypatch.setattr(PorterStemmer, "DEFAULT_CACHE_SIZE", 16)
+        analyzer = TextAnalyzer()
+        words = [f"travel{a}{b}{c}ing" for a in "bcdfg" for b in "klmn"
+                 for c in "prst"]
+        expected = TextAnalyzer(stemmer=PorterStemmer()).analyze_tokens(words)
+        errors, threads = [], []
+
+        def work():
+            try:
+                for _ in range(20):
+                    if analyzer.analyze_tokens(words) != expected:
+                        errors.append("stem changed")
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(analyzer._cache) <= 16 + len(threads)
 
     def test_default_analyzer_factory(self):
         assert default_analyzer().analyze("flights") == ["flight"]

@@ -8,6 +8,7 @@ import pytest
 from repro.clustering.hac import Linkage, hac
 from repro.core.config import CAFCConfig, ContentMode
 from repro.core.form_page import VectorPair
+from repro.core.similarity import FormPageSimilarity
 from repro.core.simengine import SimilarityEngine
 from repro.datasets import load_result, save_result
 from repro.vsm.interning import VOCABULARY
@@ -18,7 +19,7 @@ from tests.oracle import NaiveBackend, max_abs_diff
 def pc_engine(vectors):
     """Plain cosine over ``vectors`` (PC-only compilation)."""
     items = [VectorPair(pc=vector, fc=SparseVector()) for vector in vectors]
-    return SimilarityEngine(items, content_mode=ContentMode.PC)
+    return SimilarityEngine(items, FormPageSimilarity(ContentMode.PC))
 
 
 class TestCosineMatrix:
@@ -79,7 +80,7 @@ class TestFormPageSimilarityMatrix:
 
     def _check(self, pages, config):
         scalar = NaiveBackend.from_config(config).pairwise(pages)
-        engine = SimilarityEngine.from_config(pages, config).pairwise()
+        engine = FormPageSimilarity.from_config(config).pairwise(pages)
         assert max_abs_diff(scalar, engine) <= 1e-12
         return scalar, engine
 
@@ -97,10 +98,11 @@ class TestFormPageSimilarityMatrix:
 
     def test_no_spaces_rejected(self, small_pages):
         with pytest.raises(ValueError):
-            SimilarityEngine(small_pages[:5], page_weight=0.0, form_weight=0.0)
+            FormPageSimilarity(page_weight=0.0, form_weight=0.0)
 
     def test_empty_pages(self):
-        assert SimilarityEngine([]).pairwise().shape == (0, 0)
+        engine = SimilarityEngine([], FormPageSimilarity())
+        assert engine.pairwise().shape == (0, 0)
 
     @pytest.mark.parametrize(
         "linkage", [Linkage.AVERAGE, Linkage.SINGLE, Linkage.COMPLETE]

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.cafc_c import cafc_c, random_seed_centroids, similarity_for
+from repro.core.cafc_c import cafc_c, random_seed_centroids
 from repro.core.cafc_ch import cafc_ch
 from repro.core.config import CAFCConfig, ContentMode
 from repro.core.form_page import FormPage, VectorPair
 from repro.core.hubs import build_hub_clusters
+from repro.core.similarity import FormPageSimilarity
 from repro.eval.entropy import total_entropy
 from repro.eval.fmeasure import overall_f_measure
 from repro.vsm.vector import SparseVector
@@ -99,8 +100,12 @@ class TestCafcC:
         # Give them identical FC but different PC.
         pages[0].fc = SparseVector({"same": 1.0})
         pages[1].fc = SparseVector({"same": 1.0})
-        sim_fc = similarity_for(CAFCConfig(k=2, content_mode=ContentMode.FC))
-        sim_pc = similarity_for(CAFCConfig(k=2, content_mode=ContentMode.PC))
+        sim_fc = FormPageSimilarity.from_config(
+            CAFCConfig(k=2, content_mode=ContentMode.FC)
+        )
+        sim_pc = FormPageSimilarity.from_config(
+            CAFCConfig(k=2, content_mode=ContentMode.PC)
+        )
         assert sim_fc(pages[0], pages[1]) == pytest.approx(1.0)
         assert sim_pc(pages[0], pages[1]) == 0.0
 
@@ -197,7 +202,7 @@ class TestOracleParity:
             benchmark_pages, min_cardinality=config.min_hub_cardinality
         )
         selected = select_hub_clusters(
-            hubs, 8, backend=NaiveBackend.from_config(config)
+            hubs, 8, similarity=NaiveBackend.from_config(config)
         )
         oracle = oracle_kmeans(
             benchmark_pages, [c.centroid for c in selected], config

@@ -128,9 +128,9 @@ class TestSimilarityBudget:
         raw_pages = fresh.raw_pages()[:12]
         budgets = []
         for raw in raw_pages:
-            before = organizer.backend.stats.comparisons
+            before = organizer.similarity.stats.comparisons
             organizer.add(raw)
-            budgets.append(organizer.backend.stats.comparisons - before)
+            budgets.append(organizer.similarity.stats.comparisons - before)
         # Every add pays the same price, no matter how large the
         # collection has grown, and that price is exactly k + 1.
         assert budgets == [k + 1] * len(raw_pages)
@@ -138,16 +138,16 @@ class TestSimilarityBudget:
     def test_remove_costs_no_similarities(self, organizer_setup):
         organizer = make_organizer(organizer_setup)
         _, pages, _ = organizer_setup
-        before = organizer.backend.stats.comparisons
+        before = organizer.similarity.stats.comparisons
         assert organizer.remove(pages[0].url)
-        assert organizer.backend.stats.comparisons == before
+        assert organizer.similarity.stats.comparisons == before
 
     def test_cohesion_read_costs_no_similarities(self, organizer_setup):
         organizer = make_organizer(organizer_setup)
-        before = organizer.backend.stats.comparisons
+        before = organizer.similarity.stats.comparisons
         _ = organizer.cohesion
         _ = organizer.needs_reclustering
-        assert organizer.backend.stats.comparisons == before
+        assert organizer.similarity.stats.comparisons == before
 
     def test_refresh_cohesion_matches_running_sum_initially(self, organizer_setup):
         organizer = make_organizer(organizer_setup)
@@ -214,9 +214,9 @@ class TestBatchClassify:
         organizer = make_organizer(organizer_setup)
         _, pages, _ = organizer_setup
         probes = pages[:16]
-        before = organizer.backend.stats.comparisons
+        before = organizer.similarity.stats.comparisons
         organizer.classify_batch(probes)
-        paid = organizer.backend.stats.comparisons - before
+        paid = organizer.similarity.stats.comparisons - before
         # One Equation-3 evaluation per (page, centroid) pair.
         assert paid == len(probes) * len(organizer.clusters)
 

@@ -25,8 +25,10 @@ from repro.service.directory import FormDirectory
 from repro.service import serve_directory
 from repro.service.snapshot import build_snapshot, snapshot_info
 from repro.text.analyzer import TextAnalyzer
+from repro.text.stemmer import PorterStemmer
 from repro.vsm.interning import VOCABULARY
 from repro.vsm.vector import SparseVector, cosine_similarity
+from repro.webgen.stream import page_at
 
 from tests.oracle import (
     cluster_rows, naive_argmax, page_rows, scan_clusters, scan_pages,
@@ -408,6 +410,36 @@ class TestQueriesInternNothing:
             ] == [
                 (hit["cluster"], hit["score"], hit["matched_terms"])
                 for hit in want
+            ]
+
+
+class TestStemMemosBounded:
+    """Served requests carry arbitrary words: neither the classify
+    analyzer's stem memo nor the search analyzer's grows past the
+    stemmer's cap.  The cap is read on insert, so a small one here
+    stands for the 50k default."""
+
+    CAP = 64
+
+    def test_novel_word_classifies_and_searches(
+        self, small_snapshot, monkeypatch
+    ):
+        monkeypatch.setattr(PorterStemmer, "DEFAULT_CACHE_SIZE", self.CAP)
+        with make_directory(small_snapshot) as directory:
+            memos = (
+                directory.vectorizer.analyzer._cache,
+                directory._analyzer._cache,
+            )
+            terms = len(VOCABULARY)
+            for index in range(40):
+                raw = page_at(5_000_000 + index, seed=5)
+                words = " ".join(novel_words(5))
+                raw.html = raw.html.replace("</form>", f"{words}</form>", 1)
+                directory.classify(raw)
+                directory.search(" ".join(novel_words(5)), n=5)
+            assert len(VOCABULARY) == terms
+            assert [0 < len(memo) <= self.CAP for memo in memos] == [
+                True, True,
             ]
 
 

@@ -227,7 +227,7 @@ class TestQualityAwareOnCorpus:
         keep = max(8, int(round(len(scored) * 0.75)))
         expected = select_hub_clusters(
             [q.cluster for q in scored[:keep]], 8,
-            backend=NaiveBackend(similarity),
+            similarity=NaiveBackend(similarity),
         )
         selected = select_hub_clusters_quality_aware(
             clusters, 8, benchmark_pages, similarity

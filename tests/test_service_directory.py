@@ -174,7 +174,7 @@ class TestClassifyAgreesWithAdd:
                     organizer.config, page, organizer.centroid_pairs()
                 ), raw.url
                 assert outcome.similarity == \
-                    organizer.backend.pair(page, centroid), raw.url
+                    organizer.similarity(page, centroid), raw.url
                 assert outcome.top_terms == label_terms(centroid)
                 cluster, _ = directory.add(raw)
                 assert cluster == outcome.cluster, raw.url

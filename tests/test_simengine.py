@@ -1,4 +1,4 @@
-"""Tests for the batched similarity engine and its backend.
+"""Tests for the batched similarity engine behind FormPageSimilarity.
 
 The contract under test: every batched shape the engine serves agrees
 with the scalar Equation-3 oracle (:mod:`tests.oracle`) to 1e-12,
@@ -14,10 +14,13 @@ import pytest
 from repro.core.cafc_c import cafc_c, random_seed_centroids
 from repro.core.config import CAFCConfig, ContentMode
 from repro.core.form_page import FormPage, VectorPair
-from repro.core.similarity import EngineBackend, FormPageSimilarity
+from repro.core.pipeline import CAFCPipeline
+from repro.core.similarity import FormPageSimilarity
 from repro.core.simengine import EngineStats, SimilarityEngine
 from repro.vsm.interning import VOCABULARY
 from repro.vsm.vector import SparseVector
+from repro.webgen.config import GeneratorConfig
+from repro.webgen.corpus import generate_benchmark
 from tests.oracle import NaiveBackend, max_abs_diff, oracle_kmeans
 
 TOLERANCE = 1e-12
@@ -36,6 +39,11 @@ def sparse_vocab():
         terms.append(f"simengine-sparse-{i}")
         VOCABULARY.intern(terms[-1])
     return terms
+
+
+@pytest.fixture(scope="module")
+def seed1_raw_pages():
+    return generate_benchmark(config=GeneratorConfig(seed=1)).raw_pages()
 
 
 def random_vector(
@@ -78,13 +86,13 @@ class TestBackendAgreement:
         pages = random_pages(rng, 40)
         config = config_for(mode)
         naive = NaiveBackend.from_config(config)
-        engine = EngineBackend.from_config(config)
+        engine = FormPageSimilarity.from_config(config)
         matrix = engine.pairwise(pages)
         for _ in range(200):
             i = rng.randrange(len(pages))
             j = rng.randrange(len(pages))
-            expected = naive.pair(pages[i], pages[j])
-            assert engine.pair(pages[i], pages[j]) == pytest.approx(
+            expected = naive(pages[i], pages[j])
+            assert engine(pages[i], pages[j]) == pytest.approx(
                 expected, abs=TOLERANCE
             )
             assert matrix[i][j] == pytest.approx(expected, abs=TOLERANCE)
@@ -96,7 +104,7 @@ class TestBackendAgreement:
         for vocab in (VOCAB, sparse_vocab):
             pages = random_pages(rng, 30, vocab)
             reference = NaiveBackend.from_config(config).pairwise(pages)
-            compiled = EngineBackend.from_config(config).pairwise(pages)
+            compiled = FormPageSimilarity.from_config(config).pairwise(pages)
             assert max_abs_diff(reference, compiled) <= TOLERANCE
 
     @pytest.mark.parametrize("mode", list(ContentMode))
@@ -106,7 +114,7 @@ class TestBackendAgreement:
         pages = random_pages(rng, 30)
         config = config_for(mode)
         reference = NaiveBackend.from_config(config).pairwise(pages)
-        compiled = EngineBackend.from_config(config).pairwise(pages)
+        compiled = FormPageSimilarity.from_config(config).pairwise(pages)
         assert isinstance(compiled, np.ndarray)
         assert compiled.shape == (len(pages), len(pages))
         assert max_abs_diff(compiled, compiled.T) <= TOLERANCE
@@ -128,8 +136,8 @@ class TestBackendAgreement:
                     config
                 ).page_centroid_matrix(pages, centroids)
                 terms = len(VOCABULARY)
-                compiled = SimilarityEngine.from_config(
-                    pages, config
+                compiled = SimilarityEngine(
+                    pages, FormPageSimilarity.from_config(config)
                 ).page_centroid_matrix(centroids)
                 assert len(VOCABULARY) == terms  # compiling interns nothing
                 assert max_abs_diff(reference, compiled) <= TOLERANCE
@@ -139,7 +147,7 @@ class TestBackendAgreement:
         pages = random_pages(rng, 20)
         config = CAFCConfig(k=3, page_weight=2.0, form_weight=0.5)
         reference = NaiveBackend.from_config(config).pairwise(pages)
-        compiled = EngineBackend.from_config(config).pairwise(pages)
+        compiled = FormPageSimilarity.from_config(config).pairwise(pages)
         assert max_abs_diff(reference, compiled) <= TOLERANCE
 
 
@@ -150,7 +158,7 @@ class TestEngineShapes:
 
         for vocab in (VOCAB, sparse_vocab):
             pages = random_pages(rng, 12, vocab)
-            engine = SimilarityEngine(pages)
+            engine = SimilarityEngine(pages, FormPageSimilarity())
             assignments = [i % 3 for i in range(len(pages))]
             centroids = engine.to_centroids(assignments, k=3)
             for cluster in range(3):
@@ -183,7 +191,7 @@ class TestEngineShapes:
                 assert engine.centroids == naive.centroids
 
     def test_empty_collection(self):
-        engine = SimilarityEngine([])
+        engine = SimilarityEngine([], FormPageSimilarity())
         assert engine.pairwise().shape == (0, 0)
         seeds = [VectorPair(pc=SparseVector({"a": 1.0}), fc=SparseVector())]
         result = engine.kmeans(seeds)
@@ -192,36 +200,41 @@ class TestEngineShapes:
 
     def test_combined_mode_needs_a_positive_weight(self):
         with pytest.raises(ValueError):
-            SimilarityEngine([], page_weight=0.0, form_weight=0.0)
+            FormPageSimilarity(page_weight=0.0, form_weight=0.0)
 
 
 class TestStats:
     def test_pairwise_counts_comparisons(self):
         rng = random.Random(51)
         pages = random_pages(rng, 10)
-        backend = EngineBackend()
-        backend.pairwise(pages)
-        assert backend.stats.comparisons == 10 * 9 // 2
-
-    def test_engine_reuse_counts_cache_hits(self):
-        rng = random.Random(52)
-        pages = random_pages(rng, 8)
-        backend = EngineBackend()
-        backend.pairwise(pages)
-        assert backend.stats.cache_hits == 0
-        backend.pairwise(pages)
-        assert backend.stats.cache_hits == 1
+        similarity = FormPageSimilarity()
+        similarity.pairwise(pages)
+        assert similarity.stats.comparisons == 10 * 9 // 2
 
     @pytest.mark.parametrize("mode", list(ContentMode))
     def test_n_terms_counts_distinct_compiled_terms(self, mode, sparse_vocab):
         rng = random.Random(55)
         pages = random_pages(rng, 20) + random_pages(rng, 20, sparse_vocab)
-        engine = SimilarityEngine(pages, content_mode=mode)
+        engine = SimilarityEngine(pages, FormPageSimilarity(mode))
         expected = sum(
             len({term for page in pages for term in getattr(page, name)})
             for name in engine.space_names
         )
         assert engine.stats.n_terms == engine.n_terms == expected
+
+    @pytest.mark.parametrize(
+        "algorithm, expected",
+        [("cafc-ch", 13_042), ("cafc-c", 10_896), ("hac", 102_831)],
+    )
+    def test_organize_comparisons_pinned(
+        self, seed1_raw_pages, algorithm, expected
+    ):
+        """What an organize of the seed-1 corpus at k = 8 reports (the
+        count perfbench publishes as ``core.simengine.comparisons``)."""
+        result = CAFCPipeline(CAFCConfig(k=8)).organize(
+            seed1_raw_pages, algorithm
+        )
+        assert result.engine_stats.comparisons == expected
 
     def test_snapshot_is_detached(self):
         stats = EngineStats(comparisons=3)
@@ -238,34 +251,35 @@ class TestStats:
         assert backend.stats.comparisons == 6 + 6 * 5 // 2
 
     def test_backend_tag_is_constant(self):
-        assert EngineBackend().stats.backend == "engine"
-        assert SimilarityEngine([]).stats.as_dict()["backend"] == "engine"
+        assert FormPageSimilarity().stats.backend == "engine"
+        engine = SimilarityEngine([], FormPageSimilarity())
+        assert engine.stats.as_dict()["backend"] == "engine"
 
 
 class TestResolveBackend:
-    """``backend=`` takes an EngineBackend instance or None (built from
-    the config); nothing else is resolved."""
+    """``similarity=`` takes a FormPageSimilarity instance or None (built
+    from the config); nothing else is resolved."""
 
     def test_instance_passthrough(self):
-        """A caller's backend instance is used as-is: its stats see the run."""
+        """A caller's instance is used as-is: its stats see the run."""
         rng = random.Random(54)
         pages = random_pages(rng, 12)
-        backend = EngineBackend()
-        cafc_c(pages, CAFCConfig(k=3), backend=backend)
-        assert backend.stats.comparisons > 0
-        assert backend.stats.n_pages == len(pages)
+        similarity = FormPageSimilarity()
+        cafc_c(pages, CAFCConfig(k=3), similarity=similarity)
+        assert similarity.stats.comparisons > 0
+        assert similarity.stats.n_pages == len(pages)
 
     def test_config_carries_weights_into_backends(self):
         config = CAFCConfig(
             content_mode=ContentMode.FC, page_weight=2.0, form_weight=3.0
         )
-        engine = EngineBackend.from_config(config)
+        engine = FormPageSimilarity.from_config(config)
         assert engine.content_mode is ContentMode.FC
         assert engine.form_weight == 3.0
 
     def test_seeds_positional_similarity_removed(self):
         """``select_hub_clusters`` takes no positional similarity; the
-        oracle backend selects the same seeds as the engine backend."""
+        per-pair oracle selects the same seeds as the engine."""
         from repro.core.hubs import HubCluster
         from repro.core.seeds import select_hub_clusters
 
@@ -282,9 +296,11 @@ class TestResolveBackend:
         with pytest.raises(TypeError):
             select_hub_clusters(clusters, 3, FormPageSimilarity())
         oracle = select_hub_clusters(
-            clusters, 3, backend=NaiveBackend(FormPageSimilarity())
+            clusters, 3, similarity=NaiveBackend(FormPageSimilarity())
         )
-        engine = select_hub_clusters(clusters, 3, backend=EngineBackend())
+        engine = select_hub_clusters(
+            clusters, 3, similarity=FormPageSimilarity()
+        )
         assert [c.hub_url for c in oracle] == [c.hub_url for c in engine]
 
 
@@ -309,15 +325,15 @@ class TestCorpusParity:
         pages = benchmark_pages[:120]
         config = config_for(mode)
         naive = NaiveBackend.from_config(config)
-        engine = EngineBackend.from_config(config)
+        engine = FormPageSimilarity.from_config(config)
         assert max_abs_diff(
             naive.pairwise(pages), engine.pairwise(pages)
         ) <= TOLERANCE
         centroids = [VectorPair.of(page) for page in benchmark_pages[-8:]]
         assert max_abs_diff(
             naive.page_centroid_matrix(benchmark_pages, centroids),
-            SimilarityEngine.from_config(
-                benchmark_pages, config
+            SimilarityEngine(
+                benchmark_pages, FormPageSimilarity.from_config(config)
             ).page_centroid_matrix(centroids),
         ) <= TOLERANCE
 
@@ -327,7 +343,9 @@ class TestCorpusParity:
             config = CAFCConfig(k=8, seed=seed, content_mode=mode)
             seeds = random_seed_centroids(benchmark_pages, 8, random.Random(seed))
             oracle = oracle_kmeans(benchmark_pages, seeds, config)
-            engine = SimilarityEngine.from_config(benchmark_pages, config).kmeans(
+            engine = SimilarityEngine(
+                benchmark_pages, FormPageSimilarity.from_config(config)
+            ).kmeans(
                 seeds,
                 stop_fraction=config.stop_fraction,
                 max_iterations=config.max_iterations,
