@@ -15,7 +15,7 @@ bench-smoke:           ## engine-vs-oracle A/B + micro benches; fails on mismatc
 	pytest benchmarks/test_bench_simengine.py benchmarks/test_bench_micro.py \
 		-q --timeout=300
 
-bench-ingest:          ## ingestion executor/cache A/B; records BENCH_ingest.json
+bench-ingest:          ## ingestion serial vs process pool vs warm cache; records BENCH_ingest.json
 	pytest benchmarks/test_bench_ingest.py -q -s --timeout=600
 
 bench-search:          ## scan-vs-indexed search A/B; records BENCH_search.json

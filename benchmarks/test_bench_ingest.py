@@ -1,12 +1,13 @@
-"""Ingestion benchmark: serial vs pooled vs cached, on the 454-page corpus.
+"""Ingestion benchmark: serial vs process pool vs warm cache, on the
+454-page corpus.
 
 Measures the map phase (parse + tokenize + stem) end to end through
-``FormPageVectorizer.fit_transform`` under every executor the
-:class:`~repro.parallel.config.ParallelConfig` planner offers, plus the
-two cache tiers, and records the table to ``BENCH_ingest.json`` at the
-repo root (the numbers quoted in docs/PERFORMANCE.md).
+``FormPageVectorizer.fit_transform`` serially, on process pools of
+several sizes, and replayed from a warm in-memory analysis cache, and
+records the table to ``BENCH_ingest.json`` at the repo root (the
+numbers quoted in docs/PERFORMANCE.md).
 
-The acceptance claim is the *cached* path: warm-cache ingestion at 4
+The acceptance claim is the *cached* path: a warm memory-cache fit at 4
 workers must be at least 2x faster than a cold serial run.  A second
 gated row pins the one-pass located-text scanner behind
 ``analyze_form_page`` to the DOM route it replaced (``tests/oracle.py``:
@@ -16,7 +17,7 @@ least 1.2x faster per page.
 Process-pool rows are measured and recorded for completeness; on a
 single-core host (``cpu_count`` is in the JSON) a pool cannot beat
 serial — fork and pickle costs are pure overhead there — which is
-exactly why the ``auto`` policy degrades to serial on such machines.
+exactly why ``workers=0`` resolves to serial on such machines.
 """
 
 import json
@@ -81,12 +82,12 @@ def _row(name, seconds, n_pages, stats, mode="batch"):
     }
 
 
-def test_bench_ingest_executors_and_cache(benchmark, raw_pages, tmp_path):
+def test_bench_ingest_executors_and_cache(benchmark, raw_pages):
     n = len(raw_pages)
     rows = []
 
     # Baseline: cold serial, caching off — every page parsed from scratch.
-    serial_cfg = ParallelConfig(workers=1, executor="serial", use_cache=False)
+    serial_cfg = ParallelConfig(workers=1, use_cache=False)
     benchmark.pedantic(
         lambda: FormPageVectorizer(parallel=serial_cfg).fit_transform(raw_pages),
         rounds=1, iterations=1,
@@ -97,9 +98,7 @@ def test_bench_ingest_executors_and_cache(benchmark, raw_pages, tmp_path):
     # Process pools, cold (workers=1 resolves to serial by contract).
     cpus = os.cpu_count() or 1
     for workers in POOL_WORKER_COUNTS:
-        config = ParallelConfig(
-            workers=workers, executor="process", use_cache=False
-        )
+        config = ParallelConfig(workers=workers, use_cache=False)
         seconds, vectorizer = _timed_fit(raw_pages, config)
         row = _row(
             f"process x{workers} cold", seconds, n, vectorizer.ingest_stats
@@ -111,19 +110,10 @@ def test_bench_ingest_executors_and_cache(benchmark, raw_pages, tmp_path):
             )
         rows.append(row)
 
-    # Warm disk cache at 4 workers: a prior run left its analyses on disk;
-    # this run replays them and the planner has nothing left to pool.
-    cache_dir = str(tmp_path / "ingest-cache")
-    disk_cfg = ParallelConfig(workers=4, cache_dir=cache_dir)
-    _timed_fit(raw_pages, disk_cfg)  # priming run, fills the disk cache
-    disk_time, disk_vec = _timed_fit(raw_pages, disk_cfg)
-    assert disk_vec.ingest_stats.pages_analyzed == 0
-    rows.append(_row("warm disk cache x4", disk_time, n, disk_vec.ingest_stats))
-
-    # Warm in-memory cache at 4 workers (the in-process re-fit path).
-    primer = FormPageVectorizer(
-        parallel=ParallelConfig(workers=4), analysis_cache_size=n
-    )
+    # Warm in-memory cache at 4 workers (the in-process re-fit path): a
+    # prior fit left its analyses in the cache; this run replays them and
+    # has nothing left to pool.
+    primer = FormPageVectorizer(parallel=ParallelConfig(workers=4))
     primer.fit_transform(raw_pages)
     memory_time, memory_vec = _timed_fit(
         raw_pages, ParallelConfig(workers=4), prime=primer._analysis_cache
@@ -151,7 +141,7 @@ def test_bench_ingest_executors_and_cache(benchmark, raw_pages, tmp_path):
     stream_row["reweights"] = ingestor.stats.reweights
     rows.append(stream_row)
 
-    cached_speedup = serial_time / disk_time
+    cached_speedup = serial_time / memory_time
     print(f"\n[{n} pages, {os.cpu_count()} cpu(s)]")
     for row in rows:
         print(
@@ -172,8 +162,8 @@ def test_bench_ingest_executors_and_cache(benchmark, raw_pages, tmp_path):
         "note": (
             "Pool rows are cold-start measurements; on a host without "
             "spare cores a process pool cannot beat serial (the auto "
-            "policy then stays serial).  The >=2x acceptance claim is "
-            "the warm analysis cache."
+            "plan then stays serial).  The >=2x acceptance claim is "
+            "the warm in-memory analysis cache."
         ),
     }, indent=2) + "\n")
 

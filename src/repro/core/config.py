@@ -22,14 +22,6 @@ class ContentMode(enum.Enum):
     PC = "pc"            # page contents only
     FC_PC = "fc+pc"      # both, combined per Equation 3
 
-    @property
-    def uses_fc(self) -> bool:
-        return self in (ContentMode.FC, ContentMode.FC_PC)
-
-    @property
-    def uses_pc(self) -> bool:
-        return self in (ContentMode.PC, ContentMode.FC_PC)
-
 
 def check_weights(page_weight: float, form_weight: float) -> None:
     """Equation 3's rule for C1 / C2: both non-negative, one positive.
@@ -87,8 +79,7 @@ class CAFCConfig:
         and validator of :mod:`repro.options`; the error names the
         offending field.
     parallel:
-        Ingestion execution plan (workers, chunk size, executor, and
-        the analysis cache) — see
+        Ingestion execution plan (workers and the analysis cache) — see
         :class:`~repro.parallel.config.ParallelConfig` and
         docs/INGESTION.md.  Parallel output is bit-identical to serial.
     resilience:

@@ -102,11 +102,6 @@ class FormPageSimilarity:
             cosine_similarity(a.fc, b.fc) if self._fc else 0.0,
         )
 
-    def distance(self, a: HasVectorPair, b: HasVectorPair) -> float:
-        """1 - similarity; used where the paper speaks of distance
-        (Algorithm 3 picks the most *distant* hub clusters)."""
-        return 1.0 - self(a, b)
-
     def pairwise(self, items: Sequence[HasVectorPair]) -> np.ndarray:
         """Full symmetric similarity matrix over ``items``, from one
         compiled :class:`~repro.core.simengine.SimilarityEngine`."""

@@ -22,9 +22,10 @@ the full collection before any vector exists: call
 
 Steps 1-2 (the CPU-heavy map phase) run through
 :mod:`repro.parallel.ingest` under the vectorizer's
-:class:`~repro.parallel.config.ParallelConfig` — serial, threaded, or on
-a process pool — and per-page analyses are memoized by content hash, so
-re-runs and the service's retry path skip re-parsing unchanged pages.
+:class:`~repro.parallel.config.ParallelConfig` — serially or on a
+process pool — and per-page analyses are memoized in memory by content
+hash, so re-fits and the service's retry path skip re-parsing unchanged
+pages.
 Parallel and cached output is bit-identical to serial output (see
 docs/INGESTION.md for the determinism contract).
 """
@@ -33,12 +34,7 @@ import threading
 from typing import List, Optional, Sequence
 
 from repro.core.form_page import FormPage, RawFormPage
-from repro.parallel.cache import (
-    AnalysisCache,
-    DiskAnalysisCache,
-    analyzer_fingerprint,
-    page_analysis_key,
-)
+from repro.parallel.cache import AnalysisCache, page_analysis_key
 from repro.parallel.config import ParallelConfig
 from repro.parallel.ingest import (
     IngestError,
@@ -75,7 +71,6 @@ class FormPageVectorizer:
         analyzer: Optional[TextAnalyzer] = None,
         max_backlinks: int = 100,
         parallel: Optional[ParallelConfig] = None,
-        analysis_cache_size: int = 4096,
         scheme: SchemeSpec = None,
     ) -> None:
         self.location_weights = location_weights or LocationWeights()
@@ -94,14 +89,7 @@ class FormPageVectorizer:
         # Per-page analysis memo (content-hash keyed): fit_transform
         # fills it, transform_new reuses it — the service /classify
         # retry path re-analyzes nothing.
-        self._analysis_cache = AnalysisCache(
-            analysis_cache_size if self.parallel.use_cache else 0
-        )
-        self._disk_cache: Optional[DiskAnalysisCache] = (
-            DiskAnalysisCache(self.parallel.cache_dir)
-            if self.parallel.use_cache and self.parallel.cache_dir
-            else None
-        )
+        self._analysis_cache = AnalysisCache()
         self.ingest_stats = IngestStats()
         # transform_new runs concurrently on the HTTP server's worker
         # pool; the analysis cache locks itself, this lock keeps
@@ -130,21 +118,13 @@ class FormPageVectorizer:
         """Analyze one page, reusing any cached analysis for its content."""
         key = None
         if self.parallel.use_cache:
-            key = page_analysis_key(raw, analyzer_fingerprint(self.analyzer))
+            key = page_analysis_key(raw)
             hit = self._analysis_cache.get(key)
             if hit is not None:
                 with self._stats_lock:
                     self.ingest_stats.pages_total += 1
-                    self.ingest_stats.memory_cache_hits += 1
+                    self.ingest_stats.cache_hits += 1
                 return hit
-            if self._disk_cache is not None:
-                hit = self._disk_cache.get(key)
-                if hit is not None:
-                    self._analysis_cache.put(key, hit)
-                    with self._stats_lock:
-                        self.ingest_stats.pages_total += 1
-                        self.ingest_stats.disk_cache_hits += 1
-                    return hit
         try:
             analysis = analyze_form_page(raw, self.analyzer)
         except Exception as exc:
@@ -154,8 +134,6 @@ class FormPageVectorizer:
             self.ingest_stats.pages_analyzed += 1
         if key is not None:
             self._analysis_cache.put(key, analysis)
-            if self._disk_cache is not None:
-                self._disk_cache.put(key, analysis)
         return analysis
 
     # ----------------------------------------------------------------
@@ -169,15 +147,14 @@ class FormPageVectorizer:
         vectorizer's :class:`ParallelConfig`; the document-frequency
         merge happens here, in the parent, in page order — the exact
         call sequence of the serial path — so vocabulary order, DF
-        counts, and every float weight are identical whatever executor
-        analyzed the pages.
+        counts, and every float weight are identical whether a pool or
+        the cache produced the analyses.
         """
         analyzed = analyze_pages(
             raw_pages,
             self.analyzer,
             config=self.parallel,
-            memory_cache=self._analysis_cache if self.parallel.use_cache else None,
-            disk_cache=self._disk_cache,
+            memory_cache=self._analysis_cache,
             stats=self.ingest_stats,
         )
 

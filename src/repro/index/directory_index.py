@@ -23,12 +23,13 @@ them (:meth:`top_clusters` / :meth:`top_pages`).  Every mutation the
 owning directory performs calls :meth:`sync_clusters` /
 :meth:`page_upsert` / :meth:`page_remove` under the directory's write
 lock and then stamps :attr:`generation` with the directory's new
-generation.  Read paths compare stamps; on a mismatch (a mutation path
-that forgot to sync) they fall back to a full scan of the live
-organizer instead of serving stale rows.
+generation, so the rows are current whenever a reader holds the read
+lock; the stamp is reported in ``/healthz`` and pinned to the
+directory's generation by ``tests/test_index.py``.
 
 Parity: cached combined vectors are built by the same
-``centroid.pc.add(centroid.fc)`` call a from-scratch scan uses, so
+``centroid.pc.add(centroid.fc)`` call a from-scratch scan uses
+(``tests/oracle.py``'s ``scan_clusters`` / ``scan_pages``), so
 their term dicts (and hence dot-product iteration order) are identical
 — indexed and from-scratch scoring produce the same floats.  Queries
 arrive as :class:`~repro.vsm.vector.KeywordQuery` objects, which never

@@ -14,15 +14,11 @@ The non-negotiable invariant: parallel output is **bit-identical** to
 serial output — same vocabulary order, same DF counts, same float
 weights (pinned by ``tests/test_parallel_ingest.py`` over the full
 benchmark corpus).  See docs/INGESTION.md for the determinism contract
-and executor-selection guidance.
+and the serial / process-pool plan.
 """
 
-from repro.parallel.cache import (
-    AnalysisCache,
-    DiskAnalysisCache,
-    page_analysis_key,
-)
-from repro.parallel.config import ParallelConfig, ResolvedPlan
+from repro.parallel.cache import AnalysisCache, page_analysis_key
+from repro.parallel.config import ParallelConfig
 from repro.parallel.ingest import (
     IngestError,
     IngestStats,
@@ -34,12 +30,10 @@ from repro.parallel.ingest import (
 
 __all__ = [
     "AnalysisCache",
-    "DiskAnalysisCache",
     "IngestError",
     "IngestStats",
     "PageAnalysis",
     "ParallelConfig",
-    "ResolvedPlan",
     "analyze_form_page",
     "analyze_pages",
     "page_analysis_key",

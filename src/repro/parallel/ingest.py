@@ -1,10 +1,10 @@
 """The map phase of parallel ingestion: raw HTML -> located-term analyses.
 
 :func:`analyze_form_page` is the single source of truth for per-page
-text analysis — the vectorizer's serial path, the thread and process
-workers, and the disk cache all produce or replay exactly this
-function's output, which is what makes the parallel path bit-identical
-to the serial one:
+text analysis — the vectorizer's serial path, the process-pool workers
+and the analysis cache all produce or replay exactly this function's
+output, which is what makes the parallel path bit-identical to the
+serial one:
 
 * term lists keep original document order (so LOC-weighted TF counters
   accumulate in the same order);
@@ -12,7 +12,7 @@ to the serial one:
   the same ``CorpusStats.add_document`` call the serial path uses (so
   vocabulary insertion order and DF counts match exactly);
 * stemming and tokenization are pure functions, so *where* they run
-  (worker process, thread, parent) cannot change their output.
+  (worker process or parent) cannot change their output.
 
 Failures inside a worker surface as a typed :class:`IngestError` naming
 the page URL; ``KeyboardInterrupt`` shuts the pool down and propagates.
@@ -25,13 +25,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.form_page import LocatedTerm, RawFormPage
 from repro.html.text_extract import TextLocation, scan_page
-from repro.parallel.cache import (
-    AnalysisCache,
-    DiskAnalysisCache,
-    analyzer_fingerprint,
-    page_analysis_key,
-)
-from repro.parallel.config import ParallelConfig, ResolvedPlan
+from repro.parallel.cache import AnalysisCache, page_analysis_key
+from repro.parallel.config import ParallelConfig
 from repro.text.analyzer import TextAnalyzer
 
 T = TypeVar("T")
@@ -50,7 +45,7 @@ class IngestError(RuntimeError):
 @dataclass
 class PageAnalysis:
     """The map-phase output for one page — everything downstream of
-    parsing that vector building needs.  Picklable and JSON-exact."""
+    parsing that vector building needs.  Picklable."""
 
     pc_terms: List[LocatedTerm]
     fc_terms: List[LocatedTerm]
@@ -64,17 +59,11 @@ class IngestStats:
 
     pages_total: int = 0        # pages requested through analyze_pages
     pages_analyzed: int = 0     # actually parsed (cache misses)
-    memory_cache_hits: int = 0
-    disk_cache_hits: int = 0
+    cache_hits: int = 0
     map_seconds: float = 0.0    # wall time of the map phase
     runs: int = 0
-    executor: str = "serial"    # plan of the most recent run
+    executor: str = "serial"    # "serial" | "process", most recent run
     workers: int = 1
-    chunk_size: int = 0
-
-    @property
-    def cache_hits(self) -> int:
-        return self.memory_cache_hits + self.disk_cache_hits
 
     def describe(self) -> str:
         return (
@@ -87,13 +76,11 @@ class IngestStats:
         return {
             "pages_total": self.pages_total,
             "pages_analyzed": self.pages_analyzed,
-            "memory_cache_hits": self.memory_cache_hits,
-            "disk_cache_hits": self.disk_cache_hits,
+            "cache_hits": self.cache_hits,
             "map_seconds": self.map_seconds,
             "runs": self.runs,
             "executor": self.executor,
             "workers": self.workers,
-            "chunk_size": self.chunk_size,
         }
 
 
@@ -129,7 +116,7 @@ def analyze_form_page(raw: RawFormPage, analyzer: TextAnalyzer) -> PageAnalysis:
 
 
 # ----------------------------------------------------------------------
-# Worker protocol.  Process workers get the analyzer once via the pool
+# Worker protocol.  Workers get the analyzer once via the pool
 # initializer (one pickle per worker, not per chunk); each worker keeps
 # its own stem cache warm across chunks.  Per-page exceptions become
 # ('err', ...) markers so the parent can raise a typed IngestError;
@@ -169,31 +156,26 @@ def _chunked(items: Sequence[T], size: int) -> List[Sequence[T]]:
 
 
 def _run_pool(
-    plan: ResolvedPlan,
+    workers: int,
     analyzer: TextAnalyzer,
     pending: List[_ChunkItem],
 ) -> List[_ChunkResult]:
-    """Run the map phase on a thread or process pool.
+    """Run the map phase on a process pool.
 
     The pool is always shut down — including on ``KeyboardInterrupt``,
     where queued chunks are cancelled before the interrupt propagates.
     """
-    chunks = _chunked(pending, plan.chunk_size)
-    if plan.kind == "process":
-        executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=plan.workers,
-            initializer=_init_worker,
-            initargs=(analyzer,),
-        )
-        run_chunk: Callable = _analyze_chunk
-    else:
-        executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=plan.workers, thread_name_prefix="repro-ingest"
-        )
-        run_chunk = lambda chunk: _analyze_chunk_with(analyzer, chunk)  # noqa: E731
+    # ~4 chunks per worker (load balancing), capped so pickled payloads
+    # stay small.
+    pages_per_chunk = max(1, min(32, -(-len(pending) // (workers * 4))))
+    executor = concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(analyzer,)
+    )
     results: List[_ChunkResult] = []
     try:
-        for chunk_out in executor.map(run_chunk, chunks):
+        for chunk_out in executor.map(
+            _analyze_chunk, _chunked(pending, pages_per_chunk)
+        ):
             results.extend(chunk_out)
     except KeyboardInterrupt:
         executor.shutdown(wait=False, cancel_futures=True)
@@ -207,15 +189,14 @@ def analyze_pages(
     analyzer: TextAnalyzer,
     config: Optional[ParallelConfig] = None,
     memory_cache: Optional[AnalysisCache] = None,
-    disk_cache: Optional[DiskAnalysisCache] = None,
     stats: Optional[IngestStats] = None,
 ) -> List[PageAnalysis]:
     """The map phase over a collection, in input order.
 
-    Cached analyses (memory first, then disk) are reused when
-    ``config.use_cache`` allows; only the misses go to the executor the
-    resolved plan picked.  The returned list is index-aligned with
-    ``raw_pages`` regardless of executor or completion order.
+    Analyses in ``memory_cache`` are reused when ``config.use_cache``
+    allows; only the misses are analyzed, serially or on a process pool
+    as :meth:`ParallelConfig.pool_size` decides.  The returned list is
+    index-aligned with ``raw_pages`` regardless of completion order.
     """
     config = config or ParallelConfig()
     stats = stats if stats is not None else IngestStats()
@@ -225,55 +206,39 @@ def analyze_pages(
     keys: List[Optional[str]] = [None] * n
 
     pending: List[_ChunkItem] = []
-    caching = config.use_cache and (
-        memory_cache is not None or disk_cache is not None
-    )
+    caching = config.use_cache and memory_cache is not None
     if caching:
-        fingerprint = analyzer_fingerprint(analyzer)
         for index, raw in enumerate(raw_pages):
-            key = page_analysis_key(raw, fingerprint)
+            key = page_analysis_key(raw)
             keys[index] = key
-            hit = memory_cache.get(key) if memory_cache is not None else None
+            hit = memory_cache.get(key)
             if hit is not None:
                 results[index] = hit
-                stats.memory_cache_hits += 1
-                continue
-            if disk_cache is not None:
-                hit = disk_cache.get(key)
-                if hit is not None:
-                    results[index] = hit
-                    stats.disk_cache_hits += 1
-                    if memory_cache is not None:
-                        memory_cache.put(key, hit)
-                    continue
-            pending.append((index, raw))
+                stats.cache_hits += 1
+            else:
+                pending.append((index, raw))
     else:
         pending = list(enumerate(raw_pages))
 
-    plan = config.resolve(len(pending))
-    if plan.is_serial:
+    workers = config.pool_size(len(pending))
+    if workers == 1:
         mapped: List[_ChunkResult] = _analyze_chunk_with(analyzer, pending)
     else:
-        mapped = _run_pool(plan, analyzer, pending)
+        mapped = _run_pool(workers, analyzer, pending)
 
     for status, index, payload, url in mapped:
         if status == "err":
             raise IngestError(str(url), str(payload))
-        analysis = payload
-        results[index] = analysis
+        results[index] = payload
         stats.pages_analyzed += 1
-        if caching and keys[index] is not None:
-            if memory_cache is not None:
-                memory_cache.put(keys[index], analysis)
-            if disk_cache is not None:
-                disk_cache.put(keys[index], analysis)
+        if caching:
+            memory_cache.put(keys[index], payload)
 
     stats.pages_total += n
     stats.map_seconds += time.perf_counter() - started
     stats.runs += 1
-    stats.executor = plan.kind
-    stats.workers = plan.workers
-    stats.chunk_size = plan.chunk_size
+    stats.executor = "serial" if workers == 1 else "process"
+    stats.workers = workers
     return results  # type: ignore[return-value]  # every slot is filled
 
 
@@ -282,20 +247,20 @@ def parallel_map(
     items: Sequence[T],
     config: Optional[ParallelConfig] = None,
 ) -> List[R]:
-    """Order-preserving map under a :class:`ParallelConfig` plan.
+    """Order-preserving map on a thread pool of
+    :meth:`ParallelConfig.pool_size` workers.
 
     A generic helper for call sites outside the vectorizer (e.g. webgen
-    backlink harvesting).  Only the thread executor is offered for
-    arbitrary callables — closures over graphs and engines rarely
-    pickle — so a ``process`` plan degrades to threads here.  Serial
-    plans call ``fn`` inline.
+    backlink harvesting).  Arbitrary callables run on threads — closures
+    over graphs and engines rarely pickle.  A pool size of 1 calls
+    ``fn`` inline.
     """
     config = config or ParallelConfig()
-    plan = config.resolve(len(items))
-    if plan.is_serial:
+    workers = config.pool_size(len(items))
+    if workers == 1:
         return [fn(item) for item in items]
     executor = concurrent.futures.ThreadPoolExecutor(
-        max_workers=plan.workers, thread_name_prefix="repro-pmap"
+        max_workers=workers, thread_name_prefix="repro-pmap"
     )
     try:
         return list(executor.map(fn, items))

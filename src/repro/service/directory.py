@@ -541,10 +541,10 @@ class FormDirectory:
             "ingest_map_seconds_total", "Time in the analysis map phase"
         ).set_function(lambda: ingest.map_seconds)
         # One child per executor kind, resolved at scrape time: the live
-        # executor reports its pool size, the others read 0.  (Binding
+        # executor reports its pool size, the other reads 0.  (Binding
         # ingest.executor as the label here would freeze whatever the
         # executor was at registration.)
-        for kind in ("serial", "thread", "process"):
+        for kind in ("serial", "process"):
             m.gauge(
                 "ingest_workers",
                 "Pool size of the most recent ingest run, labeled by executor",
@@ -828,14 +828,14 @@ class FormDirectory:
             index, self.organizer.clusters[index].centroid
         )
 
-    def _observe_search(self, scope: str, path: str, started: float) -> None:
+    def _observe_search(self, scope: str, started: float) -> None:
         self.metrics.histogram(
             "search_seconds", "Search latency",
             scope=scope, scheme=self.scheme_name,
         ).observe(time.perf_counter() - started)
         self.metrics.counter(
             "search_requests_total", "Search requests served",
-            scope=scope, path=path, scheme=self.scheme_name,
+            scope=scope, scheme=self.scheme_name,
         ).inc()
 
     def _cluster_hit(
@@ -866,29 +866,13 @@ class FormDirectory:
             return []
         started = time.perf_counter()
         with self._rw.read_locked():
-            if self._index.generation == self._generation:
-                path = "indexed"
-                hits = [
-                    self._cluster_hit(
-                        index, score,
-                        self._index.cluster_combined(index), keywords,
-                    )
-                    for index, score in self._index.top_clusters(keywords, n)
-                ]
-            else:  # a mutation path forgot to sync; stay correct
-                path = "scan"
-                hits = []
-                for index, cluster in enumerate(self.organizer.clusters):
-                    combined = cluster.centroid.pc.add(cluster.centroid.fc)
-                    score = keywords.cosine(combined)
-                    if score <= 0.0:
-                        continue
-                    hits.append(
-                        self._cluster_hit(index, score, combined, keywords)
-                    )
-                hits.sort(key=lambda hit: (-hit["score"], hit["cluster"]))
-                hits = hits[:n]
-        self._observe_search("clusters", path, started)
+            hits = [
+                self._cluster_hit(
+                    index, score, self._index.cluster_combined(index), keywords
+                )
+                for index, score in self._index.top_clusters(keywords, n)
+            ]
+        self._observe_search("clusters", started)
         return hits
 
     def search_pages(self, query: str, n: int = 3) -> List[Dict[str, object]]:
@@ -903,35 +887,19 @@ class FormDirectory:
         if not keywords:
             return []
         started = time.perf_counter()
+        hits = []
         with self._rw.read_locked():
-            if self._index.generation == self._generation:
-                path = "indexed"
-                scored = [
-                    (self._index.page_url(row), score,
-                     self._index.page_vector(row))
-                    for row, score in self._index.top_pages(keywords, n)
-                ]
-            else:  # a mutation path forgot to sync; stay correct
-                path = "scan"
-                scored = []
-                for cluster in self.organizer.clusters:
-                    for page in cluster.pages:
-                        combined = page.pc.add(page.fc)
-                        score = keywords.cosine(combined)
-                        if score > 0.0:
-                            scored.append((page.url, score, combined))
-                scored.sort(key=lambda hit: (-hit[1], hit[0]))
-                scored = scored[:n]
-            hits = [
-                {
+            for row, score in self._index.top_pages(keywords, n):
+                url = self._index.page_url(row)
+                hits.append({
                     "url": url,
                     "cluster": self.organizer.cluster_of(url),
                     "score": score,
-                    "matched_terms": keywords.matched_terms(combined),
-                }
-                for url, score, combined in scored
-            ]
-        self._observe_search("pages", path, started)
+                    "matched_terms": keywords.matched_terms(
+                        self._index.page_vector(row)
+                    ),
+                })
+        self._observe_search("pages", started)
         return hits
 
     def clusters_summary(self, max_urls: int = 5) -> List[Dict[str, object]]:

@@ -23,7 +23,10 @@ class TextAnalyzer:
         The stopword set to filter against.  Pass an empty set to disable
         stopword removal (used in ablation tests).
     stemmer:
-        The stemmer to apply.  Pass None to disable stemming.
+        The stemmer to apply (default: a :class:`PorterStemmer`).  The
+        analyzer memoizes stems itself and calls the stemmer's
+        :meth:`~PorterStemmer.stem_uncached` on a miss, so the stemmer's
+        own memo stays empty.
     """
 
     def __init__(
@@ -33,16 +36,16 @@ class TextAnalyzer:
     ) -> None:
         self.stopwords = STOPWORDS if stopwords is None else stopwords
         self.stemmer = PorterStemmer() if stemmer is None else stemmer
-        # Stem cache: web corpora repeat terms heavily, and the stemmer is
-        # pure, so memoization is safe and makes vectorization ~5x faster.
-        # Bounded like the stemmer's own memo: served requests carry
-        # arbitrary words.
+        # Stem memo (the only one: see ``stemmer``): web corpora repeat
+        # terms heavily, and the stemmer is pure, so memoization is safe
+        # and makes vectorization ~5x faster.  Bounded like the
+        # stemmer's own memo: served requests carry arbitrary words.
         self._cache: Dict[str, str] = {}
 
     def _stem(self, token: str) -> str:
         cached = self._cache.get(token)
         if cached is None:
-            cached = self.stemmer.stem(token) if self.stemmer else token
+            cached = self.stemmer.stem_uncached(token)
             memo_put(
                 self._cache, token, cached, PorterStemmer.DEFAULT_CACHE_SIZE
             )

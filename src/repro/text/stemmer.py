@@ -21,7 +21,7 @@ def memo_put(cache: dict, key: str, value: str, cap: int) -> None:
 
     Insertion order is all ``dict`` gives cheaply, and any bounded policy
     works for a pure function.  The memo may be shared across threads
-    (thread-executor ingestion, concurrent service requests).  Single
+    (concurrent service requests).  Single
     dict ops are atomic under the GIL, but another thread can evict
     between ``iter()`` and ``pop()`` — the collision is tolerated rather
     than locked against, which would cost every call and break
@@ -287,11 +287,15 @@ class PorterStemmer:
             self.cache_hits += 1
             return cached
         self.cache_misses += 1
-        stemmed = self._stem_uncached(word)
+        stemmed = self.stem_uncached(word)
         memo_put(self._cache, word, stemmed, self.cache_size)
         return stemmed
 
-    def _stem_uncached(self, word: str) -> str:
+    def stem_uncached(self, word: str) -> str:
+        """The Porter stem of ``word``, bypassing the memo (for callers
+        that keep their own, like :class:`~repro.text.analyzer.TextAnalyzer`)."""
+        if len(word) <= 2:
+            return word
         word = self._step1a(word)
         word = self._step1b(word)
         word = self._step1c(word)

@@ -61,7 +61,7 @@ class TestTextAnalyzer:
 
     def test_disabled_stemming(self):
         class IdentityStemmer(PorterStemmer):
-            def stem(self, word):
+            def stem_uncached(self, word):
                 return word
 
         analyzer = TextAnalyzer(stemmer=IdentityStemmer())
@@ -90,6 +90,20 @@ class TestTextAnalyzer:
         assert analyzer.analyze(text) == expected
         assert analyzer.analyze(text) == expected
         assert len(analyzer._cache) == 8
+
+    def test_one_stem_memo_per_analyzer(self):
+        """On a miss the analyzer runs the stemmer's algorithm directly,
+        so its own memo is the only one that fills."""
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        words = [
+            f"novel{letters[i // 676]}{letters[i // 26 % 26]}{letters[i % 26]}ings"
+            for i in range(3000)
+        ]
+        expected = [PorterStemmer().stem(word) for word in words]
+        analyzer = TextAnalyzer()
+        assert analyzer.analyze(" ".join(words)) == expected
+        assert analyzer.stemmer._cache == {}
+        assert len(analyzer._cache) == 3000
 
     def test_shared_memo_under_threads(self, monkeypatch):
         """Threads sharing one analyzer evict without a lock: no error,

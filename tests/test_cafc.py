@@ -162,9 +162,9 @@ class TestConfigValidation:
             CAFCConfig(min_hub_cardinality=0)
 
     def test_content_mode_flags(self):
-        assert ContentMode.FC.uses_fc and not ContentMode.FC.uses_pc
-        assert ContentMode.PC.uses_pc and not ContentMode.PC.uses_fc
-        assert ContentMode.FC_PC.uses_fc and ContentMode.FC_PC.uses_pc
+        assert FormPageSimilarity(ContentMode.FC).spaces == ("fc",)
+        assert FormPageSimilarity(ContentMode.PC).spaces == ("pc",)
+        assert FormPageSimilarity(ContentMode.FC_PC).spaces == ("pc", "fc")
 
 
 class TestOnSmallBenchmark:

@@ -138,9 +138,10 @@ class TestChaosPipeline:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
+            # 64 sites: at or above MIN_AUTO_PARALLEL_PAGES, so four
+            # workers harvest on threads.
             threaded = [
-                harvest(ParallelConfig(workers=4, executor="thread"))
-                for _ in range(3)
+                harvest(ParallelConfig(workers=4)) for _ in range(3)
             ]
         finally:
             sys.setswitchinterval(interval)

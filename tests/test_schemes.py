@@ -182,9 +182,10 @@ class TestParallelParity:
         serial = FormPageVectorizer(
             scheme=scheme, parallel=ParallelConfig(workers=1)
         ).fit_transform(small_raw_pages)
+        # 64 pages: at or above MIN_AUTO_PARALLEL_PAGES, so two workers
+        # map on a process pool.
         pooled = FormPageVectorizer(
-            scheme=scheme,
-            parallel=ParallelConfig(workers=4, executor="thread"),
+            scheme=scheme, parallel=ParallelConfig(workers=2)
         ).fit_transform(small_raw_pages)
         for a, b in zip(serial, pooled):
             assert a.url == b.url

@@ -60,9 +60,9 @@ class TestCombinedSimilarity:
         similarity = FormPageSimilarity()
         a = page(pc={"x": 1.0}, fc={"y": 1.0})
         b = page(pc={"x": 1.0}, fc={"y": 1.0})
-        assert similarity.distance(a, b) == pytest.approx(0.0)
+        assert 1.0 - similarity(a, b) == pytest.approx(0.0)
         c = page(pc={"q": 1.0}, fc={"r": 1.0})
-        assert similarity.distance(a, c) == pytest.approx(1.0)
+        assert 1.0 - similarity(a, c) == pytest.approx(1.0)
 
     def test_works_on_vector_pairs(self):
         similarity = FormPageSimilarity()
