@@ -8,6 +8,13 @@ Three claims, all on the paper-scale corpus (and a 4x-scaled one):
 * CAFC-C and CAFC-CH produce *identical* cluster assignments (and hence
   identical entropy / F-measure) to the oracle's generic k-means.
 
+A fourth row records Section 5's classify scan: the compiled centroid
+block behind ``FormPageSimilarity.best`` against the scalar per-pair
+scan, µs per page and block bytes at k = 8, 32 and 128, on the paper
+corpus and on a 10k-page ``repro.webgen.stream`` corpus.  ``best`` must
+return the scalar scan's exact ``(index, float)`` on every probe before
+anything is timed.
+
 Timings use best-of-N on both sides: single-shot wall clocks on a busy
 machine swing by tens of percent, and the minimum over a few runs is the
 standard way to estimate the code's actual cost.
@@ -15,24 +22,30 @@ standard way to estimate the code's actual cost.
 
 import random
 import time
+from collections import defaultdict
 
 import pytest
 
 from repro.core.cafc_c import cafc_c, random_seed_centroids
 from repro.core.cafc_ch import cafc_ch
 from repro.core.config import CAFCConfig
+from repro.core.form_page import centroid_of
 from repro.core.seeds import select_hub_clusters
-from repro.core.similarity import FormPageSimilarity
+from repro.core.similarity import CentroidBlock, FormPageSimilarity
 from repro.core.vectorizer import FormPageVectorizer
 from repro.eval.entropy import total_entropy
 from repro.eval.fmeasure import overall_f_measure
 from repro.webgen.config import GeneratorConfig
 from repro.webgen.corpus import generate_benchmark
-from tests.oracle import NaiveBackend, max_abs_diff, oracle_kmeans
+from repro.webgen.stream import page_at, stream_pages
+from tests.oracle import NaiveBackend, max_abs_diff, naive_argmax, oracle_kmeans
 
 TOLERANCE = 1e-12
 REQUIRED_SPEEDUP = 3.0
 TIMING_ROUNDS = 3
+SCAN_KS = (8, 32, 128)
+SCAN_PROBES = 200
+LAYOUT_PAGES = 10_000
 
 
 def best_of(fn, rounds: int = TIMING_ROUNDS) -> float:
@@ -172,3 +185,79 @@ def test_bench_clustering_parity_across_backends(benchmark, context):
         f"\nCAFC-CH entropy {total_entropy(engine_ch.clustering, gold):.3f}  "
         f"F {overall_f_measure(engine_ch.clustering, gold):.3f} (engine = oracle)"
     )
+
+
+def domain_centroids(pages, k):
+    """k centroids: each gold domain's pages split round-robin into
+    ``k / 8`` groups (a stand-in for a clustering with k clusters)."""
+    by_domain = defaultdict(list)
+    for page in pages:
+        by_domain[page.label].append(page)
+    per_domain = max(1, k // len(by_domain))
+    groups = [
+        members[i::per_domain]
+        for _, members in sorted(by_domain.items())
+        for i in range(per_domain)
+    ]
+    return [centroid_of(group) for group in groups if group][:k]
+
+
+def scan_row(label, probes, centroids):
+    """Classify-scan timings for one centroid set; parity first."""
+    config = CAFCConfig()
+    similarity = FormPageSimilarity.from_config(config)
+    want = [naive_argmax(config, page, centroids) for page in probes]
+    got = [similarity.best(page, centroids) for page in probes]
+    assert got == want, "compiled scan disagrees with the scalar scan"
+
+    scalar_s = best_of(
+        lambda: [naive_argmax(config, page, centroids) for page in probes]
+    )
+    kernel_s = best_of(
+        lambda: [similarity.best(page, centroids) for page in probes]
+    )
+    compile_s = best_of(
+        lambda: CentroidBlock.of(None, centroids, similarity.spaces)
+    )
+    block = similarity._block
+    nnz = sum(len(c.pc) + len(c.fc) for c in centroids)
+    scalar_us = scalar_s / len(probes) * 1e6
+    kernel_us = kernel_s / len(probes) * 1e6
+    print(
+        f"\n[{label} k={len(centroids)}] scalar {scalar_us:7.1f} us/page  "
+        f"kernel+rescore {kernel_us:6.1f} us/page  "
+        f"({scalar_us / kernel_us:5.1f}x)  "
+        f"dense block {block.nbytes / 1e6:6.2f} MB "
+        f"(CSR of the same {nnz} weights: ~{nnz * 12 / 1e6:.2f} MB)  "
+        f"compile {compile_s * 1e3:.1f} ms"
+    )
+
+
+def test_bench_classify_scan(benchmark, context):
+    """Section 5's scan on the 454-page corpus: exact, then timed."""
+    pages = context.pages
+    vectorizer = FormPageVectorizer()
+    vectorizer.fit_transform(context.raw_pages)
+    probes = [
+        vectorizer.transform_new(page_at(2_000_000 + i, seed=42))
+        for i in range(SCAN_PROBES)
+    ]
+    benchmark.pedantic(
+        lambda: [
+            scan_row(f"{len(pages)} pages", probes, domain_centroids(pages, k))
+            for k in SCAN_KS
+        ],
+        rounds=1, iterations=1,
+    )
+
+
+def test_bench_classify_scan_layout_10k():
+    """The dense block's cost at k=128 on a 10k-page streamed corpus,
+    the scale the block layout was chosen at."""
+    vectorizer = FormPageVectorizer()
+    pages = vectorizer.fit_transform(list(stream_pages(LAYOUT_PAGES, seed=42)))
+    probes = [
+        vectorizer.transform_new(raw)
+        for raw in stream_pages(SCAN_PROBES, seed=42, start=500_000)
+    ]
+    scan_row(f"{len(pages)} pages", probes, domain_centroids(pages, 128))

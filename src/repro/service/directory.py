@@ -8,8 +8,9 @@ use:
   score in parallel while add/remove/recluster take exclusive access;
 * **one read path per request**: classify scores inline under one read
   lock with Section 5's argmax of Equation 3 over the k centroids (the
-  same scalar scan :meth:`~FormDirectory.add` assigns by, so the two
-  agree to the last bit), and search ranks through the
+  same ``FormPageSimilarity.best`` call :meth:`~FormDirectory.add`
+  assigns by, so the two agree to the last bit), and search ranks
+  through the
   :class:`~repro.index.directory_index.DirectoryIndex` posting lists;
 * an **LRU result cache** keyed by content hash short-circuits repeat
   classifications of the same page; entries are validated against a
