@@ -35,9 +35,11 @@ class ParallelConfig:
     Attributes
     ----------
     workers:
-        Pool size; ``0`` means "one per usable CPU" (the process's CPU
-        affinity where the platform reports it, else ``os.cpu_count()``).
-        ``1`` always runs serially — no pool is ever spawned.  Page
+        Pool size.  ``1``, the default, always runs serially — no pool
+        is ever spawned; on two CPUs a pool was not faster than serial
+        beyond run-to-run spread (docs/PERFORMANCE.md).  ``0`` means
+        "one per usable CPU" (the process's CPU affinity where the
+        platform reports it, else ``os.cpu_count()``).  Page
         analysis runs on a process pool (see docs/INGESTION.md for why
         not threads); :func:`~repro.parallel.ingest.parallel_map` runs
         its callables on threads.
@@ -46,7 +48,7 @@ class ParallelConfig:
         hash).  Disable to force re-analysis of every page.
     """
 
-    workers: int = 0
+    workers: int = 1
     use_cache: bool = True
 
     def __post_init__(self) -> None:

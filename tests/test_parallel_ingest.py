@@ -140,17 +140,20 @@ def test_resolve_policy():
 
 def test_auto_workers_follow_cpu_affinity(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    auto = ParallelConfig(workers=0)
+    # The default is serial, whatever the CPUs.
+    assert ParallelConfig().pool_size(500) == 1
     # Pinned to one CPU of eight: auto stays serial, whatever the size.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert ParallelConfig().effective_workers() == 1
-    assert ParallelConfig().pool_size(500) == 1
+    assert auto.effective_workers() == 1
+    assert auto.pool_size(500) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert ParallelConfig().pool_size(500) == 3
+    assert auto.pool_size(500) == 3
     # An explicit pool size is not second-guessed.
     assert ParallelConfig(workers=4).effective_workers() == 4
     # Without an affinity call the CPU count decides.
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert ParallelConfig().effective_workers() == 8
+    assert auto.effective_workers() == 8
 
 
 def test_config_validation_and_roundtrip():
