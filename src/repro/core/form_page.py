@@ -14,9 +14,8 @@ corpus-level IDF statistics, which no single page can compute alone.
 """
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
-from repro.html.text_extract import TextLocation
 from repro.vsm.vector import SparseVector
 
 
@@ -37,10 +36,6 @@ class RawFormPage:
     # harvested via repro.link_analysis.anchor_text).  Folded into the PC
     # feature space with the ANCHOR location weight when present.
     anchor_texts: List[str] = field(default_factory=list)
-
-
-# One analyzed term plus its markup location — the vectorizer's unit.
-LocatedTerm = Tuple[str, TextLocation]
 
 
 @dataclass

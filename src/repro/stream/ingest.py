@@ -28,30 +28,28 @@ treatment ``transform_new`` applies to new pages).  With
 exact prefix statistics.
 """
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.form_page import FormPage, RawFormPage
 from repro.core.vectorizer import FormPageVectorizer
 from repro.parallel.config import ParallelConfig
 from repro.stream.config import StreamConfig
 from repro.vsm.schemes import IdfDriftTracker
-from repro.vsm.weights import located_term_frequencies
 
 
 @dataclass
 class StreamedPage:
     """One emitted page plus what a re-weight needs to re-emit it.
 
-    The LOC-weighted TF counters are kept (they are per-page and
+    The LOC-weighted TFs are kept (they are per-page and
     context-free) so reservoir members can be re-vectorized at re-weight
     events without retaining HTML or re-running analysis.
     """
 
     page: FormPage
-    pc_tf: Counter
-    fc_tf: Counter
+    pc_tf: Dict[str, float]
+    fc_tf: Dict[str, float]
     index: int
 
     @property
@@ -166,10 +164,12 @@ class StreamingIngestor:
         for analysis in analyses:
             vectorizer.stream_observe(analysis)
             self.pc_tracker.absorb(
-                vectorizer.pc_stats, {term for term, _ in analysis.pc_terms}
+                vectorizer.pc_stats,
+                {term for _, _, terms in analysis.runs for term in terms},
             )
             self.fc_tracker.absorb(
-                vectorizer.fc_stats, {term for term, _ in analysis.fc_terms}
+                vectorizer.fc_stats,
+                {term for _, _, terms in analysis.fc_runs for term in terms},
             )
         drift = self.drift()
         self.stats.last_drift = drift
@@ -177,10 +177,8 @@ class StreamingIngestor:
             self.reweight()
 
         emitted: List[StreamedPage] = []
-        weights = vectorizer.location_weights
         for raw, analysis in zip(raw_pages, analyses):
-            pc_tf = located_term_frequencies(analysis.pc_terms, weights)
-            fc_tf = located_term_frequencies(analysis.fc_terms, weights)
+            pc_tf, fc_tf = vectorizer.term_frequencies(analysis)
             pc_vec, fc_vec = vectorizer.emit_vectors(pc_tf, fc_tf)
             page = FormPage(
                 url=raw.url,
@@ -190,7 +188,7 @@ class StreamingIngestor:
                     raw.backlinks[: vectorizer.max_backlinks]
                 ),
                 label=raw.label,
-                form_term_count=len(analysis.fc_terms),
+                form_term_count=analysis.form_term_count,
                 page_term_count=analysis.on_page_terms,
                 attribute_count=analysis.attribute_count,
             )

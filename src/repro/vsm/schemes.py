@@ -5,17 +5,20 @@ turns the three moments where a weighting scheme acts into a protocol,
 so alternatives plug in without touching the vectorizer:
 
 1. **fit** — :meth:`WeightingScheme.observe` folds one document's
-   located terms into per-space :class:`SpaceStats` (document
-   frequencies, and whatever else the scheme needs — BM25 also tracks
-   total weighted length for ``avgdl``).  The vectorizer calls this in
-   page order in the parent process, so pooled map/reduce ingestion
-   merges scheme stats exactly like DF today (docs/INGESTION.md).
+   term runs (:data:`~repro.vsm.weights.TermRun`) into per-space
+   :class:`SpaceStats` (document frequencies, and whatever else the
+   scheme needs — BM25 also tracks total weighted length for
+   ``avgdl``).  The vectorizer calls this in page order in the parent
+   process, so pooled map/reduce ingestion merges scheme stats exactly
+   like DF today (docs/INGESTION.md).
 2. **prepare** — after the whole collection is observed,
    :meth:`WeightingScheme.prepare` materializes a per-space emit
    context (e.g. the IDF map) used for both batch vectorization and
    later ``transform_new`` calls.
 3. **emit** — :meth:`WeightingScheme.vector` turns one page's
-   LOC-weighted term frequencies into a :class:`SparseVector`.
+   LOC-weighted term frequencies (from the same runs, by
+   :func:`~repro.vsm.weights.run_term_frequencies`) into a
+   :class:`SparseVector`.
 
 Schemes are named (``"eq1"``, ``"bm25"``, ``"tf"``) and serialize to
 JSON-safe dicts, so fitted state survives snapshots; ``"auto"`` resolves
@@ -31,25 +34,31 @@ merge) compares like with like; see docs/RANKING.md.
 """
 
 import math
-from collections import Counter
+from itertools import chain, repeat
 from typing import (
     Any,
     Dict,
     Iterable,
+    Mapping,
     Optional,
     Protocol,
-    Tuple,
+    Sequence,
     Union,
     runtime_checkable,
 )
 
-from repro.html.text_extract import TextLocation
 from repro.options import SCHEME_CHOICES, resolve_auto, validate_option
 from repro.vsm.corpus import CorpusStats
 from repro.vsm.vector import SparseVector
-from repro.vsm.weights import LocationWeights, tf_idf_vector
+from repro.vsm.weights import LocationWeights, TermRun, tf_idf_vector
 
-LocatedTerms = Iterable[Tuple[str, TextLocation]]
+TermRuns = Sequence[TermRun]
+WeightedTF = Mapping[str, float]
+
+
+def _run_terms(runs: TermRuns) -> Iterable[str]:
+    """Every term of ``runs``, one per occurrence, in scan order."""
+    return chain.from_iterable([terms for _, _, terms in runs])
 
 
 class UnknownSchemeError(ValueError):
@@ -171,10 +180,10 @@ class WeightingScheme(Protocol):
     def observe(
         self,
         stats: SpaceStats,
-        located_terms: LocatedTerms,
+        runs: TermRuns,
         location_weights: LocationWeights,
     ) -> None:
-        """Fold one document's located terms into ``stats`` (fit time)."""
+        """Fold one document's term runs into ``stats`` (fit time)."""
         ...
 
     def prepare(self, stats: SpaceStats) -> Any:
@@ -183,7 +192,7 @@ class WeightingScheme(Protocol):
 
     def vector(
         self,
-        weighted_tf: Counter,
+        weighted_tf: WeightedTF,
         stats: SpaceStats,
         context: Any = None,
     ) -> SparseVector:
@@ -208,12 +217,13 @@ class Eq1Scheme:
     def observe(
         self,
         stats: SpaceStats,
-        located_terms: LocatedTerms,
+        runs: TermRuns,
         location_weights: LocationWeights,
     ) -> None:
-        # The exact pre-seam call: a generator of terms, locations
-        # dropped, no materialization — DF integers cannot drift.
-        stats.corpus.add_document(term for term, _ in located_terms)
+        # Every occurrence in scan order, so the DF set (and hence the
+        # DF table's insertion order) is built exactly as from a flat
+        # term list.
+        stats.corpus.add_document(_run_terms(runs))
 
     def prepare(self, stats: SpaceStats) -> Dict[str, float]:
         # idf_map() and per-term idf() compute log(N / n_i) from the
@@ -223,7 +233,7 @@ class Eq1Scheme:
 
     def vector(
         self,
-        weighted_tf: Counter,
+        weighted_tf: WeightedTF,
         stats: SpaceStats,
         context: Optional[Dict[str, float]] = None,
     ) -> SparseVector:
@@ -266,15 +276,16 @@ class BM25Scheme:
     def observe(
         self,
         stats: SpaceStats,
-        located_terms: LocatedTerms,
+        runs: TermRuns,
         location_weights: LocationWeights,
     ) -> None:
-        located = list(located_terms)
-        stats.corpus.add_document(term for term, _ in located)
+        stats.corpus.add_document(_run_terms(runs))
+        # A sum of per-occurrence factors, not count * factor: ``sum``
+        # rounds (and from Python 3.12 compensates) term by term.
         factor = location_weights.factor
-        stats.total_weighted_length += sum(
-            factor(location) for _, location in located
-        )
+        stats.total_weighted_length += sum(chain.from_iterable([
+            repeat(factor(location), len(terms)) for location, _, terms in runs
+        ]))
 
     def prepare(self, stats: SpaceStats) -> Dict[str, float]:
         n = stats.corpus.document_count
@@ -287,7 +298,7 @@ class BM25Scheme:
 
     def vector(
         self,
-        weighted_tf: Counter,
+        weighted_tf: WeightedTF,
         stats: SpaceStats,
         context: Optional[Dict[str, float]] = None,
     ) -> SparseVector:
@@ -335,21 +346,21 @@ class TFScheme:
     def observe(
         self,
         stats: SpaceStats,
-        located_terms: LocatedTerms,
+        runs: TermRuns,
         location_weights: LocationWeights,
     ) -> None:
-        stats.corpus.add_document(term for term, _ in located_terms)
+        stats.corpus.add_document(_run_terms(runs))
 
     def prepare(self, stats: SpaceStats) -> None:
         return None
 
     def vector(
         self,
-        weighted_tf: Counter,
+        weighted_tf: WeightedTF,
         stats: SpaceStats,
         context: Any = None,
     ) -> SparseVector:
-        return SparseVector(dict(weighted_tf))
+        return SparseVector(weighted_tf)
 
     def to_dict(self) -> dict:
         return {"name": self.name}

@@ -40,7 +40,9 @@ class SparseVector:
         ids = array("q")
         vals = array("d")
         intern = _VOCAB.intern
-        for term, weight in dict(weights).items():
+        if type(weights) is not dict:
+            weights = dict(weights)
+        for term, weight in weights.items():
             if weight != 0.0:
                 ids.append(intern(term))
                 vals.append(weight)

@@ -18,8 +18,9 @@ This module supplies the *primitives*; which formula actually turns
 LOC-weighted TFs into a vector is decided one layer up, by the active
 :class:`~repro.vsm.schemes.WeightingScheme`:
 
-* :func:`located_term_frequencies` accumulates LOC-weighted TFs — the
-  scheme-independent first half of every scheme's emit phase;
+* :func:`run_term_frequencies` accumulates LOC-weighted TFs over a
+  page's term runs — the scheme-independent first half of every
+  scheme's emit phase;
 * :func:`tf_idf_vector` is the Equation-1 emission, which
   :class:`~repro.vsm.schemes.Eq1Scheme` (the default, and the ``"auto"``
   alias of ``CAFCConfig.scheme``) delegates to unchanged, keeping the
@@ -30,19 +31,32 @@ LOC-weighted TFs into a vector is decided one layer up, by the active
   and how to add a scheme.
 """
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.html.text_extract import TextLocation
 from repro.vsm.corpus import CorpusStats
 from repro.vsm.vector import SparseVector
 
+#: One located-text fragment's analyzed terms, in scan order:
+#: ``(location, inside_form, terms)``.  Runs keep the location (not its
+#: factor) so any :class:`LocationWeights` can weigh the same analysis,
+#: and hold only strings and enums so they cross process boundaries.
+TermRun = Tuple[TextLocation, bool, List[str]]
+
 __all__ = [
     "LocationWeights",
-    "located_term_frequencies",
+    "TermRun",
+    "run_term_frequencies",
     "tf_idf_vector",
 ]
+
+
+# Module globals: reading an enum member off its class costs several
+# times a global lookup, and ``factor`` runs once per term run.
+_TITLE = TextLocation.TITLE
+_ANCHOR = TextLocation.ANCHOR
+_OPTION = TextLocation.OPTION
 
 
 @dataclass(frozen=True)
@@ -65,11 +79,11 @@ class LocationWeights:
 
     def factor(self, location: TextLocation) -> float:
         """The LOC multiplier for a term at ``location``."""
-        if location is TextLocation.TITLE:
+        if location is _TITLE:
             return float(self.title)
-        if location is TextLocation.ANCHOR:
+        if location is _ANCHOR:
             return float(self.anchor)
-        if location is TextLocation.OPTION:
+        if location is _OPTION:
             return float(self.option)
         return float(self.body)
 
@@ -98,24 +112,29 @@ class LocationWeights:
         )
 
 
-def located_term_frequencies(
-    located_terms: Iterable[Tuple[str, TextLocation]],
-    weights: LocationWeights,
-) -> Counter:
-    """Accumulate LOC-weighted term frequencies.
+def run_term_frequencies(
+    runs: Iterable[TermRun], weights: LocationWeights
+) -> Dict[str, float]:
+    """Accumulate LOC-weighted term frequencies over term runs.
 
-    Each occurrence of a term contributes its location factor, so a term
-    appearing twice in the body and once in the title accumulates
-    ``2*body + 1*title``.
+    Each occurrence of a term contributes its run's location factor, so
+    a term appearing twice in the body and once in the title
+    accumulates ``2*body + 1*title``.  The factor is looked up once per
+    run, but added once per occurrence, in scan order, from 0:
+    ``count * factor`` would round differently for fractional factors.
     """
-    weighted: Counter = Counter()
-    for term, location in located_terms:
-        weighted[term] += weights.factor(location)
+    weighted: Dict[str, float] = {}
+    get = weighted.get
+    factor = weights.factor
+    for location, _, terms in runs:
+        loc = factor(location)
+        for term in terms:
+            weighted[term] = get(term, 0) + loc
     return weighted
 
 
 def tf_idf_vector(
-    weighted_term_frequencies: Counter,
+    weighted_term_frequencies: Mapping[str, float],
     corpus: CorpusStats,
     idf_map: Optional[Dict[str, float]] = None,
 ) -> SparseVector:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.text.analyzer import TextAnalyzer, default_analyzer
 from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import STOPWORDS, is_stopword
+from tests.oracle import oracle_terms
 
 
 class TestStopwords:
@@ -48,7 +49,7 @@ class TestTextAnalyzer:
         assert TextAnalyzer().analyze("the of and is") == []
 
     def test_term_frequencies(self):
-        counts = TextAnalyzer().term_frequencies("flight flights flying flight")
+        counts = Counter(TextAnalyzer().analyze("flight flights flying flight"))
         assert counts == Counter({"flight": 3, "fly": 1})
 
     def test_custom_stopwords(self):
@@ -67,9 +68,21 @@ class TestTextAnalyzer:
         analyzer = TextAnalyzer(stemmer=IdentityStemmer())
         assert analyzer.analyze("flights") == ["flights"]
 
-    def test_analyze_tokens(self):
+    def test_analyze_pre_tokenized_text(self):
         analyzer = TextAnalyzer()
-        assert analyzer.analyze_tokens(["the", "flights"]) == ["flight"]
+        assert analyzer.analyze(" ".join(["the", "flights"])) == ["flight"]
+
+    def test_memo_is_keyed_by_raw_token(self):
+        """Case and apostrophe variants are memoized apart but analyze
+        alike; dropped tokens are memoized as ""."""
+        analyzer = TextAnalyzer()
+        text = "Flights FLIGHTS flights o'hare O'Hare THE x"
+        assert analyzer.analyze(text) == oracle_terms(text)
+        assert analyzer.analyze(text) == ["flight"] * 3 + ["ohar"] * 2
+        assert analyzer._cache == {
+            "Flights": "flight", "FLIGHTS": "flight", "flights": "flight",
+            "o'hare": "ohar", "O'Hare": "ohar", "THE": "", "x": "",
+        }
 
     def test_cache_consistency(self):
         analyzer = TextAnalyzer()
@@ -113,13 +126,14 @@ class TestTextAnalyzer:
         analyzer = TextAnalyzer()
         words = [f"travel{a}{b}{c}ing" for a in "bcdfg" for b in "klmn"
                  for c in "prst"]
-        expected = TextAnalyzer(stemmer=PorterStemmer()).analyze_tokens(words)
+        text = " ".join(words)
+        expected = TextAnalyzer(stemmer=PorterStemmer()).analyze(text)
         errors, threads = [], []
 
         def work():
             try:
                 for _ in range(20):
-                    if analyzer.analyze_tokens(words) != expected:
+                    if analyzer.analyze(text) != expected:
                         errors.append("stem changed")
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(repr(exc))
@@ -149,4 +163,10 @@ class TestTextAnalyzer:
     @given(st.lists(st.sampled_from(["flight", "the", "hotels", "booking"]), max_size=30))
     def test_output_length_bounded_by_input(self, tokens):
         analyzer = TextAnalyzer()
-        assert len(analyzer.analyze_tokens(tokens)) <= len(tokens)
+        assert len(analyzer.analyze(" ".join(tokens))) <= len(tokens)
+
+    @given(st.text(alphabet="aAbBeEiIsSnNgG' -.9", max_size=200))
+    def test_matches_tokenize_stopwords_stem(self, text):
+        analyzer = TextAnalyzer()
+        assert analyzer.analyze(text) == oracle_terms(text)
+        assert analyzer.analyze(text) == oracle_terms(text)

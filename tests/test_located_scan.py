@@ -66,7 +66,7 @@ class TestRealPages:
         analysis = analyze_form_page(raw, analyzer)
         assert analysis == dom_page_analysis(raw, analyzer)
         assert analysis.on_page_terms == 2
-        assert analysis.pc_terms[-1][1] is TextLocation.ANCHOR
+        assert analysis.runs[-1] == (TextLocation.ANCHOR, False, ["cheap", "flight"])
 
 
 EDGE_CASES = {
@@ -197,8 +197,10 @@ DEEP_PAGE = (
 def test_deep_nesting_is_analyzed():
     analysis = analyze_form_page(RawFormPage("http://deep.com/", DEEP_PAGE),
                                  TextAnalyzer())
-    assert [term for term, _ in analysis.fc_terms] == ["job", "citi", "engin"]
-    assert analysis.pc_terms[0] == ("deep", TextLocation.TITLE)
+    assert [term for _, _, terms in analysis.fc_runs for term in terms] == [
+        "job", "citi", "engin",
+    ]
+    assert analysis.runs[0] == (TextLocation.TITLE, False, ["deep", "job"])
     assert analysis.attribute_count == 2
 
 

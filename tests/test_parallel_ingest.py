@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.form_page import RawFormPage
 from repro.core.vectorizer import FormPageVectorizer
+from repro.html.text_extract import TextLocation
 from repro.parallel import (
     AnalysisCache,
     IngestError,
@@ -336,8 +337,11 @@ def test_memory_cache_survives_concurrent_hammering():
 
 
 def test_page_analysis_pickles():
-    analysis = PageAnalysis(pc_terms=[], fc_terms=[],
-                            attribute_count=2, on_page_terms=0)
+    analysis = PageAnalysis(
+        runs=[(TextLocation.TITLE, False, ["job"]),
+              (TextLocation.OPTION, True, ["sale", "sale"])],
+        attribute_count=2, on_page_terms=3,
+    )
     assert pickle.loads(pickle.dumps(analysis)) == analysis
 
 

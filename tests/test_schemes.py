@@ -4,7 +4,8 @@ Three pins:
 
 * **Equation-1 parity** — the scheme seam emits bit-identical vectors
   to an independent recomputation through the pre-seam primitives
-  (``located_term_frequencies`` + ``CorpusStats`` + ``tf_idf_vector``)
+  (``tests/oracle.py``'s flat located terms and
+  ``located_term_frequencies`` + ``CorpusStats`` + ``tf_idf_vector``)
   for every page of the full 454-page benchmark corpus, including under
   pooled parallel ingestion.
 * **BM25 range** — every emitted weight lies in (0, 1] per feature
@@ -25,7 +26,6 @@ from repro.core.vectorizer import FormPageVectorizer
 from repro.datasets.store import DatasetFormatError
 from repro.options import OptionError
 from repro.parallel.config import ParallelConfig
-from repro.parallel.ingest import analyze_form_page
 from repro.service.directory import FormDirectory
 from repro.service.snapshot import build_snapshot, load_snapshot, snapshot_info
 from repro.vsm.corpus import CorpusStats
@@ -39,13 +39,14 @@ from repro.vsm.schemes import (
     resolve_scheme,
     scheme_from_dict,
 )
-from repro.vsm.weights import (
-    LocationWeights,
-    located_term_frequencies,
-    tf_idf_vector,
-)
+from repro.vsm.weights import LocationWeights, tf_idf_vector
 
-from tests.oracle import scan_clusters, scan_pages
+from tests.oracle import (
+    flat_page_analysis,
+    located_term_frequencies,
+    scan_clusters,
+    scan_pages,
+)
 
 SMALL_CONFIG = CAFCConfig(k=8, min_hub_cardinality=3)
 
@@ -128,13 +129,8 @@ class TestEq1Parity:
     ):
         """The scheme seam is bit-identical to recomputing Equation 1
         through the raw primitives, for all 454 pages and both spaces."""
-        from repro.text.analyzer import TextAnalyzer
-
         weights = LocationWeights()
-        analyzer = TextAnalyzer()
-        analyses = [
-            analyze_form_page(raw, analyzer) for raw in benchmark_raw_pages
-        ]
+        analyses = [flat_page_analysis(raw) for raw in benchmark_raw_pages]
         pc_corpus, fc_corpus = CorpusStats(), CorpusStats()
         for analysis in analyses:
             pc_corpus.add_document(term for term, _ in analysis.pc_terms)
@@ -235,9 +231,7 @@ class TestBM25:
         for terms in docs:
             from repro.html.text_extract import TextLocation
 
-            scheme.observe(
-                stats, [(t, TextLocation.BODY) for t in terms], weights
-            )
+            scheme.observe(stats, [(TextLocation.BODY, False, terms)], weights)
         idf = scheme.prepare(stats)
         assert idf["rare"] > idf["common"] > 0.0
 

@@ -9,9 +9,10 @@ from repro.html.text_extract import TextLocation
 from repro.vsm.corpus import CorpusStats
 from repro.vsm.weights import (
     LocationWeights,
-    located_term_frequencies,
+    run_term_frequencies,
     tf_idf_vector,
 )
+from tests.oracle import located_term_frequencies
 
 
 class TestCorpusStats:
@@ -79,22 +80,34 @@ class TestLocationWeights:
         for location in TextLocation:
             assert uniform.factor(location) == 1.0
 
-    def test_located_term_frequencies_accumulate(self):
+    def test_run_term_frequencies_accumulate(self):
         weights = LocationWeights(title=3, anchor=2, body=1, option=0.5)
-        counts = located_term_frequencies(
+        counts = run_term_frequencies(
             [
-                ("job", TextLocation.BODY),
-                ("job", TextLocation.BODY),
-                ("job", TextLocation.TITLE),
-                ("sales", TextLocation.OPTION),
+                (TextLocation.BODY, False, ["job", "job"]),
+                (TextLocation.TITLE, False, ["job"]),
+                (TextLocation.OPTION, True, ["sales"]),
             ],
             weights,
         )
-        assert counts["job"] == pytest.approx(5.0)   # 1 + 1 + 3
-        assert counts["sales"] == pytest.approx(0.5)
+        assert counts == {"job": 5.0, "sales": 0.5}   # job: 1 + 1 + 3
 
     def test_empty_input(self):
-        assert located_term_frequencies([], LocationWeights()) == Counter()
+        assert run_term_frequencies([], LocationWeights()) == {}
+
+    def test_runs_add_one_occurrence_at_a_time(self):
+        """0.3 added three times is not 3 * 0.3: the runs path must
+        round like the flat per-occurrence Counter."""
+        weights = LocationWeights()
+        runs = [
+            (TextLocation.BODY, True, ["price"]),
+            (TextLocation.OPTION, True, ["price", "make", "price", "price"]),
+        ]
+        flat = [(term, location) for location, _, terms in runs for term in terms]
+        expected = located_term_frequencies(flat, weights)
+        counts = run_term_frequencies(runs, weights)
+        assert list(counts.items()) == list(expected.items())
+        assert counts["price"] == ((1.0 + 0.3) + 0.3) + 0.3 != 1.0 + 3 * 0.3
 
 
 class TestTfIdfVector:
