@@ -165,9 +165,9 @@ def test_bench_ingest_executors_and_cache(benchmark, raw_pages):
         "required_speedup": REQUIRED_CACHED_SPEEDUP,
         "note": (
             f"Every fit row is the best of {ROUNDS} runs.  The default "
-            "plan (workers=1) runs serially; workers=0 pools whenever the "
-            "process may use two or more CPUs and at least 64 pages are "
-            "pending.  On a shared host a pool row can land either side "
+            "plan (workers=1) runs serially; an explicit pool size pools "
+            "from 64 pending pages, workers=0 from 1,000, when the process "
+            "may use two or more CPUs.  On a shared host a pool row can land either side "
             "of serial by noise alone: compare pool and serial over "
             "interleaved repeats.  The >=2x acceptance claim is the warm "
             "in-memory analysis cache."

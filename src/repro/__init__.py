@@ -18,17 +18,6 @@ Quickstart::
         print(cluster.size, cluster.top_terms)
 """
 
-from repro.core import (
-    CAFCConfig,
-    CAFCPipeline,
-    CAFCResult,
-    ContentMode,
-    FormPage,
-    RawFormPage,
-    cafc_c,
-    cafc_ch,
-)
-
 __version__ = "1.0.0"
 
 __all__ = [
@@ -42,3 +31,13 @@ __all__ = [
     "cafc_ch",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # Public names load on first use, so ``import repro.cli`` (or the
+    # server) loads only what it runs; :mod:`repro.core` resolves them.
+    if name in __all__:
+        from repro import core
+
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

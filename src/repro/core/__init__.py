@@ -21,33 +21,53 @@ Public API
   pages (plus backlinks) to labelled clusters.
 """
 
-from repro.core.cafc_c import cafc_c
-from repro.core.cafc_ch import cafc_ch
-from repro.core.config import CAFCConfig, ContentMode
-from repro.core.form_page import FormPage, RawFormPage
-from repro.core.hubs import HubCluster, build_hub_clusters
-from repro.core.incremental import IncrementalOrganizer
-from repro.core.pipeline import CAFCPipeline, CAFCResult
-from repro.core.seeds import select_hub_clusters
-from repro.core.simengine import EngineStats, SimilarityEngine
-from repro.core.similarity import FormPageSimilarity
-from repro.core.vectorizer import FormPageVectorizer
+import importlib
+import sys
+import types
 
-__all__ = [
-    "cafc_c",
-    "cafc_ch",
-    "CAFCConfig",
-    "ContentMode",
-    "FormPage",
-    "RawFormPage",
-    "HubCluster",
-    "build_hub_clusters",
-    "IncrementalOrganizer",
-    "CAFCPipeline",
-    "CAFCResult",
-    "select_hub_clusters",
-    "FormPageSimilarity",
-    "SimilarityEngine",
-    "EngineStats",
-    "FormPageVectorizer",
-]
+#: Public name -> the submodule that defines it, imported on first use,
+#: so loading a served directory does not load the batch algorithms.
+_EXPORTS = {
+    "cafc_c": "repro.core.cafc_c",
+    "cafc_ch": "repro.core.cafc_ch",
+    "CAFCConfig": "repro.core.config",
+    "ContentMode": "repro.core.config",
+    "FormPage": "repro.core.form_page",
+    "RawFormPage": "repro.core.form_page",
+    "HubCluster": "repro.core.hubs",
+    "build_hub_clusters": "repro.core.hubs",
+    "IncrementalOrganizer": "repro.core.incremental",
+    "CAFCPipeline": "repro.core.pipeline",
+    "CAFCResult": "repro.core.result",
+    "select_hub_clusters": "repro.core.seeds",
+    "FormPageSimilarity": "repro.core.similarity",
+    "SimilarityEngine": "repro.core.simengine",
+    "EngineStats": "repro.core.simengine",
+    "FormPageVectorizer": "repro.core.vectorizer",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(types.ModuleType):
+    """Keeps ``repro.core.cafc_c`` and ``repro.core.cafc_ch`` naming the
+    algorithms.  Importing a submodule binds it on its package under its
+    own name, and these two submodules share their names with the
+    functions they define."""
+
+    def __setattr__(self, name, value):
+        if isinstance(value, types.ModuleType) and _EXPORTS.get(name) == value.__name__:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

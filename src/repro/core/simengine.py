@@ -4,11 +4,11 @@ Every hot path of the reproduction (Algorithm 1's assignment loop,
 Algorithm 3's hub-distance matrix, incremental cohesion, the explorer's
 query scoring, the schema baseline) is some batch of Equation-3 cosines.
 Computing them pair-by-pair caps corpus size; this module compiles a
-collection once into CSR-style parallel arrays and serves every batched
-shape from that one representation:
+collection once into per-row id and weight arrays and serves every
+batched shape from that one representation:
 
 * :meth:`SimilarityEngine.pairwise` — the full n x n similarity matrix
-  as one sparse matmul per feature space;
+  as one all-pairs kernel per feature space;
 * :meth:`SimilarityEngine.page_centroid_matrix` — pages x centroids,
   the k-means assignment shape;
 * :meth:`SimilarityEngine.to_centroids` — Equation-4 means straight
@@ -19,9 +19,11 @@ shape from that one representation:
 
 Rows are the vectors' own :mod:`array` buffers over the process-wide
 :data:`~repro.vsm.interning.VOCABULARY` ids — the engine keeps no term
-table of its own and resolves no strings.  The all-pairs matrix is a
-SciPy CSR matmul over the normalized rows (one column per table id),
-and the page x centroid shapes accumulate over a
+table of its own and resolves no strings.  The all-pairs matrix is one
+NumPy kernel over the normalized rows: a dense block, transposed, over
+the collection's own term union, summed in each row's stored term
+order (the order of a CSR matmul, so its floats are the same), and
+the page x centroid shapes accumulate over a
 :class:`~repro.index.postings.SpaceIndex`, the posting lists the query
 paths use.  The engine holds no Equation-3 configuration of its own:
 it compiles the spaces its
@@ -41,11 +43,13 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.form_page import VectorPair
-from repro.vsm.interning import VOCABULARY
 from repro.vsm.vector import SparseVector
+
+#: Upper bound on the dense term x column block
+#: :meth:`_Space.pairwise` holds at once.
+PAIRWISE_BLOCK_BYTES = 8 << 20
 
 
 @dataclass
@@ -102,7 +106,7 @@ class EngineStats:
 
 
 class _Space:
-    """One compiled feature space (PC or FC) in CSR-style arrays.
+    """One compiled feature space (PC or FC) as per-row arrays.
 
     Rows are the collection's vectors as they are: term ids are
     :data:`~repro.vsm.interning.VOCABULARY` ids, and the id and weight
@@ -110,13 +114,12 @@ class _Space:
     normalized weights (``nrm``, aligned with each row's ids) are new.
     """
 
-    __slots__ = ("vectors", "nrm", "_index", "_csr")
+    __slots__ = ("vectors", "nrm", "_index")
 
     def __init__(self) -> None:
         self.vectors: List[SparseVector] = []
         self.nrm: List[array] = []     # per row: weights / row norm ('d')
         self._index = None
-        self._csr = None
 
     def add_row(self, vector: SparseVector) -> None:
         norm = vector.norm()
@@ -147,24 +150,6 @@ class _Space:
             self._index = index
         return self._index
 
-    def csr(self):
-        """Normalized rows as a scipy CSR matrix, one column per
-        :data:`~repro.vsm.interning.VOCABULARY` id."""
-        if self._csr is None:
-            indptr = [0]
-            indices: List[int] = []
-            data: List[float] = []
-            for vector, weights in zip(self.vectors, self.nrm):
-                indices.extend(vector.id_arrays()[0])
-                data.extend(weights)
-                indptr.append(len(indices))
-            self._csr = sparse.csr_matrix(
-                (data, indices, indptr),
-                shape=(len(self.vectors), max(len(VOCABULARY), 1)),
-                dtype=np.float64,
-            )
-        return self._csr
-
     # -- per-row helpers ----------------------------------------------
 
     def self_cosine(self, row: int) -> float:
@@ -185,13 +170,66 @@ class _Space:
         return scores
 
     def pairwise(self) -> np.ndarray:
-        """All-pairs cosines of the normalized rows (dense, symmetric)."""
-        matrix = self.csr()
-        dense = np.asarray((matrix @ matrix.T).todense())
-        np.fill_diagonal(
-            dense, [self.self_cosine(i) for i in range(len(self.nrm))]
-        )
+        """All-pairs cosines of the normalized rows (dense, symmetric).
+
+        Entry ``(i, j)`` adds row ``i``'s products with row ``j``'s
+        weight for the same term, in row ``i``'s stored term order,
+        starting from 0.0 (a term row ``j`` lacks adds an exact 0.0):
+        the order a CSR ``A @ A.T`` row-by-row product uses.  The rows
+        are scattered into a dense block, transposed (one row per term
+        of the collection's union, one column per output column), and
+        output row ``i`` is ``(w_i[:, None] * block[cols_i]).sum(0)``.
+        That reduction runs down axis 0, one sequential add per term,
+        as long as the block has at least two columns (a one-column
+        block collapses to NumPy's pairwise summation); so the output
+        columns are cut into blocks of at least two, each no larger
+        than :data:`PAIRWISE_BLOCK_BYTES`.  The diagonal is
+        :meth:`self_cosine`.
+        """
+        n = len(self.nrm)
+        dense = np.zeros((n, n), dtype=np.float64)
+        if n > 1:
+            lengths = [len(weights) for weights in self.nrm]
+            ids = np.frombuffer(b"".join(
+                vector.id_arrays()[0]
+                for vector, weights in zip(self.vectors, self.nrm) if weights
+            ), dtype=np.int64)
+            weights = np.frombuffer(b"".join(self.nrm), dtype=np.float64)
+            # Block row of each id: 0..terms-1 over the rows' term union.
+            width = int(ids.max()) + 1 if ids.size else 0
+            column = np.zeros(width, dtype=np.intp)
+            column[ids] = 1
+            terms = int(column.sum())
+            column[column > 0] = np.arange(terms)
+            cols = column[ids]
+            owner = np.repeat(np.arange(n), lengths)
+            starts = np.cumsum([0] + lengths).tolist()
+            rows = [
+                (row, weights[lo:hi, None], cols[lo:hi])
+                for row, (lo, hi) in enumerate(zip(starts, starts[1:]))
+                if lo < hi
+            ]
+            step = max(2, PAIRWISE_BLOCK_BYTES // (8 * max(terms, 1)))
+            for first, last in _column_blocks(n, step):
+                block = np.zeros((terms, last - first), dtype=np.float64)
+                inside = (owner >= first) & (owner < last)
+                block[cols[inside], owner[inside] - first] = weights[inside]
+                out = dense[:, first:last]
+                for row, row_weights, row_cols in rows:
+                    products = block.take(row_cols, axis=0)
+                    products *= row_weights
+                    products.sum(axis=0, out=out[row])
+        np.fill_diagonal(dense, [self.self_cosine(i) for i in range(n)])
         return dense
+
+
+def _column_blocks(n: int, step: int):
+    """``[first, last)`` ranges over ``n >= 2`` columns, ``step >= 2``
+    wide, except that a lone last column joins the block before it."""
+    bounds = list(range(0, n, step)) + [n]
+    if n - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds, bounds[1:])
 
 
 class CompiledCentroids:
@@ -313,7 +351,7 @@ class SimilarityEngine:
     def pairwise(self) -> np.ndarray:
         """The full symmetric similarity matrix over the compiled items.
 
-        One CSR matmul per compiled space, combined elementwise by
+        One all-pairs kernel per compiled space, combined elementwise by
         ``similarity.combine``.  The diagonal holds each item's
         Equation-3 similarity with itself, where an empty space
         contributes 0.0.

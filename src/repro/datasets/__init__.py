@@ -6,7 +6,6 @@ evaluation) a gold domain label.  The JSON format keeps datasets
 regenerable, diffable and shareable without the generator.
 """
 
-from repro.datasets.results import load_result, save_result
 from repro.datasets.store import (
     DatasetFormatError,
     atomic_write_json,
@@ -28,3 +27,13 @@ __all__ = [
     "load_result",
     "save_result",
 ]
+
+
+# Saved results are read and written only by the batch CLI; that module
+# is imported on first use.
+def __getattr__(name):
+    if name in ("load_result", "save_result"):
+        from repro.datasets import results
+
+        return getattr(results, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

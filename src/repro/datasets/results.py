@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Union
 
 from repro.core.form_page import FormPage, VectorPair
-from repro.core.pipeline import CAFCResult, OrganizedCluster
+from repro.core.result import CAFCResult, OrganizedCluster
 from repro.datasets.store import DatasetFormatError, atomic_write_json
 from repro.vsm.vector import SparseVector
 

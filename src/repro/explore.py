@@ -11,7 +11,7 @@ human-readable summaries.
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.pipeline import CAFCResult, OrganizedCluster
+from repro.core.result import CAFCResult, OrganizedCluster
 from repro.index import SpaceIndex, top_k_exact
 from repro.text.analyzer import TextAnalyzer
 from repro.vsm.vector import KeywordQuery, SparseVector

@@ -21,7 +21,6 @@ from repro.index.merge import (
 )
 from repro.index.postings import SpaceIndex
 from repro.index.retrieval import RetrievalStats, top_k_exact
-from repro.index.spill import SpillingSpaceIndex, SpillSegment
 
 __all__ = [
     "DirectoryIndex",
@@ -35,3 +34,13 @@ __all__ = [
     "page_hit_key",
     "top_k_exact",
 ]
+
+
+# The spilled index serves only ``repro ingest --stream``; it is imported
+# on first use.
+def __getattr__(name):
+    if name in ("SpillSegment", "SpillingSpaceIndex"):
+        from repro.index import spill
+
+        return getattr(spill, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 #: Below this many pending items the map stays serial: pool startup
 #: plus per-page pickling costs more than the analysis itself.
-MIN_AUTO_PARALLEL_PAGES = 64
+MIN_PARALLEL_PAGES = 64
+
+#: ``workers=0`` pools only from this many pending pages: on two CPUs a
+#: pool x2 fit of ``webgen.stream`` pages beat serial in wall time in
+#: 7 of 7 interleaved pairs at 1,000 pages, but in 6 of 7 at 700 (8% at
+#: the median) and 5 of 7 at 454 (docs/INGESTION.md).
+MIN_AUTO_PARALLEL_PAGES = 1000
 
 
 def usable_cpus() -> int:
@@ -39,7 +45,8 @@ class ParallelConfig:
         is ever spawned; on two CPUs a pool was not faster than serial
         beyond run-to-run spread (docs/PERFORMANCE.md).  ``0`` means
         "one per usable CPU" (the process's CPU affinity where the
-        platform reports it, else ``os.cpu_count()``).  Page
+        platform reports it, else ``os.cpu_count()``), from
+        :data:`MIN_AUTO_PARALLEL_PAGES` pending pages on.  Page
         analysis runs on a process pool (see docs/INGESTION.md for why
         not threads); :func:`~repro.parallel.ingest.parallel_map` runs
         its callables on threads.
@@ -61,7 +68,8 @@ class ParallelConfig:
     def pool_size(self, n_items: int) -> int:
         """Workers for a run over ``n_items``; ``1`` means serial."""
         workers = self.effective_workers()
-        if workers <= 1 or n_items < MIN_AUTO_PARALLEL_PAGES:
+        floor = MIN_AUTO_PARALLEL_PAGES if self.workers == 0 else MIN_PARALLEL_PAGES
+        if workers <= 1 or n_items < floor:
             return 1
         return workers
 

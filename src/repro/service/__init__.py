@@ -22,8 +22,9 @@ long-running directory service:
   counters and engine-stats rollups in Prometheus text format.
 
 The serving layer itself uses only the standard library; the
-similarity engine underneath needs NumPy and SciPy (declared
-dependencies).
+similarity engine underneath needs NumPy (the one declared dependency).
+Importing this package loads neither the batch pipeline nor the
+clustering algorithms; a drift recluster imports k-means when it runs.
 """
 
 from repro.service.aio import (

@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.form_page import FormPage, RawFormPage
 from repro.core.incremental import IncrementalOrganizer
-from repro.core.pipeline import _label_terms
+from repro.core.result import _label_terms
 from repro.index.directory_index import DirectoryIndex
 from repro.resilience.faults import inject
 from repro.resilience.journal import (

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Union
 from repro.core.config import CAFCConfig
 from repro.core.form_page import FormPage
 from repro.core.incremental import IncrementalOrganizer
-from repro.core.pipeline import CAFCResult, _label_terms
+from repro.core.result import CAFCResult, _label_terms
 from repro.core.vectorizer import FormPageVectorizer
 from repro.datasets.store import DatasetFormatError, atomic_write_json, read_json
 from repro.resilience.faults import inject

@@ -37,7 +37,7 @@ import numpy as np
 from repro.clustering.kmeans import KMeansResult, kmeans
 from repro.core.config import CAFCConfig
 from repro.core.form_page import RawFormPage, VectorPair, centroid_of
-from repro.core.pipeline import LABEL_TERMS
+from repro.core.result import LABEL_TERMS
 from repro.core.similarity import FormPageSimilarity
 from repro.core.simengine import EngineStats
 from repro.html.dom import (
@@ -108,6 +108,51 @@ def naive_argmax(
     scores = [similarity(page, centroid) for centroid in centroids]
     best = max(range(len(scores)), key=scores.__getitem__)
     return best, scores[best]
+
+
+def sequential_pairwise(vectors: Sequence[SparseVector]) -> np.ndarray:
+    """All-pairs cosines in a CSR ``A @ A.T`` product's summation order,
+    the reference for the engine's all-pairs kernel.
+
+    Rows are the vectors normalized as the engine stores them (each
+    weight times ``1 / norm``).  Entry ``(i, j)`` starts from 0.0 and
+    adds, over row ``i``'s stored terms in that order, row ``i``'s
+    weight times row ``j``'s for the same term; a term row ``j`` lacks
+    would add an exact 0.0, so it is skipped.  The diagonal is the
+    engine's self cosine, ``sum(w * w)`` over the row.
+    """
+    rows = []
+    for vector in vectors:
+        norm = vector.norm()
+        row = []
+        if norm > 0.0:
+            inv = 1.0 / norm
+            row = [(t, w * inv) for t, w in zip(*vector.id_arrays())]
+        rows.append(row)
+    postings: Dict[int, List[Tuple[int, float]]] = {}
+    for j, row in enumerate(rows):
+        for term, weight in row:
+            postings.setdefault(term, []).append((j, weight))
+    n = len(rows)
+    matrix = np.zeros((n, n), dtype=np.float64)
+    for i, row in enumerate(rows):
+        totals = [0.0] * n
+        for term, weight in row:
+            for j, other in postings[term]:
+                totals[j] += weight * other
+        totals[i] = sum(w * w for _, w in row) if row else 0.0
+        matrix[i] = totals
+    return matrix
+
+
+def sequential_similarity_matrix(similarity: FormPageSimilarity, items) -> np.ndarray:
+    """Equation 3 over :func:`sequential_pairwise`, per scored space,
+    combined by ``similarity.combine`` (an unscored space passes 0.0)."""
+    per_space = {
+        name: sequential_pairwise([getattr(item, name) for item in items])
+        for name in similarity.spaces
+    }
+    return similarity.combine(per_space.get("pc", 0.0), per_space.get("fc", 0.0))
 
 
 _ANALYZER = TextAnalyzer()

@@ -1,5 +1,5 @@
-"""Tests for the all-pairs Equation-3 matrix (the compiled engine's CSR
-matmul, pinned to the scalar oracle) and result persistence
+"""Tests for the all-pairs Equation-3 matrix (the compiled engine's
+all-pairs kernel, pinned to the scalar oracle) and result persistence
 (repro.datasets.results)."""
 
 import numpy as np
@@ -47,21 +47,27 @@ class TestCosineMatrix:
         assert pc_engine([]).pairwise().shape == (0, 0)
 
     def test_term_index_stable(self):
-        """CSR columns are the vectors' own VOCABULARY ids, in row order."""
-        vectors = self._vectors()
-        matrix = pc_engine(vectors).space("pc").csr()
-        for row, vector in enumerate(vectors):
-            ids = matrix.indices[matrix.indptr[row]:matrix.indptr[row + 1]]
-            assert [VOCABULARY.term(i) for i in ids] == vector.terms()
-
-    def test_csr_round_trip(self):
+        """A compiled row is the vector itself, shared: its columns are
+        the vector's own VOCABULARY ids, in row order, and the
+        normalized weights line up with them."""
         vectors = self._vectors()
         space = pc_engine(vectors).space("pc")
-        matrix = space.csr()
-        assert matrix.shape == (4, len(VOCABULARY))
+        for row, vector in enumerate(vectors):
+            assert space.vectors[row] is vector
+            ids = space.vectors[row].id_arrays()[0]
+            assert [VOCABULARY.term(i) for i in ids] == vector.terms()
+            assert len(space.nrm[row]) == len(ids)
+
+    def test_rows_stored_normalized(self):
+        vectors = self._vectors()
+        space = pc_engine(vectors).space("pc")
+        assert len(space.nrm) == 4
         # Rows are stored normalized: 2 / |(1, 2)|.
         b = VOCABULARY.id_of("b")
-        assert matrix[0, b] == pytest.approx(2.0 / 5.0 ** 0.5)
+        ids = list(space.vectors[0].id_arrays()[0])
+        assert space.nrm[0][ids.index(b)] == pytest.approx(2.0 / 5.0 ** 0.5)
+        assert sum(w * w for w in space.nrm[1]) == pytest.approx(1.0)
+        assert len(space.nrm[3]) == 0
 
     def test_centroid_rows(self):
         vectors = [

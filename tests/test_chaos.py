@@ -138,7 +138,7 @@ class TestChaosPipeline:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # 64 sites: at or above MIN_AUTO_PARALLEL_PAGES, so four
+            # 64 sites: at or above MIN_PARALLEL_PAGES, so four
             # workers harvest on threads.
             threaded = [
                 harvest(ParallelConfig(workers=4)) for _ in range(3)

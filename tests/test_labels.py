@@ -21,7 +21,8 @@ import random
 import pytest
 
 from repro.core.config import CAFCConfig
-from repro.core.pipeline import LABEL_TERMS, CAFCPipeline, _label_terms
+from repro.core.pipeline import CAFCPipeline
+from repro.core.result import LABEL_TERMS, _label_terms
 from repro.service.directory import FormDirectory
 from repro.service.snapshot import Snapshot, build_snapshot
 from repro.vsm.vector import SparseVector

@@ -28,7 +28,7 @@ from repro.parallel import (
     page_analysis_key,
     parallel_map,
 )
-from repro.parallel.config import MIN_AUTO_PARALLEL_PAGES
+from repro.parallel.config import MIN_AUTO_PARALLEL_PAGES, MIN_PARALLEL_PAGES
 from repro.text.analyzer import TextAnalyzer
 
 
@@ -121,11 +121,11 @@ def test_workers_one_never_spawns_a_pool(monkeypatch, small_raw_pages):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", boom)
-    assert len(small_raw_pages) >= MIN_AUTO_PARALLEL_PAGES
+    assert len(small_raw_pages) >= MIN_PARALLEL_PAGES
     vectorizer, pages = _fit(small_raw_pages, workers=1, use_cache=False)
     assert vectorizer.ingest_stats.executor == "serial"
     assert len(pages) == len(small_raw_pages)
-    items = list(range(MIN_AUTO_PARALLEL_PAGES))
+    items = list(range(MIN_PARALLEL_PAGES))
     assert parallel_map(str, items, ParallelConfig(workers=1)) == \
         [str(x) for x in items]
 
@@ -134,8 +134,8 @@ def test_resolve_policy():
     assert ParallelConfig(workers=1).pool_size(500) == 1
     # Serial below the amortization threshold, a pool at scale.
     config = ParallelConfig(workers=4)
-    assert config.pool_size(MIN_AUTO_PARALLEL_PAGES - 1) == 1
-    assert config.pool_size(MIN_AUTO_PARALLEL_PAGES) == 4
+    assert config.pool_size(MIN_PARALLEL_PAGES - 1) == 1
+    assert config.pool_size(MIN_PARALLEL_PAGES) == 4
     assert ParallelConfig(workers=8).pool_size(0) == 1
 
 
@@ -149,7 +149,11 @@ def test_auto_workers_follow_cpu_affinity(monkeypatch):
     assert auto.effective_workers() == 1
     assert auto.pool_size(500) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert auto.pool_size(500) == 3
+    # Auto pools only from MIN_AUTO_PARALLEL_PAGES, where a pool beat
+    # serial on two CPUs; an explicit size pools from MIN_PARALLEL_PAGES.
+    assert auto.pool_size(MIN_AUTO_PARALLEL_PAGES - 1) == 1
+    assert auto.pool_size(MIN_AUTO_PARALLEL_PAGES) == 3
+    assert ParallelConfig(workers=3).pool_size(MIN_PARALLEL_PAGES) == 3
     # An explicit pool size is not second-guessed.
     assert ParallelConfig(workers=4).effective_workers() == 4
     # Without an affinity call the CPU count decides.
@@ -210,7 +214,7 @@ def test_keyboard_interrupt_shuts_pool_down(monkeypatch):
 
     pages = [
         RawFormPage(url=f"http://site{i}.example/", html="<p>text here</p>")
-        for i in range(MIN_AUTO_PARALLEL_PAGES)
+        for i in range(MIN_PARALLEL_PAGES)
     ]
     with pytest.raises(KeyboardInterrupt):
         analyze_pages(
@@ -351,7 +355,7 @@ def test_page_analysis_pickles():
 
 
 def test_parallel_map_preserves_order():
-    items = list(range(MIN_AUTO_PARALLEL_PAGES))
+    items = list(range(MIN_PARALLEL_PAGES))
     serial = parallel_map(lambda x: x * x, items, ParallelConfig(workers=1))
     threaded = parallel_map(lambda x: x * x, items, ParallelConfig(workers=4))
     assert serial == threaded == [x * x for x in items]

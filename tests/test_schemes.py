@@ -178,7 +178,7 @@ class TestParallelParity:
         serial = FormPageVectorizer(
             scheme=scheme, parallel=ParallelConfig(workers=1)
         ).fit_transform(small_raw_pages)
-        # 64 pages: at or above MIN_AUTO_PARALLEL_PAGES, so two workers
+        # 64 pages: at or above MIN_PARALLEL_PAGES, so two workers
         # map on a process pool.
         pooled = FormPageVectorizer(
             scheme=scheme, parallel=ParallelConfig(workers=2)
