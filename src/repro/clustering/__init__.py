@@ -13,20 +13,25 @@ The paper builds on two classic strategies (Section 2.2 and Section 4.3):
   "HAC-over-a-sample" seeding scheme the paper evaluates in Section 4.3.
 """
 
-from repro.clustering.hac import Linkage, hac
-from repro.clustering.kmeans import KMeansResult, kmeans
-from repro.clustering.minibatch import MiniBatchKMeans, ReservoirSample
-from repro.clustering.seeding import hac_seed_groups, random_seed_indices
-from repro.clustering.types import Clustering
+import sys
 
-__all__ = [
-    "Linkage",
-    "hac",
-    "KMeansResult",
-    "kmeans",
-    "MiniBatchKMeans",
-    "ReservoirSample",
-    "hac_seed_groups",
-    "random_seed_indices",
-    "Clustering",
-]
+from repro._lazy import LazyPackage
+
+#: Public name -> the submodule that defines it, imported on first use,
+#: so a served directory's drift recluster (batched k-means) loads
+#: neither agglomerative clustering nor the mini-batch learner.
+_EXPORTS = {
+    "Linkage": "repro.clustering.hac",
+    "hac": "repro.clustering.hac",
+    "KMeansResult": "repro.clustering.kmeans",
+    "kmeans": "repro.clustering.kmeans",
+    "MiniBatchKMeans": "repro.clustering.minibatch",
+    "ReservoirSample": "repro.clustering.minibatch",
+    "hac_seed_groups": "repro.clustering.seeding",
+    "random_seed_indices": "repro.clustering.seeding",
+    "Clustering": "repro.clustering.types",
+}
+
+__all__ = list(_EXPORTS)
+
+sys.modules[__name__].__class__ = LazyPackage

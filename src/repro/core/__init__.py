@@ -21,9 +21,9 @@ Public API
   pages (plus backlinks) to labelled clusters.
 """
 
-import importlib
 import sys
-import types
+
+from repro._lazy import LazyPackage
 
 #: Public name -> the submodule that defines it, imported on first use,
 #: so loading a served directory does not load the batch algorithms.
@@ -49,25 +49,4 @@ _EXPORTS = {
 __all__ = list(_EXPORTS)
 
 
-def __getattr__(name):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-class _Package(types.ModuleType):
-    """Keeps ``repro.core.cafc_c`` and ``repro.core.cafc_ch`` naming the
-    algorithms.  Importing a submodule binds it on its package under its
-    own name, and these two submodules share their names with the
-    functions they define."""
-
-    def __setattr__(self, name, value):
-        if isinstance(value, types.ModuleType) and _EXPORTS.get(name) == value.__name__:
-            value = getattr(value, name)
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
+sys.modules[__name__].__class__ = LazyPackage

@@ -37,6 +37,20 @@ from repro.core.simengine import SimilarityEngine
 from repro.core.vectorizer import FormPageVectorizer
 
 
+def cohesion_contributions(
+    clusters: Sequence[Sequence[FormPage]],
+    centroids: Sequence[VectorPair],
+    similarity: FormPageSimilarity,
+) -> List[float]:
+    """Each page's Equation-3 similarity to its own cluster's centroid,
+    in cluster/page order — what the running cohesion sums."""
+    return [
+        similarity(page, centroid)
+        for members, centroid in zip(clusters, centroids)
+        for page in members
+    ]
+
+
 @dataclass
 class IncrementalCluster:
     """One maintained cluster."""
@@ -73,27 +87,48 @@ class IncrementalOrganizer:
         vectorizer: FormPageVectorizer,
         config: Optional[CAFCConfig] = None,
         drift_threshold: float = 0.7,
+        centroids: Optional[Sequence[VectorPair]] = None,
+        contributions: Optional[Sequence[float]] = None,
     ) -> None:
+        """``centroids`` (one per cluster) and ``contributions`` (one
+        per page, in cluster/page order) restore a stored state as
+        given — a snapshot load.  Each one left out is computed here:
+        the centroids as :func:`centroid_of` over each cluster's pages,
+        the contributions by scoring every page against its centroid
+        (:meth:`refresh_cohesion`, which counts those comparisons).
+        Either way the running cohesion is their sum in cluster/page
+        order and is the drift baseline."""
         if not initial_clusters:
             raise ValueError("need at least one initial cluster")
         if not 0.0 < drift_threshold <= 1.0:
             raise ValueError("drift_threshold must be in (0, 1]")
+        if centroids is not None and len(centroids) != len(initial_clusters):
+            raise ValueError(
+                f"{len(centroids)} centroids for "
+                f"{len(initial_clusters)} clusters"
+            )
         self.config = config or CAFCConfig()
         self.vectorizer = vectorizer
         self.similarity = FormPageSimilarity.from_config(self.config)
         self.drift_threshold = drift_threshold
         self.clusters: List[IncrementalCluster] = []
         self._by_url: Dict[str, int] = {}
-        for members in initial_clusters:
+        for index, members in enumerate(initial_clusters):
             cluster = IncrementalCluster(pages=list(members))
-            cluster.rebuild_centroid()
+            if centroids is None:
+                cluster.rebuild_centroid()
+            else:
+                cluster.centroid = centroids[index]
             self.clusters.append(cluster)
             for page in members:
-                self._by_url[page.url] = len(self.clusters) - 1
+                self._by_url[page.url] = index
 
         self._contrib: Dict[str, float] = {}
         self._cohesion_sum = 0.0
-        self.refresh_cohesion()
+        if contributions is None:
+            self.refresh_cohesion()
+        else:
+            self._set_contributions(contributions)
         self._baseline_cohesion = self.cohesion
         self.n_added = 0
         self.n_removed = 0
@@ -112,16 +147,37 @@ class IncrementalOrganizer:
         removals) has cohesion 0.0 by definition; the guard keeps the
         mean from dividing by the zero page count.
         """
+        return self._set_contributions(
+            cohesion_contributions(
+                [cluster.pages for cluster in self.clusters],
+                self.centroid_pairs(),
+                self.similarity,
+            )
+        )
+
+    def _set_contributions(self, values: Sequence[float]) -> float:
+        """Install one contribution per page (cluster/page order) and
+        re-sum the running cohesion in that order; returns the mean."""
+        pages = [page for cluster in self.clusters for page in cluster.pages]
+        if len(values) != len(pages):
+            raise ValueError(
+                f"{len(values)} cohesion contributions for {len(pages)} pages"
+            )
         self._contrib = {}
         self._cohesion_sum = 0.0
-        if not self._by_url:
-            return 0.0
-        for cluster in self.clusters:
-            for page in cluster.pages:
-                value = self.similarity(page, cluster.centroid)
-                self._contrib[page.url] = value
-                self._cohesion_sum += value
+        for page, value in zip(pages, values):
+            self._contrib[page.url] = value
+            self._cohesion_sum += value
         return self.cohesion
+
+    def contributions(self) -> List[float]:
+        """Each managed page's recorded contribution to the running
+        cohesion, in cluster/page order."""
+        return [
+            self._contrib[page.url]
+            for cluster in self.clusters
+            for page in cluster.pages
+        ]
 
     @property
     def cohesion(self) -> float:

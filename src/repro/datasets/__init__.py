@@ -8,6 +8,7 @@ regenerable, diffable and shareable without the generator.
 
 from repro.datasets.store import (
     DatasetFormatError,
+    atomic_write_bytes,
     atomic_write_json,
     dataset_info,
     fsync_dir,
@@ -18,6 +19,7 @@ from repro.datasets.store import (
 
 __all__ = [
     "DatasetFormatError",
+    "atomic_write_bytes",
     "atomic_write_json",
     "dataset_info",
     "fsync_dir",

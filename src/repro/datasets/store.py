@@ -2,7 +2,7 @@
 
 Also home of the shared durable-write helper: every artifact this
 library persists (datasets, organized directories, service snapshots)
-goes through :func:`atomic_write_json` — write to a tmp file, flush,
+goes through :func:`atomic_write_bytes` — write to a tmp file, flush,
 ``fsync``, then ``os.replace`` — so a crash or power loss mid-write
 never leaves a truncated or missing artifact behind.
 """
@@ -60,30 +60,40 @@ def fsync_dir(path: Union[str, Path]) -> None:
         os.close(fd)
 
 
-def atomic_write_json(
-    payload: object, path: Union[str, Path], compress: bool = False
+def atomic_write_bytes(
+    data: Union[bytes, Iterable[bytes]], path: Union[str, Path]
 ) -> None:
-    """Durably write ``payload`` as JSON to ``path``.
+    """Durably write ``data`` (bytes, or an iterable of byte chunks
+    written as they are produced) to ``path``.
 
     The bytes land in ``<path>.tmp`` first and are fsynced *before* the
     rename, and the parent directory is fsynced *after* it — so the
     replace is atomic on POSIX, the data is on disk when it happens,
     and the rename itself survives a crash.  A crashed run leaves
     either the old file or the new one, never a torn half-write.
-    ``compress`` gzips the payload (the convention: pass it for paths
-    ending in ``.gz``).
     """
     path = Path(path)
     tmp_path = path.with_suffix(path.suffix + ".tmp")
-    data = json.dumps(payload).encode("utf-8")
-    if compress:
-        data = gzip.compress(data, mtime=0)
+    chunks = (data,) if isinstance(data, (bytes, bytearray)) else data
     with open(tmp_path, "wb") as handle:
-        handle.write(data)
+        for chunk in chunks:
+            handle.write(chunk)
         handle.flush()
         os.fsync(handle.fileno())
     tmp_path.replace(path)
     fsync_dir(path.parent)
+
+
+def atomic_write_json(
+    payload: object, path: Union[str, Path], compress: bool = False
+) -> None:
+    """Durably write ``payload`` as JSON to ``path`` (see
+    :func:`atomic_write_bytes`).  ``compress`` gzips the payload (the
+    convention: pass it for paths ending in ``.gz``)."""
+    data = json.dumps(payload).encode("utf-8")
+    if compress:
+        data = gzip.compress(data, mtime=0)
+    atomic_write_bytes(data, path)
 
 
 def read_json(path: Union[str, Path]) -> object:
@@ -104,7 +114,7 @@ def read_json(path: Union[str, Path]) -> object:
 # covers every on-disk record stream:
 # ``[length: u32 BE] [crc32(payload): u32 BE] [payload: JSON bytes]``.
 # Files written by :func:`write_framed_records` are immutable once
-# sealed (tmp + fsync + rename, like :func:`atomic_write_json`), so
+# sealed (tmp + fsync + rename, like :func:`atomic_write_bytes`), so
 # readers may cache offsets and seek records on demand.
 # ----------------------------------------------------------------
 
@@ -133,20 +143,17 @@ def write_framed_records(
     own directory over the file).  The write is atomic: a crash leaves
     either the previous file or the complete new one.
     """
-    path = Path(path)
-    tmp_path = path.with_suffix(path.suffix + ".tmp")
     offsets: List[int] = []
-    position = 0
-    with open(tmp_path, "wb") as handle:
+
+    def frames() -> Iterator[bytes]:
+        position = 0
         for record in records:
             framed = _frame(json.dumps(record).encode("utf-8"))
             offsets.append(position)
-            handle.write(framed)
             position += len(framed)
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp_path.replace(path)
-    fsync_dir(path.parent)
+            yield framed
+
+    atomic_write_bytes(frames(), path)
     return offsets
 
 

@@ -154,7 +154,7 @@ class LocalShardClient:
                 self.name, f"{type(exc).__name__}: {exc}"
             ) from exc
 
-    def replication_snapshot(self) -> Dict[str, object]:
+    def replication_snapshot(self) -> bytes:
         return self._guard(self.shard.replication_snapshot)
 
 
@@ -419,8 +419,8 @@ class HttpShardClient:
             "/replication/segment", query={"seq": seq}, raw=True
         )
 
-    def replication_snapshot(self) -> Dict[str, object]:
-        return self._request("/replication/snapshot")
+    def replication_snapshot(self) -> bytes:
+        return self._request("/replication/snapshot", raw=True)
 
 
 __all__ = [

@@ -11,7 +11,8 @@ friends on the CLI).
 * **shard** (:func:`serve_shard`) — the full single-node API with
   global cluster ids, plus the replication feed
   (``/replication/manifest``, ``/replication/segment?seq=N`` as raw
-  crc-framed bytes, ``/replication/snapshot``);
+  crc-framed bytes, ``/replication/snapshot`` as version-3 snapshot
+  bytes);
 * **replica** (:func:`serve_replica`) — reads only (``/search``,
   ``/classify``, ``/healthz``, ``/metrics``) until promoted; write
   endpoints answer 403 so a misconfigured client cannot fork the copy;
@@ -140,7 +141,10 @@ class ShardApp(DirectoryApp):
         return Response(200, data, content_type="application/octet-stream")
 
     def _get_replication_snapshot(self, query: dict) -> Response:
-        return json_response(200, self.shard.replication_snapshot())
+        return Response(
+            200, self.shard.replication_snapshot(),
+            content_type="application/octet-stream",
+        )
 
 
 class ReplicaApp(ShardApp):

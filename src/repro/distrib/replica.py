@@ -4,7 +4,8 @@ A :class:`ReplicaNode` follows one shard ("the leader") through three
 states:
 
 1. **bootstrap** — fetch the leader's ``/replication/snapshot``
-   (state + the journal position it includes), materialize a
+   (version-3 snapshot bytes: the state, and in its ``meta`` the
+   journal position it includes), materialize a
    :class:`~repro.service.directory.FormDirectory` from it.  The
    replica's directory has **no journal** and **no auto-recluster**:
    every mutation it applies came out of the leader's log, including
@@ -134,9 +135,9 @@ class ReplicaNode:
         from it would silently roll the copy back behind the fence, so
         it is refused with :class:`StaleEpochError` instead.
         """
-        payload = self.leader.replication_snapshot()
-        snapshot = Snapshot.from_payload(
-            payload, source=f"{self.name}<-{getattr(self.leader, 'name', '?')}"
+        data = self.leader.replication_snapshot()
+        snapshot = Snapshot.from_bytes(
+            data, source=f"{self.name}<-{getattr(self.leader, 'name', '?')}"
         )
         snapshot_epoch = int(snapshot.meta.get("epoch", 0))
         if snapshot_epoch < self.epoch:

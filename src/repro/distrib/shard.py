@@ -400,8 +400,9 @@ class ShardNode:
         STATS.inc("segments_shipped")
         return data
 
-    def replication_snapshot(self) -> Dict[str, object]:
-        """Bootstrap payload: the live state as a snapshot payload whose
+    def replication_snapshot(self) -> bytes:
+        """Bootstrap bytes: the live state as version-3 snapshot bytes
+        (what :meth:`Snapshot.save` writes to a ``.gz`` path) whose
         ``meta`` records this shard's placement and the journal position
         the state includes."""
         snapshot = self.directory.snapshot(
@@ -412,7 +413,7 @@ class ShardNode:
                 "global_clusters": list(self.global_ids),
             }
         )
-        return snapshot.to_payload()
+        return snapshot.to_bytes()
 
     # ----------------------------------------------------------------
     # Lifecycle.

@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.index.postings import SpaceIndex
 from repro.index.retrieval import RetrievalStats, top_k_exact
-from repro.vsm.vector import KeywordQuery, SparseVector
+from repro.vsm.vector import KeywordQuery, SparseVector, add_pairs
 
 
 class DirectoryIndex:
@@ -90,18 +90,31 @@ class DirectoryIndex:
     # ----------------------------------------------------------------
 
     def rebuild(self, organizer, generation: int) -> None:
-        """Full rebuild from ``organizer`` (cold start / repair)."""
+        """Full rebuild from ``organizer`` (cold start / repair).
+
+        Each row collection is combined in one
+        :func:`~repro.vsm.vector.add_pairs` pass and then indexed row by
+        row, which leaves exactly the rows, posting lists and maxima
+        that :meth:`sync_clusters` plus one :meth:`page_upsert` per page
+        would.
+        """
+        clusters = organizer.clusters
         self._clusters.clear()
         self._pages.clear()
-        self._centroid_refs = []
-        self._labels = []
+        self._centroid_refs = [cluster.centroid for cluster in clusters]
+        self._labels = [None] * len(clusters)
         self._row_by_url = {}
         self._url_by_row = {}
         self._next_row = 0
-        self._sync_cluster_rows(organizer)
-        for cluster in organizer.clusters:
-            for page in cluster.pages:
-                self.page_upsert(page)
+        for index, vector in enumerate(add_pairs(
+            [(cluster.centroid.pc, cluster.centroid.fc) for cluster in clusters]
+        )):
+            self._clusters.add_row(index, vector)
+        pages = [page for cluster in clusters for page in cluster.pages]
+        for page, vector in zip(pages, add_pairs(
+            [(page.pc, page.fc) for page in pages]
+        )):
+            self._pages.add_row(self._row_of(page.url), vector)
         self.generation = generation
 
     def sync_clusters(self, organizer, generation: int) -> None:
@@ -124,15 +137,19 @@ class DirectoryIndex:
                 refs[index] = centroid
                 self._labels[index] = None
 
-    def page_upsert(self, page) -> None:
-        """(Re-)index one managed page's combined vector."""
-        row = self._row_by_url.get(page.url)
+    def _row_of(self, url: str) -> int:
+        """The page row of ``url``, allocated on first sight."""
+        row = self._row_by_url.get(url)
         if row is None:
             row = self._next_row
             self._next_row += 1
-            self._row_by_url[page.url] = row
-            self._url_by_row[row] = page.url
-        self._pages.add_row(row, page.pc.add(page.fc))
+            self._row_by_url[url] = row
+            self._url_by_row[row] = url
+        return row
+
+    def page_upsert(self, page) -> None:
+        """(Re-)index one managed page's combined vector."""
+        self._pages.add_row(self._row_of(page.url), page.pc.add(page.fc))
 
     def page_remove(self, url: str) -> None:
         row = self._row_by_url.pop(url, None)

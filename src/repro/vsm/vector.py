@@ -17,7 +17,9 @@ exactly, so the re-layout is bit-identical to the old representation.
 import heapq
 import math
 from array import array
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.vsm.interning import VOCABULARY
 
@@ -63,6 +65,19 @@ class SparseVector:
                 vals.append(weight)
         vector._ids = ids
         vector._vals = vals
+        vector._lookup = None
+        vector._norm = -1.0
+        return vector
+
+    @classmethod
+    def from_arrays(cls, ids: array, weights: array) -> "SparseVector":
+        """Adopt already-interned, already-validated parallel arrays
+        (``array('q')`` ids, ``array('d')`` weights) as they are: no
+        copy and no filtering, so the caller vouches that the ids are
+        distinct and every weight is non-zero."""
+        vector = cls.__new__(cls)
+        vector._ids = ids
+        vector._vals = weights
         vector._lookup = None
         vector._norm = -1.0
         return vector
@@ -276,6 +291,64 @@ def accumulate(vectors: Iterable[SparseVector]) -> SparseVector:
             else:
                 total[tid] = weight
     return SparseVector.from_ids(total.items())
+
+
+def _concat_arrays(vectors: Sequence[SparseVector]):
+    """The vectors' ids and weights end to end, as NumPy arrays, and
+    each vector's length."""
+    import numpy as np
+
+    ids = np.frombuffer(b"".join(v._ids for v in vectors), dtype=np.int64)
+    vals = np.frombuffer(b"".join(v._vals for v in vectors), dtype=np.float64)
+    return ids, vals, np.array([len(v._ids) for v in vectors], dtype=np.int64)
+
+
+def add_pairs(
+    pairs: Sequence[Tuple[SparseVector, SparseVector]]
+) -> List[SparseVector]:
+    """``[a.add(b) for a, b in pairs]`` in one pass over the pairs'
+    packed arrays: the same terms in the same order (``a``'s, then the
+    terms only ``b`` holds), the same sums (one IEEE add per shared
+    term) and the same zero-dropping.  (NumPy is imported here, not at
+    module level, so analysis workers that only build vectors do not
+    load it.)"""
+    import numpy as np
+
+    n = len(pairs)
+    if not n:
+        return []
+    a_ids, a_vals, a_len = _concat_arrays([a for a, _ in pairs])
+    b_ids, b_vals, b_len = _concat_arrays([b for _, b in pairs])
+    a_row = np.repeat(np.arange(n, dtype=np.int64), a_len)
+    b_row = np.repeat(np.arange(n, dtype=np.int64), b_len)
+    width = int(max(a_ids.max(initial=-1), b_ids.max(initial=-1))) + 1
+    a_key = a_row * width + a_ids
+    b_key = b_row * width + b_ids
+    sums = a_vals.copy()
+    b_only = np.ones(len(b_ids), dtype=bool)
+    if len(b_key) and len(a_key):
+        b_order = np.argsort(b_key)
+        b_sorted = b_key[b_order]
+        at = np.minimum(np.searchsorted(b_sorted, a_key), len(b_sorted) - 1)
+        shared = b_sorted[at] == a_key
+        partner = b_order[at[shared]]
+        sums[shared] += b_vals[partner]
+        b_only[partner] = False
+    rows = np.concatenate([a_row, b_row[b_only]])
+    order = np.argsort(rows, kind="stable")
+    ids = np.concatenate([a_ids, b_ids[b_only]])[order]
+    vals = np.concatenate([sums, b_vals[b_only]])[order]
+    rows = rows[order]
+    nonzero = vals != 0.0
+    if not nonzero.all():
+        ids, vals, rows = ids[nonzero], vals[nonzero], rows[nonzero]
+    bounds = [0] + np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    all_ids = array("q", ids.tobytes())
+    all_vals = array("d", vals.tobytes())
+    return [
+        SparseVector.from_arrays(all_ids[start:end], all_vals[start:end])
+        for start, end in zip(bounds, bounds[1:])
+    ]
 
 
 def mean_vector(vectors: Iterable[SparseVector]) -> SparseVector:

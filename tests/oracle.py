@@ -26,8 +26,15 @@ route: :func:`oracle_terms` (tokenize, drop stopwords, stem), a flat
 ``(term, location)`` list per space (:func:`flat_page_analysis`), one
 ``Counter`` add per occurrence (:func:`located_term_frequencies`) and
 ``scheme.vector`` (:func:`flat_fit`, :func:`flat_vectors`).
+
+Snapshots are pinned to the JSON formats the packed version 3 replaced:
+:func:`json_snapshot_payload` / :func:`save_json_snapshot` write
+version 1 (Equation-1 state) or version 2 (any other scheme), one JSON
+document with term-string dicts and no centroids, which
+:meth:`~repro.service.snapshot.Snapshot.load` still reads.
 """
 
+import time
 from html.parser import HTMLParser
 from collections import Counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -40,6 +47,7 @@ from repro.core.form_page import RawFormPage, VectorPair, centroid_of
 from repro.core.result import LABEL_TERMS
 from repro.core.similarity import FormPageSimilarity
 from repro.core.simengine import EngineStats
+from repro.datasets.store import atomic_write_json
 from repro.html.dom import (
     NON_VISIBLE_TAGS, SELF_NESTING_CLOSERS, VOID_TAGS, Element, Text,
 )
@@ -47,6 +55,7 @@ from repro.html.forms import extract_forms
 from repro.html.lexer import END, START, STARTEND, TEXT
 from repro.html.text_extract import LocatedText, TextLocation, scan_page
 from repro.parallel.ingest import PageAnalysis
+from repro.service.snapshot import _KIND, _page_to_json, _scheme_name
 from repro.text.analyzer import TextAnalyzer
 from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import STOPWORDS
@@ -572,4 +581,48 @@ def flat_vectors(scheme, analysis: FlatAnalysis, fit: FlatFit, weights):
             located_term_frequencies(analysis.fc_terms, weights),
             fit.fc_stats, fit.fc_context,
         ),
+    )
+
+
+# ---------------------------------------------------------------------
+# The JSON snapshot writer (formats 1 and 2).
+# ---------------------------------------------------------------------
+
+
+def json_snapshot_payload(snapshot, version: Optional[int] = None) -> dict:
+    """The version-1/2 JSON payload of ``snapshot``: by default version
+    1 for Equation-1 state and version 2 for any other scheme (version 2
+    holds any scheme, so ``version=2`` is valid for Equation 1 too)."""
+    if version is None:
+        version = 1 if _scheme_name(snapshot.vectorizer_state) == "eq1" else 2
+    terms = list(snapshot.top_terms)
+    terms += [[]] * (len(snapshot.clusters) - len(terms))
+    payload = {
+        "format_version": version,
+        "kind": _KIND,
+        "created_unix": snapshot.created_unix or time.time(),
+        "algorithm": snapshot.algorithm,
+        "config": snapshot.config.to_dict(),
+        "vectorizer": snapshot.vectorizer_state,
+        "clusters": [
+            {
+                "top_terms": list(labels),
+                "pages": [_page_to_json(page) for page in members],
+            }
+            for members, labels in zip(snapshot.clusters, terms)
+        ],
+    }
+    if snapshot.meta:
+        payload["meta"] = dict(snapshot.meta)
+    return payload
+
+
+def save_json_snapshot(snapshot, path, version: Optional[int] = None) -> None:
+    """Write ``snapshot`` as a version-1/2 JSON file (gzipped when
+    ``path`` ends in ``.gz``)."""
+    path = str(path)
+    atomic_write_json(
+        json_snapshot_payload(snapshot, version),
+        path,
+        compress=path.endswith(".gz"),
     )

@@ -8,6 +8,8 @@ Each check runs in a fresh interpreter with SciPy blocked
   all-pairs kernel over the hub centroids, saved as a snapshot;
 * ``import repro.cli``, a ``FormDirectory.from_snapshot`` load of that
   snapshot and one classify, after which no batch-only module is loaded;
+* a served directory's drift recluster (batched k-means), after which
+  neither agglomerative clustering nor the mini-batch learner is loaded;
 * every public name of ``repro`` and ``repro.core`` still resolves to
   what it names, whichever submodules were imported first.
 """
@@ -61,12 +63,20 @@ outcome = directory.classify(RawFormPage(
 print(json.dumps({"cluster": outcome.cluster, "modules": sorted(sys.modules)}))
 """
 
+RECLUSTER = BLOCK_SCIPY + """
+from repro.service import FormDirectory
+
+directory = FormDirectory.from_snapshot(sys.argv[1], auto_recluster=False)
+directory.recluster()
+print(json.dumps({"reclusters": directory.n_reclusters, "modules": sorted(sys.modules)}))
+"""
+
 PUBLIC_NAMES = """
 import types
 import repro.core.pipeline  # binds the cafc_c / cafc_ch submodules first
-import repro, repro.core
+import repro, repro.core, repro.clustering
 
-for package in (repro, repro.core):
+for package in (repro, repro.core, repro.clustering):
     for name in package.__all__:
         value = getattr(package, name)
         assert not isinstance(value, types.ModuleType), (package.__name__, name)
@@ -75,6 +85,11 @@ from repro.core.cafc_c import cafc_c as algorithm_1
 from repro.core.cafc_ch import cafc_ch as algorithm_2
 assert cafc_c is algorithm_1 and repro.cafc_c is algorithm_1
 assert cafc_ch is algorithm_2 and repro.cafc_ch is algorithm_2
+import repro.clustering.hac, repro.clustering.kmeans
+from repro.clustering import hac, kmeans
+from repro.clustering.hac import hac as agglomerative
+from repro.clustering.kmeans import kmeans as partitional
+assert hac is agglomerative and kmeans is partitional
 print(json.dumps({"ok": True}))
 """
 
@@ -110,6 +125,15 @@ def test_serving_loads_no_batch_module(snapshot):
     )
     assert loaded == []
     assert "scipy.sparse" not in modules
+
+
+def test_recluster_loads_no_hac_or_minibatch(snapshot):
+    served = run(RECLUSTER, str(snapshot))
+    assert served["reclusters"] == 1
+    modules = set(served["modules"])
+    assert "repro.clustering.kmeans" in modules
+    assert "repro.clustering.hac" not in modules
+    assert "repro.clustering.minibatch" not in modules
 
 
 def test_public_names_resolve():

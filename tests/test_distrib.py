@@ -11,6 +11,7 @@ splitting, write routing, partial-result degradation, and the HTTP
 faces.
 """
 
+import gzip
 import json
 import urllib.error
 import urllib.request
@@ -34,8 +35,9 @@ from repro.distrib import (
     shard_for_url,
     split_snapshot,
 )
+from repro.resilience.journal import StaleEpochError
 from repro.service.directory import FormDirectory
-from repro.service.snapshot import build_snapshot
+from repro.service.snapshot import Snapshot, build_snapshot
 
 QUERIES = [
     "cheap flight airline ticket",
@@ -531,3 +533,96 @@ class TestPooledHttpClient:
                 client.search(QUERIES[0], n=3)
         finally:
             client.close()
+
+
+# ---------------------------------------------------------------------
+# Bootstrap over version-3 snapshot bytes, in-process and over HTTP.
+# ---------------------------------------------------------------------
+
+
+class TestBootstrapOverSnapshotBytes:
+    """``/replication/snapshot`` ships the bytes ``Snapshot.save``
+    writes; a replica loads them with ``Snapshot.from_bytes``, serves
+    what the leader serves, resumes tailing at the ``meta`` journal
+    position and refuses a snapshot from a lower epoch."""
+
+    NODE_KWARGS = dict(auto_recluster=False, cache_size=0)
+
+    @pytest.fixture(params=["local", "http"])
+    def connect(self, request):
+        servers = []
+
+        def connect(node, name):
+            if request.param == "local":
+                return LocalShardClient(node, name=name)
+            server = serve_shard(node)
+            server.serve_in_thread()
+            servers.append(server)
+            return HttpShardClient(server.base_url, name=name)
+
+        yield connect
+        for server in servers:
+            server.shut_down()
+
+    def test_bootstrap_tail_and_fence(
+        self, connect, small_snapshot, small_raw_pages, tmp_path
+    ):
+        held_out = small_raw_pages[-6:]
+        leader_node = ShardNode(
+            small_snapshot, journal=tmp_path / "leader.wal",
+            segment_records=4, epoch=2, **self.NODE_KWARGS,
+        )
+        leader = connect(leader_node, "leader")
+        for raw in held_out[:3]:
+            leader_node.directory.add(raw)
+        leader_node.directory.remove(held_out[0].url)
+
+        data = leader.replication_snapshot()
+        assert isinstance(data, bytes)
+        assert gzip.decompress(data)[:8] == b"RPDSNAP\x03"
+        shipped = Snapshot.from_bytes(data)
+        assert shipped.meta["journal_position"] == (
+            leader_node.journal.next_record
+        )
+
+        replica = ReplicaNode(leader, name="replica", cache_size=0)
+        try:
+            position = replica.bootstrap()
+            assert position == leader_node.journal.next_record
+            assert replica.applied == position
+            assert replica.epoch == 2
+            ours = replica.node.directory.organizer
+            theirs = leader_node.directory.organizer
+            assert [
+                (c.centroid.pc.items(), c.centroid.fc.items())
+                for c in ours.clusters
+            ] == [
+                (c.centroid.pc.items(), c.centroid.fc.items())
+                for c in theirs.clusters
+            ]
+            assert ours.similarity.stats.comparisons == 0
+            for raw in small_raw_pages[:20]:
+                assert replica.classify(raw) == leader_node.classify(raw)
+            assert replica.search("cheap flight ticket", n=5) == (
+                leader_node.search("cheap flight ticket", n=5)
+            )
+
+            # Tailing resumes at the shipped position.
+            for raw in held_out[3:]:
+                leader_node.directory.add(raw)
+            leader_node.directory.remove(held_out[1].url)
+            replica.catch_up()
+            assert replica.applied == leader_node.journal.next_record
+            assert replica.bootstraps == 1
+            assert sorted(ours._by_url) == sorted(theirs._by_url)
+
+            # A deposed leader (epoch 0) shipping its snapshot is refused.
+            stale_node = ShardNode(small_snapshot, **self.NODE_KWARGS)
+            replica.leader = connect(stale_node, "stale")
+            with pytest.raises(StaleEpochError):
+                replica.bootstrap()
+            assert replica.bootstraps == 1
+            stale_node.close()
+        finally:
+            replica.close()
+            leader_node.close()

@@ -10,9 +10,11 @@ Three pins:
   pooled parallel ingestion.
 * **BM25 range** — every emitted weight lies in (0, 1] per feature
   space (the normalization happens *before* the PC/FC combination).
-* **Snapshot versioning** — BM25-built snapshots carry format version 2
-  and refuse to load as Equation 1; pre-seam Equation-1 state (no
-  ``scheme`` key) still loads bit-identically.
+* **Snapshot versioning** — the JSON writer (``tests/oracle.py``) gives
+  BM25-built snapshots format version 2, and those refuse to load as
+  Equation 1; pre-seam Equation-1 state (no ``scheme`` key) still loads
+  bit-identically.  The packed version 3, the only one the library
+  writes, carries the scheme in its header.
 """
 
 import gzip
@@ -44,6 +46,7 @@ from repro.vsm.weights import LocationWeights, tf_idf_vector
 from tests.oracle import (
     flat_page_analysis,
     located_term_frequencies,
+    save_json_snapshot,
     scan_clusters,
     scan_pages,
 )
@@ -270,7 +273,7 @@ class TestSnapshotVersioning:
         pipeline, result = _build(small_raw_pages, "bm25")
         snapshot = build_snapshot(result, pipeline.vectorizer, pipeline.config)
         path = tmp_path_factory.mktemp("bm25snap") / "directory.json.gz"
-        snapshot.save(path)
+        save_json_snapshot(snapshot, path)
         return path
 
     def test_bm25_snapshot_is_version_two(self, bm25_snapshot_path):
@@ -290,10 +293,22 @@ class TestSnapshotVersioning:
         pipeline, result = _build(small_raw_pages, "auto")
         snapshot = build_snapshot(result, pipeline.vectorizer, pipeline.config)
         path = tmp_path_factory.mktemp("eq1snap") / "directory.json"
-        snapshot.save(path)
+        save_json_snapshot(snapshot, path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["format_version"] == 1
         assert load_snapshot(path).n_pages == snapshot.n_pages
+
+    def test_written_snapshot_is_version_three_with_its_scheme(
+        self, small_raw_pages, tmp_path
+    ):
+        pipeline, result = _build(small_raw_pages, "bm25")
+        snapshot = build_snapshot(result, pipeline.vectorizer, pipeline.config)
+        path = tmp_path / "directory.json.gz"
+        snapshot.save(path)
+        info = snapshot_info(path)
+        assert info["format_version"] == 3
+        assert info["scheme"] == "bm25"
+        assert load_snapshot(path).vectorizer().scheme.name == "bm25"
 
     def test_mislabelled_version_one_bm25_payload_refused(
         self, bm25_snapshot_path, tmp_path

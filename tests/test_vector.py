@@ -13,6 +13,7 @@ from repro.vsm.vector import (
     KeywordQuery,
     SparseVector,
     accumulate,
+    add_pairs,
     cosine_similarity,
     mean_vector,
 )
@@ -90,6 +91,38 @@ class TestAlgebra:
     def test_add_cancellation_drops_term(self):
         total = SparseVector({"a": 1.0}).add(SparseVector({"a": -1.0}))
         assert "a" not in total
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_add_pairs_equals_add(self, seed):
+        rng = random.Random(seed)
+
+        def draw():
+            return SparseVector({
+                f"pair{rng.randint(0, 15)}":
+                    rng.choice([1.0, -1.0, 0.5, rng.random()])
+                for _ in range(rng.randint(0, 8))
+            })
+
+        pairs = [(draw(), draw()) for _ in range(rng.randint(0, 30))]
+        pairs.append((SparseVector({"c": 1.0}), SparseVector({"c": -1.0})))
+        got = add_pairs(pairs)
+        assert len(got) == len(pairs)
+        for (a, b), vector in zip(pairs, got):
+            want = a.add(b)
+            assert list(zip(*vector.id_arrays())) == list(
+                zip(*want.id_arrays())
+            )
+        assert add_pairs([]) == []
+
+    def test_from_arrays_adopts_the_arrays(self):
+        from array import array
+
+        ids = array("q", [VOCABULARY.intern("u"), VOCABULARY.intern("v")])
+        weights = array("d", [0.25, 0.5])
+        vector = SparseVector.from_arrays(ids, weights)
+        assert vector.id_arrays() == (ids, weights)
+        assert vector.id_arrays()[0] is ids
+        assert vector.items() == [("u", 0.25), ("v", 0.5)]
 
     def test_normalized(self):
         unit = SparseVector({"a": 3.0, "b": 4.0}).normalized()
