@@ -10,11 +10,16 @@
 * update: Equation-4 per-space mean;
 * stop: fewer than ``stop_fraction`` of pages moved (paper: 10%).
 
-The assignment loop runs on the compiled
+The loop runs on the compiled
 :class:`~repro.core.simengine.SimilarityEngine`
-(:meth:`~repro.core.simengine.SimilarityEngine.kmeans`), which yields
-the same clustering as the generic :func:`repro.clustering.kmeans.kmeans`
-driven by :class:`~repro.core.similarity.FormPageSimilarity`.
+(:meth:`~repro.core.simengine.SimilarityEngine.kmeans`), which is the
+generic :func:`repro.clustering.kmeans.kmeans` driven by
+:class:`~repro.core.similarity.FormPageSimilarity` and
+:func:`~repro.core.form_page.centroid_of` by construction: each pass
+assigns with the argmax rule Section 5's classification uses
+(:meth:`~repro.core.similarity.FormPageSimilarity.rescored_argmax`), on
+the scalar Equation-3 floats, so the clustering, the iteration count and
+the centroids are the generic loop's.
 """
 
 import random

@@ -9,29 +9,27 @@ batched shape from that one representation:
 
 * :meth:`SimilarityEngine.pairwise` — the full n x n similarity matrix
   as one all-pairs kernel per feature space;
-* :meth:`SimilarityEngine.page_centroid_matrix` — pages x centroids,
-  the k-means assignment shape;
-* :meth:`SimilarityEngine.to_centroids` — Equation-4 means straight
-  from the compiled rows;
-* :meth:`SimilarityEngine.kmeans` — Algorithm 1's loop, batched, with
-  tie-breaking and stopping semantics identical to
-  :func:`repro.clustering.kmeans.kmeans`.
+* :meth:`SimilarityEngine.kmeans` — Algorithm 1's loop, the generic
+  :func:`repro.clustering.kmeans.kmeans` by construction: each pass
+  scores the pages against the k centroids with the kernel behind
+  :meth:`~repro.core.similarity.FormPageSimilarity.best` and decides
+  with the same scalar rescore, so it assigns on the scalar floats.
 
 Rows are the vectors' own :mod:`array` buffers over the process-wide
 :data:`~repro.vsm.interning.VOCABULARY` ids — the engine keeps no term
 table of its own and resolves no strings.  The all-pairs matrix is one
 NumPy kernel over the normalized rows: a dense block, transposed, over
 the collection's own term union, summed in each row's stored term
-order (the order of a CSR matmul, so its floats are the same), and
-the page x centroid shapes accumulate over a
-:class:`~repro.index.postings.SpaceIndex`, the posting lists the query
-paths use.  The engine holds no Equation-3 configuration of its own:
-it compiles the spaces its
+order (the order of a CSR matmul, so its floats are the same).  The
+page x centroid kernel gathers rows of a compiled centroid block
+(:class:`_SpaceBlock`, the block ``best`` scans) by the pages' packed
+term ids and sums them per page.  The engine holds no Equation-3
+configuration of its own: it compiles the spaces its
 :class:`~repro.core.similarity.FormPageSimilarity` names
 (``similarity.spaces``) and combines per-space cosines with that
 object's literal expression (``similarity.combine``), never
-algebraically rearranged, so every shape agrees with the scalar path to
-well below 1e-12.
+algebraically rearranged, so the all-pairs matrix agrees with the
+scalar path to well below 1e-12.
 
 The engine never changes Eq. 1-6 semantics — it only changes how the
 same arithmetic is batched.
@@ -44,12 +42,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.form_page import VectorPair
+from repro.core.form_page import centroid_of
 from repro.vsm.vector import SparseVector
 
 #: Upper bound on the dense term x column block
 #: :meth:`_Space.pairwise` holds at once.
 PAIRWISE_BLOCK_BYTES = 8 << 20
+
+#: Upper bound on the gathered products
+#: :meth:`_Space.centroid_cosines` holds at once.
+KERNEL_BLOCK_BYTES = 8 << 20
 
 
 @dataclass
@@ -114,12 +116,12 @@ class _Space:
     normalized weights (``nrm``, aligned with each row's ids) are new.
     """
 
-    __slots__ = ("vectors", "nrm", "_index")
+    __slots__ = ("vectors", "nrm", "_packed")
 
     def __init__(self) -> None:
         self.vectors: List[SparseVector] = []
         self.nrm: List[array] = []     # per row: weights / row norm ('d')
-        self._index = None
+        self._packed = None
 
     def add_row(self, vector: SparseVector) -> None:
         norm = vector.norm()
@@ -135,21 +137,6 @@ class _Space:
         """Distinct terms over the compiled rows."""
         return len(set().union(*(v.id_arrays()[0] for v in self.vectors)))
 
-    # -- derived structures (built lazily, cached) --------------------
-
-    def index(self):
-        """Posting lists over the normalized rows, rows in ascending
-        order (pages are compiled in sequence)."""
-        if self._index is None:
-            # repro.index imports repro.datasets, which imports repro.core.
-            from repro.index.postings import SpaceIndex
-
-            index = SpaceIndex()
-            for row, vector in enumerate(self.vectors):
-                index.add_row(row, vector)
-            self._index = index
-        return self._index
-
     # -- per-row helpers ----------------------------------------------
 
     def self_cosine(self, row: int) -> float:
@@ -158,16 +145,6 @@ class _Space:
         if not weights:
             return 0.0
         return sum(w * w for w in weights)
-
-    def score_column(self, query: Dict[int, float], n_rows: int) -> List[float]:
-        """Cosine of ``query`` (a normalized id -> weight map) against
-        every compiled row (accumulator)."""
-        scores = [0.0] * n_rows
-        postings = self.index().postings
-        for term_id, query_weight in query.items():
-            for row, weight in postings(term_id):
-                scores[row] += query_weight * weight
-        return scores
 
     def pairwise(self) -> np.ndarray:
         """All-pairs cosines of the normalized rows (dense, symmetric).
@@ -222,6 +199,61 @@ class _Space:
         np.fill_diagonal(dense, [self.self_cosine(i) for i in range(n)])
         return dense
 
+    def centroid_cosines(self, block: "_SpaceBlock") -> np.ndarray:
+        """Kernel cosines of every row against every centroid of
+        ``block``, as an n x k matrix.
+
+        Entry ``(i, j)`` is the expression :meth:`_SpaceBlock.cosines`
+        evaluates for one page: row ``i``'s raw weights dotted with
+        centroid ``j``'s, over ``norm_i * norm_j``; a row of zero norm
+        scores 0.0.  The rows are packed end to end once per space (ids,
+        raw weights, row starts and norms, rows of zero norm left out);
+        one gather of the block's term rows by the packed ids, weighted,
+        is summed per row with ``np.add.reduceat``.  The gather is cut
+        at row boundaries into chunks of at most
+        :data:`KERNEL_BLOCK_BYTES`.
+        """
+        if self._packed is None:
+            self._packed = self._pack()
+        rows, ids, weights, starts, norms = self._packed
+        k = len(block.norms)
+        out = np.zeros((len(self.vectors), k), dtype=np.float64)
+        if not rows.size:
+            return out
+        cols = block.column.take(ids, mode="clip")
+        dots = np.empty((rows.size, k), dtype=np.float64)
+        step = max(1, KERNEL_BLOCK_BYTES // (8 * k))
+        first = 0
+        while first < rows.size:
+            lo = starts[first]
+            last = int(np.searchsorted(starts, lo + step, side="right")) - 1
+            last = max(last, first + 1)
+            hi = starts[last]
+            products = block.rows.take(cols[lo:hi], axis=0)
+            products *= weights[lo:hi, None]
+            dots[first:last] = np.add.reduceat(
+                products, starts[first:last] - lo, axis=0
+            )
+            first = last
+        out[rows] = dots / (norms[:, None] * block.norms)
+        return out
+
+    def _pack(self):
+        """The rows of non-zero norm end to end: their row numbers, ids,
+        raw weights, start offsets (one past the last row too) and
+        norms."""
+        rows = [row for row, v in enumerate(self.vectors) if v.norm() > 0.0]
+        vectors = [self.vectors[row] for row in rows]
+        ids = np.frombuffer(
+            b"".join(v.id_arrays()[0] for v in vectors), dtype=np.int64
+        )
+        weights = np.frombuffer(
+            b"".join(v.id_arrays()[1] for v in vectors), dtype=np.float64
+        )
+        starts = np.cumsum([0] + [len(v) for v in vectors])
+        norms = np.array([v.norm() for v in vectors], dtype=np.float64)
+        return np.array(rows, dtype=np.intp), ids, weights, starts, norms
+
 
 def _column_blocks(n: int, step: int):
     """``[first, last)`` ranges over ``n >= 2`` columns, ``step >= 2``
@@ -232,65 +264,60 @@ def _column_blocks(n: int, step: int):
     return zip(bounds, bounds[1:])
 
 
-class CompiledCentroids:
-    """Equation-4 centroids over VOCABULARY ids, ready for batched scoring.
+def _id_arrays(vector: SparseVector) -> Tuple[np.ndarray, np.ndarray]:
+    """A vector's ids and weights as numpy views of its own buffers."""
+    ids, weights = vector.id_arrays()
+    return (
+        np.frombuffer(ids, dtype=np.int64),
+        np.frombuffer(weights, dtype=np.float64),
+    )
 
-    Built either from an assignment over the engine's own rows
-    (:meth:`SimilarityEngine.to_centroids`) or by compiling external
-    :class:`~repro.core.form_page.VectorPair` objects.  ``raw[space][i]``
-    is the centroid's raw id -> weight map, ``nrm[space][i]`` the
-    normalized one used for cosine scoring (empty for an empty centroid).
+
+class _SpaceBlock:
+    """One feature space of k centroids, compiled for the page x k scan.
+
+    ``rows`` is the dense centroid block transposed: one row of k
+    weights per term some centroid holds, plus row 0, all zeros.
+    ``column`` maps a :data:`~repro.vsm.interning.VOCABULARY` id to its
+    row; ids no centroid holds map to row 0, and so does the last
+    entry, which every id at or beyond the block's width is clipped to
+    (the table may have grown since the block was compiled).  ``norms``
+    are the centroids' cached norms, ``inf`` for an empty centroid, so
+    its cosine divides to 0.0.  A block never changes once built.
     """
 
-    def __init__(self, engine: "SimilarityEngine", k: int) -> None:
-        self.engine = engine
-        self.k = k
-        self.raw: Dict[str, List[Dict[int, float]]] = {}
-        self.nrm: Dict[str, List[Dict[int, float]]] = {}
-        for name in engine.space_names:
-            self.raw[name] = [{} for _ in range(k)]
-            self.nrm[name] = [{} for _ in range(k)]
+    __slots__ = ("column", "rows", "norms")
 
-    def __len__(self) -> int:
-        return self.k
+    def __init__(self, column, rows, norms) -> None:
+        self.column: np.ndarray = column
+        self.rows: np.ndarray = rows
+        self.norms: np.ndarray = norms
 
-    def set_raw(self, space: str, index: int, raw: Dict[int, float]) -> None:
-        norm = _sqrt_sum_sq(raw)
-        self.raw[space][index] = raw
-        if norm > 0.0:
-            inv = 1.0 / norm
-            self.nrm[space][index] = {i: w * inv for i, w in raw.items()}
-        else:
-            self.nrm[space][index] = {}
+    @classmethod
+    def build(cls, vectors: Sequence[SparseVector]) -> "_SpaceBlock":
+        parts = [vector.id_arrays() for vector in vectors]
+        ids = np.frombuffer(b"".join(part[0] for part in parts), dtype=np.int64)
+        width = int(ids.max()) + 1 if ids.size else 0
+        column = np.zeros(width + 1, dtype=np.intp)
+        column[ids] = 1
+        terms = np.flatnonzero(column)
+        column[terms] = np.arange(1, terms.size + 1)
+        rows = np.zeros((terms.size + 1, len(vectors)), dtype=np.float64)
+        owner = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
+        rows[column[ids], owner] = np.frombuffer(
+            b"".join(part[1] for part in parts), dtype=np.float64
+        )
+        norms = np.array([v.norm() or np.inf for v in vectors], dtype=np.float64)
+        return cls(column, rows, norms)
 
-    def vector_pair(self, index: int) -> VectorPair:
-        """Materialize centroid ``index`` back into string-term vectors."""
-        pc = self._materialize("pc", index)
-        fc = self._materialize("fc", index)
-        return VectorPair(pc=pc, fc=fc)
-
-    def _materialize(self, space: str, index: int) -> SparseVector:
-        compiled = self.raw.get(space)
-        if compiled is None:
-            return SparseVector()
-        return SparseVector.from_ids(compiled[index].items())
-
-
-def _normalized(vector: SparseVector) -> Dict[int, float]:
-    """``vector`` as a normalized id -> weight map (empty if zero)."""
-    norm = vector.norm()
-    if norm == 0.0:
-        return {}
-    inv = 1.0 / norm
-    ids, weights = vector.id_arrays()
-    return {term_id: weight * inv for term_id, weight in zip(ids, weights)}
-
-
-def _sqrt_sum_sq(weights: Dict[int, float]) -> float:
-    total = 0.0
-    for weight in weights.values():
-        total += weight * weight
-    return total ** 0.5
+    def cosines(self, vector: SparseVector) -> np.ndarray:
+        """Kernel cosines of ``vector`` against every compiled row."""
+        norm = vector.norm()
+        if norm == 0.0:
+            return np.zeros(len(self.norms))
+        ids, weights = _id_arrays(vector)
+        rows = self.column.take(ids, mode="clip")
+        return (weights @ self.rows.take(rows, axis=0)) / (norm * self.norms)
 
 
 class SimilarityEngine:
@@ -365,91 +392,6 @@ class SimilarityEngine:
             matrices.get("pc", 0.0), matrices.get("fc", 0.0)
         )
 
-    def to_centroids(
-        self, assignments: Sequence[int], k: Optional[int] = None
-    ) -> CompiledCentroids:
-        """Equation-4 centroids per cluster, straight from compiled rows.
-
-        ``assignments[i]`` is the cluster of item ``i``; clusters with no
-        members come back empty (callers wanting k-means' keep-previous
-        semantics handle that, as :meth:`kmeans` does).
-        """
-        if k is None:
-            k = (max(assignments) + 1) if len(assignments) else 0
-        centroids = CompiledCentroids(self, k)
-        counts = [0] * k
-        for cluster in assignments:
-            counts[cluster] += 1
-        for name, space in self._spaces.items():
-            sums: List[Dict[int, float]] = [{} for _ in range(k)]
-            for row, cluster in enumerate(assignments):
-                target = sums[cluster]
-                ids, raw = space.vectors[row].id_arrays()
-                for term_id, weight in zip(ids, raw):
-                    target[term_id] = target.get(term_id, 0.0) + weight
-            for cluster in range(k):
-                if counts[cluster] == 0:
-                    continue
-                inv = 1.0 / counts[cluster]
-                centroids.set_raw(
-                    name,
-                    cluster,
-                    {i: w * inv for i, w in sums[cluster].items()},
-                )
-        return centroids
-
-    def compile_centroids(
-        self, pairs: Sequence
-    ) -> CompiledCentroids:
-        """Compile external (PC, FC) pairs — e.g. hub-cluster centroids —
-        for batched scoring.  Their vectors already carry
-        :data:`~repro.vsm.interning.VOCABULARY` ids; a term no compiled
-        row holds simply has no posting list to walk."""
-        centroids = CompiledCentroids(self, len(pairs))
-        for name in self._spaces:
-            for index, pair in enumerate(pairs):
-                vector: SparseVector = getattr(pair, name)
-                centroids.nrm[name][index] = _normalized(vector)
-                centroids.raw[name][index] = dict(zip(*vector.id_arrays()))
-        return centroids
-
-    def page_centroid_matrix(self, centroids) -> List[List[float]]:
-        """Similarity of every compiled item against every centroid.
-
-        ``centroids`` is a :class:`CompiledCentroids` or a sequence of
-        (PC, FC) pairs, which is compiled on the fly.  Returns rows =
-        items, columns = centroids (a list of row lists; the fast path
-        also returns nested lists so callers need no NumPy).
-        """
-        if not isinstance(centroids, CompiledCentroids):
-            centroids = self.compile_centroids(centroids)
-        n = len(self.items)
-        k = len(centroids)
-        self.stats.comparisons += n * k
-        columns: Dict[str, List[List[float]]] = {}
-        for name, space in self._spaces.items():
-            space_columns = []
-            for index in range(k):
-                space_columns.append(
-                    space.score_column(centroids.nrm[name][index], n)
-                )
-            columns[name] = space_columns
-        pc_columns = columns.get("pc")
-        fc_columns = columns.get("fc")
-        combine = self.similarity.combine
-        matrix: List[List[float]] = []
-        for row in range(n):
-            matrix.append(
-                [
-                    combine(
-                        pc_columns[index][row] if pc_columns else 0.0,
-                        fc_columns[index][row] if fc_columns else 0.0,
-                    )
-                    for index in range(k)
-                ]
-            )
-        return matrix
-
     # ----------------------------------------------------------------
     # Batched k-means (Algorithm 1's loop).
     # ----------------------------------------------------------------
@@ -462,12 +404,16 @@ class SimilarityEngine:
     ):
         """Run k-means over the compiled items from the given seeds.
 
-        Semantically identical to :func:`repro.clustering.kmeans.kmeans`
-        driven by the scalar ``similarity``:
-        same assignment tie-breaking (stability toward the previous
-        cluster, then the lowest index), same keep-previous-centroid
-        behaviour for emptied clusters, same sub-10%-moved stopping
-        rule.  Returns the same :class:`~repro.clustering.kmeans.KMeansResult`.
+        The generic :func:`repro.clustering.kmeans.kmeans`, driven by the
+        scalar ``similarity`` and
+        :func:`~repro.core.form_page.centroid_of`, by construction: every
+        pass decides on the scalar Equation-3 floats with the argmax rule
+        of :meth:`~repro.core.similarity.FormPageSimilarity.rescored_argmax`
+        (stability toward the previous cluster, then the lowest index);
+        a non-empty cluster's centroid becomes the Equation-4 mean of its
+        members and an emptied one keeps its previous centroid; the loop
+        stops under the same sub-10%-moved rule.  Returns the same
+        :class:`~repro.clustering.kmeans.KMeansResult`.
         """
         from repro.clustering.kmeans import KMeansResult
         from repro.clustering.types import Clustering
@@ -476,35 +422,28 @@ class SimilarityEngine:
             raise ValueError("kmeans requires at least one initial centroid")
         k = len(initial_centroids)
         n = len(self.items)
+        centroids = list(initial_centroids)
         if n == 0:
             return KMeansResult(
                 Clustering([[] for _ in range(k)]),
-                list(initial_centroids),
+                centroids,
                 iterations=0,
                 converged=True,
             )
 
-        current = self.compile_centroids(initial_centroids)
-        # Per-cluster materialized centroid: starts at the seeds, updated
-        # whenever the cluster is non-empty (mirrors the generic engine).
-        final_pairs: List = list(initial_centroids)
-        assignment = self._assign(current, previous=None)
+        assignment = self._assign(centroids, None)
         converged = False
         iterations = 0
 
         for iterations in range(1, max_iterations + 1):
-            updated = self.to_centroids(assignment, k)
-            counts = [0] * k
-            for cluster in assignment:
-                counts[cluster] += 1
-            for cluster in range(k):
-                if counts[cluster]:
-                    for name in self.space_names:
-                        current.raw[name][cluster] = updated.raw[name][cluster]
-                        current.nrm[name][cluster] = updated.nrm[name][cluster]
-                    final_pairs[cluster] = None  # materialize lazily below
+            members: List[list] = [[] for _ in range(k)]
+            for item, cluster in zip(self.items, assignment):
+                members[cluster].append(item)
+            for cluster, group in enumerate(members):
+                if group:
+                    centroids[cluster] = centroid_of(group)
 
-            new_assignment = self._assign(current, previous=assignment)
+            new_assignment = self._assign(centroids, assignment)
             moved = sum(
                 1 for old, new in zip(assignment, new_assignment) if old != new
             )
@@ -516,36 +455,51 @@ class SimilarityEngine:
         clusters: List[List[int]] = [[] for _ in range(k)]
         for point, cluster in enumerate(assignment):
             clusters[cluster].append(point)
-        for cluster in range(k):
-            if final_pairs[cluster] is None:
-                final_pairs[cluster] = current.vector_pair(cluster)
         return KMeansResult(
-            Clustering(clusters), final_pairs, iterations, converged
+            Clustering(clusters), centroids, iterations, converged
         )
 
     def _assign(
-        self, centroids: CompiledCentroids, previous: Optional[List[int]]
+        self, centroids: Sequence, previous: Optional[List[int]]
     ) -> List[int]:
-        matrix = self.page_centroid_matrix(centroids)
-        k = len(centroids)
-        assignment: List[int] = []
-        for index, row in enumerate(matrix):
-            best_cluster = 0
-            best_similarity = float("-inf")
-            prev_cluster = previous[index] if previous is not None else -1
-            for cluster in range(k):
-                score = row[cluster]
-                if score > best_similarity:
-                    best_similarity = score
-                    best_cluster = cluster
-                elif score == best_similarity and cluster == prev_cluster:
-                    best_cluster = cluster
-            assignment.append(best_cluster)
-        return assignment
+        """Each item's cluster, given the previous pass's (None on the
+        first pass).
+
+        The centroids are compiled into one block per space, the n x k
+        kernel cosines are combined by ``similarity.combine``, and each
+        item's row goes through the similarity's rescored argmax, which
+        rescores only the near-maximal centroids with the scalar
+        Equation 3.  Counts n x k comparisons, as ``best`` counts k per
+        page; the rescore adds none.
+        """
+        similarity = self.similarity
+        self.stats.comparisons += len(self.items) * len(centroids)
+        cosines = {
+            name: space.centroid_cosines(
+                _SpaceBlock.build([getattr(c, name) for c in centroids])
+            )
+            for name, space in self._spaces.items()
+        }
+        scores = similarity.combine(
+            cosines.get("pc", 0.0), cosines.get("fc", 0.0)
+        )
+        if previous is None:
+            previous = [-1] * len(self.items)
+        names = self.space_names
+        pick = similarity.rescored_argmax
+        return [
+            pick(
+                item,
+                centroids,
+                row,
+                max(len(getattr(item, name)) for name in names),
+                prev,
+            )[0]
+            for item, row, prev in zip(self.items, scores, previous)
+        ]
 
 
 __all__ = [
     "EngineStats",
-    "CompiledCentroids",
     "SimilarityEngine",
 ]

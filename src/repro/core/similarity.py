@@ -19,8 +19,11 @@ instead of keeping its own copy, and batched shapes
 (:meth:`FormPageSimilarity.pairwise`) run on it; single pairs run the
 scalar cosines.  Section 5's argmax (:meth:`FormPageSimilarity.best`)
 scans a compiled centroid block and rescores the near-maximal
-centroids with the scalar cosines, so it returns the scalar float.
-All of them count into the one :class:`EngineStats`.
+centroids with the scalar cosines, so it returns the scalar float;
+Algorithm 1's assignment (:meth:`SimilarityEngine.kmeans`) scores every
+page against such a block at once and decides each page with the same
+rule (:meth:`FormPageSimilarity.rescored_argmax`).  All of them count
+into the one :class:`EngineStats`.
 """
 
 from typing import Optional, Protocol, Sequence, Tuple
@@ -28,7 +31,7 @@ from typing import Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import CAFCConfig, ContentMode, check_weights
-from repro.core.simengine import EngineStats, SimilarityEngine
+from repro.core.simengine import EngineStats, SimilarityEngine, _SpaceBlock
 from repro.vsm.vector import SparseVector, cosine_similarity
 
 
@@ -49,62 +52,6 @@ def _gamma(m: int) -> float:
     numbers summed in any order."""
     mu = m * _UNIT_ROUNDOFF
     return mu / (1.0 - mu)
-
-
-def _id_arrays(vector: SparseVector) -> Tuple[np.ndarray, np.ndarray]:
-    """A vector's ids and weights as numpy views of its own buffers."""
-    ids, weights = vector.id_arrays()
-    return (
-        np.frombuffer(ids, dtype=np.int64),
-        np.frombuffer(weights, dtype=np.float64),
-    )
-
-
-class _SpaceBlock:
-    """One feature space of k centroids, compiled for the page x k scan.
-
-    ``rows`` is the dense centroid block transposed: one row of k
-    weights per term some centroid holds, plus row 0, all zeros.
-    ``column`` maps a :data:`~repro.vsm.interning.VOCABULARY` id to its
-    row; ids no centroid holds map to row 0, and so does the last
-    entry, which every id at or beyond the block's width is clipped to
-    (the table may have grown since the block was compiled).  ``norms``
-    are the centroids' cached norms, ``inf`` for an empty centroid, so
-    its cosine divides to 0.0.  A block never changes once built.
-    """
-
-    __slots__ = ("column", "rows", "norms")
-
-    def __init__(self, column, rows, norms) -> None:
-        self.column: np.ndarray = column
-        self.rows: np.ndarray = rows
-        self.norms: np.ndarray = norms
-
-    @classmethod
-    def build(cls, vectors: Sequence[SparseVector]) -> "_SpaceBlock":
-        parts = [vector.id_arrays() for vector in vectors]
-        ids = np.frombuffer(b"".join(part[0] for part in parts), dtype=np.int64)
-        width = int(ids.max()) + 1 if ids.size else 0
-        column = np.zeros(width + 1, dtype=np.intp)
-        column[ids] = 1
-        terms = np.flatnonzero(column)
-        column[terms] = np.arange(1, terms.size + 1)
-        rows = np.zeros((terms.size + 1, len(vectors)), dtype=np.float64)
-        owner = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
-        rows[column[ids], owner] = np.frombuffer(
-            b"".join(part[1] for part in parts), dtype=np.float64
-        )
-        norms = np.array([v.norm() or np.inf for v in vectors], dtype=np.float64)
-        return cls(column, rows, norms)
-
-    def cosines(self, vector: SparseVector) -> np.ndarray:
-        """Kernel cosines of ``vector`` against every compiled row."""
-        norm = vector.norm()
-        if norm == 0.0:
-            return np.zeros(len(self.norms))
-        ids, weights = _id_arrays(vector)
-        rows = self.column.take(ids, mode="clip")
-        return (weights @ self.rows.take(rows, axis=0)) / (norm * self.norms)
 
 
 class CentroidBlock:
@@ -284,13 +231,40 @@ class FormPageSimilarity:
             cosines[name] = space.cosines(vector)
             terms = max(terms, len(vector))
         scores = self.combine(cosines.get("pc", 0.0), cosines.get("fc", 0.0))
+        return self.rescored_argmax(page, centroids, scores, terms)
+
+    def rescored_argmax(
+        self,
+        page: HasVectorPair,
+        centroids: Sequence[HasVectorPair],
+        scores: np.ndarray,
+        terms: int,
+        previous: int = -1,
+    ) -> Tuple[int, float]:
+        """The one page x centroid argmax rule, shared by :meth:`best`
+        and Algorithm 1's assignment
+        (:meth:`~repro.core.simengine.SimilarityEngine.kmeans`).
+
+        ``scores`` are the page's kernel scores against ``centroids``
+        and ``terms`` the page's largest scored-space length.  The
+        centroids within ``4·γ(terms + 6)·max(top, 1)`` of the kernel
+        maximum ``top`` are rescored with the scalar Equation 3 (see
+        :meth:`best` for why every centroid whose scalar score is the
+        maximum lies inside), and the decision is the scalar loop's:
+        ``previous`` if its scalar score is the maximum, else the first
+        maximum.  A kernel maximum of 0.0 means every scalar score is
+        0.0, so ``previous`` (or 0 when there is none, -1) wins without
+        rescoring.  Returns the index and its scalar score.
+        """
         top = float(scores.max())
         if top == 0.0:
-            return 0, self.combine(0.0, 0.0)
+            return max(previous, 0), self.combine(0.0, 0.0)
         window = 4.0 * _gamma(terms + 6) * max(top, 1.0)
         best_index, best_score = -1, -1.0
         for index in np.flatnonzero(top - scores <= window).tolist():
             score = self._score(page, centroids[index])
-            if score > best_score:
+            if score > best_score or (
+                score == best_score and index == previous
+            ):
                 best_index, best_score = index, score
         return best_index, best_score

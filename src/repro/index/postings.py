@@ -1,8 +1,7 @@
 """Incremental per-term posting lists over one sparse feature space.
 
 A :class:`SpaceIndex` maps every term of a row collection (cluster
-centroids, managed pages, or a compiled engine space) to the rows
-containing it, with weights
+centroids or managed pages) to the rows containing it, with weights
 **pre-normalized** by the row's Euclidean norm — the unit the cosine
 accumulators want — plus a per-term *maximum* pre-normalized weight.
 That maximum is the upper bound the exact top-k retrieval

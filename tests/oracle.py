@@ -41,7 +41,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.clustering.kmeans import KMeansResult, kmeans
+from repro.clustering.kmeans import KMeansResult, _assign, kmeans
 from repro.core.config import CAFCConfig
 from repro.core.form_page import RawFormPage, VectorPair, centroid_of
 from repro.core.result import LABEL_TERMS
@@ -71,8 +71,7 @@ class NaiveBackend:
 
     Drop-in wherever a caller takes ``similarity=`` and only scores
     single pairs or asks for ``pairwise`` (Algorithm 3's distance
-    matrix, for one); ``page_centroid_matrix`` is the engine shape's
-    reference.  Counts comparisons the same way, so stats-based
+    matrix, for one).  Counts comparisons the same way, so stats-based
     assertions apply to both.
     """
 
@@ -98,14 +97,6 @@ class NaiveBackend:
                 matrix[i, j] = value
                 matrix[j, i] = value
         return matrix
-
-    def page_centroid_matrix(
-        self, pages: Sequence, centroids: Sequence
-    ) -> List[List[float]]:
-        return [
-            [self(page, centroid) for centroid in centroids]
-            for page in pages
-        ]
 
 
 def naive_argmax(
@@ -282,6 +273,22 @@ def oracle_kmeans(
         make_centroid=centroid_of,
         stop_fraction=config.stop_fraction,
         max_iterations=config.max_iterations,
+    )
+
+
+def oracle_assign(
+    config: CAFCConfig,
+    pages: Sequence,
+    centroids: Sequence,
+    previous: Optional[List[int]] = None,
+) -> List[int]:
+    """One assignment pass of the generic loop: each page's cluster by
+    per-pair Equation 3, ties to ``previous`` and then the lowest index."""
+    return _assign(
+        list(pages),
+        list(centroids),
+        FormPageSimilarity.from_config(config),
+        previous,
     )
 
 

@@ -69,16 +69,6 @@ class TestCosineMatrix:
         assert sum(w * w for w in space.nrm[1]) == pytest.approx(1.0)
         assert len(space.nrm[3]) == 0
 
-    def test_centroid_rows(self):
-        vectors = [
-            SparseVector({"a": 2.0}),
-            SparseVector({"a": 4.0}),
-            SparseVector({"b": 1.0}),
-        ]
-        centroids = pc_engine(vectors).to_centroids([0, 0, 1], k=2)
-        assert centroids.vector_pair(0).pc["a"] == pytest.approx(3.0)
-        assert centroids.vector_pair(1).pc["b"] == pytest.approx(1.0)
-
 
 class TestFormPageSimilarityMatrix:
     """The engine's all-pairs Equation-3 matrix agrees with the per-pair

@@ -1,15 +1,19 @@
 """Tests for incremental cluster maintenance."""
 
+import math
+
 import pytest
 
 from repro.core.cafc_ch import cafc_ch
-from repro.core.config import CAFCConfig
+from repro.core.config import CAFCConfig, ContentMode
+from repro.core.form_page import FormPage, VectorPair, centroid_of
 from repro.core.incremental import IncrementalOrganizer
 from repro.core.vectorizer import FormPageVectorizer
+from repro.vsm.vector import SparseVector
 from repro.webgen.corpus import generate_benchmark
 
 from tests.conftest import small_config
-from tests.oracle import naive_argmax
+from tests.oracle import naive_argmax, oracle_kmeans
 
 
 @pytest.fixture(scope="module")
@@ -240,3 +244,55 @@ class TestBatchClassify:
             organizer.cohesion
         )
         assert not organizer.needs_reclustering
+
+
+class TestReclusterEmptiedCluster:
+    """A cluster that wins pages on the first pass and loses them all on
+    the second keeps the Equation-4 mean it had, in both spaces, even
+    when only one space is scored."""
+
+    @staticmethod
+    def angled(scored: str, degrees: float, index: int) -> FormPage:
+        """A page whose scored space is the unit vector at ``degrees``
+        over two terms; its other space holds a term of its own."""
+        radians = math.radians(degrees)
+        spaces = {
+            scored: SparseVector(
+                {"zzangle-a": math.cos(radians), "zzangle-b": math.sin(radians)}
+            ),
+            "pc" if scored == "fc" else "fc": SparseVector(
+                {f"zzangle-own-{index}": 1.0 + index}
+            ),
+        }
+        return FormPage(url=f"http://angle{index}.example/", **spaces)
+
+    @pytest.mark.parametrize("mode", [ContentMode.FC, ContentMode.PC])
+    def test_emptied_centroid_keeps_both_spaces(self, mode):
+        scored = mode.value
+        pages = [
+            self.angled(scored, degrees, index)
+            for index, degrees in enumerate(
+                (0, 10, 20, 22, 25, 65, 68, 70, 80, 90)
+            )
+        ]
+        # Seeds at 0, 45 and 90 degrees: the middle cluster takes the
+        # pages at 25 and 65 degrees first, then loses both to the
+        # outer clusters' updated means.
+        seeds = [
+            VectorPair.of(self.angled(scored, degrees, 100 + i))
+            for i, degrees in enumerate((0, 45, 90))
+        ]
+        config = CAFCConfig(k=3, content_mode=mode)
+        organizer = IncrementalOrganizer(
+            [pages[:5], pages[5:6], pages[6:]],
+            FormPageVectorizer(),
+            config=config,
+            centroids=seeds,
+        )
+        organizer.recluster()
+        oracle = oracle_kmeans(pages, seeds, config)
+        emptied = organizer.clusters[1]
+        assert emptied.pages == [] and oracle.clustering.clusters[1] == []
+        assert emptied.centroid == oracle.centroids[1]
+        assert emptied.centroid == centroid_of([pages[4], pages[5]])
+        assert emptied.centroid.pc and emptied.centroid.fc

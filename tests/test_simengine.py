@@ -1,19 +1,22 @@
 """Tests for the batched similarity engine behind FormPageSimilarity.
 
-The contract under test: every batched shape the engine serves agrees
-with the scalar Equation-3 oracle (:mod:`tests.oracle`) to 1e-12,
+The contract under test: the all-pairs matrix agrees with the scalar
+Equation-3 oracle (:mod:`tests.oracle`) to 1e-12, and k-means returns
+the generic loop's clustering, iteration count and centroids exactly,
 including degenerate pages with an empty PC or FC vector, across all
 three content modes.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from repro.clustering.kmeans import kmeans
 from repro.core.cafc_c import cafc_c, random_seed_centroids
 from repro.core.config import CAFCConfig, ContentMode
-from repro.core.form_page import FormPage, VectorPair
+from repro.core.form_page import FormPage, VectorPair, centroid_of
 from repro.core.pipeline import CAFCPipeline
 from repro.core.similarity import FormPageSimilarity
 from repro.core.simengine import EngineStats, SimilarityEngine
@@ -120,28 +123,6 @@ class TestBackendAgreement:
         assert max_abs_diff(compiled, compiled.T) <= TOLERANCE
         assert max_abs_diff(reference, compiled) <= TOLERANCE
 
-    def test_page_centroid_matrix_agreement(self, sparse_vocab):
-        rng = random.Random(5)
-        for vocab in (VOCAB, sparse_vocab):
-            pages = random_pages(rng, 25, vocab)
-            centroids = [VectorPair.of(page) for page in pages[:4]]
-            # External centroids carrying terms no compiled page holds.
-            centroids.append(VectorPair(
-                pc=SparseVector({vocab[0]: 1.0, "simengine-external": 2.0}),
-                fc=SparseVector({"simengine-external": 1.0}),
-            ))
-            for mode in ContentMode:
-                config = config_for(mode)
-                reference = NaiveBackend.from_config(
-                    config
-                ).page_centroid_matrix(pages, centroids)
-                terms = len(VOCABULARY)
-                compiled = SimilarityEngine(
-                    pages, FormPageSimilarity.from_config(config)
-                ).page_centroid_matrix(centroids)
-                assert len(VOCABULARY) == terms  # compiling interns nothing
-                assert max_abs_diff(reference, compiled) <= TOLERANCE
-
     def test_weighted_combination(self):
         rng = random.Random(3)
         pages = random_pages(rng, 20)
@@ -152,43 +133,34 @@ class TestBackendAgreement:
 
 
 class TestEngineShapes:
-    def test_to_centroids_matches_equation_four(self, sparse_vocab):
-        rng = random.Random(31)
-        from repro.core.form_page import centroid_of
-
-        for vocab in (VOCAB, sparse_vocab):
-            pages = random_pages(rng, 12, vocab)
-            engine = SimilarityEngine(pages, FormPageSimilarity())
-            assignments = [i % 3 for i in range(len(pages))]
-            centroids = engine.to_centroids(assignments, k=3)
-            for cluster in range(3):
-                members = [
-                    p for i, p in enumerate(pages) if assignments[i] == cluster
-                ]
-                expected = centroid_of(members)
-                got = centroids.vector_pair(cluster)
-                assert got.pc.terms() == expected.pc.terms()
-                assert got.fc.terms() == expected.fc.terms()
-                for term, weight in expected.pc.items():
-                    assert got.pc[term] == pytest.approx(weight, abs=TOLERANCE)
-                for term, weight in expected.fc.items():
-                    assert got.fc[term] == pytest.approx(weight, abs=TOLERANCE)
-
     def test_kmeans_identical_to_naive_path(self, sparse_vocab):
+        """Clusterings, iterations and the Equation-4 centroids of every
+        content mode equal the generic loop's, from random page seeds and
+        from seeds holding a term no page holds."""
         rng = random.Random(41)
-        for vocab in (VOCAB, sparse_vocab):
+        for vocab, mode in itertools.product(
+            (VOCAB, sparse_vocab), ContentMode
+        ):
             pages = random_pages(rng, 36, vocab)
+            external = VectorPair(
+                pc=SparseVector({vocab[0]: 1.0, "simengine-external": 2.0}),
+                fc=SparseVector({"simengine-external": 1.0}),
+            )
             for seed in (0, 1, 2):
-                config = CAFCConfig(k=3, seed=seed)
+                config = CAFCConfig(k=3, seed=seed, content_mode=mode)
                 seeds = random_seed_centroids(pages, 3, random.Random(seed))
-                naive = oracle_kmeans(pages, seeds, config)
-                terms = len(VOCABULARY)
-                engine = cafc_c(pages, config)
-                assert len(VOCABULARY) == terms
-                assert naive.clustering.clusters == engine.clustering.clusters
-                assert naive.iterations == engine.iterations
-                assert naive.converged == engine.converged
-                assert engine.centroids == naive.centroids
+                for seeds in (seeds, seeds[:2] + [external]):
+                    naive = oracle_kmeans(pages, seeds, config)
+                    terms = len(VOCABULARY)
+                    engine = cafc_c(pages, config, seed_centroids=seeds)
+                    assert len(VOCABULARY) == terms
+                    assert (
+                        naive.clustering.clusters
+                        == engine.clustering.clusters
+                    )
+                    assert naive.iterations == engine.iterations
+                    assert naive.converged == engine.converged
+                    assert engine.centroids == naive.centroids
 
     def test_empty_collection(self):
         engine = SimilarityEngine([], FormPageSimilarity())
@@ -329,13 +301,15 @@ class TestCorpusParity:
         assert max_abs_diff(
             naive.pairwise(pages), engine.pairwise(pages)
         ) <= TOLERANCE
+        # The page x centroid shape: one assignment pass, no update.
         centroids = [VectorPair.of(page) for page in benchmark_pages[-8:]]
-        assert max_abs_diff(
-            naive.page_centroid_matrix(benchmark_pages, centroids),
-            SimilarityEngine(
-                benchmark_pages, FormPageSimilarity.from_config(config)
-            ).page_centroid_matrix(centroids),
-        ) <= TOLERANCE
+        batched = SimilarityEngine(benchmark_pages, engine).kmeans(
+            centroids, max_iterations=0
+        )
+        scalar = kmeans(
+            benchmark_pages, centroids, naive, centroid_of, max_iterations=0
+        )
+        assert batched.clustering.clusters == scalar.clustering.clusters
 
     @pytest.mark.parametrize("mode", list(ContentMode))
     def test_engine_kmeans_identical_to_oracle(self, benchmark_pages, mode):
@@ -352,3 +326,4 @@ class TestCorpusParity:
             )
             assert engine.clustering.clusters == oracle.clustering.clusters
             assert engine.iterations == oracle.iterations
+            assert engine.centroids == oracle.centroids
