@@ -1,15 +1,13 @@
-"""Ingestion benchmark: serial vs process pool vs warm cache, on the
+"""Ingestion benchmark: serial vs process pool vs stream, on the
 454-page corpus.
 
 Measures the map phase (parse + tokenize + stem) end to end through
-``FormPageVectorizer.fit_transform`` serially, on process pools of
-several sizes, and replayed from a warm in-memory analysis cache, and
-records the table to ``BENCH_ingest.json`` at the repo root (the
-numbers quoted in docs/PERFORMANCE.md).
+``FormPageVectorizer.fit_transform`` serially and on process pools of
+several sizes, plus one streamed ingest, and records the table to
+``BENCH_ingest.json`` at the repo root (the numbers quoted in
+docs/PERFORMANCE.md).
 
-The acceptance claim is the *cached* path: a warm memory-cache fit at 4
-workers must be at least 2x faster than a cold serial run.  A second
-gated row pins the one-pass located-text scanner behind
+The gated row pins the one-pass located-text scanner behind
 ``analyze_form_page`` to the DOM route it replaced (``tests/oracle.py``:
 parse a tree, walk it, extract its forms): identical analyses, and at
 least 1.2x faster per page.
@@ -41,7 +39,6 @@ from tests.oracle import dom_page_analysis
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULTS_PATH = REPO_ROOT / "BENCH_ingest.json"
-REQUIRED_CACHED_SPEEDUP = 2.0
 REQUIRED_SCAN_SPEEDUP = 1.2
 POOL_WORKER_COUNTS = (1, 2, 4, 8)
 ROUNDS = 2  # best-of, for every fit row alike
@@ -52,18 +49,12 @@ def raw_pages():
     return generate_benchmark(seed=42).raw_pages()
 
 
-def _timed_fit(raw_pages, parallel, prime=None):
-    """Best-of-:data:`ROUNDS` wall clock for a cold fit under ``parallel``.
-
-    ``prime`` (a shared AnalysisCache) turns the fit into a warm-cache
-    replay: the same corpus was analyzed into that cache beforehand.
-    """
+def _timed_fit(raw_pages, parallel):
+    """Best-of-:data:`ROUNDS` wall clock for a cold fit under ``parallel``."""
     best = float("inf")
     vectorizer = None
     for _ in range(ROUNDS):
         vectorizer = FormPageVectorizer(parallel=parallel)
-        if prime is not None:
-            vectorizer._analysis_cache = prime
         start = time.perf_counter()
         vectorizer.fit_transform(raw_pages)
         best = min(best, time.perf_counter() - start)
@@ -81,17 +72,15 @@ def _row(name, seconds, n_pages, stats, mode="batch"):
         "seconds": round(seconds, 4),
         "pages_per_sec": round(n_pages / seconds, 1),
         "executor": stats.executor,
-        "pages_analyzed": stats.pages_analyzed,
-        "cache_hits": stats.cache_hits,
     }
 
 
-def test_bench_ingest_executors_and_cache(benchmark, raw_pages):
+def test_bench_ingest_executors(benchmark, raw_pages):
     n = len(raw_pages)
     rows = []
 
-    # Baseline: cold serial, caching off — every page parsed from scratch.
-    serial_cfg = ParallelConfig(workers=1, use_cache=False)
+    # Baseline: cold serial.
+    serial_cfg = ParallelConfig(workers=1)
     benchmark.pedantic(
         lambda: FormPageVectorizer(parallel=serial_cfg).fit_transform(raw_pages),
         rounds=1, iterations=1,
@@ -102,7 +91,7 @@ def test_bench_ingest_executors_and_cache(benchmark, raw_pages):
     # Process pools, cold (workers=1 resolves to serial by contract).
     cpus = os.cpu_count() or 1
     for workers in POOL_WORKER_COUNTS:
-        config = ParallelConfig(workers=workers, use_cache=False)
+        config = ParallelConfig(workers=workers)
         seconds, vectorizer = _timed_fit(raw_pages, config)
         row = _row(
             f"process x{workers} cold", seconds, n, vectorizer.ingest_stats
@@ -113,19 +102,6 @@ def test_bench_ingest_executors_and_cache(benchmark, raw_pages):
                 "measured under oversubscription, not a parallel speedup"
             )
         rows.append(row)
-
-    # Warm in-memory cache at 4 workers (the in-process re-fit path): a
-    # prior fit left its analyses in the cache; this run replays them and
-    # has nothing left to pool.
-    primer = FormPageVectorizer(parallel=ParallelConfig(workers=4))
-    primer.fit_transform(raw_pages)
-    memory_time, memory_vec = _timed_fit(
-        raw_pages, ParallelConfig(workers=4), prime=primer._analysis_cache
-    )
-    assert memory_vec.ingest_stats.pages_analyzed == 0
-    rows.append(_row(
-        "warm memory cache x4", memory_time, n, memory_vec.ingest_stats
-    ))
 
     # Streamed ingestion on the same corpus (cold, serial): what the
     # drift-gated observe → re-weight → emit path costs relative to the
@@ -145,39 +121,27 @@ def test_bench_ingest_executors_and_cache(benchmark, raw_pages):
     stream_row["reweights"] = ingestor.stats.reweights
     rows.append(stream_row)
 
-    cached_speedup = serial_time / memory_time
     print(f"\n[{n} pages, {os.cpu_count()} cpu(s)]")
     for row in rows:
         print(
             f"  {row['config']:<22} {row['seconds']:7.3f}s  "
-            f"{row['pages_per_sec']:7.1f} pages/s  "
-            f"({row['pages_analyzed']} analyzed, {row['cache_hits']} cached)"
+            f"{row['pages_per_sec']:7.1f} pages/s  ({row['executor']})"
         )
-    print(f"  cached-vs-serial speedup: {cached_speedup:.2f}x "
-          f"(required {REQUIRED_CACHED_SPEEDUP}x)")
 
     RESULTS_PATH.write_text(json.dumps({
         "benchmark": "ingest",
         "corpus_pages": n,
         "cpu_count": os.cpu_count(),
         "rows": rows,
-        "cached_speedup_vs_serial": round(cached_speedup, 2),
-        "required_speedup": REQUIRED_CACHED_SPEEDUP,
         "note": (
             f"Every fit row is the best of {ROUNDS} runs.  The default "
             "plan (workers=1) runs serially; an explicit pool size pools "
             "from 64 pending pages, workers=0 from 1,000, when the process "
             "may use two or more CPUs.  On a shared host a pool row can land either side "
             "of serial by noise alone: compare pool and serial over "
-            "interleaved repeats.  The >=2x acceptance claim is the warm "
-            "in-memory analysis cache."
+            "interleaved repeats."
         ),
     }, indent=2) + "\n")
-
-    assert cached_speedup >= REQUIRED_CACHED_SPEEDUP, (
-        f"warm-cache ingestion only {cached_speedup:.2f}x over serial cold "
-        f"(required {REQUIRED_CACHED_SPEEDUP}x)"
-    )
 
 
 def test_bench_stemmer_memoization(raw_pages):

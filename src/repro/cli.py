@@ -49,8 +49,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     try:
         print(run_all(
             seed=args.seed, n_runs=args.runs, only=args.only,
-            workers=args.workers, use_cache=not args.no_cache,
-            report_header=True,
+            workers=args.workers, report_header=True,
         ))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -59,12 +58,10 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _parallel_config(args: argparse.Namespace):
-    """A ParallelConfig from the shared --workers / --no-cache flags."""
+    """A ParallelConfig from the shared --workers flag."""
     from repro.parallel import ParallelConfig
 
-    return ParallelConfig(
-        workers=args.workers, use_cache=not args.no_cache
-    )
+    return ParallelConfig(workers=args.workers)
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -726,15 +723,11 @@ def _cmd_failover(args: argparse.Namespace) -> int:
 
 
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
-    """The shared ingestion knobs (docs/INGESTION.md)."""
+    """The shared ingestion knob (docs/INGESTION.md)."""
     parser.add_argument(
         "--workers", type=int, default=1,
         help="ingestion pool size; 0 = one per CPU, 1 = serial "
              "(parallel output is bit-identical to serial)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-hash analysis cache (force re-parsing)",
     )
 
 

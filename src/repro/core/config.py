@@ -79,7 +79,7 @@ class CAFCConfig:
         and validator of :mod:`repro.options`; the error names the
         offending field.
     parallel:
-        Ingestion execution plan (workers and the analysis cache) — see
+        Ingestion execution plan (the worker count) — see
         :class:`~repro.parallel.config.ParallelConfig` and
         docs/INGESTION.md.  Parallel output is bit-identical to serial.
     resilience:

@@ -113,25 +113,23 @@ class _Space:
     Rows are the collection's vectors as they are: term ids are
     :data:`~repro.vsm.interning.VOCABULARY` ids, and the id and weight
     arrays are the vectors' own, shared rather than copied.  Only the
-    normalized weights (``nrm``, aligned with each row's ids) are new.
+    normalized weights (``nrm``, aligned with each row's ids) are new,
+    and only the all-pairs kernel builds them.
     """
 
-    __slots__ = ("vectors", "nrm", "_packed")
+    __slots__ = ("vectors", "_nrm", "_packed")
 
-    def __init__(self) -> None:
-        self.vectors: List[SparseVector] = []
-        self.nrm: List[array] = []     # per row: weights / row norm ('d')
+    def __init__(self, vectors: List[SparseVector]) -> None:
+        self.vectors = vectors
+        self._nrm: Optional[List[array]] = None
         self._packed = None
 
-    def add_row(self, vector: SparseVector) -> None:
-        norm = vector.norm()
-        self.vectors.append(vector)
-        if norm > 0.0:
-            inv = 1.0 / norm
-            raw = vector.id_arrays()[1]
-            self.nrm.append(array("d", (w * inv for w in raw)))
-        else:
-            self.nrm.append(array("d"))
+    @property
+    def nrm(self) -> List[array]:
+        """Per row: weights / row norm ('d'), built on first use."""
+        if self._nrm is None:
+            self._nrm = [_normalized(vector) for vector in self.vectors]
+        return self._nrm
 
     def n_terms(self) -> int:
         """Distinct terms over the compiled rows."""
@@ -163,15 +161,16 @@ class _Space:
         than :data:`PAIRWISE_BLOCK_BYTES`.  The diagonal is
         :meth:`self_cosine`.
         """
-        n = len(self.nrm)
+        nrm = self.nrm
+        n = len(nrm)
         dense = np.zeros((n, n), dtype=np.float64)
         if n > 1:
-            lengths = [len(weights) for weights in self.nrm]
+            lengths = [len(weights) for weights in nrm]
             ids = np.frombuffer(b"".join(
                 vector.id_arrays()[0]
-                for vector, weights in zip(self.vectors, self.nrm) if weights
+                for vector, weights in zip(self.vectors, nrm) if weights
             ), dtype=np.int64)
-            weights = np.frombuffer(b"".join(self.nrm), dtype=np.float64)
+            weights = np.frombuffer(b"".join(nrm), dtype=np.float64)
             # Block row of each id: 0..terms-1 over the rows' term union.
             width = int(ids.max()) + 1 if ids.size else 0
             column = np.zeros(width, dtype=np.intp)
@@ -253,6 +252,15 @@ class _Space:
         starts = np.cumsum([0] + [len(v) for v in vectors])
         norms = np.array([v.norm() for v in vectors], dtype=np.float64)
         return np.array(rows, dtype=np.intp), ids, weights, starts, norms
+
+
+def _normalized(vector: SparseVector) -> array:
+    """A vector's weights over its norm, in its stored term order."""
+    norm = vector.norm()
+    if norm > 0.0:
+        inv = 1.0 / norm
+        return array("d", (w * inv for w in vector.id_arrays()[1]))
+    return array("d")
 
 
 def _column_blocks(n: int, step: int):
@@ -341,11 +349,9 @@ class SimilarityEngine:
 
         started = time.perf_counter()
         self._spaces: Dict[str, _Space] = {
-            name: _Space() for name in similarity.spaces
+            name: _Space([getattr(item, name) for item in self.items])
+            for name in similarity.spaces
         }
-        for item in self.items:
-            for name, space in self._spaces.items():
-                space.add_row(getattr(item, name))
         self.stats.build_seconds = time.perf_counter() - started
         self.stats.n_pages = len(self.items)
         self.stats.n_terms = sum(

@@ -23,18 +23,16 @@ the full collection before any vector exists: call
 Steps 1-2 (the CPU-heavy map phase) run through
 :mod:`repro.parallel.ingest` under the vectorizer's
 :class:`~repro.parallel.config.ParallelConfig` — serially or on a
-process pool — and per-page analyses are memoized in memory by content
-hash, so re-fits and the service's retry path skip re-parsing unchanged
-pages.
-Parallel and cached output is bit-identical to serial output (see
-docs/INGESTION.md for the determinism contract).
+process pool.  Each fit starts from empty corpus statistics, so
+re-fitting a vectorizer equals fitting a fresh one.  Parallel output is
+bit-identical to serial output (see docs/INGESTION.md for the
+determinism contract).
 """
 
 import threading
 from typing import List, Optional, Sequence
 
 from repro.core.form_page import FormPage, RawFormPage
-from repro.parallel.cache import AnalysisCache, page_analysis_key
 from repro.parallel.config import ParallelConfig
 from repro.parallel.ingest import (
     IngestError,
@@ -86,14 +84,9 @@ class FormPageVectorizer:
         self._fc_context = None
         self._contexts_ready = False
         self._fitted = False
-        # Per-page analysis memo (content-hash keyed): fit_transform
-        # fills it, transform_new reuses it — the service /classify
-        # retry path re-analyzes nothing.
-        self._analysis_cache = AnalysisCache()
         self.ingest_stats = IngestStats()
         # transform_new runs concurrently on the HTTP server's worker
-        # pool; the analysis cache locks itself, this lock keeps
-        # the stats counters consistent.
+        # pool; this lock keeps the stats counters consistent.
         self._stats_lock = threading.Lock()
 
     # ----------------------------------------------------------------
@@ -115,25 +108,13 @@ class FormPageVectorizer:
     # ----------------------------------------------------------------
 
     def _analyze_page(self, raw: RawFormPage) -> PageAnalysis:
-        """Analyze one page, reusing any cached analysis for its content."""
-        key = None
-        if self.parallel.use_cache:
-            key = page_analysis_key(raw)
-            hit = self._analysis_cache.get(key)
-            if hit is not None:
-                with self._stats_lock:
-                    self.ingest_stats.pages_total += 1
-                    self.ingest_stats.cache_hits += 1
-                return hit
+        """Analyze one page, counting it into :attr:`ingest_stats`."""
         try:
             analysis = analyze_form_page(raw, self.analyzer)
         except Exception as exc:
             raise IngestError(raw.url, f"{type(exc).__name__}: {exc}") from exc
         with self._stats_lock:
             self.ingest_stats.pages_total += 1
-            self.ingest_stats.pages_analyzed += 1
-        if key is not None:
-            self._analysis_cache.put(key, analysis)
         return analysis
 
     # ----------------------------------------------------------------
@@ -148,18 +129,23 @@ class FormPageVectorizer:
         merge happens here, in the parent, in page order — the exact
         call sequence of the serial path — so vocabulary order, DF
         counts, and every float weight are identical whether a pool or
-        the cache produced the analyses.
+        the serial loop produced the analyses.  The statistics start
+        empty on every call, so a second fit over a collection equals a
+        fresh vectorizer's fit of it.
         """
         analyzed = analyze_pages(
             raw_pages,
             self.analyzer,
             config=self.parallel,
-            memory_cache=self._analysis_cache,
             stats=self.ingest_stats,
         )
 
         # Pass 1 — per-space scheme statistics (document frequencies,
-        # plus e.g. BM25's length totals), folded in page order.
+        # plus e.g. BM25's length totals), folded in page order into
+        # fresh stats.
+        self.pc_stats = SpaceStats()
+        self.fc_stats = SpaceStats()
+        self._contexts_ready = False
         for analysis in analyzed:
             self.stream_observe(analysis)
         self._fitted = True
@@ -247,19 +233,6 @@ class FormPageVectorizer:
             self.scheme.vector(fc_tf, self.fc_stats, self._fc_context),
         )
 
-    def stream_emit(self, raw: RawFormPage, analysis: PageAnalysis) -> FormPage:
-        """Build a :class:`FormPage` against the current frozen contexts."""
-        if not self._contexts_ready:
-            raise RuntimeError(
-                "no prepared emit contexts; call reprepare() before emitting"
-            )
-        return self._build_form_page(
-            raw,
-            analysis,
-            pc_context=self._pc_context,
-            fc_context=self._fc_context,
-        )
-
     # ----------------------------------------------------------------
     # State export / import (snapshot support).
     #
@@ -329,9 +302,6 @@ class FormPageVectorizer:
 
         Terms unseen during fitting get IDF 0 and drop out; this is the
         standard frozen-vocabulary treatment for scoring new documents.
-        A page whose content was already analyzed (during
-        ``fit_transform`` or an earlier ``transform_new``) reuses the
-        cached analysis instead of re-parsing.
         """
         if not self._fitted:
             raise RuntimeError("vectorizer must be fitted before transform_new")

@@ -56,21 +56,20 @@ def get_context(
     seed: int = 42,
     uniform_weights: bool = False,
     workers: int = 1,
-    use_cache: bool = True,
     scheme: str = "auto",
 ) -> ExperimentContext:
     """Build (or fetch the cached) experiment context.
 
     ``uniform_weights`` vectorizes with LOC factors all set to 1 — the
-    Section 4.4 ablation input.  ``workers`` / ``use_cache`` configure
-    the ingestion layer (see docs/INGESTION.md); vectors are
+    Section 4.4 ablation input.  ``workers`` configures the ingestion
+    layer (see docs/INGESTION.md); vectors are
     bit-identical regardless, so every (seed, uniform_weights) pair
     yields the same experiment numbers at any worker count.
     ``scheme`` vectorizes under an alternative weighting scheme
     (``"bm25"``, ``"tf"`` — see docs/RANKING.md) for per-scheme A/B
     runs; the default is the paper's Equation 1.
     """
-    parallel = ParallelConfig(workers=workers, use_cache=use_cache)
+    parallel = ParallelConfig(workers=workers)
     web = generate_benchmark(seed=seed)
     raw = web.raw_pages(parallel=parallel)
     location_weights = (

@@ -39,7 +39,6 @@ def run_all(
     include_extensions: bool = True,
     only: str = "",
     workers: int = 1,
-    use_cache: bool = True,
     report_header: bool = False,
 ) -> str:
     """Run the full experiment battery; returns the combined report.
@@ -48,16 +47,15 @@ def run_all(
     sweep) after the paper's tables and figures.  ``only`` restricts the
     run to one experiment id (see :func:`experiment_names`).
     ``workers`` runs independent experiments concurrently (and is also
-    handed to corpus ingestion); ``use_cache`` controls the per-page
-    analysis cache.  ``report_header`` prepends a run header naming the
-    chosen executors.
+    handed to corpus ingestion).  ``report_header`` prepends a run
+    header naming the chosen executors.
     """
     if only and only not in experiment_names():
         raise ValueError(
             f"unknown experiment {only!r}; known: {experiment_names()}"
         )
 
-    context = get_context(seed=seed, workers=workers, use_cache=use_cache)
+    context = get_context(seed=seed, workers=workers)
     needs_matrix = only in ("", "table2", "seeding")
 
     def wanted(name: str) -> bool:

@@ -61,9 +61,6 @@ class Element(Node):
         """Return attribute ``name`` (case-insensitive), or ``default``."""
         return self.attrs.get(name.lower(), default)
 
-    def has_attr(self, name: str) -> bool:
-        return name.lower() in self.attrs
-
     # ----------------------------------------------------------------
     # Traversal.
     # ----------------------------------------------------------------

@@ -70,13 +70,6 @@ class RetrievalStats:
     terms_total: int = 0
     terms_processed: int = 0
 
-    @property
-    def scored_fraction(self) -> float:
-        """Exactly-scored rows as a fraction of a full scan (<= 1)."""
-        if self.rows_total == 0:
-            return 0.0
-        return self.rows_scored / self.rows_total
-
 
 def top_k_exact(
     space: SpaceIndex,

@@ -108,17 +108,6 @@ def attribute_similarity(a: AttributeInstance, b: AttributeInstance) -> float:
     return score
 
 
-def _group_similarity(a: ConceptGroup, b: ConceptGroup) -> float:
-    """Average-linkage similarity between two groups."""
-    total = 0.0
-    count = 0
-    for member_a in a.members:
-        for member_b in b.members:
-            total += attribute_similarity(member_a, member_b)
-            count += 1
-    return total / count if count else 0.0
-
-
 def collect_attributes(
     raw_pages: Sequence[RawFormPage],
     analyzer: Optional[TextAnalyzer] = None,

@@ -13,7 +13,7 @@ from the start pass ``anchor_texts`` into the vectorizer path instead
 (see ``SyntheticWeb.raw_pages`` + ``FormPageVectorizer``).
 """
 
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from repro.html.parser import parse_html
 from repro.webgraph.graph import WebGraph
@@ -52,21 +52,3 @@ def harvest_anchor_texts(
             if href in targets and text:
                 anchors.append(text)
     return anchors
-
-
-def harvest_all_anchor_texts(
-    graph: WebGraph,
-    targets: Dict[str, List[str]],
-    roots: Dict[str, str],
-) -> Dict[str, List[str]]:
-    """Batch harvest: form-page URL -> anchor strings.
-
-    ``targets`` maps each form-page URL to its backlink URLs; ``roots``
-    maps it to its site root (the alternate link target).
-    """
-    return {
-        url: harvest_anchor_texts(
-            graph, url, backlinks, also_match=[roots.get(url, "")]
-        )
-        for url, backlinks in targets.items()
-    }

@@ -17,7 +17,6 @@ benchmark corpus).  See docs/INGESTION.md for the determinism contract
 and the serial / process-pool plan.
 """
 
-from repro.parallel.cache import AnalysisCache, page_analysis_key
 from repro.parallel.config import ParallelConfig
 from repro.parallel.ingest import (
     IngestError,
@@ -29,13 +28,11 @@ from repro.parallel.ingest import (
 )
 
 __all__ = [
-    "AnalysisCache",
     "IngestError",
     "IngestStats",
     "PageAnalysis",
     "ParallelConfig",
     "analyze_form_page",
     "analyze_pages",
-    "page_analysis_key",
     "parallel_map",
 ]

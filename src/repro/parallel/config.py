@@ -1,9 +1,9 @@
 """Execution planning for parallel ingestion.
 
-:class:`ParallelConfig` is the user-facing knob pair (threaded through
-:class:`~repro.core.config.CAFCConfig`, the CLI ``--workers`` /
-``--no-cache`` flags, and the service); :meth:`ParallelConfig.pool_size`
-turns it into the pool size for one run.
+:class:`ParallelConfig` is the user-facing knob (threaded through
+:class:`~repro.core.config.CAFCConfig`, the CLI ``--workers`` flag, and
+the service); :meth:`ParallelConfig.pool_size` turns it into the pool
+size for one run.
 
 The plan is deliberately conservative: parallelism only pays when there
 are enough pages to amortize pool startup and pickling, and a pool with
@@ -50,13 +50,9 @@ class ParallelConfig:
         analysis runs on a process pool (see docs/INGESTION.md for why
         not threads); :func:`~repro.parallel.ingest.parallel_map` runs
         its callables on threads.
-    use_cache:
-        Reuse cached per-page analyses (in-memory, keyed by content
-        hash).  Disable to force re-analysis of every page.
     """
 
     workers: int = 1
-    use_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -78,14 +74,10 @@ class ParallelConfig:
     # ----------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {"workers": self.workers, "use_cache": self.use_cache}
+        return {"workers": self.workers}
 
     @classmethod
     def from_dict(cls, state: dict) -> "ParallelConfig":
         # Other keys (knobs that older snapshots and configs carried)
         # are ignored, so those files load unchanged.
-        defaults = cls()
-        return cls(
-            workers=int(state.get("workers", defaults.workers)),
-            use_cache=bool(state.get("use_cache", defaults.use_cache)),
-        )
+        return cls(workers=int(state.get("workers", cls.workers)))

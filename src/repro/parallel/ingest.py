@@ -1,10 +1,9 @@
 """The map phase of parallel ingestion: raw HTML -> located-term analyses.
 
 :func:`analyze_form_page` is the single source of truth for per-page
-text analysis — the vectorizer's serial path, the process-pool workers
-and the analysis cache all produce or replay exactly this function's
-output, which is what makes the parallel path bit-identical to the
-serial one:
+text analysis — the vectorizer's serial path and the process-pool
+workers both run exactly this function, which is what makes the
+parallel path bit-identical to the serial one:
 
 * term runs keep original document order (so LOC-weighted TFs
   accumulate in the same order);
@@ -26,7 +25,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.form_page import RawFormPage
 from repro.html.text_extract import TextLocation, scan_page
-from repro.parallel.cache import AnalysisCache, page_analysis_key
 from repro.parallel.config import ParallelConfig
 from repro.text.analyzer import TextAnalyzer
 from repro.vsm.weights import TermRun
@@ -74,9 +72,7 @@ class PageAnalysis:
 class IngestStats:
     """Cumulative ingestion instrumentation (per vectorizer)."""
 
-    pages_total: int = 0        # pages requested through analyze_pages
-    pages_analyzed: int = 0     # actually parsed (cache misses)
-    cache_hits: int = 0
+    pages_total: int = 0        # pages run through text analysis
     map_seconds: float = 0.0    # wall time of the map phase
     runs: int = 0
     executor: str = "serial"    # "serial" | "process", most recent run
@@ -85,15 +81,12 @@ class IngestStats:
     def describe(self) -> str:
         return (
             f"{self.executor} x{self.workers}: {self.pages_total} pages, "
-            f"{self.pages_analyzed} analyzed, {self.cache_hits} cached, "
             f"{self.map_seconds:.2f}s map"
         )
 
     def as_dict(self) -> dict:
         return {
             "pages_total": self.pages_total,
-            "pages_analyzed": self.pages_analyzed,
-            "cache_hits": self.cache_hits,
             "map_seconds": self.map_seconds,
             "runs": self.runs,
             "executor": self.executor,
@@ -204,14 +197,12 @@ def analyze_pages(
     raw_pages: Sequence[RawFormPage],
     analyzer: TextAnalyzer,
     config: Optional[ParallelConfig] = None,
-    memory_cache: Optional[AnalysisCache] = None,
     stats: Optional[IngestStats] = None,
 ) -> List[PageAnalysis]:
     """The map phase over a collection, in input order.
 
-    Analyses in ``memory_cache`` are reused when ``config.use_cache``
-    allows; only the misses are analyzed, serially or on a process pool
-    as :meth:`ParallelConfig.pool_size` decides.  The returned list is
+    Every page is analyzed, serially or on a process pool as
+    :meth:`ParallelConfig.pool_size` decides.  The returned list is
     index-aligned with ``raw_pages`` regardless of completion order.
     """
     config = config or ParallelConfig()
@@ -219,24 +210,9 @@ def analyze_pages(
     started = time.perf_counter()
     n = len(raw_pages)
     results: List[Optional[PageAnalysis]] = [None] * n
-    keys: List[Optional[str]] = [None] * n
 
-    pending: List[_ChunkItem] = []
-    caching = config.use_cache and memory_cache is not None
-    if caching:
-        for index, raw in enumerate(raw_pages):
-            key = page_analysis_key(raw)
-            keys[index] = key
-            hit = memory_cache.get(key)
-            if hit is not None:
-                results[index] = hit
-                stats.cache_hits += 1
-            else:
-                pending.append((index, raw))
-    else:
-        pending = list(enumerate(raw_pages))
-
-    workers = config.pool_size(len(pending))
+    pending: List[_ChunkItem] = list(enumerate(raw_pages))
+    workers = config.pool_size(n)
     if workers == 1:
         mapped: List[_ChunkResult] = _analyze_chunk_with(analyzer, pending)
     else:
@@ -246,9 +222,6 @@ def analyze_pages(
         if status == "err":
             raise IngestError(str(url), str(payload))
         results[index] = payload
-        stats.pages_analyzed += 1
-        if caching:
-            memory_cache.put(keys[index], payload)
 
     stats.pages_total += n
     stats.map_seconds += time.perf_counter() - started

@@ -531,14 +531,6 @@ class FormDirectory:
             "ingest_pages_total", "Pages run through text analysis"
         ).set_function(lambda: ingest.pages_total)
         m.gauge(
-            "ingest_pages_analyzed_total",
-            "Pages actually parsed (analysis-cache misses)",
-        ).set_function(lambda: ingest.pages_analyzed)
-        m.gauge(
-            "ingest_analysis_cache_hits_total",
-            "Pages served from the content-hash analysis cache",
-        ).set_function(lambda: ingest.cache_hits)
-        m.gauge(
             "ingest_map_seconds_total", "Time in the analysis map phase"
         ).set_function(lambda: ingest.map_seconds)
         # One child per executor kind, resolved at scrape time: the live
@@ -692,13 +684,11 @@ class FormDirectory:
     def _vectorize_timed(self, raw: RawFormPage) -> FormPage:
         """``transform_new`` with latency observed into ``/metrics``.
 
-        Vectorization happens outside every lock; repeat content (the
-        retry path) hits the vectorizer's analysis cache and shows up in
-        the sub-millisecond buckets.  The call runs through the
-        directory's circuit breaker and the config's retry policy:
-        transient faults at the ``"directory.vectorize"`` seam are
-        retried with backoff, exhaustion counts a breaker failure, and
-        an open breaker fails the request fast
+        Vectorization happens outside every lock.  The call runs
+        through the directory's circuit breaker and the config's retry
+        policy: transient faults at the ``"directory.vectorize"`` seam
+        are retried with backoff, exhaustion counts a breaker failure,
+        and an open breaker fails the request fast
         (:class:`~repro.resilience.retry.CircuitOpenError` — surfaced
         as HTTP 503).
         """

@@ -33,7 +33,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.form_page import FormPage, RawFormPage
 from repro.core.vectorizer import FormPageVectorizer
-from repro.parallel.config import ParallelConfig
 from repro.stream.config import StreamConfig
 from repro.vsm.schemes import IdfDriftTracker
 
@@ -91,10 +90,9 @@ class StreamingIngestor:
     """Drives a page stream through observe → re-weight → emit batches.
 
     ``vectorizer`` defaults to a fresh Equation-1
-    :class:`~repro.core.vectorizer.FormPageVectorizer` with the analysis
-    cache off — a 100k-page stream of distinct pages would otherwise
-    grow the cache with entries that can never hit.  Pass a configured
-    vectorizer to stream under a different scheme or LOC policy.
+    :class:`~repro.core.vectorizer.FormPageVectorizer`.  Pass a
+    configured vectorizer to stream under a different scheme or LOC
+    policy.
     """
 
     def __init__(
@@ -103,11 +101,7 @@ class StreamingIngestor:
         vectorizer: Optional[FormPageVectorizer] = None,
     ) -> None:
         self.config = config or StreamConfig()
-        if vectorizer is None:
-            vectorizer = FormPageVectorizer(
-                parallel=ParallelConfig(use_cache=False)
-            )
-        self.vectorizer = vectorizer
+        self.vectorizer = vectorizer or FormPageVectorizer()
         self.pc_tracker = IdfDriftTracker()
         self.fc_tracker = IdfDriftTracker()
         self.stats = StreamStats()

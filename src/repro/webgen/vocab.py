@@ -82,11 +82,3 @@ def sample_distinct(pool: Sequence[str], count: int, rng: random.Random) -> List
     """Sample up to ``count`` distinct items (fewer if the pool is small)."""
     count = min(count, len(pool))
     return rng.sample(list(pool), count)
-
-
-def sentence_case(words: Sequence[str]) -> str:
-    """Join words into a crude sentence (capitalized, period-terminated)."""
-    if not words:
-        return ""
-    text = " ".join(words)
-    return text[0].upper() + text[1:] + "."

@@ -18,7 +18,6 @@ class TestParser:
         assert args.seed == 42
         assert args.runs == 20
         assert args.workers == 1
-        assert args.no_cache is False
 
     def test_parallel_flags(self):
         for command in (
@@ -26,11 +25,8 @@ class TestParser:
             ["organize"],
             ["snapshot", "build", "--out", "d.json"],
         ):
-            args = build_parser().parse_args(
-                command + ["--workers", "4", "--no-cache"]
-            )
+            args = build_parser().parse_args(command + ["--workers", "4"])
             assert args.workers == 4
-            assert args.no_cache is True
 
     def test_no_read_path_knobs(self):
         """Each read request has one code path: no subcommand takes
@@ -122,7 +118,7 @@ class TestCommands:
         save_dataset(small_raw_pages, path)
         exit_code = main(
             ["organize", "--dataset", str(path), "--k", "8",
-             "--workers", "2", "--no-cache"]
+             "--workers", "2"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out

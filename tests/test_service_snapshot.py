@@ -360,10 +360,12 @@ class TestLegacyPayloads:
         state = SMALL_CONFIG.to_dict()
         assert "stream" not in state
         assert "chaos_seed" not in state["resilience"]
+        assert "use_cache" not in state["parallel"]
         restored = CAFCConfig.from_dict({
             **state,
             "stream": self.LEGACY_STREAM,
             "resilience": {**state["resilience"], "chaos_seed": 7},
+            "parallel": {**state["parallel"], "use_cache": False},
         })
         assert restored == SMALL_CONFIG
 

@@ -31,7 +31,6 @@ from repro.datasets.store import (
     iter_framed_records,
     write_framed_records,
 )
-from repro.parallel.config import ParallelConfig
 from repro.stream import (
     StreamConfig,
     StreamingIngestor,
@@ -45,7 +44,7 @@ from repro.webgen.stream import page_at, stream_chunks, stream_pages
 
 
 def _serial_vectorizer():
-    return FormPageVectorizer(parallel=ParallelConfig(use_cache=False))
+    return FormPageVectorizer()
 
 
 # ----------------------------------------------------------------

@@ -42,7 +42,7 @@ CASES = [
 def serial_vectorizer(scheme, policy):
     return FormPageVectorizer(
         location_weights=POLICIES[policy],
-        parallel=ParallelConfig(workers=1, use_cache=False),
+        parallel=ParallelConfig(workers=1),
         scheme=scheme,
     )
 
@@ -160,8 +160,7 @@ def test_streamed_term_frequencies(policy):
     weights = POLICIES[policy]
     ingestor = StreamingIngestor(
         StreamConfig(batch_size=50),
-        FormPageVectorizer(location_weights=weights,
-                           parallel=ParallelConfig(use_cache=False)),
+        FormPageVectorizer(location_weights=weights),
     )
     raw_pages = [page_at(index, seed=11) for index in range(100)]
     streamed = [page for batch in ingestor.ingest(raw_pages) for page in batch]

@@ -128,6 +128,25 @@ class TestTransformNew:
         assert "xylophon" not in new_page.pc
 
 
+class TestRefit:
+    @pytest.mark.parametrize("scheme", ["eq1", "bm25"])
+    def test_second_fit_equals_fresh_fit(self, small_raw_pages, scheme):
+        """A fit starts from empty statistics: fitting one vectorizer
+        twice gives the first fit's N, DFs and vectors, bit for bit."""
+        raw_pages = small_raw_pages[:60]
+        fresh = FormPageVectorizer(scheme=scheme)
+        expected = fresh.fit_transform(raw_pages)
+        refit = FormPageVectorizer(scheme=scheme)
+        refit.fit_transform(raw_pages)
+        pages = refit.fit_transform(raw_pages)
+        assert refit.export_state() == fresh.export_state()
+        assert refit.pc_corpus.document_count == len(raw_pages)
+        assert [p.pc for p in pages] == [p.pc for p in expected]
+        assert [p.fc for p in pages] == [p.fc for p in expected]
+        probe = small_raw_pages[60]
+        assert refit.transform_new(probe).pc == fresh.transform_new(probe).pc
+
+
 class TestLocationWeighting:
     def test_title_terms_boosted(self):
         html_title = "<html><head><title>hotel</title></head><body><p>unrelated</p><form><input type=text name=q></form></body></html>"
