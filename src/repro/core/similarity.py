@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.config import CAFCConfig, ContentMode, check_weights
 from repro.core.simengine import EngineStats, SimilarityEngine, _SpaceBlock
-from repro.vsm.vector import SparseVector, cosine_similarity
+from repro.vsm.vector import SparseVector, cosine_similarity, rescore_window
 
 
 class HasVectorPair(Protocol):
@@ -40,18 +40,6 @@ class HasVectorPair(Protocol):
 
     pc: SparseVector
     fc: SparseVector
-
-
-#: Unit roundoff of IEEE-754 double precision.
-_UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def _gamma(m: int) -> float:
-    """``m·u / (1 − m·u)``: the relative error bound of ``m`` roundings
-    (Higham's γ), e.g. of an ``m``-term dot product of non-negative
-    numbers summed in any order."""
-    mu = m * _UNIT_ROUNDOFF
-    return mu / (1.0 - mu)
 
 
 class CentroidBlock:
@@ -197,23 +185,21 @@ class FormPageSimilarity:
         space (:class:`CentroidBlock`, cached on the identity of the
         centroid objects and compiled again on the first call after a
         write replaces any of them), and the page is scored against all
-        k rows in one matrix-vector product per space.  Those kernel scores only pick candidates: the centroids
-        within a forward-error window of the kernel's maximum are
-        rescored with the scalar Equation 3, and the first maximum among
-        them is returned.
+        k rows in one matrix-vector product per space.  Those kernel
+        scores only pick candidates: the centroids within
+        :func:`~repro.vsm.vector.rescore_window` of the kernel's maximum
+        are rescored with the scalar Equation 3, and the first maximum
+        among them is returned.
 
-        The window needs non-negative weights, which every weighting
-        scheme emits (Eq. 1, BM25 and TF alike).  A page with ``n``
-        terms in a space then has each score, kernel or scalar, within
-        ``γ(n + 5)·v`` of the exact value ``v`` of the same expression
-        over the same cached norms: ``n`` roundings in the dot product
-        in any summation order, two in the cosine's division, three in
-        the combination.  So a centroid the scalar scan ranks first
-        scores at least ``top − 4·γ(n + 5)·v / (1 − γ(n + 5))`` in the
-        kernel; ``4·γ(n + 6)·max(top, 1)`` covers that, and the window's
-        own rounding.  A kernel maximum of 0.0 means no centroid shares
-        a term with the page, so every scalar score is 0.0 and the
-        first centroid wins without rescoring.
+        A page with ``n`` terms in a space has each score, kernel or
+        scalar, within ``γ(n + 5)·v`` of the exact value ``v`` of the
+        same expression over the same cached norms: ``n`` roundings in
+        the dot product in any summation order, two in the cosine's
+        division, three in the combination.  That is the window's
+        premise with ``terms = n`` (its docstring has the derivation).
+        A kernel maximum of 0.0 means no centroid shares a term with
+        the page, so every scalar score is 0.0 and the first centroid
+        wins without rescoring.
 
         Counts ``len(centroids)`` comparisons; the rescore adds none.
         """
@@ -247,10 +233,10 @@ class FormPageSimilarity:
 
         ``scores`` are the page's kernel scores against ``centroids``
         and ``terms`` the page's largest scored-space length.  The
-        centroids within ``4·γ(terms + 6)·max(top, 1)`` of the kernel
-        maximum ``top`` are rescored with the scalar Equation 3 (see
-        :meth:`best` for why every centroid whose scalar score is the
-        maximum lies inside), and the decision is the scalar loop's:
+        centroids within :func:`~repro.vsm.vector.rescore_window` of the
+        kernel maximum ``top`` are rescored with the scalar Equation 3
+        (see :meth:`best` for why every centroid whose scalar score is
+        the maximum lies inside), and the decision is the scalar loop's:
         ``previous`` if its scalar score is the maximum, else the first
         maximum.  A kernel maximum of 0.0 means every scalar score is
         0.0, so ``previous`` (or 0 when there is none, -1) wins without
@@ -259,7 +245,7 @@ class FormPageSimilarity:
         top = float(scores.max())
         if top == 0.0:
             return max(previous, 0), self.combine(0.0, 0.0)
-        window = 4.0 * _gamma(terms + 6) * max(top, 1.0)
+        window = rescore_window(top, terms)
         best_index, best_score = -1, -1.0
         for index in np.flatnonzero(top - scores <= window).tolist():
             score = self._score(page, centroids[index])

@@ -1,10 +1,10 @@
 """repro.index — sparse inverted-index retrieval over the feature spaces.
 
 Exact top-k without full scans: per-term posting lists with
-pre-normalized weights and per-term max-weight upper bounds
-(:mod:`~repro.index.postings`), term-at-a-time accumulation with
-upper-bound pruning and exact re-scoring (:mod:`~repro.index.retrieval`),
-and the generation-stamped directory state behind ``/search``
+pre-normalized weights (:mod:`~repro.index.postings`), term-at-a-time
+accumulation with an exact rescore of the rows within a rounding window
+of the k-th best partial (:mod:`~repro.index.retrieval`), and the
+generation-stamped directory state behind ``/search``
 (:mod:`~repro.index.directory_index`).
 
 Results are parity-pinned against full-scan reference rankings — same

@@ -94,8 +94,7 @@ class DirectoryIndex:
 
         Each row collection is combined in one
         :func:`~repro.vsm.vector.add_pairs` pass and then indexed row by
-        row, which leaves exactly the rows, posting lists and maxima
-        that :meth:`sync_clusters` plus one :meth:`page_upsert` per page
+        row, which leaves exactly the rows and posting lists that :meth:`sync_clusters` plus one :meth:`page_upsert` per page
         would.
         """
         clusters = organizer.clusters

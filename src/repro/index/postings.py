@@ -3,26 +3,23 @@
 A :class:`SpaceIndex` maps every term of a row collection (cluster
 centroids or managed pages) to the rows containing it, with weights
 **pre-normalized** by the row's Euclidean norm — the unit the cosine
-accumulators want — plus a per-term *maximum* pre-normalized weight.
-That maximum is the upper bound the exact top-k retrieval
-(:mod:`repro.index.retrieval`) prunes with: a term can contribute at
-most ``query_weight * max_prenormed(term)`` to any row's score, so once
-the sum of remaining bounds falls below the running k-th best partial
-score, the remaining posting lists never need to be walked.
+accumulators of the exact top-k retrieval (:mod:`repro.index.retrieval`)
+want.
 
 Rows are mutable: :meth:`add_row` and :meth:`remove_row` keep the
-posting lists, maxima, and per-row raw vectors in sync, so the index is
+posting lists and per-row raw vectors in sync, so the index is
 maintained incrementally as a directory mutates instead of being
 rebuilt per query.  The raw row vectors are kept because the retrieval
 layer's final scoring deliberately goes back through the *scalar*
 cosine path on them — that is what makes indexed results bit-identical
 to a full scan (see docs/SERVING.md, "Indexed retrieval").
 
-The index is **weighting-scheme agnostic**: bounds are computed from
-the *actual emitted vectors* (whatever :mod:`repro.vsm.schemes` scheme
-produced them), never re-derived from corpus statistics — so exact
-top-k pruning stays exact under Equation 1, BM25, or any future scheme
-without the index knowing which one is active (docs/RANKING.md).
+The index is **weighting-scheme agnostic**: it posts the *actual
+emitted vectors* (whatever :mod:`repro.vsm.schemes` scheme produced
+them), never anything re-derived from corpus statistics — so exact
+top-k stays exact under Equation 1, BM25, or any future scheme with
+non-negative weights, without the index knowing which one is active
+(docs/RANKING.md).
 
 Terms are keyed by their :data:`~repro.vsm.interning.VOCABULARY` id,
 the id the row vectors already carry, so indexing a row resolves no
@@ -36,15 +33,13 @@ from repro.vsm.vector import SparseVector
 
 
 class SpaceIndex:
-    """Posting lists with max-weight upper bounds over one vector space."""
+    """Pre-normalized posting lists over one vector space."""
 
-    __slots__ = ("_postings", "_max", "_vectors", "_norms", "n_postings")
+    __slots__ = ("_postings", "_vectors", "_norms", "n_postings")
 
     def __init__(self) -> None:
         #: term id -> [(row_id, weight / row_norm)], append-ordered.
         self._postings: Dict[int, List[Tuple[int, float]]] = {}
-        #: term id -> max pre-normalized weight over its posting list.
-        self._max: Dict[int, float] = {}
         self._vectors: Dict[int, SparseVector] = {}
         self._norms: Dict[int, float] = {}
         #: total posting entries (the /metrics gauge).
@@ -87,10 +82,6 @@ class SpaceIndex:
         (empty when the term is unindexed)."""
         return self._postings.get(term_id, _EMPTY)
 
-    def max_prenormed(self, term_id: int) -> float:
-        """Upper bound on any row's pre-normalized weight for ``term_id``."""
-        return self._max.get(term_id, 0.0)
-
     # ----------------------------------------------------------------
     # Maintenance.
     # ----------------------------------------------------------------
@@ -111,27 +102,18 @@ class SpaceIndex:
             return
         inv = 1.0 / norm
         postings = self._postings
-        maxima = self._max
         ids, weights = vector.id_arrays()
         for term_id, weight in zip(ids, weights):
             prenormed = weight * inv
             entry = postings.get(term_id)
             if entry is None:
                 postings[term_id] = [(row_id, prenormed)]
-                maxima[term_id] = prenormed
             else:
                 entry.append((row_id, prenormed))
-                if prenormed > maxima[term_id]:
-                    maxima[term_id] = prenormed
         self.n_postings += len(ids)
 
     def remove_row(self, row_id: int) -> bool:
-        """Drop a row from every posting list it appears in.
-
-        Per-term maxima are recomputed from the surviving entries when
-        the departing row held the maximum — bounds must never
-        understate, or pruning would turn lossy.
-        """
+        """Drop a row from every posting list it appears in."""
         vector = self._vectors.pop(row_id, None)
         if vector is None:
             return False
@@ -139,7 +121,6 @@ class SpaceIndex:
         if norm == 0.0:
             return True
         postings = self._postings
-        maxima = self._max
         for term_id in vector.id_arrays()[0]:
             entry = postings.get(term_id)
             if entry is None:
@@ -148,15 +129,12 @@ class SpaceIndex:
             self.n_postings -= len(entry) - len(kept)
             if not kept:
                 del postings[term_id]
-                del maxima[term_id]
             else:
                 postings[term_id] = kept
-                maxima[term_id] = max(weight for _, weight in kept)
         return True
 
     def clear(self) -> None:
         self._postings = {}
-        self._max = {}
         self._vectors = {}
         self._norms = {}
         self.n_postings = 0

@@ -1,9 +1,9 @@
 """Spill-to-disk posting lists: a two-tier SpaceIndex for unbounded streams.
 
 The resident :class:`~repro.index.postings.SpaceIndex` holds every row
-in memory — posting lists, per-term maxima, *and* the raw vectors for
-exact re-scoring — which is exactly right for a directory of hundreds
-of clusters and wrong for a stream of 100k+ pages.  A
+in memory — posting lists *and* the raw vectors for exact re-scoring —
+which is exactly right for a directory of hundreds of clusters and
+wrong for a stream of 100k+ pages.  A
 :class:`SpillingSpaceIndex` keeps only the most recent rows resident;
 once ``segment_rows`` accumulate, they are sealed into an immutable
 on-disk segment (crc-framed records via :mod:`repro.datasets.store`)
@@ -16,22 +16,23 @@ Segment layout (one framed JSON record each):
   ``[norm, meta]`` (meta is the caller's tag, e.g. the page URL);
 * one record per term — the term string (resident postings are keyed
   by process-local :data:`~repro.vsm.interning.VOCABULARY` ids, which
-  the flush resolves), its posting list ``[[row, prenormed weight]]``
-  and the per-term maximum.
+  the flush resolves) and its posting list ``[[row, prenormed weight]]``.
+  Segments written before the format dropped it also carry a per-term
+  ``"max"``, which readers ignore.
 
 Readers verify every checksum once at open while building a
 ``term -> file offset`` directory, then seek postings on demand.
 
 **Search contract.**  The resident tier answers through the same
-upper-bound-pruned, exactly re-scored :func:`~repro.index.retrieval.
-top_k_exact` machinery as the in-memory index — bit-identical to a
-scan of those rows.  Sealed segments are scored by full term-at-a-time
-accumulation over the query's posting lists with *no pruning*: since
-posted weights are pre-normalized and the query is pre-divided by its
-norm, the accumulated sum is the exact cosine (up to float summation
-order).  The merged top-k is therefore exact on both tiers; only the
-floats' addition order differs from an all-resident scan (tests pin
-agreement to 1e-9).
+window-rescored :func:`~repro.index.retrieval.top_k_exact` as the
+in-memory index — bit-identical to a scan of those rows.  Sealed
+segments keep no row vectors to rescore, so their rows are scored by
+the same term-at-a-time accumulation
+(:func:`~repro.index.retrieval.accumulate_postings`) over the query's
+posting lists: since posted weights are pre-normalized and the query is
+pre-divided by its norm, the accumulated sum is the cosine up to float
+rounding.  The merged top-k is therefore exact on both tiers up to that
+rounding (tests pin agreement with an all-resident index to 1e-9).
 """
 
 import heapq
@@ -45,7 +46,11 @@ from repro.datasets.store import (
     write_framed_records,
 )
 from repro.index.postings import SpaceIndex
-from repro.index.retrieval import RetrievalStats, top_k_exact
+from repro.index.retrieval import (
+    RetrievalStats,
+    accumulate_postings,
+    top_k_exact,
+)
 from repro.vsm.interning import VOCABULARY
 from repro.vsm.vector import SparseVector
 
@@ -230,7 +235,6 @@ class SpillingSpaceIndex:
                 yield {
                     "kind": "postings",
                     "term": term_of(term_id),
-                    "max": resident.max_prenormed(term_id),
                     "postings": resident.postings(term_id),
                 }
 
@@ -255,9 +259,9 @@ class SpillingSpaceIndex:
         """Exact top-``k`` rows across both tiers for a combined query.
 
         Returns ``[(row_id, cosine, meta)]`` sorted by ``(-score,
-        row_id)``.  Resident rows go through the pruned-and-re-scored
-        exact machinery; spilled rows through unpruned term-at-a-time
-        accumulation (see module docstring for why both are exact).
+        row_id)``.  Resident rows go through the window-rescored exact
+        top-k; spilled rows through term-at-a-time accumulation (see
+        the module docstring for why both are exact).
         """
         if k <= 0:
             return []
@@ -280,29 +284,15 @@ class SpillingSpaceIndex:
                 resident, query, k, score_exact, stats=stats, norm=norm,
             ))
 
-        query_pre = [
-            (term, weight / norm) for term, weight in query.items()
-        ]
+        terms = query.items()
         for segment in self.segments:
-            accumulator: Dict[int, float] = {}
             stats.rows_total += segment.n_rows
-            for term, pre in query_pre:
-                stats.terms_total += 1
-                postings = segment.postings(term)
-                if not postings:
-                    continue
-                stats.terms_processed += 1
-                for row, weight in postings:
-                    accumulator[row] = accumulator.get(row, 0.0) + pre * weight
-            stats.rows_touched += len(accumulator)
-            if accumulator:
-                top = heapq.nsmallest(
-                    k, accumulator.items(), key=lambda kv: (-kv[1], kv[0])
-                )
-                merged.extend(
-                    (row, score) for row, score in top if score > 0.0
-                )
-                stats.rows_scored += min(k, len(accumulator))
+            partials = accumulate_postings(terms, 1.0 / norm, segment.postings)
+            top = heapq.nsmallest(
+                k, partials.items(), key=lambda kv: (-kv[1], kv[0])
+            )
+            merged.extend((row, score) for row, score in top if score > 0.0)
+            stats.rows_scored += len(top)
 
         merged.sort(key=lambda hit: (-hit[1], hit[0]))
         return [(row, score, self.meta(row)) for row, score in merged[:k]]

@@ -74,7 +74,6 @@ class IngestStats:
 
     pages_total: int = 0        # pages run through text analysis
     map_seconds: float = 0.0    # wall time of the map phase
-    runs: int = 0
     executor: str = "serial"    # "serial" | "process", most recent run
     workers: int = 1
 
@@ -83,15 +82,6 @@ class IngestStats:
             f"{self.executor} x{self.workers}: {self.pages_total} pages, "
             f"{self.map_seconds:.2f}s map"
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "pages_total": self.pages_total,
-            "map_seconds": self.map_seconds,
-            "runs": self.runs,
-            "executor": self.executor,
-            "workers": self.workers,
-        }
 
 
 def analyze_form_page(raw: RawFormPage, analyzer: TextAnalyzer) -> PageAnalysis:
@@ -225,7 +215,6 @@ def analyze_pages(
 
     stats.pages_total += n
     stats.map_seconds += time.perf_counter() - started
-    stats.runs += 1
     stats.executor = "serial" if workers == 1 else "process"
     stats.workers = workers
     return results  # type: ignore[return-value]  # every slot is filled

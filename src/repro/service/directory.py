@@ -566,8 +566,8 @@ class FormDirectory:
             "Approximate resident bytes of the interning table",
         ).set_function(lambda: VOCABULARY.stats()["bytes_estimate"])
         # Inverted-index observability: structure sizes plus the pruning
-        # ratio (exactly-scored rows as a fraction of what full scans
-        # would have scored — lower is better; 1.0 means no saving).
+        # ratio (1 - rows rescored in the window / rows full scans would
+        # have scored — higher is better; 0.0 means no saving).
         index = self._index
         m.gauge(
             "index_postings", "Posting entries", space="clusters"
@@ -587,7 +587,7 @@ class FormDirectory:
         ).set_function(lambda: index.stats.rows_total)
         m.gauge(
             "index_rows_scored_total",
-            "Rows actually scored exactly after posting-list pruning",
+            "Rows rescored exactly inside the posting-list window",
         ).set_function(lambda: index.stats.rows_scored)
         m.gauge(
             "index_pruning_ratio",
@@ -848,9 +848,9 @@ class FormDirectory:
         The query is analyzed with the page-text pipeline and scored by
         cosine against each cluster's combined (PC + FC) centroid,
         mirroring :class:`repro.explore.ClusterExplorer.search`.  The
-        combined centroids come from the per-generation index, and
-        posting-list pruning ranks them — the same hits, floats and
-        order as a full scan (docs/SERVING.md).
+        combined centroids come from the per-generation index, and the
+        posting lists pick the rows to rescore — the same hits, floats
+        and order as a full scan (docs/SERVING.md).
         """
         keywords = KeywordQuery(self._analyzer.analyze(query))
         if not keywords:

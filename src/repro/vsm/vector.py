@@ -226,6 +226,46 @@ def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
     return a.dot(b) / denominator
 
 
+#: Unit roundoff of IEEE-754 double precision.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def rescore_window(top: float, terms: int) -> float:
+    """How far below ``top`` an approximate score may fall while its row
+    can still win on the scalar score: ``4·γ(terms + 6)·max(top, 1)``.
+
+    This is the one exactness rule of every ranked read: approximate
+    scores (a compiled centroid kernel in
+    :meth:`~repro.core.similarity.FormPageSimilarity.rescored_argmax`,
+    posting-list partial sums in
+    :func:`~repro.index.retrieval.top_k_exact`) only pick the rows
+    within this window of ``top``, and the scalar cosine decides among
+    them.  Approximate scores are never returned.
+
+    ``γ(m) = m·u / (1 − m·u)``, with ``u`` the unit roundoff, bounds the
+    relative error of ``m`` roundings.  Every weighting scheme emits
+    non-negative weights, so a row's approximate score ``a`` and its
+    scalar score ``s`` both lie within ``γ(terms + 5)·v`` of the exact
+    value ``v`` of the same expression over the same cached norms, where
+    ``terms`` is the number of query (or page) terms: ``terms``
+    roundings in a dot product summed in any order, and at most five
+    more per score.  A cosine adds two (the norms' product and the
+    division) and Equation 3's combination three more; a posting-list
+    partial adds the two reciprocal norms and the three products that
+    scale each summand.  With ``γ = γ(terms + 5)`` and
+    ``ρ = (1 − γ)/(1 + γ)``, ``s ≥ ρ·a`` and ``a ≥ ρ·s``.  Let ``top``
+    be the k-th largest approximate score (k = 1 for an argmax).  The k
+    rows scoring at least ``top`` have scalar scores of at least
+    ``ρ·top``, so any row whose scalar score reaches the k-th largest
+    scalar score has ``a ≥ ρ²·top``:
+    ``top − a ≤ 4γ/(1 + γ)²·top ≤ 4γ·top``.  Rounding ``top − a`` and
+    the window itself is covered by ``γ(terms + 6)``, and
+    ``max(top, 1)`` makes the window absolute for scores up to 1.
+    """
+    mu = (terms + 6) * _UNIT_ROUNDOFF
+    return 4.0 * (mu / (1.0 - mu)) * max(top, 1.0)
+
+
 class KeywordQuery:
     """A keyword query as term counts over :data:`VOCABULARY` ids,
     interning nothing.

@@ -211,28 +211,29 @@ def scan_clusters(
     organizer, query: str, n: int, rows: Optional[List[SparseVector]] = None
 ) -> List[Dict[str, object]]:
     """Reference ``/search``: cosine of the query against every
-    cluster's combined centroid, best first, ties by index.  Like the
-    directory's stale-index fallback, it builds a hit record for every
-    positive score before truncating.  ``rows`` (from
+    cluster's combined centroid, best first, ties by index.  Only the
+    ``n`` hits returned are labelled.  ``rows`` (from
     :func:`cluster_rows`) skips re-deriving the combined vectors when
     the organizer has not changed since."""
     vector = query_vector(query)
     if rows is None:
         rows = cluster_rows(organizer)
-    hits = []
+    scored = []
     for index, combined in enumerate(rows):
         score = cosine_similarity(vector, combined)
         if score > 0.0:
-            cluster = organizer.clusters[index]
-            hits.append({
-                "cluster": index,
-                "score": score,
-                "matched_terms": matched_terms(vector, combined),
-                "top_terms": label_terms(cluster.centroid),
-                "size": cluster.size,
-            })
-    hits.sort(key=lambda hit: (-hit["score"], hit["cluster"]))
-    return hits[:n]
+            scored.append((score, index))
+    scored.sort(key=lambda hit: (-hit[0], hit[1]))
+    return [
+        {
+            "cluster": index,
+            "score": score,
+            "matched_terms": matched_terms(vector, rows[index]),
+            "top_terms": label_terms(organizer.clusters[index].centroid),
+            "size": organizer.clusters[index].size,
+        }
+        for score, index in scored[:n]
+    ]
 
 
 def scan_pages(
@@ -240,8 +241,9 @@ def scan_pages(
     rows: Optional[List[Tuple[str, int, SparseVector]]] = None,
 ) -> List[Dict[str, object]]:
     """Reference ``/search?scope=pages``: cosine of the query against
-    every managed page's combined vector, best first, ties by URL.
-    ``rows`` comes from :func:`page_rows`, as for :func:`scan_clusters`."""
+    every managed page's combined vector, best first, ties by URL.  Only
+    the ``n`` hits returned get matched terms.  ``rows`` comes from
+    :func:`page_rows`, as for :func:`scan_clusters`."""
     vector = query_vector(query)
     if rows is None:
         rows = page_rows(organizer)

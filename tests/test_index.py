@@ -20,7 +20,7 @@ from repro.core.config import CAFCConfig
 from repro.core.pipeline import CAFCPipeline
 from repro.explore import ClusterExplorer
 from repro.index import SpaceIndex, top_k_exact
-from repro.index.retrieval import RetrievalStats
+from repro.index.retrieval import RetrievalStats, accumulate_postings
 from repro.service.directory import FormDirectory
 from repro.service import serve_directory
 from repro.service.snapshot import build_snapshot, snapshot_info
@@ -79,8 +79,6 @@ class TestSpaceIndex:
         assert index.vector(7) is vector
         assert index.norm(7) == 5.0
         assert index.postings(tid("a")) == [(7, 3.0 * (1.0 / 5.0))]
-        assert index.max_prenormed(tid("b")) == 4.0 * (1.0 / 5.0)
-        assert index.max_prenormed(tid("zzz")) == 0.0
         assert index.n_postings == 2
         assert index.n_terms == 2
 
@@ -92,13 +90,12 @@ class TestSpaceIndex:
         assert index.postings(tid("b")) == [(1, 1.0)]
         assert index.n_postings == 1
 
-    def test_remove_recomputes_maxima(self):
+    def test_remove_row(self):
         index = SpaceIndex()
         index.add_row(1, SparseVector({"a": 1.0}))          # prenormed 1.0
         index.add_row(2, SparseVector({"a": 3.0, "b": 4.0}))  # a: 0.6
-        assert index.max_prenormed(tid("a")) == 1.0
         assert index.remove_row(1)
-        assert index.max_prenormed(tid("a")) == 3.0 * (1.0 / 5.0)
+        assert index.postings(tid("a")) == [(2, 3.0 * (1.0 / 5.0))]
         assert not index.remove_row(1)
         assert index.remove_row(2)
         assert index.n_postings == 0
@@ -184,6 +181,61 @@ class TestTopKExact:
             tie_key=names.__getitem__,
         )
         assert [row for row, _ in got] == [1, 2]
+
+    def test_near_ties_cut_like_brute_force(self):
+        """Rows holding one term -> weight map, each stored in its own
+        term order, have one exact cosine with any query; the scalar
+        cosine's summation order (and each row's cached norm) differ
+        in the last bits, and the accumulated partials, summed in query
+        order, rank them differently again.  A k that cuts through the
+        tie group must still cut it exactly where the scan does."""
+        rng = random.Random(20261019)
+        terms = [f"tie{i}" for i in range(10)]
+        weights = {term: rng.uniform(0.1, 5.0) for term in terms}
+        index = SpaceIndex()
+        n_rows = 40
+        for row in range(n_rows):
+            order = rng.sample(terms, len(terms))
+            index.add_row(row, SparseVector({t: weights[t] for t in order}))
+        names = {row: f"url-{rng.random()}" for row in range(n_rows)}
+
+        reordered = split = 0
+        for trial in range(20):
+            query_terms = rng.sample(terms, rng.randint(3, 10))
+            query_terms += [f"miss{i}" for i in range(rng.randint(0, 12))]
+            query = SparseVector({
+                term: rng.uniform(0.1, 5.0) for term in query_terms
+            })
+            exact = {
+                row: cosine_similarity(query, index.vector(row))
+                for row in range(n_rows)
+            }
+            partials = accumulate_postings(
+                zip(*query.id_arrays()), 1.0 / query.norm(), index.postings
+            )
+            by_exact = sorted(exact, key=lambda row: (-exact[row], row))
+            by_partial = sorted(
+                partials, key=lambda row: (-partials[row], row)
+            )
+            reordered += by_exact != by_partial
+            split += len(set(exact.values())) > 1
+            for k in (1, 5, 17, n_rows - 1):
+                for tie_key in (None, names.__getitem__):
+                    key = tie_key or (lambda row: row)
+                    want = sorted(
+                        exact.items(), key=lambda kv: (-kv[1], key(kv[0]))
+                    )[:k]
+                    got = top_k_exact(
+                        index, query, k,
+                        lambda row: cosine_similarity(
+                            query, index.vector(row)
+                        ),
+                        tie_key=tie_key,
+                    )
+                    assert got == want, (trial, k, tie_key)
+        # The test means something only if the scalar scores really
+        # differ within the tie group and the two orders disagree.
+        assert split > 0 and reordered > 0
 
 
 # ---------------------------------------------------------------------

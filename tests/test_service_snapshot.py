@@ -501,7 +501,6 @@ class TestServedParity:
             ours, theirs = getattr(packed, space), getattr(legacy, space)
             assert ours._postings == theirs._postings
             assert list(ours._postings) == list(theirs._postings)
-            assert ours._max == theirs._max
             assert ours._norms == theirs._norms
             assert ours.n_postings == theirs.n_postings
         assert packed._row_by_url == legacy._row_by_url

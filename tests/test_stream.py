@@ -432,6 +432,31 @@ class TestSpillIndex:
         with pytest.raises(FramedRecordError):
             SpillingSpaceIndex(tmp_path / "seg", segment_rows=8)
 
+    def test_segment_with_per_term_max_still_searches(self, tmp_path):
+        """Segments once stored each term's maximum posted weight; a
+        segment written that way opens and answers like a new one."""
+        from repro.index import SpillingSpaceIndex
+
+        new = SpillingSpaceIndex(tmp_path / "new", segment_rows=64)
+        for row, vector in self._vectors(n=64).items():
+            new.add_row(row, vector, meta=f"url-{row}")
+        (segment,) = new.segments
+        records = []
+        for _, record in iter_framed_records(segment.path):
+            if record["kind"] == "postings":
+                assert "max" not in record
+                record["max"] = max(w for _, w in record["postings"])
+            records.append(record)
+        (tmp_path / "old").mkdir()
+        write_framed_records(records, tmp_path / "old" / segment.path.name)
+
+        old = SpillingSpaceIndex(tmp_path / "old", segment_rows=64)
+        assert old.n_spilled == 64 and old.n_resident == 0
+        for seed in (7, 99, 123):
+            query = self._vectors(n=1, seed=seed)[0]
+            hits = new.search(query, 10)
+            assert hits and old.search(query, 10) == hits
+
 
 # ----------------------------------------------------------------
 # Config plumbing.
