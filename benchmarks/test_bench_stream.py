@@ -74,14 +74,13 @@ def rss_mb():
 
 with tempfile.TemporaryDirectory(prefix="repro-stream-bench-") as spill_dir:
     config = StreamConfig(
-        batch_size=256, vocab_budget=50_000, min_df=2,
-        spill_dir=spill_dir, spill_segment_rows=4096,
+        batch_size=256, vocab_budget=50_000, min_df=2, spill_dir=spill_dir,
     )
     ingestor = StreamingIngestor(config)
     organizer = StreamOrganizer(
         8, reservoir_size=config.reservoir_size
     ).attach(ingestor)
-    spill = SpillingSpaceIndex(spill_dir, config.spill_segment_rows)
+    spill = SpillingSpaceIndex(spill_dir)
 
     marks = sorted({n_pages // 4, n_pages // 2, n_pages})
     checkpoints = {}

@@ -176,15 +176,13 @@ class MiniBatchKMeans:
             for i in range(len(self.counts))
         ]
 
-    def reseed(self, seeds: Sequence, keep_counts: bool = True) -> None:
+    def reseed(self, seeds: Sequence) -> None:
         """Replace centroid coordinates (a re-weight event re-vectorized
-        them) while optionally preserving the learning-rate schedule."""
+        them); the counts, hence the learning-rate schedule, carry on."""
         if len(seeds) != len(self.counts):
             raise ValueError("reseed must preserve the number of centroids")
         self.pc = [_SpaceCentroid(seed.pc) for seed in seeds]
         self.fc = [_SpaceCentroid(seed.fc) for seed in seeds]
-        if not keep_counts:
-            self.counts = [1] * len(self.counts)
 
 
 class ReservoirSample:

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 from repro.options import SCHEME_CHOICES, validate_option
 from repro.parallel.config import ParallelConfig
-from repro.resilience.config import ResilienceConfig
 from repro.vsm.weights import LocationWeights
 
 
@@ -56,9 +55,6 @@ class CAFCConfig:
     max_backlinks:
         Cap on backlinks retrieved per page (the paper extracted at most
         100 per page from AltaVista).
-    use_root_page_backlinks:
-        When a form page has no backlinks, also ask for backlinks of the
-        site root page (Section 3.1's mitigation for missing data).
     stop_fraction:
         k-means stopping criterion: stop when fewer than this fraction of
         pages move across clusters in one iteration (paper: 10%).
@@ -82,11 +78,6 @@ class CAFCConfig:
         Ingestion execution plan (the worker count) — see
         :class:`~repro.parallel.config.ParallelConfig` and
         docs/INGESTION.md.  Parallel output is bit-identical to serial.
-    resilience:
-        Retry/backoff and circuit-breaker knobs for the flaky
-        seams (the backlink API, request vectorization) — see
-        :class:`~repro.resilience.config.ResilienceConfig` and
-        docs/RESILIENCE.md.
     """
 
     k: int = 8
@@ -96,13 +87,11 @@ class CAFCConfig:
     location_weights: LocationWeights = field(default_factory=LocationWeights)
     min_hub_cardinality: int = 8
     max_backlinks: int = 100
-    use_root_page_backlinks: bool = True
     stop_fraction: float = 0.1
     max_iterations: int = 50
     seed: int = 0
     scheme: str = "auto"
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 
     def to_dict(self) -> dict:
         """All tunables as JSON-safe data (snapshot support)."""
@@ -114,21 +103,20 @@ class CAFCConfig:
             "location_weights": self.location_weights.to_dict(),
             "min_hub_cardinality": self.min_hub_cardinality,
             "max_backlinks": self.max_backlinks,
-            "use_root_page_backlinks": self.use_root_page_backlinks,
             "stop_fraction": self.stop_fraction,
             "max_iterations": self.max_iterations,
             "seed": self.seed,
             "scheme": self.scheme,
             "parallel": self.parallel.to_dict(),
-            "resilience": self.resilience.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, state: dict) -> "CAFCConfig":
         """Rebuild a config exported by :meth:`to_dict` (validates).
 
-        Keys this version no longer has (the ``"backend"``, ``"index"``
-        and ``"stream"`` knobs older snapshots wrote) are ignored.
+        Keys this version no longer has (the ``"backend"``, ``"index"``,
+        ``"stream"``, ``"resilience"`` and ``"use_root_page_backlinks"``
+        entries older snapshots wrote) are ignored.
         """
         defaults = cls()
         return cls(
@@ -145,11 +133,6 @@ class CAFCConfig:
                 state.get("min_hub_cardinality", defaults.min_hub_cardinality)
             ),
             max_backlinks=int(state.get("max_backlinks", defaults.max_backlinks)),
-            use_root_page_backlinks=bool(
-                state.get(
-                    "use_root_page_backlinks", defaults.use_root_page_backlinks
-                )
-            ),
             stop_fraction=float(
                 state.get("stop_fraction", defaults.stop_fraction)
             ),
@@ -159,9 +142,6 @@ class CAFCConfig:
             seed=int(state.get("seed", defaults.seed)),
             scheme=str(state.get("scheme", defaults.scheme)),
             parallel=ParallelConfig.from_dict(dict(state.get("parallel", {}))),
-            resilience=ResilienceConfig.from_dict(
-                dict(state.get("resilience", {}))
-            ),
         )
 
     def __post_init__(self) -> None:

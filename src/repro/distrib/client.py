@@ -92,9 +92,6 @@ class LocalShardClient:
         """Simulate node death (state stays on 'disk' for promotion)."""
         self.alive = False
 
-    def revive(self) -> None:
-        self.alive = True
-
     @contextmanager
     def deadline(self, seconds: float):
         """Deadline-budget seam (no-op in-process: local calls cannot
@@ -162,10 +159,10 @@ class HttpShardClient:
     """HTTP transport for a shard (or replica) endpoint.
 
     Connections are *pooled and persistent*: each request borrows an
-    ``http.client.HTTPConnection`` from a small per-client stack,
-    speaks keep-alive HTTP/1.1, and returns it for the next call — the
-    scatter-gather fan-out no longer pays a TCP handshake per shard per
-    request.  A borrowed connection that turns out to be stale (the
+    ``http.client.HTTPConnection`` from a per-client stack (which keeps
+    at most four idle connections), speaks keep-alive HTTP/1.1, and
+    returns it for the next call — the scatter-gather fan-out no longer
+    pays a TCP handshake per shard per request.  A borrowed connection that turns out to be stale (the
     server closed the keep-alive socket between requests) is discarded
     and the request retried once on a fresh connection; fresh-connection
     failures surface immediately as :class:`ShardUnavailable`.
@@ -179,13 +176,11 @@ class HttpShardClient:
         timeout: float = 10.0,
         name: Optional[str] = None,
         pooled: bool = True,
-        pool_size: int = 4,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.name = name or self.base_url
         self.pooled = pooled
-        self.pool_size = max(1, int(pool_size))
         split = urllib.parse.urlsplit(self.base_url)
         if split.scheme != "http" or not split.hostname:
             raise ValueError(
@@ -246,7 +241,7 @@ class HttpShardClient:
     def _release(self, conn: http.client.HTTPConnection) -> None:
         if self.pooled:
             with self._pool_lock:
-                if len(self._pool) < self.pool_size:
+                if len(self._pool) < 4:
                     self._pool.append(conn)
                     return
         conn.close()

@@ -254,10 +254,11 @@ class ReplicaNode:
             "segments": fetched,
         }
 
-    def catch_up(self, max_polls: int = 100) -> int:
-        """Poll until only the (unsealed) active tail remains or the
-        sealed feed stops advancing.  Returns the remaining lag."""
-        for _ in range(max_polls):
+    def catch_up(self) -> int:
+        """Poll (at most 100 times) until only the (unsealed) active tail
+        remains or the sealed feed stops advancing.  Returns the
+        remaining lag."""
+        for _ in range(100):
             report = self.poll()
             if report["segments"] == 0:
                 break

@@ -49,14 +49,12 @@ def _format_cell(cell: object) -> str:
     return str(cell)
 
 
-def paper_vs_measured(
-    paper: Optional[float], measured: float, decimals: int = 3
-) -> str:
+def paper_vs_measured(paper: Optional[float], measured: float) -> str:
     """'paper -> measured' cell, with '—' when the paper has no number."""
-    measured_text = f"{measured:.{decimals}f}"
+    measured_text = f"{measured:.3f}"
     if paper is None:
         return f"— / {measured_text}"
-    return f"{paper:.{decimals}f} / {measured_text}"
+    return f"{paper:.3f} / {measured_text}"
 
 
 def render_bar_chart(
@@ -64,7 +62,6 @@ def render_bar_chart(
     values: Sequence[float],
     width: int = 40,
     title: str = "",
-    value_format: str = "{:.3f}",
 ) -> str:
     """Horizontal ASCII bars — the textual rendering of a paper figure.
 
@@ -87,6 +84,6 @@ def render_bar_chart(
         bar = "█" * bar_length
         lines.append(
             f"{str(label).ljust(label_width)}  {bar.ljust(width)}  "
-            + value_format.format(value)
+            f"{value:.3f}"
         )
     return "\n".join(lines)

@@ -36,16 +36,15 @@ def experiment_names() -> List[str]:
 def run_all(
     seed: int = 42,
     n_runs: int = 20,
-    include_extensions: bool = True,
     only: str = "",
     workers: int = 1,
     report_header: bool = False,
 ) -> str:
     """Run the full experiment battery; returns the combined report.
 
-    ``include_extensions`` appends the non-paper ablations (robustness
-    sweep) after the paper's tables and figures.  ``only`` restricts the
-    run to one experiment id (see :func:`experiment_names`).
+    The non-paper ablation (the robustness sweep) follows the paper's
+    tables and figures.  ``only`` restricts the run to one experiment id
+    (see :func:`experiment_names`).
     ``workers`` runs independent experiments concurrently (and is also
     handed to corpus ingestion).  ``report_header`` prepends a run
     header naming the chosen executors.
@@ -134,14 +133,13 @@ def run_all(
         "errors", lambda: errors.run_errors(context),
         errors.format_errors, errors.check_shape,
     )
-    if include_extensions or only == "robustness":
-        experiment(
-            "robustness",
-            lambda: robustness.run_robustness(
-                context, coverages=(1.0, 0.8, 0.5, 0.2, 0.0)
-            ),
-            robustness.format_robustness, robustness.check_shape,
-        )
+    experiment(
+        "robustness",
+        lambda: robustness.run_robustness(
+            context, coverages=(1.0, 0.8, 0.5, 0.2, 0.0)
+        ),
+        robustness.format_robustness, robustness.check_shape,
+    )
 
     results = run_specs(specs, workers=workers)
 

@@ -122,10 +122,6 @@ class SpillSegment:
             for row, entry in record["rows"].items()
         }
 
-    def meta(self, row_id: int) -> object:
-        entry = self.rows().get(row_id)
-        return entry[1] if entry is not None else None
-
 
 class SpillingSpaceIndex:
     """A :class:`SpaceIndex` whose history spills to sealed segments.
@@ -143,14 +139,12 @@ class SpillingSpaceIndex:
         self,
         directory: Union[str, Path],
         segment_rows: int = 4096,
-        auto_flush: bool = True,
     ) -> None:
         if segment_rows < 1:
             raise ValueError("segment_rows must be positive")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.segment_rows = segment_rows
-        self.auto_flush = auto_flush
         self.resident = SpaceIndex()
         self._resident_meta: Dict[int, object] = {}
         self.segments: List[SpillSegment] = [
@@ -173,13 +167,22 @@ class SpillingSpaceIndex:
     def __len__(self) -> int:
         return self.n_resident + self.n_spilled
 
-    def meta(self, row_id: int) -> object:
-        if row_id in self._resident_meta:
-            return self._resident_meta[row_id]
-        for segment in self.segments:
-            if row_id in segment:
-                return segment.meta(row_id)
-        return None
+    def _metas(self, row_ids: List[int]) -> List[object]:
+        """Each row's meta, reading any segment's header at most once."""
+        headers: Dict[SpillSegment, Dict[int, Tuple[float, object]]] = {}
+
+        def meta(row_id: int) -> object:
+            if row_id in self._resident_meta:
+                return self._resident_meta[row_id]
+            for segment in self.segments:
+                if row_id in segment:
+                    if segment not in headers:
+                        headers[segment] = segment.rows()
+                    entry = headers[segment].get(row_id)
+                    return entry[1] if entry is not None else None
+            return None
+
+        return [meta(row_id) for row_id in row_ids]
 
     # ----------------------------------------------------------------
     # Writes.
@@ -196,7 +199,7 @@ class SpillingSpaceIndex:
         """
         self.resident.add_row(row_id, vector)
         self._resident_meta[row_id] = meta
-        if self.auto_flush and len(self.resident) >= self.segment_rows:
+        if len(self.resident) >= self.segment_rows:
             self.flush()
 
     def flush(self) -> Optional[SpillSegment]:
@@ -295,7 +298,9 @@ class SpillingSpaceIndex:
             stats.rows_scored += len(top)
 
         merged.sort(key=lambda hit: (-hit[1], hit[0]))
-        return [(row, score, self.meta(row)) for row, score in merged[:k]]
+        hits = merged[:k]
+        metas = self._metas([row for row, _ in hits])
+        return [(row, score, meta) for (row, score), meta in zip(hits, metas)]
 
 
 __all__ = ["SpillSegment", "SpillingSpaceIndex"]

@@ -68,7 +68,6 @@ class UnifiedInterface:
 def build_unified_interface(
     raw_pages: Sequence[RawFormPage],
     min_coverage: float = 0.3,
-    match_threshold: float = 0.35,
     groups: Optional[List[ConceptGroup]] = None,
 ) -> UnifiedInterface:
     """Match attributes across ``raw_pages`` and merge into one interface.
@@ -82,7 +81,7 @@ def build_unified_interface(
     n_forms = len(raw_pages)
     if groups is None:
         instances = collect_attributes(raw_pages)
-        groups = match_attributes(instances, threshold=match_threshold)
+        groups = match_attributes(instances)
 
     fields: List[UnifiedField] = []
     for group in groups:

@@ -47,11 +47,10 @@ def cluster_tightness(
     cluster: HubCluster,
     pages: Sequence[FormPage],
     similarity: FormPageSimilarity,
-    max_pairs: int = 200,
 ) -> float:
     """Mean pairwise Equation-3 similarity among member pages.
 
-    For very large clusters only the first ``max_pairs`` member pairs are
+    For very large clusters only the first 200 member pairs are
     sampled (deterministically, in index order) — tightness is a mean,
     so a prefix sample is adequate and keeps the cost linear-ish.
     """
@@ -63,7 +62,7 @@ def cluster_tightness(
     for i, j in combinations(members, 2):
         total += similarity(pages[i], pages[j])
         count += 1
-        if count >= max_pairs:
+        if count >= 200:
             break
     return total / count if count else 1.0
 

@@ -26,7 +26,6 @@ makes failure a first-class, testable input:
 See docs/RESILIENCE.md for the fault model and the degradation ladder.
 """
 
-from repro.resilience.config import ResilienceConfig
 from repro.resilience.faults import (
     FAULT_KINDS,
     FaultError,
@@ -84,7 +83,6 @@ __all__ = [
     "JournalError",
     "PermanentFault",
     "RateLimitFault",
-    "ResilienceConfig",
     "ResilienceStats",
     "ResilientSearchEngine",
     "RetryError",

@@ -38,8 +38,8 @@ class FlakySearchEngine:
 
     Exposes the same query surface as
     :class:`~repro.webgraph.search_api.SimulatedSearchEngine`
-    (``link_query`` / ``harvest_backlinks``), consulting ``plan`` at
-    seam ``seam`` before every underlying query.
+    (``link_query``), consulting ``plan`` at seam ``seam`` before every
+    underlying query.
     """
 
     def __init__(
@@ -60,15 +60,6 @@ class FlakySearchEngine:
     def link_query(self, url: str) -> List[str]:
         self.plan.check(self.seam, key=url)
         return self.inner.link_query(url)
-
-    def harvest_backlinks(
-        self, url: str, root_url: str = "", fallback_to_root: bool = True
-    ) -> List[str]:
-        """Section 3.1 harvesting, with each query individually flaky."""
-        backlinks = self.link_query(url)
-        if not backlinks and fallback_to_root and root_url and root_url != url:
-            backlinks = self.link_query(root_url)
-        return backlinks
 
 
 @dataclass
@@ -111,10 +102,10 @@ class ResilientSearchEngine:
     """Retry/backoff + circuit breaking over any ``link:`` engine.
 
     Drop-in for the places that consume an engine (corpus assembly, hub
-    harvesting): same ``link_query`` / ``harvest_backlinks`` surface,
-    but failures degrade to ``[]`` instead of propagating.  With a
-    healthy inner engine the output is **identical** to calling it
-    directly — the wrapper adds no reordering, no caching, no loss.
+    harvesting): same ``link_query`` surface, but failures degrade to
+    ``[]`` instead of propagating.  With a healthy inner engine the
+    output is **identical** to calling it directly — the wrapper adds
+    no reordering, no caching, no loss.
 
     Parameters
     ----------
@@ -165,11 +156,3 @@ class ResilientSearchEngine:
         if breaker is not None:
             breaker.record_success()
         return result
-
-    def harvest_backlinks(
-        self, url: str, root_url: str = "", fallback_to_root: bool = True
-    ) -> List[str]:
-        backlinks = self.link_query(url)
-        if not backlinks and fallback_to_root and root_url and root_url != url:
-            backlinks = self.link_query(root_url)
-        return backlinks

@@ -501,21 +501,16 @@ class DirectoryJournal:
         self._write_manifest()
         return segment
 
-    def drop_sealed(self, upto_seq: Optional[int] = None) -> int:
-        """Delete sealed segments (all, or through ``upto_seq``) whose
-        records were folded into a durable snapshot.  Advances
-        ``base_record`` so global positions stay monotonic.  Returns the
-        number of records dropped."""
+    def drop_sealed(self) -> int:
+        """Delete every sealed segment (their records were folded into a
+        durable snapshot).  Advances ``base_record`` so global positions
+        stay monotonic.  Returns the number of records dropped."""
         with self._lock:
-            keep: List[SegmentInfo] = []
             dropped = 0
             for segment in self._segments:
-                if upto_seq is not None and segment.seq > upto_seq:
-                    keep.append(segment)
-                    continue
                 dropped += segment.n_records
                 segment.path.unlink(missing_ok=True)
-            self._segments = keep
+            self._segments = []
             if dropped:
                 self.base_record += dropped
                 self._write_manifest()

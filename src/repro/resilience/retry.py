@@ -19,7 +19,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Type
+from typing import Callable, List, Optional
 
 from repro.resilience.faults import FaultError, RateLimitFault, TransientFault
 from repro.resilience.stats import STATS
@@ -67,7 +67,6 @@ class RetryPolicy:
     jitter: float = 0.5
     deadline: Optional[float] = None
     seed: int = 0
-    retry_on: Tuple[Type[BaseException], ...] = (TransientFault,)
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -106,7 +105,8 @@ class RetryPolicy:
     ):
         """Invoke ``fn`` under this policy.
 
-        Retryable failures (``retry_on``) are retried per the schedule;
+        Retryable failures (:class:`~repro.resilience.faults.
+        TransientFault` and its subclasses) are retried per the schedule;
         anything else propagates immediately.  Exhaustion raises
         :class:`RetryError` chained to the last failure.
         """
@@ -116,7 +116,7 @@ class RetryPolicy:
         for attempt in range(1, self.max_attempts + 1):
             try:
                 return fn(*args, **kwargs)
-            except self.retry_on as exc:
+            except TransientFault as exc:
                 last = exc
                 if attempt >= self.max_attempts:
                     break

@@ -34,9 +34,9 @@ class SupervisedWorker:
         supervision.
     name:
         Thread name (also the label in restart warnings).
-    backoff_base / backoff_multiplier / backoff_max:
-        Restart delay schedule: ``min(base * multiplier**n, max)`` after
-        the ``n``-th crash.
+    backoff_base:
+        Restart delay schedule: ``min(backoff_base * 2**n, 5.0)`` seconds
+        after the ``n``-th crash.
     max_restarts:
         Give up after this many restarts (None = never).  Giving up is
         itself logged — a worker that cannot stay up is a degradation
@@ -55,8 +55,6 @@ class SupervisedWorker:
         target: Callable[[], None],
         name: str = "supervised",
         backoff_base: float = 0.05,
-        backoff_multiplier: float = 2.0,
-        backoff_max: float = 5.0,
         max_restarts: Optional[int] = None,
         on_crash: Optional[Callable[[int, BaseException], None]] = None,
         on_exit: Optional[Callable[[], None]] = None,
@@ -64,8 +62,6 @@ class SupervisedWorker:
         self.target = target
         self.name = name
         self.backoff_base = backoff_base
-        self.backoff_multiplier = backoff_multiplier
-        self.backoff_max = backoff_max
         self.max_restarts = max_restarts
         self.on_crash = on_crash
         self.on_exit = on_exit
@@ -128,10 +124,7 @@ class SupervisedWorker:
                         self.name, crashes, type(exc).__name__, exc,
                     )
                     return
-                delay = min(
-                    self.backoff_base * self.backoff_multiplier**crashes,
-                    self.backoff_max,
-                )
+                delay = min(self.backoff_base * 2.0**crashes, 5.0)
                 crashes += 1
                 self.restarts += 1
                 STATS.inc("worker_restarts")

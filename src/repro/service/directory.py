@@ -63,7 +63,7 @@ from repro.resilience.journal import (
     open_journal,
     record_epoch,
 )
-from repro.resilience.retry import CIRCUIT_OPEN
+from repro.resilience.retry import CIRCUIT_OPEN, CircuitBreaker, RetryPolicy
 from repro.resilience.stats import STATS
 from repro.resilience.supervisor import SupervisedWorker
 from repro.service.metrics import MetricsRegistry
@@ -208,9 +208,10 @@ class FormDirectory:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.started_unix = time.time()
 
-        resilience = organizer.config.resilience
-        self._retry_policy = resilience.policy()
-        self._breaker = resilience.breaker()
+        # Request vectorization retries transient faults within a 10 s
+        # sleep budget; five straight failures open the breaker for 30 s.
+        self._retry_policy = RetryPolicy(deadline=10.0)
+        self._breaker = CircuitBreaker()
 
         self._rw = RWLock()
         self._generation = 0
@@ -685,7 +686,7 @@ class FormDirectory:
         """``transform_new`` with latency observed into ``/metrics``.
 
         Vectorization happens outside every lock.  The call runs
-        through the directory's circuit breaker and the config's retry
+        through the directory's circuit breaker and its retry
         policy: transient faults at the ``"directory.vectorize"`` seam
         are retried with backoff, exhaustion counts a breaker failure,
         and an open breaker fails the request fast

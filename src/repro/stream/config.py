@@ -21,18 +21,16 @@ class StreamConfig:
     every re-weight; ``min_df<=1`` disables pruning entirely.
 
     ``spill_dir=None`` keeps the page index fully resident (fine below
-    ~10k pages); a path enables spill-to-disk segments of
-    ``spill_segment_rows`` rows each.
+    ~10k pages); a path enables spill-to-disk segments of 4,096 rows
+    each (:class:`~repro.index.spill.SpillingSpaceIndex`'s default).
     """
 
     batch_size: int = 256
     drift_threshold: float = 0.1
     reservoir_size: int = 512
-    reservoir_seed: int = 0
     vocab_budget: int = 150_000
     min_df: int = 2
     spill_dir: Optional[str] = None
-    spill_segment_rows: int = 4096
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -43,8 +41,6 @@ class StreamConfig:
             raise ValueError("reservoir_size must be positive")
         if self.vocab_budget < 0:
             raise ValueError("vocab_budget must be >= 0")
-        if self.spill_segment_rows < 1:
-            raise ValueError("spill_segment_rows must be positive")
 
 
 __all__ = ["StreamConfig"]

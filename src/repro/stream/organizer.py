@@ -50,21 +50,14 @@ class StreamOrganizer:
         self,
         n_clusters: int,
         reservoir_size: int = 512,
-        reservoir_seed: int = 0,
         bootstrap_pages: int = 256,
-        bootstrap_epochs: int = 3,
-        train_batch_size: int = 64,
     ) -> None:
         if n_clusters < 1:
             raise ValueError("n_clusters must be positive")
         self.n_clusters = n_clusters
         self.bootstrap_pages = max(bootstrap_pages, n_clusters)
-        self.bootstrap_epochs = bootstrap_epochs
-        self.train_batch_size = train_batch_size
-        self.reservoir = ReservoirSample(reservoir_size, seed=reservoir_seed)
-        self._seed_rng = random.Random(
-            f"repro.stream.organizer:{reservoir_seed}"
-        )
+        self.reservoir = ReservoirSample(reservoir_size)
+        self._seed_rng = random.Random("repro.stream.organizer:0")
         self.learner: Optional[MiniBatchKMeans] = None
         self.n_reweight_rebuilds = 0
 
@@ -129,11 +122,9 @@ class StreamOrganizer:
         seed_entries = self._seed_rng.sample(members, k)
         self.learner = MiniBatchKMeans([entry.page for entry in seed_entries])
         pages = [entry.page for entry in members]
-        for _ in range(self.bootstrap_epochs):
-            for start in range(0, len(pages), self.train_batch_size):
-                self.learner.partial_fit(
-                    pages[start : start + self.train_batch_size]
-                )
+        for _ in range(3):
+            for start in range(0, len(pages), 64):
+                self.learner.partial_fit(pages[start : start + 64])
 
     def _on_reweight(self, ingestor: StreamingIngestor) -> None:
         """Re-vectorize the reservoir and rebuild centroids in the new
@@ -202,7 +193,7 @@ class StreamOrganizer:
                 )
                 page = refreshed[nearest].page
                 seeds.append(VectorPair(pc=page.pc, fc=page.fc))
-        learner.reseed(seeds, keep_counts=True)
+        learner.reseed(seeds)
         self.n_reweight_rebuilds += 1
 
 

@@ -55,27 +55,20 @@ def run_stream(
     n_clusters: int = 8,
     config: Optional[StreamConfig] = None,
     keep_pages: bool = False,
-    final_reweight: bool = True,
 ) -> StreamRunResult:
     """Stream ``raw_pages`` end to end: ingest, cluster, maybe spill.
 
-    ``final_reweight`` runs one terminal re-weight after the stream is
-    drained so late-arriving vocabulary enters the contexts and the
-    reservoir (hence the centroids) reflects the final statistics —
-    the state :meth:`StreamOrganizer.assign` labels against.
+    One terminal re-weight runs after the stream is drained so
+    late-arriving vocabulary enters the contexts and the reservoir
+    (hence the centroids) reflects the final statistics — the state
+    :meth:`StreamOrganizer.assign` labels against.
     """
     config = config or StreamConfig()
     ingestor = StreamingIngestor(config)
     organizer = StreamOrganizer(
-        n_clusters,
-        reservoir_size=config.reservoir_size,
-        reservoir_seed=config.reservoir_seed,
+        n_clusters, reservoir_size=config.reservoir_size
     ).attach(ingestor)
-    spill = (
-        SpillingSpaceIndex(config.spill_dir, config.spill_segment_rows)
-        if config.spill_dir
-        else None
-    )
+    spill = SpillingSpaceIndex(config.spill_dir) if config.spill_dir else None
     kept: Optional[List[StreamedPage]] = [] if keep_pages else None
     cluster_counts: Dict[int, int] = {}
 
@@ -91,8 +84,7 @@ def run_stream(
             kept.extend(batch)
 
     organizer.ensure_ready()
-    if final_reweight:
-        ingestor.reweight()
+    ingestor.reweight()
     if spill is not None:
         spill.flush()
     return StreamRunResult(

@@ -80,16 +80,19 @@ class SyntheticWeb:
 
     def raw_pages(
         self,
-        use_root_backlinks: bool = True,
         include_anchor_text: bool = False,
         parallel: Optional[ParallelConfig] = None,
         engine=None,
     ) -> List[RawFormPage]:
         """The clustering input: HTML + harvested backlinks + gold label.
 
-        Backlinks are harvested from the simulated engine: ``link:`` on
-        the form page plus (by default) ``link:`` on the site root —
-        Section 3.1's mitigation for backlink incompleteness.
+        Backlinks are harvested from the simulated engine: the union of
+        ``link:`` on the form page and ``link:`` on the site root (sorted,
+        capped at ``max_backlinks``) — Section 3.1's mitigation for
+        backlink incompleteness.  Unlike
+        :func:`~repro.webgraph.search_api.harvest_backlinks`, which asks
+        for the root's backlinks only when the form page has none, every
+        page gets both.
 
         ``include_anchor_text`` additionally fetches each backlink page
         and collects the anchor strings of its links to the form page or
@@ -114,10 +117,9 @@ class SyntheticWeb:
 
         def assemble(site: Site) -> RawFormPage:
             backlinks = engine.link_query(site.form_page_url)
-            if use_root_backlinks:
-                root_backlinks = engine.link_query(site.root_url)
-                merged = sorted(set(backlinks) | set(root_backlinks))
-                backlinks = merged[: self.config.max_backlinks]
+            root_backlinks = engine.link_query(site.root_url)
+            merged = sorted(set(backlinks) | set(root_backlinks))
+            backlinks = merged[: self.config.max_backlinks]
             page = self.graph.get(site.form_page_url)
             if page is None:
                 raise RuntimeError(

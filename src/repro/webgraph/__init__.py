@@ -10,7 +10,9 @@ web graph:
 * :mod:`repro.webgraph.urls` — host / site parsing helpers.
 * :class:`repro.webgraph.graph.WebGraph` — pages + hyperlinks.
 * :class:`repro.webgraph.search_api.SimulatedSearchEngine` — the `link:`
-  backlink API with result caps and deliberate incompleteness.
+  backlink API with result caps and deliberate incompleteness, and
+  :func:`~repro.webgraph.search_api.harvest_backlinks`, Section 3.1's
+  root-page fallback over any such engine.
 * :class:`repro.webgraph.crawler.Crawler` — BFS crawler that locates form
   pages in the graph.
 * :mod:`repro.webgraph.form_classifier` — searchable vs non-searchable.
@@ -19,7 +21,7 @@ web graph:
 from repro.webgraph.crawler import CrawlResult, Crawler
 from repro.webgraph.form_classifier import classify_form, is_searchable
 from repro.webgraph.graph import WebGraph, WebPage
-from repro.webgraph.search_api import SimulatedSearchEngine
+from repro.webgraph.search_api import SimulatedSearchEngine, harvest_backlinks
 from repro.webgraph.urls import host_of, root_url_of, same_site
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "WebGraph",
     "WebPage",
     "SimulatedSearchEngine",
+    "harvest_backlinks",
     "host_of",
     "root_url_of",
     "same_site",

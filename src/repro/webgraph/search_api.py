@@ -83,16 +83,17 @@ class SimulatedSearchEngine:
         ]
         return indexed[: self.max_results]
 
-    def harvest_backlinks(
-        self, url: str, root_url: str = "", fallback_to_root: bool = True
-    ) -> List[str]:
-        """The paper's harvesting procedure for one form page.
 
-        Query ``link:url``; if nothing comes back and a root URL is given,
-        also query ``link:root`` ("we also retrieved backlinks to the root
-        page of the site where the form is located", Section 3.1).
-        """
-        backlinks = self.link_query(url)
-        if not backlinks and fallback_to_root and root_url and root_url != url:
-            backlinks = self.link_query(root_url)
-        return backlinks
+def harvest_backlinks(engine, url: str, root_url: str = "") -> List[str]:
+    """The paper's harvesting procedure for one form page.
+
+    Query ``link:url`` on ``engine`` (any ``link_query`` provider: the
+    simulated engine, a flaky or a resilient wrapper); if nothing comes
+    back and a root URL is given, query ``link:root`` instead ("we also
+    retrieved backlinks to the root page of the site where the form is
+    located", Section 3.1).
+    """
+    backlinks = engine.link_query(url)
+    if not backlinks and root_url and root_url != url:
+        backlinks = engine.link_query(root_url)
+    return backlinks

@@ -30,7 +30,6 @@ from repro.resilience import (
     InjectedTimeout,
     PermanentFault,
     RateLimitFault,
-    ResilienceConfig,
     ResilientSearchEngine,
     RetryError,
     RetryPolicy,
@@ -42,6 +41,7 @@ from repro.resilience import (
 )
 from repro.service.directory import FormDirectory
 from repro.service.snapshot import build_snapshot
+from repro.webgraph.search_api import harvest_backlinks
 
 
 def no_sleep(_delay: float) -> None:
@@ -285,15 +285,6 @@ class TestRetryPolicy:
             RetryPolicy(deadline=-1.0)
 
 
-class TestResilienceConfig:
-    def test_round_trip_and_factories(self):
-        config = ResilienceConfig()
-        restored = ResilienceConfig.from_dict(config.to_dict())
-        assert restored == config
-        assert isinstance(config.policy(), RetryPolicy)
-        assert isinstance(config.breaker(), CircuitBreaker)
-
-
 # ---------------------------------------------------------------------
 # Circuit breaker.
 # ---------------------------------------------------------------------
@@ -414,8 +405,8 @@ class TestFlakySearchEngine:
     def test_harvest_falls_back_to_root(self, engine, small_web):
         flaky = FlakySearchEngine(engine, FaultPlan(seed=0))
         raw = small_web.raw_pages()[0]
-        direct = engine.harvest_backlinks(raw.url, "")
-        assert flaky.harvest_backlinks(raw.url, "") == direct
+        direct = harvest_backlinks(engine, raw.url, "")
+        assert harvest_backlinks(flaky, raw.url, "") == direct
 
 
 class TestResilientSearchEngine:
@@ -463,8 +454,8 @@ class TestResilientSearchEngine:
     def test_no_fault_parity_with_plain_engine(self, engine, small_web):
         resilient = ResilientSearchEngine(engine, sleep=no_sleep)
         for raw in small_web.raw_pages()[:10]:
-            assert resilient.harvest_backlinks(raw.url, "") == (
-                engine.harvest_backlinks(raw.url, "")
+            assert harvest_backlinks(resilient, raw.url, "") == (
+                harvest_backlinks(engine, raw.url, "")
             )
         assert resilient.report.failures == 0
 
@@ -474,7 +465,7 @@ class TestHarvestHubEvidence:
         requests = [(url, "") for url in form_urls]
         harvested, wrapper = harvest_hub_evidence(engine, requests)
         for url in form_urls:
-            assert harvested[url] == engine.harvest_backlinks(url, "")
+            assert harvested[url] == harvest_backlinks(engine, url, "")
         assert wrapper.report.failures == 0
         assert wrapper.report.queries >= len(form_urls)
 

@@ -12,6 +12,7 @@ journal replay, bit for bit.
 import gzip
 import json
 import shutil
+import zlib
 
 import pytest
 
@@ -286,11 +287,37 @@ class TestValidation:
             Snapshot.load(cut)
 
 
+def with_config_keys(packed_path, extra: dict) -> bytes:
+    """The version-3 file at ``packed_path`` (gzipped), uncompressed and
+    re-framed with ``extra`` merged into its header's config."""
+    data = gzip.decompress(packed_path.read_bytes())
+    prefix = snapshot_module._PREFIX
+    _, header_len, _ = prefix.unpack_from(data)
+    header = json.loads(data[prefix.size:prefix.size + header_len])
+    header["config"].update(extra)
+    encoded = json.dumps(header).encode("utf-8")
+    encoded += b" " * (-len(encoded) % 8)
+    body = encoded + data[prefix.size + header_len:]
+    return prefix.pack(
+        snapshot_module._MAGIC, len(encoded), zlib.crc32(body)
+    ) + body
+
+
 class TestLegacyPayloads:
     """Snapshots written while ``CAFCConfig`` still had a similarity
-    ``backend``, a retrieval ``index`` or a ``stream`` field, or
-    ``ResilienceConfig`` a ``chaos_seed``, keep loading into the same
+    ``backend``, a retrieval ``index``, a ``stream``, a ``resilience``
+    or a ``use_root_page_backlinks`` field keep loading into the same
     directory."""
+
+    def test_config_keys_are_pinned(self):
+        state = CAFCConfig().to_dict()
+        assert set(state) == {
+            "k", "content_mode", "page_weight", "form_weight",
+            "location_weights", "min_hub_cardinality", "max_backlinks",
+            "stop_fraction", "max_iterations", "seed", "scheme",
+            "parallel",
+        }
+        assert set(state["parallel"]) == {"workers"}
 
     def test_config_ignores_legacy_backend_key(self):
         state = SMALL_CONFIG.to_dict()
@@ -348,49 +375,70 @@ class TestLegacyPayloads:
                 assert old.classify(raw) == new.classify(raw), raw.url
 
 
-    #: What the streaming knobs and the chaos seed looked like in
-    #: snapshots written while the configs still carried them.
-    LEGACY_STREAM = {
-        "batch_size": 256, "drift_threshold": 0.1, "reservoir_size": 512,
-        "reservoir_seed": 0, "vocab_budget": 150000, "min_df": 2,
-        "spill_dir": None, "spill_segment_rows": 4096,
+    #: What the streaming knobs, the retry/breaker settings (with the
+    #: chaos seed) and the root-backlink flag looked like in configs
+    #: and snapshots written while ``CAFCConfig`` still carried them.
+    LEGACY_KEYS = {
+        "stream": {
+            "batch_size": 256, "drift_threshold": 0.1,
+            "reservoir_size": 512, "reservoir_seed": 0,
+            "vocab_budget": 150000, "min_df": 2, "spill_dir": None,
+            "spill_segment_rows": 4096,
+        },
+        "resilience": {
+            "retry_max_attempts": 4, "retry_base_delay": 0.05,
+            "retry_multiplier": 2.0, "retry_max_delay": 2.0,
+            "retry_jitter": 0.5, "retry_deadline": 10.0,
+            "breaker_failure_threshold": 5, "breaker_reset_timeout": 30.0,
+            "chaos_seed": 7,
+        },
+        "use_root_page_backlinks": False,
     }
 
     def test_config_ignores_legacy_stream_and_chaos_keys(self):
-        state = SMALL_CONFIG.to_dict()
-        assert "stream" not in state
-        assert "chaos_seed" not in state["resilience"]
-        assert "use_cache" not in state["parallel"]
-        restored = CAFCConfig.from_dict({
-            **state,
-            "stream": self.LEGACY_STREAM,
-            "resilience": {**state["resilience"], "chaos_seed": 7},
-            "parallel": {**state["parallel"], "use_cache": False},
-        })
-        assert restored == SMALL_CONFIG
+        for config in (CAFCConfig(), SMALL_CONFIG):
+            state = config.to_dict()
+            for key in self.LEGACY_KEYS:
+                assert key not in state
+            assert "use_cache" not in state["parallel"]
+            restored = CAFCConfig.from_dict({
+                **state,
+                **self.LEGACY_KEYS,
+                "parallel": {**state["parallel"], "use_cache": False},
+            })
+            assert restored == config
 
     def test_snapshot_with_stream_and_chaos_keys_serves_same_answers(
-        self, json_snapshot_path, tmp_path, small_raw_pages
+        self, json_snapshot_path, snapshot_path, tmp_path, small_raw_pages
     ):
         payload = json.loads(gzip.decompress(json_snapshot_path.read_bytes()))
-        payload["config"]["stream"] = self.LEGACY_STREAM
-        payload["config"]["resilience"]["chaos_seed"] = 7
-        legacy_path = tmp_path / "legacy.json"
-        legacy_path.write_text(json.dumps(payload))
-        assert json_snapshot_payload(Snapshot.load(legacy_path)) == \
+        payload["config"].update(self.LEGACY_KEYS)
+        legacy_json = tmp_path / "legacy.json"
+        legacy_json.write_text(json.dumps(payload))
+        assert json_snapshot_payload(Snapshot.load(legacy_json)) == \
             json_snapshot_payload(Snapshot.load(json_snapshot_path))
+        legacy_packed = tmp_path / "legacy.snap"
+        legacy_packed.write_bytes(
+            with_config_keys(snapshot_path, self.LEGACY_KEYS)
+        )
+        assert snapshot_info(legacy_packed)["format_version"] == 3
+        assert Snapshot.load(legacy_packed).config == SMALL_CONFIG
 
         kwargs = dict(auto_recluster=False, cache_size=0)
-        with FormDirectory.from_snapshot(legacy_path, **kwargs) as old, \
-                FormDirectory.from_snapshot(
-                    json_snapshot_path, **kwargs) as new:
-            assert old.clusters_summary() == new.clusters_summary()
-            for query in ("flight airfare", "book author", "job salary"):
-                assert old.search(query, n=5) == new.search(query, n=5)
-                assert old.search_pages(query, n=5) == \
-                    new.search_pages(query, n=5)
-            for raw in small_raw_pages[:20]:
-                assert old.classify(raw) == new.classify(raw), raw.url
+        for legacy_path, current_path in (
+            (legacy_json, json_snapshot_path),
+            (legacy_packed, snapshot_path),
+        ):
+            with FormDirectory.from_snapshot(legacy_path, **kwargs) as old, \
+                    FormDirectory.from_snapshot(
+                        current_path, **kwargs) as new:
+                assert old.clusters_summary() == new.clusters_summary()
+                for query in ("flight airfare", "book author", "job salary"):
+                    assert old.search(query, n=5) == new.search(query, n=5)
+                    assert old.search_pages(query, n=5) == \
+                        new.search_pages(query, n=5)
+                for raw in small_raw_pages[:20]:
+                    assert old.classify(raw) == new.classify(raw), raw.url
 
 
 class TestServedParity:

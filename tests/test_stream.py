@@ -404,6 +404,48 @@ class TestSpillIndex:
             assert score == pytest.approx(ref_score, abs=1e-9)
             assert meta == f"url-{row}"
 
+    def test_search_reads_each_segment_header_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A search resolves its hits' metadata with one header read per
+        segment that holds a hit, not one per hit."""
+        from repro.index import SpillingSpaceIndex
+        from repro.index import spill as spill_module
+
+        spill = SpillingSpaceIndex(tmp_path / "seg", segment_rows=64)
+        for row, vector in self._vectors(n=140).items():
+            spill.add_row(row, vector, meta=f"url-{row}")
+        assert len(spill.segments) == 2 and spill.n_resident == 12
+        headers = {
+            (segment.path, segment._header_offset): segment
+            for segment in spill.segments
+        }
+
+        reads = []
+        real = spill_module.read_framed_record
+
+        def counting(handle, offset, path="?"):
+            reads.append((path, offset))
+            return real(handle, offset, path=path)
+
+        monkeypatch.setattr(spill_module, "read_framed_record", counting)
+        for seed in (7, 99, 123):
+            query = self._vectors(n=1, seed=seed)[0]
+            reads.clear()
+            hits = spill.search(query, 10)
+            header_reads = [read for read in reads if read in headers]
+            spilled = {
+                segment.path
+                for row, _, _ in hits
+                for segment in spill.segments
+                if row in segment
+            }
+            assert len(hits) == 10 and spilled
+            assert sorted(path for path, _ in header_reads) == sorted(spilled)
+            assert [meta for _, _, meta in hits] == [
+                f"url-{row}" for row, _, _ in hits
+            ]
+
     def test_reopen_keeps_sealed_history(self, tmp_path):
         from repro.index import SpillingSpaceIndex
 

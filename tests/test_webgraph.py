@@ -4,10 +4,11 @@ the searchable-form classifier."""
 import pytest
 
 from repro.html.forms import extract_forms
+from repro.resilience import FaultPlan, FlakySearchEngine, ResilientSearchEngine
 from repro.webgraph.crawler import Crawler
 from repro.webgraph.form_classifier import classify_form, is_searchable
 from repro.webgraph.graph import WebGraph, WebPage
-from repro.webgraph.search_api import SimulatedSearchEngine
+from repro.webgraph.search_api import SimulatedSearchEngine, harvest_backlinks
 
 
 def make_graph():
@@ -102,7 +103,7 @@ class TestSearchEngine:
         graph.add_page(WebPage(root_url, "", []))
         graph.add_page(WebPage("http://hub.org/", "", [root_url]))
         engine = SimulatedSearchEngine(graph, coverage=1.0)
-        assert engine.harvest_backlinks(form_url, root_url) == ["http://hub.org/"]
+        assert harvest_backlinks(engine, form_url, root_url) == ["http://hub.org/"]
 
     def test_harvest_no_fallback_when_direct_hits(self):
         graph = WebGraph()
@@ -112,7 +113,34 @@ class TestSearchEngine:
         graph.add_page(WebPage("http://hub1.org/", "", [form_url]))
         graph.add_page(WebPage("http://hub2.org/", "", [root_url]))
         engine = SimulatedSearchEngine(graph, coverage=1.0)
-        assert engine.harvest_backlinks(form_url, root_url) == ["http://hub1.org/"]
+        assert harvest_backlinks(engine, form_url, root_url) == ["http://hub1.org/"]
+
+    @pytest.mark.parametrize("wrap", [
+        lambda engine: engine,
+        lambda engine: FlakySearchEngine(engine, FaultPlan(seed=0)),
+        lambda engine: ResilientSearchEngine(engine),
+    ], ids=["plain", "flaky", "resilient"])
+    def test_root_fallback_for_each_engine(self, wrap):
+        # One harvest function serves every link: provider: a form page
+        # without backlinks gets its site root's, one with backlinks
+        # keeps its own, and no root (or the page itself) means no
+        # second query.
+        graph = WebGraph()
+        lonely = "http://site.com/search.html"
+        cited = "http://site.com/find.html"
+        root_url = "http://site.com/"
+        for url in (lonely, cited, root_url):
+            graph.add_page(WebPage(url, "", []))
+        graph.add_page(WebPage("http://hub1.org/", "", [cited]))
+        graph.add_page(WebPage("http://hub2.org/", "", [root_url]))
+        plain = SimulatedSearchEngine(graph, coverage=1.0)
+        engine = wrap(plain)
+        assert harvest_backlinks(engine, lonely, root_url) == ["http://hub2.org/"]
+        assert harvest_backlinks(engine, cited, root_url) == ["http://hub1.org/"]
+        queries = plain.query_count
+        assert harvest_backlinks(engine, lonely) == []
+        assert harvest_backlinks(engine, lonely, lonely) == []
+        assert plain.query_count == queries + 2
 
     def test_validation(self):
         graph = make_graph()
