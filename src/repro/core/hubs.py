@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 from repro.core.form_page import FormPage, VectorPair, centroid_of
 from repro.resilience.flaky import ResilientSearchEngine
 from repro.webgraph.search_api import harvest_backlinks
-from repro.webgraph.urls import same_site
+from repro.webgraph.urls import site_of
 
 
 @dataclass
@@ -63,10 +63,17 @@ def group_by_hub(
     site, so purely navigational hubs never form clusters.
     """
     co_cited: Dict[str, set] = {}
+    # Each distinct backlink's site, parsed once per call.
+    sites: Dict[str, str] = {}
     for index, page in enumerate(pages):
+        page_site = site_of(page.url) if drop_intra_site else ""
         for backlink in page.backlinks:
-            if drop_intra_site and same_site(backlink, page.url):
-                continue
+            if drop_intra_site:
+                site = sites.get(backlink)
+                if site is None:
+                    site = sites[backlink] = site_of(backlink)
+                if site and site == page_site:
+                    continue
             co_cited.setdefault(backlink, set()).add(index)
     return {hub: frozenset(members) for hub, members in co_cited.items()}
 

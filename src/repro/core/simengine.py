@@ -475,8 +475,9 @@ class SimilarityEngine:
         kernel cosines are combined by ``similarity.combine``, and each
         item's row goes through the similarity's rescored argmax, which
         rescores only the near-maximal centroids with the scalar
-        Equation 3.  Counts n x k comparisons, as ``best`` counts k per
-        page; the rescore adds none.
+        Equation 3, and none when one centroid is near-maximal (the
+        pass reads only the index).  Counts n x k comparisons, as
+        ``best`` counts k per page; the rescore adds none.
         """
         similarity = self.similarity
         self.stats.comparisons += len(self.items) * len(centroids)
@@ -492,7 +493,7 @@ class SimilarityEngine:
         if previous is None:
             previous = [-1] * len(self.items)
         names = self.space_names
-        pick = similarity.rescored_argmax
+        pick = similarity.rescored_index
         return [
             pick(
                 item,
@@ -500,7 +501,7 @@ class SimilarityEngine:
                 row,
                 max(len(getattr(item, name)) for name in names),
                 prev,
-            )[0]
+            )
             for item, row, prev in zip(self.items, scores, previous)
         ]
 

@@ -26,7 +26,7 @@ rule (:meth:`FormPageSimilarity.rescored_argmax`).  All of them count
 into the one :class:`EngineStats`.
 """
 
-from typing import Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -91,6 +91,15 @@ class CentroidBlock:
             space.column.nbytes + space.rows.nbytes + space.norms.nbytes
             for space in self.spaces
         )
+
+
+def _candidates(scores: np.ndarray, terms: int) -> List[int]:
+    """The centroids within :func:`~repro.vsm.vector.rescore_window` of
+    the kernel maximum of ``scores``; none when that maximum is 0.0."""
+    top = float(scores.max())
+    if top == 0.0:
+        return []
+    return np.flatnonzero(top - scores <= rescore_window(top, terms)).tolist()
 
 
 class FormPageSimilarity:
@@ -229,7 +238,8 @@ class FormPageSimilarity:
     ) -> Tuple[int, float]:
         """The one page x centroid argmax rule, shared by :meth:`best`
         and Algorithm 1's assignment
-        (:meth:`~repro.core.simengine.SimilarityEngine.kmeans`).
+        (:meth:`~repro.core.simengine.SimilarityEngine.kmeans`, through
+        :meth:`rescored_index`).
 
         ``scores`` are the page's kernel scores against ``centroids``
         and ``terms`` the page's largest scored-space length.  The
@@ -242,15 +252,30 @@ class FormPageSimilarity:
         0.0, so ``previous`` (or 0 when there is none, -1) wins without
         rescoring.  Returns the index and its scalar score.
         """
-        top = float(scores.max())
-        if top == 0.0:
+        candidates = _candidates(scores, terms)
+        if not candidates:
             return max(previous, 0), self.combine(0.0, 0.0)
-        window = rescore_window(top, terms)
         best_index, best_score = -1, -1.0
-        for index in np.flatnonzero(top - scores <= window).tolist():
+        for index in candidates:
             score = self._score(page, centroids[index])
             if score > best_score or (
                 score == best_score and index == previous
             ):
                 best_index, best_score = index, score
         return best_index, best_score
+
+    def rescored_index(
+        self,
+        page: HasVectorPair,
+        centroids: Sequence[HasVectorPair],
+        scores: np.ndarray,
+        terms: int,
+        previous: int = -1,
+    ) -> int:
+        """:meth:`rescored_argmax`'s index, for a caller that never reads
+        the score (Algorithm 1's assignment): a window that holds one
+        centroid is that centroid, taken without its scalar rescore."""
+        candidates = _candidates(scores, terms)
+        if len(candidates) == 1:
+            return candidates[0]
+        return self.rescored_argmax(page, centroids, scores, terms, previous)[0]

@@ -30,19 +30,25 @@ dropped.  Either way the construct runs to the end of the page, so
 nothing after it is emitted.  An unclosed ``<script>``/``<style>``
 body is dropped too, as ``html.parser`` drops it.  Each byte is
 visited a bounded number of times.
+
+:func:`tokens` is a loop over :func:`markup_at` (one piece of markup
+at a ``<``) and :data:`RAWTEXT_END`; the located-text scan drives the
+same two by position, and adds :data:`PLAIN_OPTION`, which reads one
+``<option>`` with its text in a single match, under the same attribute
+grammar as a plain tag.
 """
 
 import re
 from html import unescape
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Pattern, Tuple
 
 TEXT, START, STARTEND, END = range(4)
 
 Attrs = List[Tuple[str, Optional[str]]]
 Token = Tuple[int, str, Optional[Attrs]]
 
-# Tags whose body is raw text up to the matching end tag.
-_RAWTEXT_END = {
+#: Tags whose body is raw text up to the matching end tag.
+RAWTEXT_END: Dict[str, Pattern] = {
     tag: re.compile(r"</\s*%s\s*>" % tag, re.I) for tag in ("script", "style")
 }
 
@@ -52,9 +58,20 @@ _RAWTEXT_END = {
 _WS = r"[ \t\n\r\f]"
 _NAME = r"[a-zA-Z_:][-.:\w]*"
 _VALUE = r"""(?:"[^"]*"|'[^']*'|[^\s"'=<>`]+)"""
+_PLAIN_ATTRS = rf"(?:{_WS}+{_NAME}(?:{_WS}*={_WS}*{_VALUE})?)*"
 _PLAIN_TAG = re.compile(
     r"<(?:/([a-zA-Z][-.a-zA-Z0-9:_]*)\s*"  # an end tag, as html.parser reads it
-    rf"|([a-zA-Z][-.:\w]*)((?:{_WS}+{_NAME}(?:{_WS}*={_WS}*{_VALUE})?)*){_WS}*(/?))>"
+    rf"|([a-zA-Z][-.:\w]*)({_PLAIN_ATTRS}){_WS}*(/?))>"
+)
+
+# "option", any case, spelled letter by letter: under re.I the "i"
+# would also match "\u0130" and "\u0131", which name other tags.
+_OPTION = "[oO][pP][tT][iI][oO][nN]"
+#: Whitespace, then one plain ``<option ...>text</option>``, read as
+#: :func:`tokens` reads it: a whitespace TEXT, START, one TEXT (group 1,
+#: not yet unescaped) and END.
+PLAIN_OPTION = re.compile(
+    rf"\s*<{_OPTION}{_PLAIN_ATTRS}{_WS}*>([^<]*)</{_OPTION}\s*>"
 )
 _PLAIN_ATTR = re.compile(rf"{_WS}+({_NAME})(?:{_WS}*={_WS}*({_VALUE}))?")
 
@@ -101,7 +118,6 @@ def tokens(html: str, attr_tags: Optional[frozenset] = None) -> Iterator[Token]:
     [(1, 'p', [('class', 'x')]), (0, 'a & b', None), (3, 'p', None), (2, 'br', [])]
     """
     find = html.find
-    plain_tag = _PLAIN_TAG.match
     n = len(html)
     pos = 0
     while pos < n:
@@ -111,35 +127,39 @@ def tokens(html: str, attr_tags: Optional[frozenset] = None) -> Iterator[Token]:
             return
         if lt > pos:
             yield TEXT, unescape(html[pos:lt]), None
-        match = plain_tag(html, lt)
-        if match is not None:
-            end_tag, tag, raw_attrs, slash = match.groups()
-            pos = match.end()
-            if end_tag:
-                yield END, end_tag.lower(), None
-                continue
-            tag = tag.lower()
-            if raw_attrs and (attr_tags is None or tag in attr_tags):
-                attrs = _plain_attrs(raw_attrs)
-            else:
-                attrs = []
-            if slash:
-                yield STARTEND, tag, attrs
-                continue
-            token = (START, tag, attrs)
-        else:
-            pos, token = _markup(html, lt, n)
-            if token is None:
-                continue
+        pos, token = markup_at(html, lt, n, attr_tags)
+        if token is None:
+            continue
         yield token
-        if token[0] == START and token[1] in _RAWTEXT_END:
-            close = _RAWTEXT_END[token[1]].search(html, pos)
+        if token[0] == START and token[1] in RAWTEXT_END:
+            close = RAWTEXT_END[token[1]].search(html, pos)
             if close is None:
                 return  # an unclosed raw-text body is dropped
             if close.start() > pos:
                 yield TEXT, html[pos:close.start()], None
             yield END, token[1], None
             pos = close.end()
+
+
+def markup_at(
+    html: str, lt: int, n: int, attr_tags: Optional[frozenset]
+) -> Tuple[int, Optional[Token]]:
+    """The markup at ``html[lt] == '<'``: where it ends, and its token
+    (``None`` for one that emits nothing).  An unterminated construct
+    ends at ``n == len(html)``; ``attr_tags`` is as for :func:`tokens`.
+    """
+    match = _PLAIN_TAG.match(html, lt)
+    if match is None:
+        return _markup(html, lt, n)
+    end_tag, tag, raw_attrs, slash = match.groups()
+    if end_tag:
+        return match.end(), (END, end_tag.lower(), None)
+    tag = tag.lower()
+    if raw_attrs and (attr_tags is None or tag in attr_tags):
+        attrs = _plain_attrs(raw_attrs)
+    else:
+        attrs = []
+    return match.end(), (STARTEND if slash else START, tag, attrs)
 
 
 def _plain_attrs(raw: str) -> Attrs:

@@ -8,8 +8,10 @@ visible text fragment together with its :class:`TextLocation`, and whether
 it is inside a ``<form>`` — the split that defines the FC vs PC feature
 spaces.
 
-The scan builds no DOM tree.  :class:`_LocatedTextScanner` runs a stack
-machine over the tokens of :func:`repro.html.lexer.tokens` and keeps the
+The scan builds no DOM tree.  :class:`_LocatedTextScanner` drives the
+lexer of :mod:`repro.html.lexer` by position (:func:`~repro.html.lexer.markup_at`
+at each ``<``, the text between as :func:`~repro.html.lexer.tokens`
+chunks it), runs a stack machine over what it reads and keeps the
 same open-element stack as :func:`~repro.html.parser.parse_html`
 (implicit closers, void tags never pushed, stray end tags ignored,
 ``<x/>`` never opened), so every fragment it emits as a token arrives
@@ -17,14 +19,24 @@ is the fragment a walk of the parsed tree would find, in the same
 order.  Each stack entry carries its location rank, form membership
 and visibility, so a token costs a look at the top of the stack and
 the scan needs no recursion, however deep the nesting.
+
+Most of a form page's tokens are ``<option>``/``</option>`` pairs, and
+each one pushes an entry, adds its text and pops the entry again.  So
+right after a ``<select>`` opens (and no ``<title>`` is collecting),
+the scan reads the run of plain options that follows with one
+:data:`~repro.html.lexer.PLAIN_OPTION` match each, and hands the first
+construct that pattern misses back to the token path.
 """
 
 import enum
 from dataclasses import dataclass
+from html import unescape
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.html.dom import NON_VISIBLE_TAGS, SELF_NESTING_CLOSERS, VOID_TAGS
-from repro.html.lexer import END, STARTEND, TEXT, tokens
+from repro.html.lexer import (
+    END, PLAIN_OPTION, RAWTEXT_END, START, STARTEND, markup_at,
+)
 
 
 class TextLocation(enum.Enum):
@@ -112,45 +124,105 @@ class _LocatedTextScanner:
     def scan(self, html: str) -> None:
         stack = self._stack
         emit = self.fragments.append
-        for kind, value, attrs in tokens(html, _ATTR_TAGS):
-            if kind == TEXT:
-                if self._title_depth is not None and value and not value.isspace():
-                    self._title.append(value)
-                _, rank, inside_form, hidden = stack[-1]
-                if not hidden:
-                    text = value.strip()
-                    if text:
-                        emit(LocatedText(text, _LOCATIONS[rank], inside_form))
-            elif kind == END:
-                if value == "html" or value in VOID_TAGS:
+        find = html.find
+        n = len(html)
+        pos = 0
+        while pos < n:
+            lt = find("<", pos)
+            if lt == pos:
+                pos, token = markup_at(html, pos, n, _ATTR_TAGS)
+                if token is None:
                     continue
-                for depth in range(len(stack) - 1, 0, -1):
-                    if stack[depth][0] == value:
-                        del stack[depth:]
-                        if self._head_depth is not None or self._title_depth is not None:
-                            self._truncated(depth)
-                        break
-            elif value == "html":
-                continue
-            elif kind == STARTEND:
-                self._leaf(value, attrs)
+                kind, value, attrs = token
+                if kind == END:
+                    if value == "html" or value in VOID_TAGS:
+                        continue
+                    for depth in range(len(stack) - 1, 0, -1):
+                        if stack[depth][0] == value:
+                            del stack[depth:]
+                            if self._head_depth is not None or self._title_depth is not None:
+                                self._truncated(depth)
+                            break
+                    continue
+                if kind == STARTEND:
+                    if value != "html":
+                        self._leaf(value, attrs)
+                    continue
+                if kind == START:
+                    if value == "html":
+                        continue
+                    if value in SELF_NESTING_CLOSERS and stack[-1][0] == value:
+                        # <option>a<option>b  ==  <option>a</option><option>b</option>
+                        stack.pop()
+                    if value in VOID_TAGS:
+                        self._leaf(value, attrs)
+                    elif value in _STATEFUL_TAGS:
+                        self._open(value)
+                        if value == "select" and self._title_depth is None:
+                            pos = self._options(html, pos)
+                    else:
+                        _, rank, inside_form, hidden = stack[-1]
+                        own = _TAG_RANK.get(value, 0)
+                        stack.append((
+                            value, own if own > rank else rank, inside_form,
+                            hidden or value in NON_VISIBLE_TAGS,
+                        ))
+                        if value in RAWTEXT_END:
+                            pos = self._raw_text(html, value, pos)
+                    continue
             else:
-                if value in SELF_NESTING_CLOSERS and stack[-1][0] == value:
-                    # <option>a<option>b  ==  <option>a</option><option>b</option>
-                    stack.pop()
-                if value in VOID_TAGS:
-                    self._leaf(value, attrs)
-                elif value in _STATEFUL_TAGS:
-                    self._open(value)
-                else:
-                    _, rank, inside_form, hidden = stack[-1]
-                    own = _TAG_RANK.get(value, 0)
-                    stack.append((
-                        value, own if own > rank else rank, inside_form,
-                        hidden or value in NON_VISIBLE_TAGS,
-                    ))
+                if lt < 0:
+                    lt = n
+                value = unescape(html[pos:lt])
+                pos = lt
+            if self._title_depth is not None and value and not value.isspace():
+                self._title.append(value)
+            _, rank, inside_form, hidden = stack[-1]
+            if not hidden:
+                text = value.strip()
+                if text:
+                    emit(LocatedText(text, _LOCATIONS[rank], inside_form))
         if self._head_depth is not None:
             self._close_head()  # an unclosed <head> ends with the page
+
+    def _raw_text(self, html: str, tag: str, pos: int) -> int:
+        """Skip the raw body of the ``<script>``/``<style>`` just pushed
+        and pop it; return the end of its end tag (of the page, if it
+        never closes).  The body is hidden: only a collecting title
+        reads it."""
+        close = RAWTEXT_END[tag].search(html, pos)
+        if close is None:
+            return len(html)  # an unclosed raw-text body is dropped
+        body = html[pos:close.start()]
+        if self._title_depth is not None and body and not body.isspace():
+            self._title.append(body)
+        self._stack.pop()
+        return close.end()
+
+    def _options(self, html: str, pos: int) -> int:
+        """Read the plain ``<option>text</option>`` run that follows the
+        ``<select>`` just pushed, one match per option; return where the
+        run ends.
+
+        Each option pushes an entry, adds its text and pops it again, so
+        under the same stack top and with no title collecting the token
+        path would emit the same fragments.  The first construct
+        :data:`PLAIN_OPTION` does not match is left to that path.
+        """
+        _, rank, inside_form, hidden = self._stack[-1]
+        location = _LOCATIONS[max(rank, _TAG_RANK["option"])]
+        emit = self.fragments.append
+        option = PLAIN_OPTION.match
+        while True:
+            match = option(html, pos)
+            if match is None:
+                return pos
+            pos = match.end()
+            text = match.group(1)
+            if text and not hidden:
+                text = unescape(text).strip()
+                if text:
+                    emit(LocatedText(text, location, inside_form))
 
     # ----------------------------------------------------------------
     # Stack helpers.

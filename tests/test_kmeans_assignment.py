@@ -2,11 +2,11 @@
 
 Each pass scores every page against a compiled block of the k centroids
 (:meth:`~repro.core.simengine._Space.centroid_cosines`) and hands each
-page's row to ``FormPageSimilarity.rescored_argmax``, the rule ``best``
-also uses.  Every case here asserts that one pass equals
-``tests/oracle.py``'s ``oracle_assign`` — the generic k-means loop's
-per-pair pass — cluster for cluster, with and without a previous
-assignment.
+page's row to ``FormPageSimilarity.rescored_index``, the index of the
+rule ``best`` uses (``rescored_argmax``).  Every case here asserts that
+one pass equals ``tests/oracle.py``'s ``oracle_assign`` — the generic
+k-means loop's per-pair pass — cluster for cluster, with and without a
+previous assignment.
 """
 
 import math
@@ -108,7 +108,10 @@ class TestNearTies:
 class TestNoSharedTerm:
     def test_no_overlap_keeps_previous_without_rescoring(self, small_pages):
         config = CAFCConfig()
+        # Each centroid has a twin, so every page that shares a term
+        # has a window of two or more and is rescored.
         centroids = centroids_of(small_pages, 8)
+        centroids += [VectorPair(pc=c.pc, fc=c.fc) for c in centroids]
         novel = page(
             pc={"zzassign-novel-pc": 1.0}, fc={"zzassign-novel-fc": 2.0}
         )
@@ -122,6 +125,29 @@ class TestNoSharedTerm:
             assert got[-1] == want
             assert got == oracle_assign(config, pages, centroids, previous)
         assert scored and all(a is not novel for a in scored)
+
+
+class TestSoleCandidate:
+    def test_one_candidate_pass_scores_nothing(self, small_pages):
+        """k pages as their own centroids: each page's window holds only
+        itself, so a pass reads the index and calls no scalar Eq. 3,
+        while ``best`` still returns the scalar score."""
+        config = CAFCConfig()
+        pages = small_pages[:12]
+        centroids = [VectorPair(pc=p.pc, fc=p.fc) for p in pages]
+        similarity = FormPageSimilarity.from_config(config)
+        engine = SimilarityEngine(pages, similarity)
+        scored = []
+        score = similarity._score
+        similarity._score = lambda a, b: scored.append(a) or score(a, b)
+        for previous in previous_choices(len(pages), len(centroids)):
+            got = engine._assign(centroids, previous)
+            assert got == list(range(len(pages)))
+            assert got == oracle_assign(config, pages, centroids, previous)
+        assert scored == []
+        for i, target in enumerate(pages):
+            assert similarity.best(target, centroids) == (i, score(target, centroids[i]))
+        assert len(scored) == len(pages)
 
 
 class TestEmpty:

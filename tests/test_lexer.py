@@ -169,6 +169,11 @@ HOSTILE = {
     "script end tag prefixes": "<script>" + _repeat("</scrip"),
     "closed quoted tags": _repeat("<a b ='x>"),
     "lone angle brackets": _repeat("< a"),
+    "option end tags without gt": "<select>" + _repeat("<option>x</option"),
+    "open option quotes": "<select>" + _repeat("<option value='"),
+    "options never closed": "<select>" + _repeat("<option>"),
+    "closed option run": "<select>" + _repeat("<option>x</option> "),
+    "selects with a broken option": _repeat("<select><option value='a>x</option"),
 }
 
 

@@ -183,6 +183,89 @@ def test_tag_soup_matches_oracle(html):
 
 
 # ----------------------------------------------------------------------
+# Option runs: the scan reads a <select>'s plain options one match
+# each and leaves whatever else it meets to the token path.
+# ----------------------------------------------------------------------
+
+_OPTION_OPENS = ["<option{}>", "<OPTION{}>", "<Option{} >", "<option{}\n>"]
+_OPTION_ATTRS = [
+    "", " value=a", ' value="a>b"', " value='a>b'", " value='say \"hi\"'",
+    " value=\"it's\"", " selected", " selected value=x value=y",
+    " VALUE = 'q>'", " data-x=1/", " a=`b`",
+]
+_OPTION_TEXTS = [
+    "Engineer", "a &amp; b", "x &lt; y", "  ", "\n\t", "", "&nbsp;", "5 > 3",
+]
+# "" leaves the option to its implicit closer.
+_OPTION_CLOSES = ["</option>", "</OPTION>", "</Option >", "</option\n>", ""]
+_option = st.builds(
+    lambda gap, tag, attrs, text, close: gap + tag.format(attrs) + text + close,
+    st.sampled_from(["", " ", "\n  "]), st.sampled_from(_OPTION_OPENS),
+    st.sampled_from(_OPTION_ATTRS), st.sampled_from(_OPTION_TEXTS),
+    st.sampled_from(_OPTION_CLOSES),
+)
+_SELECT_EXTRAS = [
+    "<optgroup label='g>h'>", "</optgroup>", "<select>", "</select>",
+    "<option/>", "loose text", "<b>bold</b>", "<!-- c -->", "</option>",
+]
+# (prefix, suffix): where the <select> sits.
+_SELECT_CONTEXTS = [
+    ("<form>", "</form>"), ("", ""), ("<form><title>", "</title></form>"),
+    ("<head><title>", "</title></head>"), ("<title>", "</title>"),
+    ("<form><a href=x>", "</a></form>"), ("<form><noscript>", "</noscript></form>"),
+    ("<template><form>", "</form></template>"), ("<head>", "</head>"),
+]
+# Ends of input inside an option run.
+_RUN_CUTS = [
+    "<option>cut", "<option value='a", "<option>x</option", "<option>x</opt",
+    "<opt", "<option>x</option>  ",
+]
+
+
+@st.composite
+def select_pages(draw):
+    prefix, suffix = draw(st.sampled_from(_SELECT_CONTEXTS))
+    page = prefix + draw(st.sampled_from(["<select>", "<SELECT name=s>", "<select\n>"]))
+    page += "".join(draw(st.lists(
+        st.one_of(_option, st.sampled_from(_SELECT_EXTRAS)), max_size=8)))
+    cut = draw(st.one_of(st.none(), st.sampled_from(_RUN_CUTS)))
+    if cut is not None:
+        return page + cut
+    return page + draw(st.sampled_from(["</select>", ""])) + suffix + draw(
+        st.sampled_from(["", "<p>after</p>", "<select><option>again</option></select>"]))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(select_pages())
+def test_option_runs_match_oracle(html):
+    assert_matches_oracle(html)
+
+
+OPTION_CASES = {
+    "quoted gt in a value": '<form><select><option value="a>b">x</option></select></form>',
+    "dotted capital I is another tag":
+        "<form><select><opt\u0130on>x</opt\u0130on><option>y</option></select></form>",
+    "dotless i is another tag":
+        "<select><opt\u0131on>x</option><option>y</opt\u0131on></select>",
+    "run then implicit closer":
+        "<form><select><option>a</option><option>b<option>c</select></form>",
+    "run under a collecting title":
+        "<head><title><select><option>a</option></select></title></head>",
+}
+
+
+@pytest.mark.parametrize("html", OPTION_CASES.values(), ids=OPTION_CASES.keys())
+def test_option_case_matches_oracle(html):
+    assert_matches_oracle(html)
+
+
+def test_option_text_after_a_quoted_gt():
+    scan = scan_page(OPTION_CASES["quoted gt in a value"])
+    assert fragments(scan.fragments) == [("x", TextLocation.OPTION, True)]
+    assert scan.attribute_count == 1
+
+
+# ----------------------------------------------------------------------
 # Deep nesting.
 # ----------------------------------------------------------------------
 
