@@ -42,7 +42,7 @@ serve-smoke:           ## boot the directory server on an ephemeral port, probe 
 shard-smoke:           ## boot router + 2 shards + 1 replica in-process, round-trip, shut down
 	PYTHONPATH=src python -m repro router --smoke
 
-chaos:                 ## resilience suite: fault injection, retry/breaker, journal crash-recovery, root-fallback harvest over plain/flaky/resilient engines
+chaos:                 ## resilience suite: fault injection, journal crash-recovery, coverage-degraded harvest, Section 3.1 backlink union
 	PYTHONPATH=src python -m pytest tests/test_resilience.py tests/test_journal.py tests/test_chaos.py tests/test_webgraph.py -q
 	PYTHONPATH=src python -m repro serve --smoke --chaos 7
 

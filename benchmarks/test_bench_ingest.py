@@ -10,7 +10,8 @@ docs/PERFORMANCE.md).
 The gated row pins the one-pass located-text scanner behind
 ``analyze_form_page`` to the DOM route it replaced (``tests/oracle.py``:
 parse a tree, walk it, extract its forms): identical analyses, and at
-least 1.2x faster per page.
+least 1.2x faster per page, each side the best of three rounds that
+alternate DOM and scan.
 
 Every fit row is the best of :data:`ROUNDS` cold runs, so pool rows
 and the serial row are timed alike.  With one usable CPU a pool cannot
@@ -184,14 +185,18 @@ def test_bench_stemmer_memoization(raw_pages):
         RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _best_ms_per_page(analyze, raw_pages, analyzer, rounds=3):
-    best = float("inf")
+def _best_ms_per_page(analyzes, raw_pages, analyzer, rounds=3):
+    """Best-of-``rounds`` CPU ms/page of each analyze function.  Every
+    round times each function once, in turn, so host load that drifts
+    during the bench weighs on all of them alike."""
+    best = [float("inf")] * len(analyzes)
     for _ in range(rounds):
-        start = time.process_time()
-        for raw in raw_pages:
-            analyze(raw, analyzer)
-        best = min(best, time.process_time() - start)
-    return 1000.0 * best / len(raw_pages)
+        for index, analyze in enumerate(analyzes):
+            start = time.process_time()
+            for raw in raw_pages:
+                analyze(raw, analyzer)
+            best[index] = min(best[index], time.process_time() - start)
+    return [1000.0 * seconds / len(raw_pages) for seconds in best]
 
 
 def test_bench_scan_vs_dom_oracle(raw_pages):
@@ -201,8 +206,9 @@ def test_bench_scan_vs_dom_oracle(raw_pages):
     for raw in raw_pages:
         assert analyze_form_page(raw, analyzer) == dom_page_analysis(raw, analyzer), raw.url
 
-    dom_ms = _best_ms_per_page(dom_page_analysis, raw_pages, analyzer)
-    scan_ms = _best_ms_per_page(analyze_form_page, raw_pages, analyzer)
+    dom_ms, scan_ms = _best_ms_per_page(
+        (dom_page_analysis, analyze_form_page), raw_pages, analyzer
+    )
     speedup = dom_ms / scan_ms
     print(f"\n[{len(raw_pages)} pages] analyze_form_page: DOM oracle "
           f"{dom_ms:.3f} ms/page, one-pass scan {scan_ms:.3f} ms/page "

@@ -8,7 +8,7 @@ because they are maintained by hand.  CAFC automates the pipeline:
 2. the generic form classifier drops non-searchable forms (logins,
    newsletter signups);
 3. backlinks for each surviving form page are harvested from a search
-   engine's ``link:`` API (root-page fallback included);
+   engine's ``link:`` API, together with the site root's backlinks;
 4. CAFC-CH clusters the form pages by database domain;
 5. clusters become directory categories, labelled by their centroid
    terms — and new sources found later are classified into them.
@@ -18,7 +18,7 @@ Run:  python examples/build_database_directory.py
 
 from repro.core import CAFCConfig, CAFCPipeline, RawFormPage
 from repro.webgen import GeneratorConfig, generate_benchmark
-from repro.webgraph import Crawler
+from repro.webgraph import Crawler, harvest_backlinks, root_url_of
 
 CONFIG = GeneratorConfig(
     pages_per_domain={
@@ -46,13 +46,9 @@ def main() -> None:
 
     # ---- 3. Harvest backlinks ---------------------------------------
     engine = web.search_engine()
-    roots_by_form = {site.form_page_url: site.root_url for site in web.sites}
     raw_pages = []
     for page in crawl.form_pages:
-        root = roots_by_form.get(page.url, "")
-        backlinks = sorted(
-            set(engine.link_query(page.url)) | set(engine.link_query(root))
-        )
+        backlinks = harvest_backlinks(engine, page.url, root_url_of(page.url))
         raw_pages.append(
             RawFormPage(url=page.url, html=page.html, backlinks=backlinks)
         )

@@ -323,8 +323,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.chaos is None:
         return _serve(args)
     # Dev/soak mode: arm the canned chaos plan process-wide so the
-    # snapshot, vectorize and journal seams all misbehave — the server
-    # should stay up (degraded at worst).  The previous plan comes back
+    # snapshot and journal seams misbehave — the server should stay up
+    # (degraded at worst).  The previous plan comes back
     # when the command returns.  docs/RESILIENCE.md.
     from repro.resilience import FaultPlan, active_plan
 

@@ -18,11 +18,9 @@ k-means.
 """
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence
 
 from repro.core.form_page import FormPage, VectorPair, centroid_of
-from repro.resilience.flaky import ResilientSearchEngine
-from repro.webgraph.search_api import harvest_backlinks
 from repro.webgraph.urls import site_of
 
 
@@ -140,34 +138,6 @@ def backlink_coverage(pages: Sequence[FormPage]) -> float:
         return 0.0
     covered = sum(1 for page in pages if page.backlinks)
     return covered / len(pages)
-
-
-def harvest_hub_evidence(
-    engine,
-    requests: Sequence[Tuple[str, str]],
-) -> Tuple[Dict[str, List[str]], "ResilientSearchEngine"]:
-    """Harvest backlinks for many form pages through the resilient
-    wrapper — the retry/backoff face of the Section 3.1 seam.
-
-    ``requests`` is ``(form_page_url, site_root_url)`` pairs, each
-    harvested with :func:`~repro.webgraph.search_api.harvest_backlinks`
-    (root-page fallback included).  An ``engine`` that is not already a
-    :class:`ResilientSearchEngine` is wrapped in one with the default
-    retry policy and no breaker: transient/timeout/rate-limit failures
-    are retried, and pages whose queries still fail degrade to an empty
-    backlink list — never an exception.  Returns the per-URL backlinks
-    plus the wrapper itself (its ``report`` says how much degradation
-    happened).
-    """
-    resilient = (
-        engine
-        if isinstance(engine, ResilientSearchEngine)
-        else ResilientSearchEngine(engine)
-    )
-    harvested: Dict[str, List[str]] = {}
-    for url, root_url in requests:
-        harvested[url] = harvest_backlinks(resilient, url, root_url)
-    return harvested, resilient
 
 
 def homogeneity_rate(

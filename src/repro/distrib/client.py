@@ -30,7 +30,6 @@ from repro.core.form_page import RawFormPage
 from repro.distrib.shard import ShardNode
 from repro.resilience.faults import FaultError
 from repro.resilience.journal import JournalError, StaleEpochError
-from repro.resilience.retry import RetryError
 
 
 class ShardUnavailable(Exception):
@@ -83,7 +82,7 @@ class LocalShardClient:
             # answer is "I am fenced".  The router failovers on it and
             # the HTTP face maps it to 409.
             raise
-        except (FaultError, RetryError, TimeoutError) as exc:
+        except (FaultError, TimeoutError) as exc:
             raise ShardUnavailable(
                 self.name, f"{type(exc).__name__}: {exc}"
             ) from exc
@@ -146,7 +145,7 @@ class LocalShardClient:
             return self.shard.replication_segment(seq)
         except JournalError as exc:
             raise SegmentGone(str(exc)) from exc
-        except (FaultError, RetryError, TimeoutError) as exc:
+        except (FaultError, TimeoutError) as exc:
             raise ShardUnavailable(
                 self.name, f"{type(exc).__name__}: {exc}"
             ) from exc

@@ -16,12 +16,12 @@ are what must hold.
 """
 
 from dataclasses import dataclass
-from typing import List, Set
+from typing import Dict, List, Set
 
 from repro.core.hubs import homogeneity_rate
 from repro.experiments.context import ExperimentContext
 from repro.experiments.reporting import render_table
-from repro.webgraph.urls import same_site
+from repro.webgraph.urls import site_of
 
 
 @dataclass
@@ -46,10 +46,19 @@ def run_hubstats(context: ExperimentContext) -> HubStatsResult:
     """Compute the Section 3.1 statistics over the benchmark corpus."""
     pages = context.pages
 
+    # A page counts as without backlinks when every one is intra-site.
+    # Each page and each distinct backlink is parsed once per call.
     n_without = 0
+    sites: Dict[str, str] = {}
     for raw in context.raw_pages:
-        external = [b for b in raw.backlinks if not same_site(b, raw.url)]
-        if not external:
+        page_site = site_of(raw.url)
+        for backlink in raw.backlinks:
+            site = sites.get(backlink)
+            if site is None:
+                site = sites[backlink] = site_of(backlink)
+            if not site or site != page_site:
+                break
+        else:
             n_without += 1
 
     raw_clusters = context.raw_hub_clusters

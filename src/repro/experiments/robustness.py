@@ -15,7 +15,6 @@ from typing import List, Sequence
 from repro.core.cafc_c import cafc_c
 from repro.core.cafc_ch import cafc_ch
 from repro.core.config import CAFCConfig
-from repro.core.form_page import RawFormPage
 from repro.core.vectorizer import FormPageVectorizer
 from repro.eval.entropy import total_entropy
 from repro.eval.fmeasure import overall_f_measure
@@ -39,31 +38,6 @@ class RobustnessResult:
     min_hub_cardinality: int
 
 
-def _harvest_with_coverage(
-    context: ExperimentContext, coverage: float
-) -> List[RawFormPage]:
-    """Re-harvest backlinks through an engine with the given coverage."""
-    web = context.web
-    engine = SimulatedSearchEngine(
-        web.graph,
-        coverage=coverage,
-        max_results=web.config.max_backlinks,
-        seed=web.config.engine_seed,
-    )
-    pages: List[RawFormPage] = []
-    for raw, site in zip(context.raw_pages, web.sites):
-        backlinks = sorted(
-            set(engine.link_query(site.form_page_url))
-            | set(engine.link_query(site.root_url))
-        )[: web.config.max_backlinks]
-        pages.append(
-            RawFormPage(
-                url=raw.url, html=raw.html, backlinks=backlinks, label=raw.label
-            )
-        )
-    return pages
-
-
 def run_robustness(
     context: ExperimentContext,
     coverages: Sequence[float] = (1.0, 0.9, 0.7, 0.5, 0.3, 0.1, 0.0),
@@ -73,9 +47,17 @@ def run_robustness(
     from repro.core.hubs import build_hub_clusters
 
     gold = context.gold_labels
+    web = context.web
     points: List[RobustnessPoint] = []
     for coverage in coverages:
-        raw = _harvest_with_coverage(context, coverage)
+        raw = web.raw_pages(
+            engine=SimulatedSearchEngine(
+                web.graph,
+                coverage=coverage,
+                max_results=web.config.max_backlinks,
+                seed=web.config.engine_seed,
+            )
+        )
         pages = FormPageVectorizer().fit_transform(raw)
         hub_clusters = build_hub_clusters(pages, min_cardinality=min_hub_cardinality)
         fell_back = False

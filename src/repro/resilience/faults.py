@@ -1,34 +1,28 @@
 """Deterministic fault injection — the chaos half of the resilience layer.
 
-The paper's data source was genuinely unreliable ("AltaVista returned no
-backlinks for over 15% of forms", Section 3.1), and a production
-directory has more seams than the backlink API: snapshot I/O, request
-vectorization, the write-ahead journal.  This module lets tests (and
-``repro serve --chaos``) *arm* those seams with named faults and replay
-the exact same failure schedule from a seed:
+A served directory has seams where I/O can fail for real: snapshot
+I/O, the write-ahead journal, journal shipping, router fan-out and the
+lease store.  This module lets tests (and ``repro serve --chaos``)
+*arm* those seams with named faults and replay the exact same failure
+schedule from a seed:
 
-* a **seam** is a string naming an injection point (``"search.link_query"``,
-  ``"snapshot.save"``, ``"directory.vectorize"``, ``"journal.append"``,
-  ``"replication.ship"``, ``"router.fanout"``, and the lease-store
-  seams ``"lease.acquire"`` / ``"lease.renew"`` / ``"lease.read"`` —
-  :mod:`repro.distrib.fence`); production code crosses a seam by
-  calling :func:`inject`, which is a few-nanosecond no-op unless a
-  plan is armed;
+* a **seam** is a string naming an injection point (``"snapshot.save"``,
+  ``"snapshot.load"``, ``"journal.append"``, ``"replication.ship"``,
+  ``"router.fanout"``, and the lease-store seams ``"lease.acquire"`` /
+  ``"lease.renew"`` / ``"lease.read"`` — :mod:`repro.distrib.fence`);
+  production code crosses a seam by calling :func:`inject`, which is a
+  few-nanosecond no-op unless a plan is armed;
 * a :class:`FaultSpec` describes one fault at one seam — its kind
-  (transient / timeout / rate-limit / permanent), firing probability,
-  and how many times it may fire;
+  (transient / timeout / permanent), firing probability, and how many
+  times it may fire;
 * a :class:`FaultPlan` holds the specs and decides, **deterministically
   from (seed, seam, crossing index)**, whether a given crossing fires.
   Two runs with the same plan see byte-identical fault schedules, which
-  is what makes chaos tests reproducible and failures bisectable.  A
-  seam crossed from several threads passes a *key* (the backlink seam
-  passes the queried URL) so the decision follows ``(seed, seam, key,
-  that key's attempt number)`` instead of the thread schedule.
+  is what makes chaos tests reproducible and failures bisectable.
 
-Faults surface as exceptions from :mod:`repro.resilience` — transient
-kinds are retryable (:class:`TransientFault`, :class:`InjectedTimeout`,
-:class:`RateLimitFault`), :class:`PermanentFault` is not.  The retry
-primitives in :mod:`repro.resilience.retry` understand the split.
+Faults surface as :class:`FaultError` subclasses
+(:class:`TransientFault`, :class:`InjectedTimeout`,
+:class:`PermanentFault`); callers at each seam catch :class:`FaultError`.
 """
 
 import hashlib
@@ -36,18 +30,16 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.resilience.stats import STATS
 
 #: The fault kinds a spec may inject.
-FAULT_KINDS = ("transient", "timeout", "rate_limit", "permanent")
+FAULT_KINDS = ("transient", "timeout", "permanent")
 
 
 class FaultError(Exception):
-    """Base class of every injected (or simulated-upstream) fault."""
-
-    retryable = False
+    """Base class of every injected fault."""
 
     def __init__(self, message: str, seam: str = "?") -> None:
         super().__init__(message)
@@ -55,39 +47,25 @@ class FaultError(Exception):
 
 
 class TransientFault(FaultError):
-    """A failure expected to clear on retry (flaky network, 5xx)."""
-
-    retryable = True
+    """A failure expected to clear on its own (flaky disk or network)."""
 
 
 class InjectedTimeout(TransientFault):
-    """An upstream call that stalled past its deadline (retryable)."""
-
-
-class RateLimitFault(TransientFault):
-    """Upstream throttling; retry after backing off.  ``retry_after``
-    carries the server-suggested delay in seconds (0 = unspecified)."""
-
-    def __init__(self, message: str, seam: str = "?", retry_after: float = 0.0):
-        super().__init__(message, seam)
-        self.retry_after = retry_after
+    """A call that stalled past its deadline."""
 
 
 class PermanentFault(FaultError):
-    """A failure retries cannot fix (4xx, gone, unsupported)."""
+    """A failure that will not clear (gone, unsupported)."""
 
 
 _KIND_EXCEPTIONS = {
     "transient": TransientFault,
     "timeout": InjectedTimeout,
-    "rate_limit": RateLimitFault,
     "permanent": PermanentFault,
 }
 
 
-def _stable_fraction(
-    seed: int, seam: str, crossing: Union[int, str]
-) -> float:
+def _stable_fraction(seed: int, seam: str, crossing: int) -> float:
     """Uniform-ish float in [0, 1), a pure function of its inputs —
     salted ``hash()`` would break cross-process reproducibility."""
     digest = hashlib.sha256(f"{seed}:{seam}:{crossing}".encode()).digest()
@@ -103,8 +81,7 @@ class FaultSpec:
     seam:
         The injection-point name this spec applies to.
     kind:
-        ``"transient"``, ``"timeout"``, ``"rate_limit"`` or
-        ``"permanent"``.
+        ``"transient"``, ``"timeout"`` or ``"permanent"``.
     probability:
         Chance a crossing fires, decided deterministically from the
         plan seed and the crossing index.
@@ -116,7 +93,7 @@ class FaultSpec:
         mid-run state, e.g. "the third snapshot save").
     delay:
         For ``timeout`` faults: seconds to stall before raising (keep 0
-        in tests; retry policies take an injectable sleep anyway).
+        in tests).
     """
 
     seam: str
@@ -144,11 +121,8 @@ class FaultPlan:
 
     The decision for the *i*-th crossing of a seam is a pure function of
     ``(seed, seam, i)``, so concurrent runs that cross seams in the same
-    per-seam order observe the same faults.  A keyed crossing
-    (:meth:`check` with ``key``) is decided by ``(seed, seam, key, j)``
-    for the key's *j*-th crossing instead, which no thread schedule can
-    reorder as long as one thread at a time crosses with a given key.
-    All bookkeeping (crossing counters, fire counts) is lock-guarded.
+    per-seam order observe the same faults.  All bookkeeping (crossing
+    counters, fire counts) is lock-guarded.
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = (), seed: int = 0) -> None:
@@ -156,7 +130,6 @@ class FaultPlan:
         self._specs: List[FaultSpec] = list(specs)
         self._lock = threading.Lock()
         self._crossings: Dict[str, int] = {}
-        self._key_crossings: Dict[Tuple[str, str], int] = {}
         self._fires: Dict[str, int] = {}
         self._spec_fires: Dict[int, int] = {}
 
@@ -175,25 +148,15 @@ class FaultPlan:
 
     # -- the injection point ------------------------------------------
 
-    def check(self, seam: str, key: Optional[str] = None) -> None:
+    def check(self, seam: str) -> None:
         """Cross ``seam``: raise (or stall then raise) when a spec fires.
 
         At most one spec fires per crossing — the first armed spec, in
-        arming order, whose probability admits this crossing.  The roll
-        follows the seam's crossing index, or with ``key`` the number
-        of earlier crossings with that key.  ``after`` and
-        ``max_fires`` always count the seam's crossings and fires in
-        arrival order, so specs that set them stay order-dependent
-        when threads share the seam.
+        arming order, whose probability admits this crossing.
         """
         with self._lock:
             crossing = self._crossings.get(seam, 0)
             self._crossings[seam] = crossing + 1
-            salt: Union[int, str] = crossing
-            if key is not None:
-                attempt = self._key_crossings.get((seam, key), 0)
-                self._key_crossings[(seam, key)] = attempt + 1
-                salt = f"{key}#{attempt}"
             fired: Optional[FaultSpec] = None
             for index, spec in enumerate(self._specs):
                 if spec.seam != seam or crossing < spec.after:
@@ -201,7 +164,7 @@ class FaultPlan:
                 limit = spec.max_fires
                 if limit is not None and self._spec_fires.get(index, 0) >= limit:
                     continue
-                roll = _stable_fraction(self.seed, f"{seam}#{index}", salt)
+                roll = _stable_fraction(self.seed, f"{seam}#{index}", crossing)
                 if roll < spec.probability:
                     fired = spec
                     self._spec_fires[index] = self._spec_fires.get(index, 0) + 1
@@ -247,16 +210,12 @@ class FaultPlan:
 
     @classmethod
     def default_chaos(cls, seed: int) -> "FaultPlan":
-        """The ``repro serve --chaos <seed>`` soak plan: a mix of
-        retryable trouble on every registered seam, rare permanent
-        failures on the backlink API — survivable by design, so a soak
-        run should stay up (degraded at worst)."""
+        """The ``repro serve --chaos <seed>`` soak plan: transient
+        trouble on the I/O seams a served directory crosses —
+        survivable by design, so a soak run should stay up (degraded at
+        worst)."""
         return cls(
             [
-                FaultSpec("search.link_query", "transient", probability=0.15),
-                FaultSpec("search.link_query", "rate_limit", probability=0.05),
-                FaultSpec("search.link_query", "permanent", probability=0.01),
-                FaultSpec("directory.vectorize", "transient", probability=0.05),
                 FaultSpec("snapshot.save", "transient", probability=0.10),
                 FaultSpec("journal.append", "transient", probability=0.02),
                 # Lease-store seams only cross in fenced deployments;
@@ -269,8 +228,8 @@ class FaultPlan:
 
 
 # ----------------------------------------------------------------------
-# The ambient plan: deep seams (snapshot I/O, the journal, request
-# vectorization) cannot thread a plan argument through every caller, so
+# The ambient plan: deep seams (snapshot I/O, the journal, the lease
+# store) cannot thread a plan argument through every caller, so
 # they consult a process-wide slot instead.  ``inject`` is the only
 # thing hot paths call; with no plan armed it is one attribute read.
 # ----------------------------------------------------------------------

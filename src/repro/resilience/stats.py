@@ -19,12 +19,9 @@ class ResilienceStats:
 
     #: Counters every fresh bag starts with (scrapes see stable names).
     KNOWN = (
-        "retry_attempts",       # re-invocations after a retryable failure
-        "retry_giveups",        # calls that exhausted their policy
         "degraded_fallbacks",   # CAFC-CH -> CAFC-C random-seeding falls
         "worker_restarts",      # supervised background-worker restarts
         "faults_injected",      # FaultPlan fires (chaos only)
-        "circuit_opens",        # circuit-breaker CLOSED -> OPEN trips
         "journal_replays",      # directory recoveries that replayed a WAL
         "segments_shipped",     # sealed journal segments served to replicas
         "promotions",           # replica -> leader promotions

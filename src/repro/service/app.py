@@ -47,7 +47,6 @@ from urllib.parse import parse_qs, urlsplit
 from repro.core.form_page import RawFormPage
 from repro.resilience.faults import FaultError
 from repro.resilience.journal import StaleEpochError
-from repro.resilience.retry import RetryError
 
 #: Default cap on request bodies (form pages are HTML documents; 2 MiB
 #: holds anything reasonable and stops accidental uploads).
@@ -301,10 +300,10 @@ class BaseApp:
             )
         except TimeoutError as exc:
             response = error_response(ApiError(504, "timeout", str(exc)))
-        except (RetryError, FaultError) as exc:
-            # Resilience-layer failures (retries exhausted, permanent
-            # upstream fault, open circuit breaker): the request failed
-            # but the directory is intact — tell clients to back off.
+        except FaultError as exc:
+            # An I/O seam failed (journal append, snapshot save, lease
+            # store): the request failed but the directory is intact —
+            # tell clients to back off.
             response = error_response(
                 ApiError(503, "upstream_unavailable",
                          f"{type(exc).__name__}: {exc}")

@@ -36,9 +36,6 @@ The resilience layer (docs/RESILIENCE.md) threads through here too:
   :class:`~repro.resilience.supervisor.SupervisedWorker` — a crash is
   logged, counted (``worker_restarts_total``) and restarted with
   backoff instead of silently killing the feature;
-* request vectorization is an injection seam (``"directory.vectorize"``)
-  guarded by the config's retry policy and a directory-owned circuit
-  breaker;
 * :meth:`health_state` grades the directory ``ok`` / ``degraded`` /
   ``recovering`` for ``/healthz`` without touching the read lock.
 """
@@ -55,7 +52,6 @@ from repro.core.form_page import FormPage, RawFormPage
 from repro.core.incremental import IncrementalOrganizer
 from repro.core.result import _label_terms
 from repro.index.directory_index import DirectoryIndex
-from repro.resilience.faults import inject
 from repro.resilience.journal import (
     DirectoryJournal,
     JournalError,
@@ -63,7 +59,6 @@ from repro.resilience.journal import (
     open_journal,
     record_epoch,
 )
-from repro.resilience.retry import CIRCUIT_OPEN, CircuitBreaker, RetryPolicy
 from repro.resilience.stats import STATS
 from repro.resilience.supervisor import SupervisedWorker
 from repro.service.metrics import MetricsRegistry
@@ -207,11 +202,6 @@ class FormDirectory:
         self.auto_recluster = auto_recluster
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.started_unix = time.time()
-
-        # Request vectorization retries transient faults within a 10 s
-        # sleep budget; five straight failures open the breaker for 30 s.
-        self._retry_policy = RetryPolicy(deadline=10.0)
-        self._breaker = CircuitBreaker()
 
         self._rw = RWLock()
         self._generation = 0
@@ -600,21 +590,14 @@ class FormDirectory:
         # function gauges — registration is idempotent and scraping
         # never takes a directory lock.
         for name, help_text in (
-            ("retry_attempts", "Retries performed by resilience policies"),
-            ("retry_giveups", "Calls that exhausted their retry budget"),
             ("degraded_fallbacks", "CAFC-CH runs degraded to CAFC-C"),
             ("worker_restarts", "Supervised worker restarts"),
             ("faults_injected", "Faults fired by the armed chaos plan"),
-            ("circuit_opens", "Circuit-breaker trips to OPEN"),
             ("journal_replays", "Journal recoveries performed"),
         ):
             m.gauge(f"{name}_total", help_text).set_function(
                 lambda name=name: STATS.get(name)
             )
-        m.gauge(
-            "circuit_state",
-            "Vectorize-seam breaker: 0 closed / 1 half-open / 2 open",
-        ).set_function(lambda: self._breaker.state_code)
         m.gauge(
             "journal_records", "Intact records in the write-ahead journal"
         ).set_function(
@@ -677,30 +660,14 @@ class FormDirectory:
             top_terms=list(terms),
         )
 
-    def _vectorize_once(self, raw: RawFormPage) -> FormPage:
-        """One vectorization attempt, crossing the injection seam."""
-        inject("directory.vectorize")
-        return self.vectorizer.transform_new(raw)
-
     def _vectorize_timed(self, raw: RawFormPage) -> FormPage:
-        """``transform_new`` with latency observed into ``/metrics``.
-
-        Vectorization happens outside every lock.  The call runs
-        through the directory's circuit breaker and its retry
-        policy: transient faults at the ``"directory.vectorize"`` seam
-        are retried with backoff, exhaustion counts a breaker failure,
-        and an open breaker fails the request fast
-        (:class:`~repro.resilience.retry.CircuitOpenError` — surfaced
-        as HTTP 503).
-        """
+        """``transform_new`` (outside every lock) with its latency
+        observed into ``/metrics``."""
         started = time.perf_counter()
         try:
-            page = self._breaker.call(
-                self._retry_policy.call, self._vectorize_once, raw
-            )
+            return self.vectorizer.transform_new(raw)
         finally:
             self._m_vectorize_seconds.observe(time.perf_counter() - started)
-        return page
 
     # ----------------------------------------------------------------
     # Cache.
@@ -917,16 +884,12 @@ class FormDirectory:
         (the repair holds the write lock, which is exactly why this must
         not take the read lock — /healthz keeps answering during it;
         the HTTP layer turns it into 503 + Retry-After).  ``degraded``:
-        still serving, but impaired — the vectorize breaker is open, or
-        drift passed the threshold with no repair running.  Plain
-        attribute reads only.
+        still serving, but drift passed the threshold with no repair
+        running.  Plain attribute reads only.
         """
         if self._replaying or self._recluster_running:
             return "recovering"
-        if (
-            self._breaker.state_code == CIRCUIT_OPEN
-            or self.organizer.needs_reclustering
-        ):
+        if self.organizer.needs_reclustering:
             return "degraded"
         return "ok"
 
@@ -958,7 +921,6 @@ class FormDirectory:
                     "page_postings": self._index.n_page_postings,
                 },
                 "resilience": {
-                    "circuit": self._breaker.state,
                     "epoch": self.epoch,
                     "stale_dropped": self.n_stale_dropped,
                     "journaled": self._journal is not None,

@@ -5,7 +5,7 @@ with their sites, hubs, directories and a simulated search engine —
 deterministically from a seed.  :class:`SyntheticWeb` is the handle the
 experiments use: it yields :class:`~repro.core.form_page.RawFormPage`
 inputs exactly the way the paper assembled its dataset (HTML plus
-harvested backlinks, root-page fallback included).
+harvested backlinks, the site root's included).
 """
 
 import random
@@ -19,7 +19,7 @@ from repro.webgen.domains import DOMAINS, domain_by_name
 from repro.webgen.hubs_gen import generate_hubs
 from repro.webgen.sites import Site, build_site
 from repro.webgraph.graph import WebGraph
-from repro.webgraph.search_api import SimulatedSearchEngine
+from repro.webgraph.search_api import SimulatedSearchEngine, harvest_backlinks
 
 # Size-class mix for multi-attribute forms (Table 1 coverage).
 _SIZE_CLASS_WEIGHTS = (("small", 0.30), ("medium", 0.40), ("large", 0.30))
@@ -86,13 +86,11 @@ class SyntheticWeb:
     ) -> List[RawFormPage]:
         """The clustering input: HTML + harvested backlinks + gold label.
 
-        Backlinks are harvested from the simulated engine: the union of
-        ``link:`` on the form page and ``link:`` on the site root (sorted,
-        capped at ``max_backlinks``) — Section 3.1's mitigation for
-        backlink incompleteness.  Unlike
-        :func:`~repro.webgraph.search_api.harvest_backlinks`, which asks
-        for the root's backlinks only when the form page has none, every
-        page gets both.
+        Backlinks are harvested from the simulated engine with
+        :func:`~repro.webgraph.search_api.harvest_backlinks`: the sorted
+        union of ``link:`` on the form page and ``link:`` on the site
+        root, capped at the engine's ``max_results`` — Section 3.1's
+        mitigation for backlink incompleteness.
 
         ``include_anchor_text`` additionally fetches each backlink page
         and collects the anchor strings of its links to the form page or
@@ -103,11 +101,10 @@ class SyntheticWeb:
         the graph and the engine's deterministic index, and results are
         collected in site order, so the output is identical to serial.
 
-        ``engine`` substitutes another ``link_query`` provider for the
-        cached simulated engine — chaos runs pass a
-        :class:`~repro.resilience.flaky.FlakySearchEngine` (or its
-        :class:`~repro.resilience.flaky.ResilientSearchEngine` wrapper)
-        here to exercise the backlink seam under injected faults.
+        ``engine`` substitutes another engine for the cached simulated
+        one — the robustness sweep passes a
+        :class:`~repro.webgraph.search_api.SimulatedSearchEngine` with a
+        lower ``coverage`` to model a less complete ``link:`` index.
         """
         from repro.link_analysis.anchor_text import harvest_anchor_texts
         from repro.parallel.ingest import parallel_map
@@ -116,10 +113,9 @@ class SyntheticWeb:
             engine = self.search_engine()
 
         def assemble(site: Site) -> RawFormPage:
-            backlinks = engine.link_query(site.form_page_url)
-            root_backlinks = engine.link_query(site.root_url)
-            merged = sorted(set(backlinks) | set(root_backlinks))
-            backlinks = merged[: self.config.max_backlinks]
+            backlinks = harvest_backlinks(
+                engine, site.form_page_url, site.root_url
+            )
             page = self.graph.get(site.form_page_url)
             if page is None:
                 raise RuntimeError(

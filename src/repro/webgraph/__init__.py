@@ -12,7 +12,7 @@ web graph:
 * :class:`repro.webgraph.search_api.SimulatedSearchEngine` — the `link:`
   backlink API with result caps and deliberate incompleteness, and
   :func:`~repro.webgraph.search_api.harvest_backlinks`, Section 3.1's
-  root-page fallback over any such engine.
+  union of a form page's and its site root's backlinks.
 * :class:`repro.webgraph.crawler.Crawler` — BFS crawler that locates form
   pages in the graph.
 * :mod:`repro.webgraph.form_classifier` — searchable vs non-searchable.

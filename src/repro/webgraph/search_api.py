@@ -84,16 +84,12 @@ class SimulatedSearchEngine:
         return indexed[: self.max_results]
 
 
-def harvest_backlinks(engine, url: str, root_url: str = "") -> List[str]:
-    """The paper's harvesting procedure for one form page.
+def harvest_backlinks(engine, url: str, root_url: str) -> List[str]:
+    """Section 3.1's harvesting rule for one form page.
 
-    Query ``link:url`` on ``engine`` (any ``link_query`` provider: the
-    simulated engine, a flaky or a resilient wrapper); if nothing comes
-    back and a root URL is given, query ``link:root`` instead ("we also
-    retrieved backlinks to the root page of the site where the form is
-    located", Section 3.1).
+    The sorted union of ``link:url`` and ``link:root_url`` on
+    ``engine``, capped at ``engine.max_results`` ("we also retrieved
+    backlinks to the root page of the site where the form is located").
     """
-    backlinks = engine.link_query(url)
-    if not backlinks and root_url and root_url != url:
-        backlinks = engine.link_query(root_url)
-    return backlinks
+    merged = set(engine.link_query(url)) | set(engine.link_query(root_url))
+    return sorted(merged)[: engine.max_results]

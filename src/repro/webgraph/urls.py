@@ -5,8 +5,9 @@ CAFC-CH needs exactly two URL-level notions (Section 3.1 / 3.3):
 * the *site* a page belongs to, so intra-site hubs can be discarded
   ("for some form pages, all backlinks belong to the same site as the page
   they point to ... they are eliminated");
-* the *root page* of a site, used as a backlink fallback when a form page
-  itself has no backlinks.
+* the *root page* of a site, whose backlinks are harvested alongside the
+  form page's own ("we also retrieved backlinks to the root page of the
+  site where the form is located").
 """
 
 from urllib.parse import urlparse

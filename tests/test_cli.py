@@ -190,22 +190,23 @@ class TestNodeCommands:
     def test_serve_smoke_under_chaos_disarms_on_return(
         self, capsys, monkeypatch
     ):
+        import repro.cli as cli
         from repro.resilience import FaultPlan, get_active_plan, install_plan
 
         armed = []
-        default_chaos = FaultPlan.default_chaos
+        serve = cli._serve
 
-        def recording(seed):
-            armed.append(default_chaos(seed))
-            return armed[-1]
+        def recording(args):
+            armed.append(get_active_plan())
+            return serve(args)
 
-        monkeypatch.setattr(FaultPlan, "default_chaos", recording)
+        monkeypatch.setattr(cli, "_serve", recording)
         assert get_active_plan() is None
         assert main(["serve", "--smoke", "--chaos", "7"]) == 0
         output = capsys.readouterr().out
         assert "chaos mode:" in output and "serve smoke ok:" in output
         assert get_active_plan() is None
-        assert armed[0].crossings("directory.vectorize") > 0
+        assert isinstance(armed[0], FaultPlan) and armed[0].seed == 7
 
         previous = FaultPlan()
         install_plan(previous)

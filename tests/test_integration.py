@@ -13,6 +13,8 @@ from repro.core.form_page import RawFormPage
 from repro.eval.entropy import total_entropy
 from repro.eval.fmeasure import overall_f_measure
 from repro.webgraph.crawler import Crawler
+from repro.webgraph.search_api import harvest_backlinks
+from repro.webgraph.urls import root_url_of
 
 
 class TestCrawlThenCluster:
@@ -46,15 +48,13 @@ class TestCrawlThenCluster:
         labels_by_url = {
             site.form_page_url: site.domain_name for site in small_web.sites
         }
-        roots_by_url = {site.form_page_url: site.root_url for site in small_web.sites}
 
         raw_pages = []
         for page in crawl_result.form_pages:
             if page.url not in labels_by_url:
                 continue  # hub pages can also contain forms in principle
-            backlinks = sorted(
-                set(engine.link_query(page.url))
-                | set(engine.link_query(roots_by_url[page.url]))
+            backlinks = harvest_backlinks(
+                engine, page.url, root_url_of(page.url)
             )
             raw_pages.append(
                 RawFormPage(

@@ -1,10 +1,8 @@
-"""Resilience primitives — fault plans, retry/backoff, circuit breaking,
-the backlink-seam wrappers, supervised workers, CAFC-CH degradation.
+"""Resilience primitives — fault plans, supervised workers, directory
+lifecycle, CAFC-CH degradation.
 
-Everything here runs without real sleeping: policies take an injectable
-sleep, breakers an injectable clock, and fault schedules are pure
-functions of (seed, seam, crossing), so the same plan always fires the
-same crossings.
+Fault schedules are pure functions of (seed, seam, crossing), so the
+same plan always fires the same crossings.
 """
 
 import logging
@@ -14,25 +12,15 @@ import pytest
 
 from repro.core.cafc_ch import cafc_ch
 from repro.core.config import CAFCConfig
-from repro.core.hubs import backlink_coverage, harvest_hub_evidence
+from repro.core.hubs import backlink_coverage
 from repro.core.pipeline import CAFCPipeline
 from repro.resilience import (
-    CIRCUIT_CLOSED,
-    CIRCUIT_HALF_OPEN,
-    CIRCUIT_OPEN,
     STATS,
-    CircuitBreaker,
-    CircuitOpenError,
     FaultError,
     FaultPlan,
     FaultSpec,
-    FlakySearchEngine,
     InjectedTimeout,
     PermanentFault,
-    RateLimitFault,
-    ResilientSearchEngine,
-    RetryError,
-    RetryPolicy,
     SupervisedWorker,
     TransientFault,
     active_plan,
@@ -41,11 +29,6 @@ from repro.resilience import (
 )
 from repro.service.directory import FormDirectory
 from repro.service.snapshot import build_snapshot
-from repro.webgraph.search_api import harvest_backlinks
-
-
-def no_sleep(_delay: float) -> None:
-    """Injectable sleep that doesn't."""
 
 
 def fire_pattern(plan: FaultPlan, seam: str, crossings: int) -> list:
@@ -99,16 +82,15 @@ class TestFaultPlan:
 
     def test_kinds_map_to_exception_types(self):
         cases = [
-            ("transient", TransientFault, True),
-            ("timeout", InjectedTimeout, True),
-            ("rate_limit", RateLimitFault, True),
-            ("permanent", PermanentFault, False),
+            ("transient", TransientFault),
+            ("timeout", InjectedTimeout),
+            ("permanent", PermanentFault),
         ]
-        for kind, exc_type, retryable in cases:
+        for kind, exc_type in cases:
             plan = FaultPlan([FaultSpec("seam", kind)], seed=0)
             with pytest.raises(exc_type) as info:
                 plan.check("seam")
-            assert info.value.retryable is retryable
+            assert isinstance(info.value, FaultError)
             assert info.value.seam == "seam"
 
     def test_max_fires_caps_the_spec(self):
@@ -149,8 +131,6 @@ class TestFaultPlan:
         plan = FaultPlan.default_chaos(7)
         seams = {spec.seam for spec in plan.specs}
         assert seams == {
-            "search.link_query",
-            "directory.vectorize",
             "snapshot.save",
             "journal.append",
             "lease.read",
@@ -181,307 +161,23 @@ class TestAmbientPlan:
 
 
 # ---------------------------------------------------------------------
-# Retry policy.
+# Supervised workers.
 # ---------------------------------------------------------------------
 
 
 class Flaky:
-    """A callable failing ``failures`` times before returning ``value``."""
+    """A callable raising ``exc`` ``failures`` times, then returning."""
 
-    def __init__(self, failures, exc=TransientFault, value="ok"):
+    def __init__(self, failures, exc):
         self.failures = failures
         self.exc = exc
-        self.value = value
         self.calls = 0
 
     def __call__(self):
         self.calls += 1
         if self.calls <= self.failures:
             raise self.exc(f"failure {self.calls}")
-        return self.value
-
-
-class TestRetryPolicy:
-    def test_succeeds_after_transient_failures(self):
-        policy = RetryPolicy(max_attempts=4, seed=3)
-        fn = Flaky(failures=2)
-        slept = []
-        assert policy.call(fn, sleep=slept.append) == "ok"
-        assert fn.calls == 3
-        assert slept == policy.delays()[:2]
-
-    def test_exhaustion_raises_retry_error_chained(self):
-        policy = RetryPolicy(max_attempts=3)
-        fn = Flaky(failures=99)
-        with pytest.raises(RetryError) as info:
-            policy.call(fn, sleep=no_sleep)
-        assert info.value.attempts == 3
-        assert isinstance(info.value.last, TransientFault)
-        assert info.value.__cause__ is info.value.last
-        assert fn.calls == 3
-
-    def test_permanent_fault_not_retried(self):
-        policy = RetryPolicy(max_attempts=5)
-        fn = Flaky(failures=99, exc=PermanentFault)
-        slept = []
-        with pytest.raises(PermanentFault):
-            policy.call(fn, sleep=slept.append)
-        assert fn.calls == 1
-        assert slept == []
-
-    def test_rate_limit_hint_floors_the_delay(self):
-        policy = RetryPolicy(max_attempts=2, base_delay=0.01)
-
-        def throttled():
-            raise RateLimitFault("slow down", retry_after=9.0)
-
-        slept = []
-        with pytest.raises(RetryError):
-            policy.call(throttled, sleep=slept.append)
-        assert slept and slept[0] >= 9.0
-
-    def test_deadline_caps_total_sleeping(self):
-        policy = RetryPolicy(
-            max_attempts=10, base_delay=1.0, jitter=0.0, deadline=2.5
-        )
-        fn = Flaky(failures=99)
-        slept = []
-        with pytest.raises(RetryError) as info:
-            policy.call(fn, sleep=slept.append)
-        # 1.0 + 2.0 fits the 2.5s budget... no: 1.0 fits, 1.0+2.0 > 2.5.
-        assert info.value.attempts < policy.max_attempts
-        assert sum(slept) <= policy.deadline
-
-    def test_delays_deterministic_and_jitter_bounded(self):
-        policy = RetryPolicy(
-            max_attempts=6, base_delay=0.05, multiplier=2.0,
-            max_delay=2.0, jitter=0.5, seed=11,
-        )
-        first, second = policy.delays(), policy.delays()
-        assert first == second
-        for n, delay in enumerate(first):
-            raw = min(0.05 * 2.0**n, 2.0)
-            assert raw * 0.5 <= delay <= raw * 1.5
-
-    def test_on_retry_callback_and_stats(self):
-        before = STATS.get("retry_attempts")
-        policy = RetryPolicy(max_attempts=3)
-        seen = []
-        policy.call(
-            Flaky(failures=2), sleep=no_sleep,
-            on_retry=lambda attempt, exc: seen.append(attempt),
-        )
-        assert seen == [1, 2]
-        assert STATS.get("retry_attempts") == before + 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline=-1.0)
-
-
-# ---------------------------------------------------------------------
-# Circuit breaker.
-# ---------------------------------------------------------------------
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def make(self, threshold=3, reset=30.0):
-        clock = FakeClock()
-        return CircuitBreaker(
-            failure_threshold=threshold, reset_timeout=reset, clock=clock
-        ), clock
-
-    def test_consecutive_failures_trip_open(self):
-        breaker, _ = self.make(threshold=3)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state_code == CIRCUIT_CLOSED
-        breaker.record_failure()
-        assert breaker.state_code == CIRCUIT_OPEN
-        assert not breaker.allow()
-
-    def test_success_resets_the_failure_streak(self):
-        breaker, _ = self.make(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state_code == CIRCUIT_CLOSED
-
-    def test_half_open_admits_one_probe(self):
-        breaker, clock = self.make(threshold=1, reset=30.0)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.now += 31.0
-        assert breaker.state_code == CIRCUIT_HALF_OPEN
-        assert breaker.allow()          # the probe
-        assert not breaker.allow()      # only one at a time
-
-    def test_probe_success_closes(self):
-        breaker, clock = self.make(threshold=1)
-        breaker.record_failure()
-        clock.now += 31.0
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state_code == CIRCUIT_CLOSED
-
-    def test_probe_failure_reopens(self):
-        breaker, clock = self.make(threshold=1)
-        breaker.record_failure()
-        clock.now += 31.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state_code == CIRCUIT_OPEN
-        assert not breaker.allow()
-
-    def test_call_refuses_fast_when_open(self):
-        breaker, _ = self.make(threshold=1)
-
-        def boom():
-            raise TransientFault("down")
-
-        with pytest.raises(TransientFault):
-            breaker.call(boom)
-        calls = []
-        with pytest.raises(CircuitOpenError):
-            breaker.call(calls.append, "never")
-        assert calls == []
-
-    def test_state_names(self):
-        breaker, _ = self.make(threshold=1)
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(reset_timeout=-1.0)
-
-
-# ---------------------------------------------------------------------
-# The backlink seam: flaky + resilient engine wrappers.
-# ---------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def engine(small_web):
-    return small_web.search_engine()
-
-
-@pytest.fixture(scope="module")
-def form_urls(small_web):
-    return [page.url for page in small_web.raw_pages()][:12]
-
-
-class TestFlakySearchEngine:
-    def test_healthy_plan_is_transparent(self, engine, form_urls):
-        flaky = FlakySearchEngine(engine, FaultPlan(seed=0))
-        for url in form_urls:
-            assert flaky.link_query(url) == engine.link_query(url)
-        assert flaky.query_count == engine.query_count
-
-    def test_faults_fire_per_plan(self, engine, form_urls):
-        plan = FaultPlan([FaultSpec("search.link_query", "permanent")], seed=0)
-        flaky = FlakySearchEngine(engine, plan)
-        with pytest.raises(PermanentFault):
-            flaky.link_query(form_urls[0])
-        assert plan.fires("search.link_query") == 1
-
-    def test_harvest_falls_back_to_root(self, engine, small_web):
-        flaky = FlakySearchEngine(engine, FaultPlan(seed=0))
-        raw = small_web.raw_pages()[0]
-        direct = harvest_backlinks(engine, raw.url, "")
-        assert harvest_backlinks(flaky, raw.url, "") == direct
-
-
-class TestResilientSearchEngine:
-    def test_transient_faults_are_retried_through(self, engine, form_urls):
-        plan = FaultPlan(
-            [FaultSpec("search.link_query", "transient", max_fires=2)], seed=0
-        )
-        resilient = ResilientSearchEngine(
-            FlakySearchEngine(engine, plan), sleep=no_sleep
-        )
-        url = form_urls[0]
-        assert resilient.link_query(url) == engine.link_query(url)
-        report = resilient.report.as_dict()
-        assert report["retried"] == 2
-        assert report["failures"] == 0
-
-    def test_never_raises_degrades_to_empty(self, engine, form_urls):
-        plan = FaultPlan([FaultSpec("search.link_query", "permanent")], seed=0)
-        resilient = ResilientSearchEngine(
-            FlakySearchEngine(engine, plan), sleep=no_sleep
-        )
-        for url in form_urls[:4]:
-            assert resilient.link_query(url) == []
-        report = resilient.report.as_dict()
-        assert report["failures"] == 4
-        assert resilient.report.degraded_rate == 1.0
-
-    def test_open_breaker_rejects_without_touching_inner(
-        self, engine, form_urls
-    ):
-        plan = FaultPlan([FaultSpec("search.link_query", "permanent")], seed=0)
-        flaky = FlakySearchEngine(engine, plan)
-        breaker = CircuitBreaker(
-            failure_threshold=2, reset_timeout=1000.0, clock=lambda: 0.0
-        )
-        resilient = ResilientSearchEngine(flaky, breaker=breaker, sleep=no_sleep)
-        resilient.link_query(form_urls[0])
-        resilient.link_query(form_urls[1])
-        assert breaker.state_code == CIRCUIT_OPEN
-        crossings_before = plan.crossings("search.link_query")
-        assert resilient.link_query(form_urls[2]) == []
-        assert plan.crossings("search.link_query") == crossings_before
-        assert resilient.report.rejected == 1
-
-    def test_no_fault_parity_with_plain_engine(self, engine, small_web):
-        resilient = ResilientSearchEngine(engine, sleep=no_sleep)
-        for raw in small_web.raw_pages()[:10]:
-            assert harvest_backlinks(resilient, raw.url, "") == (
-                harvest_backlinks(engine, raw.url, "")
-            )
-        assert resilient.report.failures == 0
-
-
-class TestHarvestHubEvidence:
-    def test_healthy_harvest_matches_direct(self, engine, form_urls):
-        requests = [(url, "") for url in form_urls]
-        harvested, wrapper = harvest_hub_evidence(engine, requests)
-        for url in form_urls:
-            assert harvested[url] == harvest_backlinks(engine, url, "")
-        assert wrapper.report.failures == 0
-        assert wrapper.report.queries >= len(form_urls)
-
-    def test_dead_engine_degrades_everything(self, engine, form_urls):
-        plan = FaultPlan([FaultSpec("search.link_query", "permanent")], seed=0)
-        flaky = FlakySearchEngine(engine, plan)
-        resilient = ResilientSearchEngine(flaky, sleep=no_sleep)
-        requests = [(url, "") for url in form_urls]
-        harvested, wrapper = harvest_hub_evidence(resilient, requests)
-        assert all(backlinks == [] for backlinks in harvested.values())
-        assert wrapper.report.degraded_rate == 1.0
-
-
-# ---------------------------------------------------------------------
-# Supervised workers.
-# ---------------------------------------------------------------------
+        return "ok"
 
 
 class TestSupervisedWorker:

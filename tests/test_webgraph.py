@@ -4,7 +4,6 @@ the searchable-form classifier."""
 import pytest
 
 from repro.html.forms import extract_forms
-from repro.resilience import FaultPlan, FlakySearchEngine, ResilientSearchEngine
 from repro.webgraph.crawler import Crawler
 from repro.webgraph.form_classifier import classify_form, is_searchable
 from repro.webgraph.graph import WebGraph, WebPage
@@ -105,42 +104,42 @@ class TestSearchEngine:
         engine = SimulatedSearchEngine(graph, coverage=1.0)
         assert harvest_backlinks(engine, form_url, root_url) == ["http://hub.org/"]
 
-    def test_harvest_no_fallback_when_direct_hits(self):
+    def test_harvest_unions_root_with_direct_hits(self):
+        # A form page with backlinks of its own still gets its site
+        # root's (Section 3.1), sorted and de-duplicated.
         graph = WebGraph()
         form_url = "http://site.com/search.html"
         root_url = "http://site.com/"
         graph.add_page(WebPage(form_url, "", []))
+        graph.add_page(WebPage(root_url, "", []))
+        graph.add_page(WebPage("http://hub2.org/", "", [form_url, root_url]))
         graph.add_page(WebPage("http://hub1.org/", "", [form_url]))
-        graph.add_page(WebPage("http://hub2.org/", "", [root_url]))
+        graph.add_page(WebPage("http://hub3.org/", "", [root_url]))
         engine = SimulatedSearchEngine(graph, coverage=1.0)
-        assert harvest_backlinks(engine, form_url, root_url) == ["http://hub1.org/"]
+        assert harvest_backlinks(engine, form_url, root_url) == [
+            "http://hub1.org/", "http://hub2.org/", "http://hub3.org/",
+        ]
+        assert engine.query_count == 2
 
-    @pytest.mark.parametrize("wrap", [
-        lambda engine: engine,
-        lambda engine: FlakySearchEngine(engine, FaultPlan(seed=0)),
-        lambda engine: ResilientSearchEngine(engine),
-    ], ids=["plain", "flaky", "resilient"])
-    def test_root_fallback_for_each_engine(self, wrap):
-        # One harvest function serves every link: provider: a form page
-        # without backlinks gets its site root's, one with backlinks
-        # keeps its own, and no root (or the page itself) means no
-        # second query.
+    def test_harvest_caps_the_union(self):
+        # The cap applies to the union, not just to each query.
         graph = WebGraph()
-        lonely = "http://site.com/search.html"
-        cited = "http://site.com/find.html"
+        form_url = "http://site.com/search.html"
         root_url = "http://site.com/"
-        for url in (lonely, cited, root_url):
-            graph.add_page(WebPage(url, "", []))
-        graph.add_page(WebPage("http://hub1.org/", "", [cited]))
-        graph.add_page(WebPage("http://hub2.org/", "", [root_url]))
-        plain = SimulatedSearchEngine(graph, coverage=1.0)
-        engine = wrap(plain)
-        assert harvest_backlinks(engine, lonely, root_url) == ["http://hub2.org/"]
-        assert harvest_backlinks(engine, cited, root_url) == ["http://hub1.org/"]
-        queries = plain.query_count
-        assert harvest_backlinks(engine, lonely) == []
-        assert harvest_backlinks(engine, lonely, lonely) == []
-        assert plain.query_count == queries + 2
+        graph.add_page(WebPage(form_url, "", []))
+        graph.add_page(WebPage(root_url, "", []))
+        for index in range(3):
+            graph.add_page(WebPage(f"http://a{index}.org/", "", [form_url]))
+            graph.add_page(WebPage(f"http://b{index}.org/", "", [root_url]))
+        engine = SimulatedSearchEngine(graph, coverage=1.0, max_results=4)
+        assert harvest_backlinks(engine, form_url, root_url) == [
+            "http://a0.org/", "http://a1.org/", "http://a2.org/",
+            "http://b0.org/",
+        ]
+        # The page itself as root adds nothing.
+        assert harvest_backlinks(engine, form_url, form_url) == [
+            "http://a0.org/", "http://a1.org/", "http://a2.org/",
+        ]
 
     def test_validation(self):
         graph = make_graph()
