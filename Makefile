@@ -36,15 +36,15 @@ bench-stream:          ## 100k-page streamed ingest (RSS ceiling + batch-parity 
 stream-smoke:          ## 20k-page streamed ingest under an RSS cap + batch-parity gate on the reference corpus
 	PYTHONPATH=src python -m repro ingest --stream --smoke
 
-serve-smoke:           ## boot the directory server on an ephemeral port, probe it, shut down
+serve-smoke:           ## boot the directory server on an ephemeral port, probe /healthz, /classify and /add, shut down
 	PYTHONPATH=src python -m repro serve --smoke
 
 shard-smoke:           ## boot router + 2 shards + 1 replica in-process, round-trip, shut down
 	PYTHONPATH=src python -m repro router --smoke
 
-chaos:                 ## resilience suite: fault injection, journal crash-recovery, coverage-degraded harvest, Section 3.1 backlink union
+chaos:                 ## resilience suite (fault injection, journal crash-recovery, coverage-degraded harvest, Section 3.1 backlink union), then a chaos-armed serve smoke whose /add crosses the journal.append seam
 	PYTHONPATH=src python -m pytest tests/test_resilience.py tests/test_journal.py tests/test_chaos.py tests/test_webgraph.py -q
-	PYTHONPATH=src python -m repro serve --smoke --chaos 7
+	tmp=$$(mktemp -d) && PYTHONPATH=src python -m repro serve --smoke --chaos 7 --journal $$tmp/serve.wal; status=$$?; rm -rf "$$tmp"; exit $$status
 
 failover-chaos:        ## epoch-fencing soak: 25+ seeded kill/pause schedules (zombie-leader invariant) + failover suite
 	PYTHONPATH=src REPRO_FENCING_SEEDS=25 python -m pytest tests/test_fencing.py tests/test_distrib_failover.py -q

@@ -19,8 +19,8 @@ Two acceptance claims, gated in order:
    the high-water mark).
 
 Records ``BENCH_stream.json`` at the repo root: throughput, re-weight
-count, vocabulary sizes after pruning, RSS checkpoints, spill-segment
-counts, and the parity numbers the gate enforced.
+count, vocabulary sizes after pruning, RSS checkpoints, and the parity
+numbers the gate enforced.
 
 Scale knob: ``REPRO_STREAM_PAGES`` (default 100000) — CI containers
 that cannot afford ~6 minutes can lower it; the recorded JSON carries
@@ -46,24 +46,23 @@ STREAM_SEED = 42
 MAX_DELTA_ENTROPY = 0.25
 MAX_DELTA_F = 0.10
 
-# Memory pins for the 100k-page run (measured peak ~132 MB on the
-# reference container: interned vocabulary after min_df pruning plus
-# the bounded reservoir and resident spill tier).  The cap is the hard
-# ceiling; the growth factor is the flatness claim — RSS at the end of
-# the stream may exceed the quarter-mark high-water by at most this
-# factor even though 4x more pages flowed through (measured x1.14).
+# Memory pins for the 100k-page run (measured peak ~73 MB on a 2-CPU
+# x86-64 container, Python 3.11: interned vocabulary after min_df
+# pruning plus the bounded reservoir).  The cap is the hard ceiling;
+# the growth factor is the flatness claim — RSS at the end of the
+# stream may exceed the quarter-mark high-water by at most this factor
+# even though 4x more pages flowed through (measured x1.09).
 RSS_CAP_MB = 300
 MAX_RSS_GROWTH_FACTOR = 1.6
 
-# The child process: streams N pages with bounded vocabulary and spill
-# enabled, printing one JSON report line.  Run separately so ru_maxrss
+# The child process: streams N pages with bounded vocabulary, printing
+# one JSON report line.  Run separately so ru_maxrss
 # reflects the stream alone.
 _CHILD = r"""
-import json, resource, sys, tempfile, time
+import json, resource, sys, time
 
 n_pages, seed = int(sys.argv[1]), int(sys.argv[2])
 
-from repro.index.spill import SpillingSpaceIndex
 from repro.stream import StreamConfig, StreamingIngestor, StreamOrganizer
 from repro.webgen.stream import stream_pages
 
@@ -72,46 +71,37 @@ def rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-with tempfile.TemporaryDirectory(prefix="repro-stream-bench-") as spill_dir:
-    config = StreamConfig(
-        batch_size=256, vocab_budget=50_000, min_df=2, spill_dir=spill_dir,
-    )
-    ingestor = StreamingIngestor(config)
-    organizer = StreamOrganizer(
-        8, reservoir_size=config.reservoir_size
-    ).attach(ingestor)
-    spill = SpillingSpaceIndex(spill_dir)
+config = StreamConfig(batch_size=256, vocab_budget=50_000, min_df=2)
+ingestor = StreamingIngestor(config)
+organizer = StreamOrganizer(
+    8, reservoir_size=config.reservoir_size
+).attach(ingestor)
 
-    marks = sorted({n_pages // 4, n_pages // 2, n_pages})
-    checkpoints = {}
-    started = time.monotonic()
-    for batch in ingestor.ingest(stream_pages(n_pages, seed=seed)):
-        organizer.observe_batch(batch)
-        for entry in batch:
-            spill.add_row(entry.index, entry.page.pc, meta=entry.url)
-        while marks and ingestor.stats.pages >= marks[0]:
-            checkpoints[str(marks.pop(0))] = round(rss_mb(), 1)
-    organizer.ensure_ready()
-    ingestor.reweight()
-    spill.flush()
-    elapsed = time.monotonic() - started
+marks = sorted({n_pages // 4, n_pages // 2, n_pages})
+checkpoints = {}
+started = time.monotonic()
+for batch in ingestor.ingest(stream_pages(n_pages, seed=seed)):
+    organizer.observe_batch(batch)
+    while marks and ingestor.stats.pages >= marks[0]:
+        checkpoints[str(marks.pop(0))] = round(rss_mb(), 1)
+organizer.ensure_ready()
+ingestor.reweight()
+elapsed = time.monotonic() - started
 
-    stats = ingestor.stats
-    print(json.dumps({
-        "pages": stats.pages,
-        "batches": stats.batches,
-        "reweights": stats.reweights,
-        "pc_vocab": stats.pc_vocab,
-        "fc_vocab": stats.fc_vocab,
-        "terms_pruned": stats.pc_pruned + stats.fc_pruned,
-        "reservoir_rebuilds": organizer.n_reweight_rebuilds,
-        "elapsed_s": round(elapsed, 1),
-        "pages_per_s": round(stats.pages / elapsed, 1),
-        "rss_checkpoints_mb": checkpoints,
-        "peak_rss_mb": round(rss_mb(), 1),
-        "spilled_rows": spill.n_spilled,
-        "segments": len(spill.segments),
-    }))
+stats = ingestor.stats
+print(json.dumps({
+    "pages": stats.pages,
+    "batches": stats.batches,
+    "reweights": stats.reweights,
+    "pc_vocab": stats.pc_vocab,
+    "fc_vocab": stats.fc_vocab,
+    "terms_pruned": stats.pc_pruned + stats.fc_pruned,
+    "reservoir_rebuilds": organizer.n_reweight_rebuilds,
+    "elapsed_s": round(elapsed, 1),
+    "pages_per_s": round(stats.pages / elapsed, 1),
+    "rss_checkpoints_mb": checkpoints,
+    "peak_rss_mb": round(rss_mb(), 1),
+}))
 """
 
 
@@ -166,10 +156,6 @@ def test_bench_stream_100k(benchmark):
         f"(cap {RSS_CAP_MB} MB, growth x{growth:.2f} "
         f"from the quarter mark, max x{MAX_RSS_GROWTH_FACTOR})"
     )
-    print(
-        f"  spill: {report['spilled_rows']} rows in "
-        f"{report['segments']} sealed segments"
-    )
 
     assert final <= RSS_CAP_MB, (
         f"peak RSS {final} MB exceeds the {RSS_CAP_MB} MB cap"
@@ -179,7 +165,6 @@ def test_bench_stream_100k(benchmark):
         "memory is not flat"
     )
     assert report["pages"] == N_PAGES
-    assert report["spilled_rows"] == N_PAGES
 
     RESULTS_PATH.write_text(json.dumps({
         "benchmark": "stream",
@@ -203,8 +188,8 @@ def test_bench_stream_100k(benchmark):
             "generator (never materialized as a list): drift-gated "
             "Equation-1 re-weights (threshold 0.1), min_df=2 "
             "vocabulary pruning under a 50k budget, reservoir "
-            "mini-batch k-means (512 entries), and PC vectors spilled "
-            "to crc-framed 4096-row segments.  The parity gate vs "
+            "mini-batch k-means (512 entries); emitted vectors are "
+            "not retained.  The parity gate vs "
             "batch CAFC-C on the 454-page reference corpus ran before "
             "any timing.  RSS is measured in a dedicated subprocess; "
             "the growth factor bounds the high-water mark's rise "

@@ -99,7 +99,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         reservoir_size=args.reservoir_size,
         vocab_budget=args.vocab_budget,
         min_df=args.min_df,
-        spill_dir=args.spill_dir,
     )
     started = time.monotonic()
     run = run_stream(
@@ -122,9 +121,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "peak_rss_mb": round(peak_rss_mb, 1),
         "clusters": len(run.organizer.centroid_pairs()),
     }
-    if run.spill_index is not None:
-        report["spilled_rows"] = run.spill_index.n_spilled
-        report["segments"] = len(run.spill_index.segments)
     print(json.dumps(report, indent=2))
 
     if args.smoke:
@@ -331,7 +327,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     plan = FaultPlan.default_chaos(args.chaos)
     print(f"chaos mode: {plan.describe()['specs']} (seed {args.chaos})")
     with active_plan(plan):
-        return _serve(args)
+        status = _serve(args)
+    print(f"chaos seams crossed: {plan.describe()['crossings']}")
+    return status
 
 
 def _serve(args: argparse.Namespace) -> int:
@@ -358,8 +356,11 @@ def _serve(args: argparse.Namespace) -> int:
     if not args.smoke:
         return _serve_until_interrupted(server)
 
-    # Boot on an ephemeral port, probe /healthz and one /classify over
-    # a real socket, and shut down cleanly — the CI smoke.
+    # Boot on an ephemeral port, probe /healthz, one /classify and one
+    # /add over a real socket, and shut down cleanly — the CI smoke.
+    # The add crosses the journal seam when --journal is given; under an
+    # armed chaos plan it may fail there with a structured 503, after
+    # which /healthz must still answer 200.
     server.serve_in_thread()
     base = server.base_url
     try:
@@ -367,9 +368,18 @@ def _serve(args: argparse.Namespace) -> int:
         assert health["status"] == "ok", health
         outcome = _http_json(base + "/classify", _PROBE_PAGE)
         assert outcome["ok"] and isinstance(outcome["cluster"], int), outcome
+        status, added = _http_reply(base + "/add", _PROBE_PAGE)
+        refused = (
+            status == 503
+            and args.chaos is not None
+            and added["error"]["code"] == "upstream_unavailable"
+        )
+        assert (status == 200 and added["ok"]) or refused, (status, added)
+        _http_json(base + "/healthz")
         print(
             f"serve smoke ok: {base} classified into cluster "
-            f"{outcome['cluster']} ({', '.join(outcome['top_terms'][:3])})"
+            f"{outcome['cluster']} ({', '.join(outcome['top_terms'][:3])}); "
+            f"add answered {status}"
         )
     finally:
         server.shut_down()
@@ -426,8 +436,18 @@ _PROBE_PAGE = {
 
 
 def _http_json(url: str, payload: Optional[dict] = None):
-    """GET ``url`` (or POST ``payload`` to it as JSON); the decoded reply."""
+    """GET ``url`` (or POST ``payload`` to it as JSON); the decoded reply,
+    which must come with status 200."""
+    status, body = _http_reply(url, payload)
+    assert status == 200, (url, status, body)
+    return body
+
+
+def _http_reply(url: str, payload: Optional[dict] = None):
+    """GET ``url`` (or POST ``payload`` to it as JSON); the status and
+    the decoded reply, error statuses included."""
     import json
+    import urllib.error
     import urllib.request
 
     if payload is None:
@@ -437,8 +457,12 @@ def _http_json(url: str, payload: Optional[dict] = None):
             url, data=json.dumps(payload).encode("utf-8"),
             headers={"Content-Type": "application/json"}, method="POST",
         )
-    with urllib.request.urlopen(request, timeout=15) as reply:
-        return json.loads(reply.read().decode("utf-8"))
+    try:
+        with urllib.request.urlopen(request, timeout=15) as reply:
+            return reply.status, json.loads(reply.read().decode("utf-8"))
+    except urllib.error.HTTPError as error:
+        with error:
+            return error.code, json.loads(error.read().decode("utf-8"))
 
 
 def _lease_path(lease_dir: str, shard_index: int) -> str:
@@ -780,8 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ingest.add_argument("--min-df", type=int, default=2,
                           help="frequency floor for vocabulary pruning")
-    p_ingest.add_argument("--spill-dir",
-                          help="spill posting-list segments to this directory")
     p_ingest.add_argument(
         "--rss-cap-mb", type=int, default=400,
         help="--smoke fails if peak RSS exceeds this many MB",

@@ -7,13 +7,11 @@ goes through :func:`atomic_write_bytes` — write to a tmp file, flush,
 never leaves a truncated or missing artifact behind.
 """
 
-import binascii
 import gzip
 import json
 import os
-import struct
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, List, Union
 
 from repro.core.form_page import RawFormPage
 
@@ -60,11 +58,8 @@ def fsync_dir(path: Union[str, Path]) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(
-    data: Union[bytes, Iterable[bytes]], path: Union[str, Path]
-) -> None:
-    """Durably write ``data`` (bytes, or an iterable of byte chunks
-    written as they are produced) to ``path``.
+def atomic_write_bytes(data: bytes, path: Union[str, Path]) -> None:
+    """Durably write ``data`` to ``path``.
 
     The bytes land in ``<path>.tmp`` first and are fsynced *before* the
     rename, and the parent directory is fsynced *after* it — so the
@@ -74,10 +69,8 @@ def atomic_write_bytes(
     """
     path = Path(path)
     tmp_path = path.with_suffix(path.suffix + ".tmp")
-    chunks = (data,) if isinstance(data, (bytes, bytearray)) else data
     with open(tmp_path, "wb") as handle:
-        for chunk in chunks:
-            handle.write(chunk)
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
     tmp_path.replace(path)
@@ -105,99 +98,6 @@ def read_json(path: Union[str, Path]) -> object:
     if data[:2] == b"\x1f\x8b":
         data = gzip.decompress(data)
     return json.loads(data.decode("utf-8"))
-
-
-# ----------------------------------------------------------------
-# CRC-framed record files (spill segments and other sealed artifacts).
-#
-# Frame layout matches the write-ahead journal so one corruption story
-# covers every on-disk record stream:
-# ``[length: u32 BE] [crc32(payload): u32 BE] [payload: JSON bytes]``.
-# Files written by :func:`write_framed_records` are immutable once
-# sealed (tmp + fsync + rename, like :func:`atomic_write_bytes`), so
-# readers may cache offsets and seek records on demand.
-# ----------------------------------------------------------------
-
-_FRAME_HEADER = struct.Struct(">II")
-
-
-def _frame(payload: bytes) -> bytes:
-    return _FRAME_HEADER.pack(len(payload), binascii.crc32(payload)) + payload
-
-
-class FramedRecordError(ValueError):
-    """A framed record file is truncated or fails its checksum."""
-
-    def __init__(self, path, offset: int, reason: str) -> None:
-        self.path = str(path)
-        self.offset = offset
-        super().__init__(f"{path}: bad framed record at offset {offset}: {reason}")
-
-
-def write_framed_records(
-    records: Iterable[object], path: Union[str, Path]
-) -> List[int]:
-    """Durably write ``records`` as a sealed crc-framed file.
-
-    Returns the byte offset of each record (for callers that build their
-    own directory over the file).  The write is atomic: a crash leaves
-    either the previous file or the complete new one.
-    """
-    offsets: List[int] = []
-
-    def frames() -> Iterator[bytes]:
-        position = 0
-        for record in records:
-            framed = _frame(json.dumps(record).encode("utf-8"))
-            offsets.append(position)
-            position += len(framed)
-            yield framed
-
-    atomic_write_bytes(frames(), path)
-    return offsets
-
-
-def read_framed_record(handle: BinaryIO, offset: int, path="?") -> object:
-    """Read and checksum-verify the single record at ``offset``."""
-    handle.seek(offset)
-    header = handle.read(_FRAME_HEADER.size)
-    if len(header) < _FRAME_HEADER.size:
-        raise FramedRecordError(path, offset, "truncated header")
-    length, crc = _FRAME_HEADER.unpack(header)
-    payload = handle.read(length)
-    if len(payload) < length:
-        raise FramedRecordError(path, offset, "truncated payload")
-    if binascii.crc32(payload) != crc:
-        raise FramedRecordError(path, offset, "crc mismatch")
-    return json.loads(payload.decode("utf-8"))
-
-
-def iter_framed_records(
-    path: Union[str, Path]
-) -> Iterator[Tuple[int, object]]:
-    """Yield ``(offset, record)`` for every record, verifying checksums.
-
-    A truncated or corrupt frame raises :class:`FramedRecordError` — a
-    sealed segment is immutable, so unlike the journal's torn-tail
-    tolerance, *any* damage here is a hard error.
-    """
-    path = Path(path)
-    with open(path, "rb") as handle:
-        offset = 0
-        while True:
-            header = handle.read(_FRAME_HEADER.size)
-            if not header:
-                return
-            if len(header) < _FRAME_HEADER.size:
-                raise FramedRecordError(path, offset, "truncated header")
-            length, crc = _FRAME_HEADER.unpack(header)
-            payload = handle.read(length)
-            if len(payload) < length:
-                raise FramedRecordError(path, offset, "truncated payload")
-            if binascii.crc32(payload) != crc:
-                raise FramedRecordError(path, offset, "crc mismatch")
-            yield offset, json.loads(payload.decode("utf-8"))
-            offset += _FRAME_HEADER.size + length
 
 
 def save_dataset(pages: List[RawFormPage], path: Union[str, Path]) -> None:

@@ -26,8 +26,6 @@ __all__ = [
     "DirectoryIndex",
     "RetrievalStats",
     "SpaceIndex",
-    "SpillSegment",
-    "SpillingSpaceIndex",
     "assert_sorted",
     "cluster_hit_key",
     "merge_ranked",
@@ -35,12 +33,3 @@ __all__ = [
     "top_k_exact",
 ]
 
-
-# The spilled index serves only ``repro ingest --stream``; it is imported
-# on first use.
-def __getattr__(name):
-    if name in ("SpillSegment", "SpillingSpaceIndex"):
-        from repro.index import spill
-
-        return getattr(spill, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

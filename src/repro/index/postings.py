@@ -23,8 +23,7 @@ non-negative weights, without the index knowing which one is active
 
 Terms are keyed by their :data:`~repro.vsm.interning.VOCABULARY` id,
 the id the row vectors already carry, so indexing a row resolves no
-strings.  Term strings appear only where postings leave the process
-(:mod:`repro.index.spill` writes them into sealed segments).
+strings.
 """
 
 from typing import Dict, Iterator, List, Tuple
@@ -35,13 +34,12 @@ from repro.vsm.vector import SparseVector
 class SpaceIndex:
     """Pre-normalized posting lists over one vector space."""
 
-    __slots__ = ("_postings", "_vectors", "_norms", "n_postings")
+    __slots__ = ("_postings", "_vectors", "n_postings")
 
     def __init__(self) -> None:
         #: term id -> [(row_id, weight / row_norm)], append-ordered.
         self._postings: Dict[int, List[Tuple[int, float]]] = {}
         self._vectors: Dict[int, SparseVector] = {}
-        self._norms: Dict[int, float] = {}
         #: total posting entries (the /metrics gauge).
         self.n_postings = 0
 
@@ -59,13 +57,6 @@ class SpaceIndex:
     def n_terms(self) -> int:
         return len(self._postings)
 
-    def rows(self) -> Iterator[int]:
-        return iter(self._vectors)
-
-    def term_ids(self) -> Iterator[int]:
-        """Ids of the terms with a non-empty posting list."""
-        return iter(self._postings)
-
     def row_items(self) -> Iterator[Tuple[int, SparseVector]]:
         """(row_id, raw vector) pairs — what a cached full scan walks."""
         return iter(self._vectors.items())
@@ -75,7 +66,8 @@ class SpaceIndex:
         return self._vectors[row_id]
 
     def norm(self, row_id: int) -> float:
-        return self._norms[row_id]
+        """The row vector's (cached) Euclidean norm."""
+        return self._vectors[row_id].norm()
 
     def postings(self, term_id: int) -> List[Tuple[int, float]]:
         """The (row, pre-normalized weight) posting list of ``term_id``
@@ -97,7 +89,6 @@ class SpaceIndex:
             self.remove_row(row_id)
         norm = vector.norm()
         self._vectors[row_id] = vector
-        self._norms[row_id] = norm
         if norm == 0.0:
             return
         inv = 1.0 / norm
@@ -117,8 +108,7 @@ class SpaceIndex:
         vector = self._vectors.pop(row_id, None)
         if vector is None:
             return False
-        norm = self._norms.pop(row_id)
-        if norm == 0.0:
+        if vector.norm() == 0.0:
             return True
         postings = self._postings
         for term_id in vector.id_arrays()[0]:
@@ -136,7 +126,6 @@ class SpaceIndex:
     def clear(self) -> None:
         self._postings = {}
         self._vectors = {}
-        self._norms = {}
         self.n_postings = 0
 
 

@@ -1,7 +1,6 @@
 """Streaming-ingestion knobs."""
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass
@@ -19,10 +18,6 @@ class StreamConfig:
     space, terms with document frequency below ``min_df`` are pruned
     before the new contexts are prepared.  ``vocab_budget=0`` prunes at
     every re-weight; ``min_df<=1`` disables pruning entirely.
-
-    ``spill_dir=None`` keeps the page index fully resident (fine below
-    ~10k pages); a path enables spill-to-disk segments of 4,096 rows
-    each (:class:`~repro.index.spill.SpillingSpaceIndex`'s default).
     """
 
     batch_size: int = 256
@@ -30,7 +25,6 @@ class StreamConfig:
     reservoir_size: int = 512
     vocab_budget: int = 150_000
     min_df: int = 2
-    spill_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:

@@ -28,7 +28,7 @@ treatment ``transform_new`` applies to new pages).  With
 exact prefix statistics.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.form_page import FormPage, RawFormPage
@@ -58,6 +58,12 @@ class StreamedPage:
     @property
     def label(self) -> Optional[str]:
         return self.page.label
+
+    def reemit(self, vectorizer: FormPageVectorizer) -> "StreamedPage":
+        """This page re-vectorized from its TFs under ``vectorizer``'s
+        current contexts (everything else carried over)."""
+        pc, fc = vectorizer.emit_vectors(self.pc_tf, self.fc_tf)
+        return replace(self, page=replace(self.page, pc=pc, fc=fc))
 
 
 @dataclass

@@ -77,22 +77,20 @@ class StreamOrganizer:
     # Streaming.
     # ----------------------------------------------------------------
 
-    def observe_batch(
-        self, batch: Sequence[StreamedPage]
-    ) -> Optional[List[int]]:
-        """Absorb one emitted batch; returns assignments once bootstrapped."""
+    def observe_batch(self, batch: Sequence[StreamedPage]) -> None:
+        """Absorb one emitted batch (the learner trains on it once
+        bootstrapped)."""
         for entry in batch:
             self.reservoir.offer(entry)
         if self.learner is None:
-            if self.reservoir.n_seen >= self.bootstrap_pages:
-                self._bootstrap()
-            else:
-                return None
+            if self.reservoir.n_seen < self.bootstrap_pages:
+                return
+            self._bootstrap()
             # The bootstrap already trained on the reservoir, which
             # contains (a sample of) this batch; fall through to
             # partial_fit anyway — one extra pass is harmless and keeps
             # the code path uniform.
-        return self.learner.partial_fit([entry.page for entry in batch])
+        self.learner.partial_fit([entry.page for entry in batch])
 
     def ensure_ready(self) -> None:
         """Force a bootstrap at end-of-stream for short streams."""
@@ -129,7 +127,6 @@ class StreamOrganizer:
     def _on_reweight(self, ingestor: StreamingIngestor) -> None:
         """Re-vectorize the reservoir and rebuild centroids in the new
         weight space (see module docstring)."""
-        vectorizer = ingestor.vectorizer
         entries = self.reservoir.items
         if not entries:
             return
@@ -142,27 +139,7 @@ class StreamOrganizer:
         else:
             assigned = [0] * len(entries)
 
-        refreshed: List[StreamedPage] = []
-        for entry in entries:
-            pc_vec, fc_vec = vectorizer.emit_vectors(entry.pc_tf, entry.fc_tf)
-            old = entry.page
-            refreshed.append(
-                StreamedPage(
-                    page=FormPage(
-                        url=old.url,
-                        pc=pc_vec,
-                        fc=fc_vec,
-                        backlinks=old.backlinks,
-                        label=old.label,
-                        form_term_count=old.form_term_count,
-                        page_term_count=old.page_term_count,
-                        attribute_count=old.attribute_count,
-                    ),
-                    pc_tf=entry.pc_tf,
-                    fc_tf=entry.fc_tf,
-                    index=entry.index,
-                )
-            )
+        refreshed = [entry.reemit(ingestor.vectorizer) for entry in entries]
         self.reservoir.replace_all(refreshed)
 
         if learner is None:

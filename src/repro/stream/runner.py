@@ -2,10 +2,8 @@
 
 :func:`run_stream` wires the three streaming pieces together — the
 drift-gated :class:`~repro.stream.ingest.StreamingIngestor`, the
-reservoir-backed :class:`~repro.stream.organizer.StreamOrganizer`, and
-(optionally) a spill-to-disk
-:class:`~repro.index.spill.SpillingSpaceIndex` over the emitted PC
-vectors — and consumes a page iterable without ever materializing it.
+reservoir-backed :class:`~repro.stream.organizer.StreamOrganizer` —
+and consumes a page iterable without ever materializing it.
 
 :func:`reference_parity` is the acceptance gate shared by ``repro
 ingest --stream --smoke``, ``tests/test_stream.py`` and
@@ -17,15 +15,14 @@ so CAFC-CH's hub seeding would be comparing against information the
 stream never sees.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.clustering.types import Clustering
 from repro.core.config import CAFCConfig
-from repro.core.form_page import FormPage, RawFormPage
+from repro.core.form_page import RawFormPage
 from repro.core.pipeline import CAFCPipeline
 from repro.eval import overall_f_measure, total_entropy
-from repro.index.spill import SpillingSpaceIndex
 from repro.stream.config import StreamConfig
 from repro.stream.ingest import StreamedPage, StreamingIngestor
 from repro.stream.organizer import StreamOrganizer
@@ -40,10 +37,6 @@ class StreamRunResult:
     # Populated only under ``keep_pages=True`` (reference-corpus runs);
     # unbounded streams must not retain their pages.
     pages: Optional[List[StreamedPage]]
-    # On-the-fly assignment counts (post-bootstrap batches only) — a
-    # cheap progress signal, not the final labeling.
-    cluster_counts: Dict[int, int] = field(default_factory=dict)
-    spill_index: Optional[SpillingSpaceIndex] = None
 
     @property
     def stats(self):
@@ -56,7 +49,7 @@ def run_stream(
     config: Optional[StreamConfig] = None,
     keep_pages: bool = False,
 ) -> StreamRunResult:
-    """Stream ``raw_pages`` end to end: ingest, cluster, maybe spill.
+    """Stream ``raw_pages`` end to end: ingest, then cluster.
 
     One terminal re-weight runs after the stream is drained so
     late-arriving vocabulary enters the contexts and the reservoir
@@ -68,32 +61,16 @@ def run_stream(
     organizer = StreamOrganizer(
         n_clusters, reservoir_size=config.reservoir_size
     ).attach(ingestor)
-    spill = SpillingSpaceIndex(config.spill_dir) if config.spill_dir else None
     kept: Optional[List[StreamedPage]] = [] if keep_pages else None
-    cluster_counts: Dict[int, int] = {}
 
     for batch in ingestor.ingest(raw_pages):
-        assignments = organizer.observe_batch(batch)
-        if assignments is not None:
-            for cluster in assignments:
-                cluster_counts[cluster] = cluster_counts.get(cluster, 0) + 1
-        if spill is not None:
-            for entry in batch:
-                spill.add_row(entry.index, entry.page.pc, meta=entry.url)
+        organizer.observe_batch(batch)
         if kept is not None:
             kept.extend(batch)
 
     organizer.ensure_ready()
     ingestor.reweight()
-    if spill is not None:
-        spill.flush()
-    return StreamRunResult(
-        ingestor=ingestor,
-        organizer=organizer,
-        pages=kept,
-        cluster_counts=cluster_counts,
-        spill_index=spill,
-    )
+    return StreamRunResult(ingestor=ingestor, organizer=organizer, pages=kept)
 
 
 def final_labeling(result: StreamRunResult) -> Clustering:
@@ -108,19 +85,7 @@ def final_labeling(result: StreamRunResult) -> Clustering:
     vectorizer = result.ingestor.vectorizer
     members: Dict[int, List[int]] = {}
     for position, entry in enumerate(result.pages):
-        pc_vec, fc_vec = vectorizer.emit_vectors(entry.pc_tf, entry.fc_tf)
-        old = entry.page
-        page = FormPage(
-            url=old.url,
-            pc=pc_vec,
-            fc=fc_vec,
-            backlinks=old.backlinks,
-            label=old.label,
-            form_term_count=old.form_term_count,
-            page_term_count=old.page_term_count,
-            attribute_count=old.attribute_count,
-        )
-        cluster, _ = result.organizer.assign(page)
+        cluster, _ = result.organizer.assign(entry.reemit(vectorizer).page)
         members.setdefault(cluster, []).append(position)
     return Clustering([members[c] for c in sorted(members)])
 

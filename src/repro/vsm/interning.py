@@ -14,7 +14,7 @@ ids are meaningless outside the process, which is why
 strings.  It is the only term table in-memory scoring uses: the
 batched engine (:mod:`repro.core.simengine`) and every posting list
 (:mod:`repro.index.postings`) key terms by these ids, and strings
-appear only where data leaves the process (snapshots, spill segments,
+appear only where data leaves the process (snapshots, cluster
 labels, matched query terms).  Because nothing frees an id, serving
 never interns a query's words: :class:`~repro.vsm.vector.KeywordQuery`
 only looks them up.

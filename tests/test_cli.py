@@ -188,7 +188,7 @@ class TestNodeCommands:
         assert "serve smoke ok:" in output
 
     def test_serve_smoke_under_chaos_disarms_on_return(
-        self, capsys, monkeypatch
+        self, capsys, monkeypatch, tmp_path
     ):
         import repro.cli as cli
         from repro.resilience import FaultPlan, get_active_plan, install_plan
@@ -202,11 +202,16 @@ class TestNodeCommands:
 
         monkeypatch.setattr(cli, "_serve", recording)
         assert get_active_plan() is None
-        assert main(["serve", "--smoke", "--chaos", "7"]) == 0
+        assert main([
+            "serve", "--smoke", "--chaos", "7",
+            "--journal", str(tmp_path / "serve.wal"),
+        ]) == 0
         output = capsys.readouterr().out
         assert "chaos mode:" in output and "serve smoke ok:" in output
         assert get_active_plan() is None
         assert isinstance(armed[0], FaultPlan) and armed[0].seed == 7
+        # The smoke's /add crossed the journal seam under the armed plan.
+        assert armed[0].describe()["crossings"].get("journal.append", 0) >= 1
 
         previous = FaultPlan()
         install_plan(previous)
@@ -215,6 +220,25 @@ class TestNodeCommands:
             assert get_active_plan() is previous
         finally:
             install_plan(None)
+
+    def test_serve_smoke_accepts_a_chaos_refused_add(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """An /add the armed plan fails at the journal answers a
+        structured 503; the smoke accepts it and /healthz still answers."""
+        from repro.resilience import FaultPlan, FaultSpec
+
+        plan = FaultPlan(
+            [FaultSpec("journal.append", "transient", probability=1.0)],
+            seed=7,
+        )
+        monkeypatch.setattr(FaultPlan, "default_chaos", lambda seed: plan)
+        assert main([
+            "serve", "--smoke", "--chaos", "7",
+            "--journal", str(tmp_path / "serve.wal"),
+        ]) == 0
+        assert "add answered 503" in capsys.readouterr().out
+        assert plan.describe()["fires"].get("journal.append", 0) >= 1
 
     def test_router_smoke(self, capsys):
         assert main(["router", "--smoke"]) == 0

@@ -31,7 +31,6 @@ BATCH_ONLY = (
     "repro.core.hubs",
     "repro.clustering.hac",
     "repro.clustering.minibatch",
-    "repro.index.spill",
 )
 
 BLOCK_SCIPY = "import sys\nsys.modules['scipy'] = None\n"

@@ -549,7 +549,9 @@ class TestServedParity:
             ours, theirs = getattr(packed, space), getattr(legacy, space)
             assert ours._postings == theirs._postings
             assert list(ours._postings) == list(theirs._postings)
-            assert ours._norms == theirs._norms
+            assert {row: v.norm() for row, v in ours.row_items()} == {
+                row: v.norm() for row, v in theirs.row_items()
+            }
             assert ours.n_postings == theirs.n_postings
         assert packed._row_by_url == legacy._row_by_url
 

@@ -10,8 +10,6 @@ The load-bearing claims, each pinned here:
   exact weights as the threshold goes to zero;
 * a terminal re-weight plus re-emission reproduces batch
   ``fit_transform`` weights bit-identically (no pruning);
-* the spill-to-disk index returns the same ids and (to 1e-9) scores as
-  an all-resident index, and rejects corrupt segments;
 * the bounded term table and DF pruning actually bound memory without
   moving surviving IDFs.
 """
@@ -26,11 +24,6 @@ import pytest
 import repro
 from repro.clustering.minibatch import MiniBatchKMeans, ReservoirSample
 from repro.core.vectorizer import FormPageVectorizer
-from repro.datasets.store import (
-    FramedRecordError,
-    iter_framed_records,
-    write_framed_records,
-)
 from repro.stream import (
     StreamConfig,
     StreamingIngestor,
@@ -328,176 +321,6 @@ class TestStreamOrganizer:
         entry = organizer.reservoir.items[0]
         pc, _ = ingestor.vectorizer.emit_vectors(entry.pc_tf, entry.fc_tf)
         assert dict(pc.items()) == dict(entry.page.pc.items())
-
-
-# ----------------------------------------------------------------
-# Spill-to-disk postings.
-# ----------------------------------------------------------------
-
-
-class TestFramedRecords:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "records.seg"
-        records = [{"i": i, "data": "x" * i} for i in range(5)]
-        offsets = write_framed_records(records, path)
-        assert len(offsets) == 5 and offsets[0] == 0
-        read = [record for _, record in iter_framed_records(path)]
-        assert read == records
-
-    def test_corruption_detected(self, tmp_path):
-        path = tmp_path / "records.seg"
-        write_framed_records([{"payload": "intact"}], path)
-        blob = bytearray(path.read_bytes())
-        blob[-3] ^= 0xFF  # flip a payload byte
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FramedRecordError):
-            list(iter_framed_records(path))
-
-    def test_truncation_detected(self, tmp_path):
-        path = tmp_path / "records.seg"
-        write_framed_records([{"payload": "intact"}], path)
-        path.write_bytes(path.read_bytes()[:-2])
-        with pytest.raises(FramedRecordError):
-            list(iter_framed_records(path))
-
-
-class TestSpillIndex:
-    def _vectors(self, n=120, seed=5):
-        import random
-
-        rng = random.Random(seed)
-        terms = [f"term{i}" for i in range(30)]
-        out = {}
-        for i in range(n):
-            out[i] = SparseVector({
-                rng.choice(terms): rng.uniform(0.2, 4.0)
-                for _ in range(rng.randint(3, 9))
-            })
-        return out
-
-    def test_search_matches_all_resident(self, tmp_path):
-        from repro.index import (
-            SpaceIndex,
-            SpillingSpaceIndex,
-            top_k_exact,
-        )
-
-        vectors = self._vectors()
-        spill = SpillingSpaceIndex(tmp_path / "seg", segment_rows=32)
-        full = SpaceIndex()
-        for row, vector in vectors.items():
-            spill.add_row(row, vector, meta=f"url-{row}")
-            full.add_row(row, vector)
-        assert spill.n_spilled > 0 and len(spill) == len(vectors)
-
-        query = self._vectors(n=1, seed=99)[0]
-        norm = query.norm()
-        reference = top_k_exact(
-            full,
-            query,
-            10,
-            lambda r: full.vector(r).dot(query) / (full.norm(r) * norm),
-        )
-        hits = spill.search(query, 10)
-        assert [h[0] for h in hits] == [r for r, _ in reference]
-        for (row, score, meta), (_, ref_score) in zip(hits, reference):
-            assert score == pytest.approx(ref_score, abs=1e-9)
-            assert meta == f"url-{row}"
-
-    def test_search_reads_each_segment_header_once(
-        self, tmp_path, monkeypatch
-    ):
-        """A search resolves its hits' metadata with one header read per
-        segment that holds a hit, not one per hit."""
-        from repro.index import SpillingSpaceIndex
-        from repro.index import spill as spill_module
-
-        spill = SpillingSpaceIndex(tmp_path / "seg", segment_rows=64)
-        for row, vector in self._vectors(n=140).items():
-            spill.add_row(row, vector, meta=f"url-{row}")
-        assert len(spill.segments) == 2 and spill.n_resident == 12
-        headers = {
-            (segment.path, segment._header_offset): segment
-            for segment in spill.segments
-        }
-
-        reads = []
-        real = spill_module.read_framed_record
-
-        def counting(handle, offset, path="?"):
-            reads.append((path, offset))
-            return real(handle, offset, path=path)
-
-        monkeypatch.setattr(spill_module, "read_framed_record", counting)
-        for seed in (7, 99, 123):
-            query = self._vectors(n=1, seed=seed)[0]
-            reads.clear()
-            hits = spill.search(query, 10)
-            header_reads = [read for read in reads if read in headers]
-            spilled = {
-                segment.path
-                for row, _, _ in hits
-                for segment in spill.segments
-                if row in segment
-            }
-            assert len(hits) == 10 and spilled
-            assert sorted(path for path, _ in header_reads) == sorted(spilled)
-            assert [meta for _, _, meta in hits] == [
-                f"url-{row}" for row, _, _ in hits
-            ]
-
-    def test_reopen_keeps_sealed_history(self, tmp_path):
-        from repro.index import SpillingSpaceIndex
-
-        vectors = self._vectors(n=64)
-        first = SpillingSpaceIndex(tmp_path / "seg", segment_rows=16)
-        for row, vector in vectors.items():
-            first.add_row(row, vector)
-        first.flush()
-        reopened = SpillingSpaceIndex(tmp_path / "seg", segment_rows=16)
-        assert reopened.n_spilled == len(vectors)
-        query = self._vectors(n=1, seed=7)[0]
-        assert [h[:2] for h in reopened.search(query, 5)] == [
-            h[:2] for h in first.search(query, 5)
-        ]
-
-    def test_corrupt_segment_refused(self, tmp_path):
-        from repro.index import SpillingSpaceIndex
-
-        spill = SpillingSpaceIndex(tmp_path / "seg", segment_rows=8)
-        for row, vector in self._vectors(n=8).items():
-            spill.add_row(row, vector)
-        (segment,) = spill.segments
-        blob = bytearray(segment.path.read_bytes())
-        blob[12] ^= 0xFF
-        segment.path.write_bytes(bytes(blob))
-        with pytest.raises(FramedRecordError):
-            SpillingSpaceIndex(tmp_path / "seg", segment_rows=8)
-
-    def test_segment_with_per_term_max_still_searches(self, tmp_path):
-        """Segments once stored each term's maximum posted weight; a
-        segment written that way opens and answers like a new one."""
-        from repro.index import SpillingSpaceIndex
-
-        new = SpillingSpaceIndex(tmp_path / "new", segment_rows=64)
-        for row, vector in self._vectors(n=64).items():
-            new.add_row(row, vector, meta=f"url-{row}")
-        (segment,) = new.segments
-        records = []
-        for _, record in iter_framed_records(segment.path):
-            if record["kind"] == "postings":
-                assert "max" not in record
-                record["max"] = max(w for _, w in record["postings"])
-            records.append(record)
-        (tmp_path / "old").mkdir()
-        write_framed_records(records, tmp_path / "old" / segment.path.name)
-
-        old = SpillingSpaceIndex(tmp_path / "old", segment_rows=64)
-        assert old.n_spilled == 64 and old.n_resident == 0
-        for seed in (7, 99, 123):
-            query = self._vectors(n=1, seed=seed)[0]
-            hits = new.search(query, 10)
-            assert hits and old.search(query, 10) == hits
 
 
 # ----------------------------------------------------------------
