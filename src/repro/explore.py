@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.result import CAFCResult, OrganizedCluster
-from repro.index import SpaceIndex, top_k_exact
+from repro.index import CentroidRows, top_k_exact
 from repro.text.analyzer import TextAnalyzer
-from repro.vsm.vector import KeywordQuery, SparseVector
+from repro.vsm.vector import KeywordQuery
 
 
 @dataclass
@@ -42,22 +42,17 @@ class ClusterExplorer:
     ) -> None:
         self.result = result
         self.analyzer = analyzer or TextAnalyzer()
-        self._combined: Optional[List[SparseVector]] = None
-        self._index: Optional[SpaceIndex] = None
+        self._rows: Optional[CentroidRows] = None
 
-    def _centroid_index(self) -> SpaceIndex:
-        """Posting lists over the combined (PC + FC) centroids, built
-        once per explorer — queries then touch only the lists their
-        terms appear in (:mod:`repro.index`)."""
-        if self._index is None:
-            self._combined = [
+    def _centroid_rows(self) -> CentroidRows:
+        """The combined (PC + FC) centroids, scored through one compiled
+        block and built once per explorer (:mod:`repro.index`)."""
+        if self._rows is None:
+            self._rows = CentroidRows(
                 cluster.centroid.pc.add(cluster.centroid.fc)
                 for cluster in self.result.clusters
-            ]
-            self._index = SpaceIndex()
-            for index, vector in enumerate(self._combined):
-                self._index.add_row(index, vector)
-        return self._index
+            )
+        return self._rows
 
     # ----------------------------------------------------------------
     # Search.
@@ -75,12 +70,12 @@ class ClusterExplorer:
         keywords = KeywordQuery(self.analyzer.analyze(query))
         if not keywords:
             return []
-        index_rows = self._centroid_index()
+        rows = self._centroid_rows()
         ranked = top_k_exact(
-            index_rows,
+            rows,
             keywords.vector,
             n,
-            lambda i: keywords.cosine(self._combined[i]),
+            lambda i: keywords.cosine(rows.vectors[i]),
             norm=keywords.norm,
         )
         return [
@@ -88,7 +83,7 @@ class ClusterExplorer:
                 cluster_index=index,
                 cluster=self.result.clusters[index],
                 score=score,
-                matched_terms=keywords.matched_terms(self._combined[index]),
+                matched_terms=keywords.matched_terms(rows.vectors[index]),
             )
             for index, score in ranked
         ]

@@ -1,9 +1,11 @@
-"""repro.index — sparse inverted-index retrieval over the feature spaces.
+"""repro.index — exact top-k retrieval over the served rows.
 
-Exact top-k without full scans: per-term posting lists with
-pre-normalized weights (:mod:`~repro.index.postings`), term-at-a-time
-accumulation with an exact rescore of the rows within a rounding window
-of the k-th best partial (:mod:`~repro.index.retrieval`), and the
+Exact top-k without full scans: pre-normalized postings — packed
+term-major arrays with tombstones and a small write delta for pages
+(:mod:`~repro.index.postings`) — and one compiled block over the k
+combined centroids for clusters, each giving approximate partials
+that pick the rows within a rounding window of the k-th best for an
+exact rescore (:mod:`~repro.index.retrieval`), and the
 generation-stamped directory state behind ``/search``
 (:mod:`~repro.index.directory_index`).
 
@@ -19,11 +21,13 @@ from repro.index.merge import (
     merge_ranked,
     page_hit_key,
 )
-from repro.index.postings import SpaceIndex
-from repro.index.retrieval import RetrievalStats, top_k_exact
+from repro.index.postings import PagePostings, SpaceIndex
+from repro.index.retrieval import CentroidRows, RetrievalStats, top_k_exact
 
 __all__ = [
+    "CentroidRows",
     "DirectoryIndex",
+    "PagePostings",
     "RetrievalStats",
     "SpaceIndex",
     "assert_sorted",

@@ -1,37 +1,43 @@
-"""Exact top-k retrieval over posting lists — accumulate, then rescore
-the rounding window.
+"""Exact top-k retrieval over row collections — approximate partials,
+then rescore the rounding window.
 
 Two steps, arranged so that the results are **bit-identical** to the
 full-scan reference paths:
 
-1. *Accumulate.*  Every query term's posting list (keyed by
-   :data:`~repro.vsm.interning.VOCABULARY` id, weights pre-divided by
-   the row norm) adds ``query weight / query norm × posted weight`` to
-   each row containing the term (:func:`accumulate_postings`).  A row's
-   partial sum is its cosine up to rounding; rows sharing no term with
-   the query are never touched and score 0.
+1. *Partials.*  The row collection scores the query approximately:
+   every row sharing a term with it gets a partial cosine.  A posting
+   collection (:class:`~repro.index.postings.SpaceIndex`,
+   :class:`~repro.index.postings.PagePostings`) adds, per query term,
+   ``query weight / query norm × posted weight``, weights pre-divided
+   by the row norm; :class:`CentroidRows` scores its k rows through one
+   compiled centroid block (the query's term rows gathered, rows
+   pre-divided by the centroid norms, one matrix-vector product, times
+   ``1 / query norm``).  Rows sharing no term with the query are never
+   candidates and score 0.
 
 2. *Rescore the window.*  The candidates are the rows whose partial
-   sum lies within :func:`~repro.vsm.vector.rescore_window` of the k-th
+   lies within :func:`~repro.vsm.vector.rescore_window` of the k-th
    largest partial (every touched row when at most ``k`` were touched).
    The window's docstring proves that every row the scalar scan ranks
    in the top k is among them.  Each candidate is scored through the
    caller's **exact** scorer: the same scalar ``cosine_similarity``
    arithmetic the full-scan path runs, over the same stored vectors, so
    every returned score is the same float the scan would produce.
-   Partial sums only pick candidates; they never reach the caller.
+   Partials only pick candidates; they never reach the caller.
 
 It is the same rule :meth:`~repro.core.similarity.FormPageSimilarity.
 rescored_argmax` applies to Section 5's classification and Algorithm
 1's assignment.
 """
 
-import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.index.postings import SpaceIndex
-from repro.vsm.vector import rescore_window
+import numpy as np
+
+from repro.core.simengine import _SpaceBlock
+from repro.index.postings import accumulate_postings
+from repro.vsm.vector import SparseVector, rescore_window
 
 
 @dataclass
@@ -47,29 +53,95 @@ class RetrievalStats:
     rows_scored: int = 0
 
 
-def accumulate_postings(
-    terms: Iterable[Tuple[Hashable, float]],
-    inv_norm: float,
-    postings: Callable[[Hashable], List[Tuple[int, float]]],
-) -> Dict[int, float]:
-    """Each touched row's partial cosine: the sum, over the query's
-    ``(term, weight)`` pairs, of ``weight × inv_norm`` times the row's
-    posted (pre-normalized) weight, added in query-term order.  Terms of
-    non-positive scaled weight are skipped.  ``postings(term)`` returns
-    the term's ``(row, prenormed weight)`` list."""
-    partials: Dict[int, float] = {}
-    get = partials.get
-    for term, weight in terms:
-        weight = weight * inv_norm
-        if weight <= 0.0:
-            continue
-        for row, prenormed in postings(term):
-            partials[row] = get(row, 0.0) + weight * prenormed
-    return partials
+class CentroidRows:
+    """k rows — the combined (PC + FC) centroids behind cluster search —
+    scored through one compiled block
+    (:class:`~repro.core.simengine._SpaceBlock`'s layout).
+
+    The block's rows are divided by the centroids' norms once (an empty
+    centroid's row divides by ``inf`` to zeros), so a query's kernel
+    score is its weights times ``1.0 / query norm``, dotted with the
+    gathered rows of its terms: the posting partial's arithmetic,
+    summed in another order.  Immutable, like the centroids: a write
+    that replaces a centroid builds new rows, and the block is compiled
+    on their first query (two readers racing to compile it compile the
+    same block).
+    """
+
+    __slots__ = ("vectors", "_block")
+
+    def __init__(self, vectors: Sequence[SparseVector]) -> None:
+        self.vectors: Tuple[SparseVector, ...] = tuple(vectors)
+        #: (VOCABULARY id -> block row, normalized block rows)
+        self._block: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def _posted(self) -> List[SparseVector]:
+        return [vector for vector in self.vectors if vector.norm() > 0.0]
+
+    @property
+    def n_postings(self) -> int:
+        """Entries of the rows that can match a query (the /metrics
+        gauge a posting list over the same rows would report)."""
+        return sum(len(vector) for vector in self._posted())
+
+    @property
+    def n_terms(self) -> int:
+        """Distinct terms of the rows that can match a query."""
+        return len(set().union(*(v.id_arrays()[0] for v in self._posted())))
+
+    def partials(
+        self, query: SparseVector, norm: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows sharing a term with ``query`` (a positive kernel
+        score; weights are non-negative) and those scores."""
+        block = self._block
+        if block is None:
+            compiled = _SpaceBlock.build(self.vectors)
+            block = self._block = (
+                compiled.column, compiled.rows / compiled.norms
+            )
+        column, rows = block
+        ids, weights = query.id_arrays()
+        scores = np.dot(np.frombuffer(weights), rows.take(
+            column.take(np.frombuffer(ids, np.int64), mode="clip"), axis=0
+        ))
+        scores *= 1.0 / norm
+        touched = scores.nonzero()[0]
+        return touched, scores[touched]
+
+
+#: Touched rows up to which the window is found in Python: below about
+#: this many, NumPy's fixed cost per call exceeds a sort of the list.
+_PYTHON_WINDOW = 48
+
+
+def _window(
+    rows: np.ndarray, partials: np.ndarray, k: int, terms: int
+) -> List[int]:
+    """The ``rows`` whose partial lies within
+    :func:`~repro.vsm.vector.rescore_window` (over ``terms`` query
+    terms) of the k-th largest partial; all of them when there are at
+    most ``k``.  Both routes compare the same floats."""
+    n = len(partials)
+    if n <= k:
+        return rows.tolist()
+    if n <= _PYTHON_WINDOW:
+        values = partials.tolist()
+        kth = sorted(values)[-k]
+        window = rescore_window(kth, terms)
+        return [
+            row for row, partial in zip(rows.tolist(), values)
+            if kth - partial <= window
+        ]
+    kth = float(np.partition(partials, n - k)[n - k])
+    return rows[kth - partials <= rescore_window(kth, terms)].tolist()
 
 
 def top_k_exact(
-    space: SpaceIndex,
+    space,
     query,
     k: int,
     score_exact: Callable[[int], float],
@@ -79,6 +151,10 @@ def top_k_exact(
 ) -> List[Tuple[int, float]]:
     """The exact top-``k`` rows of ``space`` for ``query``, highest
     score first.
+
+    ``space`` is a row collection: ``len(space)`` rows and
+    ``space.partials(query, norm)``, the touched rows and their
+    partials as parallel arrays.
 
     ``query`` is a :class:`~repro.vsm.vector.SparseVector` (a combined
     PC+FC query); its weights are divided by its norm (``norm``, or
@@ -98,37 +174,29 @@ def top_k_exact(
     """
     if stats is None:
         stats = RetrievalStats()
-    stats.rows_total += len(space)
-    if k <= 0 or not len(space):
+    size = len(space)
+    stats.rows_total += size
+    if k <= 0 or not size:
         return []
     if norm is None:
         norm = query.norm()
     if norm == 0.0:
         return []
 
-    partials = accumulate_postings(
-        zip(*query.id_arrays()), 1.0 / norm, space.postings
-    )
-    if len(partials) > k:
-        kth = heapq.nlargest(k, partials.values())[-1]
-        window = rescore_window(kth, len(query))
-        candidates = [
-            row for row, partial in partials.items() if kth - partial <= window
-        ]
-    else:
-        candidates = list(partials)
+    candidates = _window(*space.partials(query, norm), k, len(query))
     stats.rows_scored += len(candidates)
 
-    scored = [(row, score_exact(row)) for row in candidates]
-    scored = [(row, score) for row, score in scored if score > 0.0]
-    if tie_key is None:
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    else:
-        scored.sort(key=lambda pair: (-pair[1], tie_key(pair[0])))
-    return scored[:k]
+    ranked = []
+    for row in candidates:
+        score = score_exact(row)
+        if score > 0.0:
+            ranked.append((-score, row if tie_key is None else tie_key(row), row))
+    ranked.sort()
+    return [(row, -negated) for negated, _, row in ranked[:k]]
 
 
 __all__ = [
+    "CentroidRows",
     "RetrievalStats",
     "accumulate_postings",
     "top_k_exact",

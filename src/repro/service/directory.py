@@ -11,7 +11,8 @@ use:
   same ``FormPageSimilarity.best`` call :meth:`~FormDirectory.add`
   assigns by, so the two agree to the last bit), and search ranks
   through the
-  :class:`~repro.index.directory_index.DirectoryIndex` posting lists;
+  :class:`~repro.index.directory_index.DirectoryIndex` (a compiled
+  centroid block for clusters, packed postings for pages);
 * an **LRU result cache** keyed by content hash short-circuits repeat
   classifications of the same page; entries are validated against a
   directory *generation* that every mutation bumps, so a cache hit can
@@ -300,7 +301,9 @@ class FormDirectory:
             moved = self.organizer.recluster()
             self._generation += 1
             # Page vectors survive re-clustering (only membership moved,
-            # and that is looked up live); centroid rows are re-derived.
+            # and that is looked up live), so the page postings are only
+            # repacked; centroid rows are re-derived.
+            self._index.compact_pages()
             self._index.sync_clusters(self.organizer, self._generation)
             self.n_reclusters += 1
             return moved

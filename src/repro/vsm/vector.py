@@ -237,7 +237,7 @@ def rescore_window(top: float, terms: int) -> float:
     This is the one exactness rule of every ranked read: approximate
     scores (a compiled centroid kernel in
     :meth:`~repro.core.similarity.FormPageSimilarity.rescored_argmax`,
-    posting-list partial sums in
+    posting-list partial sums and the cluster block's scores in
     :func:`~repro.index.retrieval.top_k_exact`) only pick the rows
     within this window of ``top``, and the scalar cosine decides among
     them.  Approximate scores are never returned.
@@ -252,7 +252,8 @@ def rescore_window(top: float, terms: int) -> float:
     more per score.  A cosine adds two (the norms' product and the
     division) and Equation 3's combination three more; a posting-list
     partial adds the two reciprocal norms and the three products that
-    scale each summand.  With ``γ = γ(terms + 5)`` and
+    scale each summand, and the cluster block's score one division per
+    centroid weight, the query's reciprocal norm and two products.  With ``γ = γ(terms + 5)`` and
     ``ρ = (1 − γ)/(1 + γ)``, ``s ≥ ρ·a`` and ``a ≥ ρ·s``.  Let ``top``
     be the k-th largest approximate score (k = 1 for an argmax).  The k
     rows scoring at least ``top`` have scalar scores of at least

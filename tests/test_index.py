@@ -9,6 +9,7 @@ property tests drive a directory through a mutation schedule and diff
 every answer against the oracles on its live state.
 """
 
+import dataclasses
 import itertools
 import json
 import random
@@ -19,7 +20,7 @@ import pytest
 from repro.core.config import CAFCConfig
 from repro.core.pipeline import CAFCPipeline
 from repro.explore import ClusterExplorer
-from repro.index import SpaceIndex, top_k_exact
+from repro.index import PagePostings, SpaceIndex, top_k_exact
 from repro.index.retrieval import RetrievalStats, accumulate_postings
 from repro.service.directory import FormDirectory
 from repro.service import serve_directory
@@ -239,6 +240,257 @@ class TestTopKExact:
 
 
 # ---------------------------------------------------------------------
+# PagePostings: the packed base, tombstones, the delta and compaction,
+# against brute force and a SpaceIndex over the same live rows.
+# ---------------------------------------------------------------------
+
+
+_FRESH = itertools.count()
+
+
+def fresh_terms(n):
+    """``n`` terms no test has interned yet, interned now in order, so
+    the last one holds the highest VOCABULARY id."""
+    batch = next(_FRESH)
+    terms = [f"packed{batch}x{i}" for i in range(n)]
+    for term in terms:
+        tid(term)
+    return terms
+
+
+class PackedMirror:
+    """A :class:`PagePostings` and a :class:`SpaceIndex` fed the same
+    writes; the SpaceIndex is the reference for every read."""
+
+    def __init__(self, rows):
+        self.packed = PagePostings()
+        self.packed.build(sorted(rows), [rows[row] for row in sorted(rows)])
+        self.mirror = SpaceIndex()
+        for row in sorted(rows):
+            self.mirror.add_row(row, rows[row])
+        self.names = {}
+        self.repacks = 0
+        self._pointer = self.packed._pointer
+
+    def name(self, row):
+        return self.names.setdefault(row, f"url-{(row * 7919) % 1009:04d}")
+
+    def write(self, action, row, vector=None):
+        """Apply one write to both; True when it repacked the base."""
+        if action == "remove":
+            assert self.packed.remove_row(row) == self.mirror.remove_row(row)
+        else:
+            self.packed.add_row(row, vector)
+            self.mirror.add_row(row, vector)
+        pointer = self.packed._pointer
+        repacked = pointer is not self._pointer
+        self._pointer = pointer
+        return repacked
+
+    def check_gauges(self):
+        assert len(self.packed) == len(self.mirror)
+        assert self.packed.n_postings == self.mirror.n_postings
+        assert self.packed.n_terms == self.mirror.n_terms
+        for row, vector in self.mirror.row_items():
+            assert self.packed.vector(row) is vector
+
+    def brute_force(self, query, k, tie_key=None):
+        key = tie_key or (lambda row: row)
+        scored = [
+            (row, cosine_similarity(query, vector))
+            for row, vector in self.mirror.row_items()
+        ]
+        scored = [(row, score) for row, score in scored if score > 0.0]
+        scored.sort(key=lambda pair: (-pair[1], key(pair[0])))
+        return scored[:k]
+
+    def check_queries(self, queries, ks=(1, 3, 10, 50)):
+        for query in queries:
+            for k in ks:
+                for tie_key in (None, self.name):
+                    stats = RetrievalStats()
+                    got = top_k_exact(
+                        self.packed, query, k,
+                        lambda row: cosine_similarity(
+                            query, self.packed.vector(row)
+                        ),
+                        stats=stats, tie_key=tie_key,
+                    )
+                    assert got == self.brute_force(query, k, tie_key), k
+                    assert stats.rows_total == len(self.mirror)
+
+
+class TestPagePostings:
+    def test_churn_matches_brute_force_through_every_compaction(self):
+        """Adds, replaces and removes interleaved so that the delta's
+        postings, the tombstones' and an explicit compaction each repack
+        the base, with every answer equal to brute force in between.
+        The queries always hold the base's highest term id."""
+        rng = random.Random(20261021)
+        vocabulary = fresh_terms(50)
+        last = vocabulary[-1]
+        mirror = PackedMirror({
+            row: random_vector(rng, vocabulary) for row in range(80)
+        })
+        next_row = 80
+        repacks = {"add": 0, "remove": 0}
+
+        def queries():
+            out = []
+            for _ in range(4):
+                query = random_vector(rng, vocabulary, max_terms=6)
+                weights = dict(query.items())
+                weights[last] = rng.uniform(0.1, 5.0)
+                out.append(SparseVector(weights))
+            return out
+
+        mirror.check_gauges()
+        mirror.check_queries(queries())
+        for step in range(260):
+            live = sorted(row for row, _ in mirror.mirror.row_items())
+            phase = step // 65  # add-heavy, remove-heavy, mixed, mixed
+            roll = rng.random()
+            if phase == 1 and roll < 0.8 and len(live) > 10:
+                action, row = "remove", rng.choice(live)
+            elif phase == 0 or roll < 0.4:
+                action, row = "add", next_row
+                next_row += 1
+            elif roll < 0.75 and live:
+                action, row = "add", rng.choice(live)  # replace
+            elif live:
+                action, row = "remove", rng.choice(live)
+            else:
+                continue
+            vector = random_vector(rng, vocabulary)
+            if mirror.write(action, row, vector):
+                repacks[action] += 1
+            if step == 200:
+                mirror.packed.compact()
+                assert len(mirror.packed._delta) == 0
+            mirror.check_gauges()
+            if step % 5 == 0:
+                mirror.check_queries(queries())
+        assert repacks["add"] > 0 and repacks["remove"] > 0, repacks
+
+    @pytest.mark.parametrize("where", ["base", "delta"])
+    def test_near_ties_cut_like_brute_force(self, where):
+        """TestTopKExact's near-tie test, over rows packed in the base
+        and over rows held in the delta."""
+        rng = random.Random(20261019)
+        # Tie terms and the delta case's base terms alternate in id
+        # order, so a base lookup one term off lands on posted rows.
+        pool = fresh_terms(21)
+        terms, filler = pool[1::2], pool[0::2]
+        weights = {term: rng.uniform(0.1, 5.0) for term in terms}
+        n_rows = 64  # more touched rows than the window's Python route takes
+        rows = {}
+        for row in range(n_rows):
+            order = rng.sample(terms, len(terms))
+            rows[row] = SparseVector({t: weights[t] for t in order})
+        if where == "base":
+            mirror = PackedMirror(rows)
+        else:
+            mirror = PackedMirror({
+                1000 + row: SparseVector({t: 1.0 for t in filler})
+                for row in range(n_rows)
+            })
+            for row, vector in rows.items():
+                assert not mirror.write("add", row, vector)
+            assert len(mirror.packed._delta) == n_rows
+        names = {row: f"url-{rng.random()}" for row in range(n_rows)}
+
+        reordered = split = 0
+        for trial in range(20):
+            query_terms = rng.sample(terms, rng.randint(3, 10))
+            query_terms += [f"miss{i}" for i in range(rng.randint(0, 12))]
+            query = SparseVector({
+                term: rng.uniform(0.1, 5.0) for term in query_terms
+            })
+            exact = {
+                row: cosine_similarity(query, vector)
+                for row, vector in rows.items()
+            }
+            got_rows, got_partials = mirror.packed.partials(
+                query, query.norm()
+            )
+            partials = dict(zip(got_rows.tolist(), got_partials.tolist()))
+            assert partials == accumulate_postings(
+                zip(*query.id_arrays()), 1.0 / query.norm(),
+                mirror.mirror.postings,
+            )
+            by_exact = sorted(exact, key=lambda row: (-exact[row], row))
+            by_partial = sorted(
+                partials, key=lambda row: (-partials[row], row)
+            )
+            reordered += by_exact != by_partial
+            split += len(set(exact.values())) > 1
+            for k in (1, 5, 17, n_rows - 1):
+                for tie_key in (None, names.__getitem__):
+                    key = tie_key or (lambda row: row)
+                    want = sorted(
+                        exact.items(), key=lambda kv: (-kv[1], key(kv[0]))
+                    )[:k]
+                    got = top_k_exact(
+                        mirror.packed, query, k,
+                        lambda row: cosine_similarity(
+                            query, mirror.packed.vector(row)
+                        ),
+                        tie_key=tie_key,
+                    )
+                    assert got == want, (trial, k, tie_key)
+        assert split > 0 and reordered > 0
+
+    def test_zero_norm_rows_and_terms_past_the_pointer(self):
+        """A zero-norm row takes a slot (or a delta entry), counts in
+        ``len`` and never matches; a query term interned after the base
+        was packed is past the pointer's width, so only the delta can
+        hold it — and the base's own last term is still found."""
+        terms = fresh_terms(6)
+        rows = {
+            0: SparseVector({terms[0]: 1.0, terms[1]: 2.0}),
+            1: SparseVector(),
+            2: SparseVector({terms[4]: 3.0}),
+            3: SparseVector({terms[5]: 1.5, terms[2]: 1.0}),
+        }
+        mirror = PackedMirror(rows)
+        pointer = mirror.packed._pointer
+        assert len(pointer) - 1 == tid(terms[5]) + 1
+        assert len(mirror.packed) == 4
+        assert mirror.packed.vector(1) is rows[1]
+        mirror.check_gauges()
+        mirror.check_queries([
+            SparseVector({terms[5]: 1.0}),
+            SparseVector({terms[0]: 1.0, terms[5]: 2.0}),
+            SparseVector({terms[3]: 1.0}),
+        ])
+
+        late = fresh_terms(2)
+        assert tid(late[0]) == len(pointer) - 1  # exactly the width
+        past = [
+            SparseVector({late[0]: 1.0}),
+            SparseVector({late[1]: 2.0, terms[5]: 1.0}),
+            SparseVector({late[0]: 1.0, late[1]: 1.0, terms[4]: 1.0}),
+        ]
+        mirror.check_queries(past)
+        assert top_k_exact(
+            mirror.packed, past[0], 3, lambda row: 1.0
+        ) == []
+        assert not mirror.write("add", 7, SparseVector({late[0]: 2.0}))
+        assert not mirror.write("add", 8, SparseVector())
+        mirror.check_gauges()
+        mirror.check_queries(past)
+        assert [row for row, _ in top_k_exact(
+            mirror.packed, past[0], 3,
+            lambda row: cosine_similarity(past[0], mirror.packed.vector(row)),
+        )] == [7]
+        assert not mirror.write("remove", 1)
+        assert not mirror.write("remove", 8)
+        assert len(mirror.packed) == 4
+        mirror.check_gauges()
+        mirror.check_queries(past)
+
+
+# ---------------------------------------------------------------------
 # Classify parity: the centroid scan vs the per-pair Equation-3 argmax.
 # ---------------------------------------------------------------------
 
@@ -369,6 +621,107 @@ class TestDirectoryParity:
             assert directory._index.generation == directory.generation == 2
             directory.recluster()
             assert directory._index.generation == directory.generation == 3
+
+
+def reference_gauges(organizer):
+    """``{space: (postings, terms)}`` as a :class:`SpaceIndex` over the
+    same live rows counts them."""
+    values = {}
+    for space, rows in (
+        ("clusters", cluster_rows(organizer)),
+        ("pages", [row for _, _, row in page_rows(organizer)]),
+    ):
+        index = SpaceIndex()
+        for row, vector in enumerate(rows):
+            index.add_row(row, vector)
+        values[space] = (index.n_postings, index.n_terms)
+    return values
+
+
+def assert_gauges(directory):
+    """The index gauges on the index, ``/metrics`` and ``/healthz``."""
+    want = reference_gauges(directory.organizer)
+    index = directory._index
+    assert (index.n_cluster_postings, index.n_cluster_terms) == \
+        want["clusters"]
+    assert (index.n_page_postings, index.n_page_terms) == want["pages"]
+    lines = directory.metrics.render().splitlines()
+    for space, (postings, terms) in want.items():
+        assert f'repro_index_postings{{space="{space}"}} {postings}' in lines
+        assert f'repro_index_terms{{space="{space}"}} {terms}' in lines
+    assert directory.stats()["index"] == {
+        "generation": directory.generation,
+        "cluster_postings": want["clusters"][0],
+        "page_postings": want["pages"][0],
+    }
+
+
+class TestPackedDirectory:
+    """The served index through every compaction trigger: answers equal
+    the oracle scans and the gauges equal a SpaceIndex's counts."""
+
+    def test_churn_through_every_compaction_and_a_recluster(
+        self, small_snapshot, small_raw_pages
+    ):
+        with make_directory(small_snapshot) as directory:
+            postings = directory._index._pages
+
+            def write(op, *args):
+                pointer = postings._pointer
+                getattr(directory, op)(*args)
+                return postings._pointer is not pointer
+
+            def check():
+                assert_gauges(directory)
+                assert_search_parity(directory, sizes=(1, 5))
+
+            check()
+            managed = [raw for raw in small_raw_pages
+                       if raw.url in directory.organizer]
+            # New URLs fill the delta until its postings reach the base's.
+            for copy, raw in enumerate(managed):
+                if write("add", dataclasses.replace(
+                    raw, url=f"{raw.url}?copy={copy}"
+                )):
+                    break
+            else:
+                pytest.fail("the delta never triggered a repack")
+            assert len(postings._delta) == 0
+            check()
+            # Replacements and a few removes leave a delta and tombstones.
+            for old, new in zip(managed[:4], managed[4:8]):
+                assert not write(
+                    "add", dataclasses.replace(new, url=old.url)
+                )
+            assert not write("remove", managed[8].url)
+            assert len(postings._delta) == 4
+            check()
+            # A recluster repacks whatever is outside the base.
+            assert write("recluster")
+            assert len(postings._delta) == 0
+            check()
+            # Removes tombstone rows until they outweigh the live base.
+            for url, _, _ in page_rows(directory.organizer):
+                if write("remove", url):
+                    break
+            else:
+                pytest.fail("the tombstones never triggered a repack")
+            check()
+
+
+class TestExplorerParity:
+    def test_search_matches_the_oracle_scan(self, small_organized):
+        _, result = small_organized
+        explorer = ClusterExplorer(result)
+        for query in QUERIES + ("flight hotel car", "book music movie job"):
+            for n in (1, 2, 3, 5, 20):
+                assert [
+                    (hit.cluster_index, hit.score, hit.matched_terms)
+                    for hit in explorer.search(query, n=n)
+                ] == [
+                    (hit["cluster"], hit["score"], hit["matched_terms"])
+                    for hit in scan_clusters(result, query, n)
+                ], (query, n)
 
 
 # ---------------------------------------------------------------------

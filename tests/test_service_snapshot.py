@@ -5,8 +5,8 @@ the organizer built in the same process as the pipeline run; the parity
 tests at the bottom pin this for every page of the full 454-page
 benchmark corpus, and pin a packed version-3 load to a load of the
 JSON format the oracle writer (``tests/oracle.py``) still produces:
-centroids, cohesion, classify, search, labels, posting lists and
-journal replay, bit for bit.
+centroids, cohesion, classify, search, labels, packed postings,
+the cluster block and journal replay, bit for bit.
 """
 
 import gzip
@@ -544,16 +544,31 @@ class TestServedParity:
         assert packed.clusters_summary() == legacy.clusters_summary()
 
     def test_packed_posting_lists_match_the_oracle(self, both_loads):
-        legacy, packed = (d._index for d in both_loads)
-        for space in ("_clusters", "_pages"):
-            ours, theirs = getattr(packed, space), getattr(legacy, space)
-            assert ours._postings == theirs._postings
-            assert list(ours._postings) == list(theirs._postings)
-            assert {row: v.norm() for row, v in ours.row_items()} == {
-                row: v.norm() for row, v in theirs.row_items()
-            }
-            assert ours.n_postings == theirs.n_postings
-        assert packed._row_by_url == legacy._row_by_url
+        legacy, packed = both_loads
+        for directory in both_loads:  # compile the cluster blocks
+            directory.search(self.QUERIES[0], n=1)
+        ours, theirs = packed._index, legacy._index
+        assert len(ours._pages._delta) == len(theirs._pages._delta) == 0
+        for field in ("_pointer", "_slots", "_weights", "_rows"):
+            mine = getattr(ours._pages, field)
+            other = getattr(theirs._pages, field)
+            assert mine.dtype == other.dtype
+            assert mine.tobytes() == other.tobytes()
+        mine, other = ours._clusters, theirs._clusters
+        for array, twin in zip(mine._block, other._block):
+            assert array.tobytes() == twin.tobytes()
+        assert [dict(v.items()) for v in mine.vectors] == [
+            dict(v.items()) for v in other.vectors
+        ]
+        assert [v.norm() for v in mine.vectors] == [
+            v.norm() for v in other.vectors
+        ]
+        assert ours._row_by_url == theirs._row_by_url
+        for gauge in (
+            "n_cluster_postings", "n_page_postings",
+            "n_cluster_terms", "n_page_terms",
+        ):
+            assert getattr(ours, gauge) == getattr(theirs, gauge), gauge
 
     def test_journal_replay_over_either_load_is_bit_identical(
         self, benchmark_build, benchmark_raw_pages, tmp_path
